@@ -81,33 +81,9 @@ def _truthy(value) -> bool:
     return bool(value)
 
 
-def _separation_ok(graph, cluster_set, h=3):
-    from collections import deque
-
-    members = cluster_set.members
-    for src in graph.node_ids:
-        c = members.get(src)
-        if c is None:
-            continue
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if dist[x] >= h - 1:
-                continue
-            for y in graph.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        for v, dv in dist.items():
-            cv = members.get(v)
-            if cv is not None and cv != c and dv < h:
-                return False
-    return True
-
-
 def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
-    """Execute one (pipeline, graph, seed) and build its record."""
+    """Execute one (pipeline, graph, seed) and build its record; `D` is
+    left None for run_experiment to fill."""
     pipeline = config["pipeline"]
     view = SubgraphView.whole(graph)
     eps = float(config.get("eps") or 0.5)
@@ -121,7 +97,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         "graph": config["graph"],
         "n": graph.n,
         "m": graph.m,
-        "D": oracle.diameter(graph),
+        "D": None,
         "max_degree": graph.max_degree,
         "opt": None,
         "cover_size": None,
@@ -144,13 +120,13 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     elif pipeline == "diameter1":
         k = int(config["k"]) if config.get("k") else max(1, math.ceil(1.0 / eps))
         record["params"].update({"k": k, "eps": eps})
-        matching, m_stats = eliminate_short_aug_paths(
+        matching, stats = eliminate_short_aug_paths(
             graph, view, Matching([], view), k, seed=seed, bandwidth=bandwidth
         )
-        cover, stats = koenig_approx_cover(
+        cover, cover_stats = koenig_approx_cover(
             graph, view, matching, k, seed=seed + 1, bandwidth=bandwidth
         )
-        stats.add_sequential(m_stats)
+        stats.add_sequential(cover_stats)
         record["cover_size"] = cover.size
         valid = cover.is_valid() and k * cover.size <= (k + 1) * matching.size
     elif pipeline == "rand-pipeline":
@@ -161,7 +137,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         record["cover_size"] = cover.size
         extra["clusters"] = len(cluster_set.clusters())
         extra["max_tree_height"] = cluster_set.max_tree_height()
-        valid = cover.is_valid() and _separation_ok(graph, cluster_set)
+        valid = cover.is_valid() and oracle.clusters_separated(graph, cluster_set)
     elif pipeline == "det-low-diam":
         record["params"]["eps"] = eps
         cover, stats = det_cover_low_diameter(graph, view, eps, seed=seed, bandwidth=bandwidth)
@@ -181,7 +157,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         extra["clusters"] = len(cluster_set.clusters())
         extra["max_tree_height"] = cluster_set.max_tree_height()
         extra["congestion"] = cluster_set.congestion
-        valid = _separation_ok(graph, cluster_set)
+        valid = oracle.clusters_separated(graph, cluster_set)
     elif pipeline == "matching-only":
         provider = config.get("provider")
         if not provider:
@@ -229,16 +205,20 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
 
 
 def run_experiment(config: dict) -> list[dict]:
-    """All (seed) runs for one configuration; records in seed order."""
+    """All (seed) runs for one configuration; records in seed order. The
+    graph's diameter `D` is computed once, and only when the oracle runs."""
     if config.get("pipeline") not in PIPELINES:
         raise InvalidParam(f"pipeline must be one of {', '.join(PIPELINES)}")
     if not config.get("graph"):
         raise InvalidParam("a graph file or gen: spec is required")
     graph = load_graph(config["graph"])
+    diameter = None if _truthy(config.get("no_oracle")) else oracle.diameter(graph)
     records = []
     base_seed = int(config.get("seed") or 0)
     for i in range(int(config.get("repeat") or 1)):
-        records.append(run_one(config, graph, base_seed + i))
+        record = run_one(config, graph, base_seed + i)
+        record["D"] = diameter
+        records.append(record)
     return records
 
 

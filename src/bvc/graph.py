@@ -346,17 +346,31 @@ def graph_from_spec(spec: str, seed: int = 0) -> BipartiteGraph:
 # ---------------------------------------------------------------------------
 
 def read_graph(path: str) -> BipartiteGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        header = fh.readline().split()
-        if len(header) != 2:
-            raise InvalidParam("graph file must start with a line 'n m'")
-        n, m = int(header[0]), int(header[1])
+    """Read the text format. A missing or unreadable file, a token that is
+    not an integer, a short edge list and non-blank lines after the m
+    declared edges all raise InvalidParam."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            rows = [line.split() for line in fh]
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParam(f"cannot read graph file {path!r}: {exc}") from exc
+    if not rows or len(rows[0]) != 2:
+        raise InvalidParam("graph file must start with a line 'n m'")
+    try:
+        n, m = int(rows[0][0]), int(rows[0][1])
+        if m < 0:
+            raise InvalidParam(f"edge count m={m} is negative")
         edges = []
-        for _ in range(m):
-            parts = fh.readline().split()
+        for parts in rows[1 : m + 1]:
             if len(parts) != 2:
                 raise InvalidParam("expected an edge line 'u v'")
             edges.append((int(parts[0]), int(parts[1])))
+    except ValueError as exc:
+        raise InvalidParam(f"non-integer token in graph file {path!r}: {exc}") from exc
+    if len(edges) < m:
+        raise InvalidParam(f"file declares m={m} but lists {len(edges)} edges")
+    if any(rows[m + 1 :]):
+        raise InvalidParam(f"non-blank lines after the {m} declared edges")
     g = build_graph(edges, extra_nodes=range(n))
     if g.n != n:
         raise InvalidParam(f"file declares n={n} but edges reference {g.n} nodes")

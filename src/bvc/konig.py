@@ -13,15 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParam, ShortAugPathWitness
-from .graph import (
-    SIDE_A,
-    SIDE_B,
-    BipartiteGraph,
-    Matching,
-    SubgraphView,
-    VertexCover,
-    is_vertex_cover,
-)
+from .graph import SIDE_A, BipartiteGraph, Matching, SubgraphView, VertexCover
 from .matching import eliminate_short_aug_paths
 from .primitives import (
     AlternatingLayering,
@@ -62,41 +54,18 @@ class LayerPartition:
                 b_class[v] = INF if lv is None else (lv + 1) // 2
         return cls(a_class, b_class, k)
 
-    def size_of_b_class(self, i: int) -> int:
-        return sum(1 for c in self.b_class.values() if c == i)
+    def i_star(self, sizes) -> int:
+        """Index of the smallest of the k B-class sizes, ties to the
+        smallest index."""
+        return min(range(1, self.k + 1), key=lambda i: (sizes[i - 1], i))
 
-    def sizes(self) -> list[int]:
-        return [self.size_of_b_class(i) for i in range(1, self.k + 1)]
-
-
-@dataclass
-class CandidateCoverFamily:
-    partition: LayerPartition
-    sizes: list[int]
-    i_star: int
-
-    @classmethod
-    def from_partition(cls, partition: LayerPartition) -> "CandidateCoverFamily":
-        sizes = partition.sizes()
-        i_star = min(range(1, partition.k + 1), key=lambda i: (sizes[i - 1], i))
-        return cls(partition, sizes, i_star)
-
-
-def _witness_or_none(view: SubgraphView, matching: Matching, layering, limit: int):
-    """Smallest odd level < limit at which a free in-view B-node appears."""
-    base = view.base
-    best = None
-    for v, lv in layering.level.items():
-        if (
-            lv % 2 == 1
-            and lv < limit
-            and base.side[v] == SIDE_B
-            and not matching.is_matched(v)
-            and view.contains_node(v)
-        ):
-            if best is None or lv < best:
-                best = lv
-    return best
+    def in_candidate(self, v: int, s: int) -> bool:
+        """Whether in-view node v is in the s-th candidate cover: A-classes
+        s..k and inf, plus B-classes 1..s."""
+        if v in self.a_class:
+            c = self.a_class[v]
+            return c == INF or s <= c <= self.k
+        return self.b_class[v] <= s
 
 
 def compute_partition(
@@ -118,22 +87,10 @@ def compute_partition(
     layering, stats = alternating_bfs(
         graph, view, matching, 2 * k, seed=seed, bandwidth=bandwidth, phase="partition"
     )
-    witness = _witness_or_none(view, matching, layering, 2 * k)
+    witness = min((lv for _, lv in layering.witnesses(view, matching, below=2 * k)), default=None)
     if witness is not None:
         raise ShortAugPathWitness(f"free B-node at level {witness} <= {2 * k - 1}")
     return LayerPartition.from_layering(view, layering, k), stats
-
-
-def candidate_cover(view: SubgraphView, partition: LayerPartition, s: int) -> VertexCover:
-    """The s-th candidate: A-classes s..k and inf, plus B-classes 1..s."""
-    if not 1 <= s <= partition.k:
-        raise InvalidParam(f"s={s} outside 1..{partition.k}")
-    nodes = [v for v, c in partition.a_class.items() if c == INF or s <= c <= partition.k]
-    nodes += [v for v, c in partition.b_class.items() if c != INF and c <= s]
-    cover = VertexCover(nodes, view)
-    if not cover.is_valid():
-        raise AssertionError("candidate cover failed validation")
-    return cover
 
 
 def koenig_approx_cover(
@@ -185,19 +142,7 @@ def koenig_approx_cover(
     stats.add_sequential(agg_stats)
 
     # Selection is local once every node knows its component's class sizes.
-    nodes = []
-    for v in view.in_nodes:
-        comp_sizes = sums[v]
-        i_star = min(range(1, k + 1), key=lambda i: (comp_sizes[i - 1], i))
-        side = graph.side[v]
-        if side == SIDE_A:
-            c = partition.a_class.get(v)
-            if c == INF or (c is not None and i_star <= c <= k):
-                nodes.append(v)
-        else:
-            c = partition.b_class.get(v)
-            if c is not None and c != INF and c <= i_star:
-                nodes.append(v)
+    nodes = [v for v in view.in_nodes if partition.in_candidate(v, partition.i_star(sums[v]))]
     cover = VertexCover(nodes, view)
     if not cover.is_valid():
         raise AssertionError("layered cover failed validation")

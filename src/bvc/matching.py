@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 from .errors import InvalidParam, ShortAugPathWitness
 from .graph import SIDE_B, BipartiteGraph, Matching, SubgraphView, edge_key
-from .primitives import AlternatingLayering, alternating_bfs
-from .runtime import Msg, NodeProgram, RoundStats, derive_seed, id_bits, run
+from .primitives import AlternatingLayering, alternating_bfs, level_dag
+from .runtime import Msg, NodeProgram, RoundStats, derive_seed, frame_count, id_bits, run
 
 INF = math.inf
 
@@ -176,37 +176,15 @@ class PathSelectProgram(NodeProgram):
         self.d = d
         self.det = deterministic
 
-    def _frames(self, ctx):
-        idw = id_bits(ctx.n)
-        token_bits = 3 + 2 * idw + idw
-        return max(1, -(-token_bits // ctx.bandwidth))
-
     def init(self, ctx):
-        partner, level, nbr_levels = ctx.input
-        d = self.d
-        in_dag = []
-        out_dag = []
-        if level is not None and ctx.in_view:
-            for u in ctx.view_neighbors:
-                lu = nbr_levels.get(u)
-                if lu is None:
-                    continue
-                if level % 2 == 1:
-                    if lu == level - 1 and u != partner:
-                        in_dag.append(u)
-                    if lu == level + 1 and u == partner and level < d:
-                        out_dag.append(u)
-                else:
-                    if lu == level - 1 and u == partner:
-                        in_dag.append(u)
-                    if lu == level + 1 and u != partner and level < d:
-                        out_dag.append(u)
+        partner, level, _ = ctx.input
+        in_dag, out_dag = level_dag(ctx, self.d)
         return {
             "partner": partner,
             "level": level,
-            "in_dag": sorted(in_dag),
+            "in_dag": in_dag,
             "in_alive": set(),
-            "out_dag": sorted(out_dag),
+            "out_dag": out_dag,
             "alive": level == 0 and ctx.in_view,
             "alive_sent": False,
             "consumed": False,
@@ -218,7 +196,8 @@ class PathSelectProgram(NodeProgram):
         }
 
     def _schedule(self, ctx):
-        f = self._frames(ctx)
+        idw = id_bits(ctx.n)
+        f = frame_count(3 + 2 * idw + idw, ctx.bandwidth)  # token: tag, priority, initiator
         prologue = (self.d + 3) * f
         period = (3 * self.d + 8) * f
         return f, prologue, period
@@ -368,72 +347,19 @@ def select_disjoint_paths(
 ) -> tuple[Matching, list[tuple[int, ...]], RoundStats]:
     """Run one selection phase; returns the flipped matching and the chosen
     paths. Callers must pass the layering of `matching` at depth >= d."""
-    inputs = {}
-    for v in graph.node_ids:
-        inputs[v] = (
-            matching.partner_of(v),
-            layering.level.get(v),
-            layering.neighbor_levels.get(v, {}),
-        )
     outputs, stats = run(
         PathSelectProgram(d, deterministic),
         graph,
         view,
         seed=seed,
         bandwidth=bandwidth,
-        inputs=inputs,
+        inputs=layering.dag_inputs(graph, matching),
         allow_quiescence=True,
         phase=phase,
     )
     partner = {v: o["partner"] for v, o in outputs.items()}
     flipped = _matching_from_partner_outputs(view, partner)
     return flipped, _reconstruct_paths(outputs, d), stats
-
-
-def find_disjoint_aug_paths(
-    graph: BipartiteGraph,
-    view: SubgraphView,
-    matching: Matching,
-    d: int,
-    *,
-    seed: int = 0,
-    bandwidth: int | None = None,
-    deterministic: bool = False,
-) -> tuple[list[tuple[int, ...]], RoundStats]:
-    """A maximal set of vertex-disjoint length-d augmenting paths.
-
-    Requires that no augmenting path shorter than d exists; raises
-    ShortAugPathWitness if the level structure shows one.
-    """
-    layering, stats = alternating_bfs(
-        graph, view, matching, d, seed=derive_seed(seed, 1), bandwidth=bandwidth
-    )
-    _check_no_short_witness(view, matching, layering, d)
-    _, paths, sel_stats = select_disjoint_paths(
-        graph,
-        view,
-        matching,
-        d,
-        layering,
-        seed=derive_seed(seed, 2),
-        bandwidth=bandwidth,
-        deterministic=deterministic,
-    )
-    stats.add_sequential(sel_stats)
-    return paths, stats
-
-
-def _check_no_short_witness(view, matching, layering: AlternatingLayering, d: int) -> None:
-    base = view.base
-    for v, lv in layering.level.items():
-        if (
-            lv % 2 == 1
-            and lv < d
-            and base.side[v] == SIDE_B
-            and not matching.is_matched(v)
-            and view.contains_node(v)
-        ):
-            raise ShortAugPathWitness(f"free node {v} at level {lv} < {d}")
 
 
 def eliminate_short_aug_paths(
@@ -495,7 +421,8 @@ def eliminate_short_aug_paths(
             phase=f"bfs[d={d}]",
         )
         stats.add_sequential(bfs_stats)
-        _check_no_short_witness(view, matching, layering, d)
+        for v, lv in layering.witnesses(view, matching, below=d):
+            raise ShortAugPathWitness(f"free node {v} at level {lv} < {d}")
         matching, _, sel_stats = select_disjoint_paths(
             graph,
             view,

@@ -364,3 +364,28 @@ def diameter(graph: BipartiteGraph) -> int:
                         queue.append(y)
             best = max(best, max(dist.values()))
     return best
+
+
+def clusters_separated(graph: BipartiteGraph, cluster_set, h: int = 3) -> bool:
+    """Whether nodes of different clusters in `cluster_set.members` (None
+    for unclustered nodes) are always at least h hops apart in `graph`."""
+    members = cluster_set.members
+    for src in graph.node_ids:
+        c = members.get(src)
+        if c is None:
+            continue
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            if dist[x] >= h - 1:
+                continue
+            for y in graph.adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        for v, dv in dist.items():
+            cv = members.get(v)
+            if cv is not None and cv != c and dv < h:
+                return False
+    return True

@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .graph import SIDE_A, SIDE_B, BipartiteGraph, Matching, SubgraphView
-from .runtime import Msg, NodeProgram, RoundStats, id_bits, run
+from .runtime import Msg, NodeProgram, RoundStats, derive_seed, frame_count, id_bits, run
 
 INF = math.inf
 
@@ -213,8 +214,7 @@ class AggregateProgram(NodeProgram):
 
     def _period(self, ctx):
         jw = id_bits(self.k)
-        nbits = 1 + jw + self.vw
-        return max(1, -(-nbits // ctx.bandwidth)), jw
+        return frame_count(1 + jw + self.vw, ctx.bandwidth), jw
 
     def _slot(self, rnd, period):
         return (rnd - 1) // period + 1
@@ -330,6 +330,51 @@ class AlternatingLayering:
     def level_of(self, v: int) -> int | float:
         return self.level.get(v, INF)
 
+    def witnesses(
+        self, view: SubgraphView, matching: Matching, below: int | float = INF
+    ) -> Iterator[tuple[int, int]]:
+        """(node, level) for each free in-view B-node at an odd level below
+        `below`: each ends an augmenting path of exactly that length."""
+        side = view.base.side
+        for v, lv in self.level.items():
+            if (
+                lv % 2 == 1
+                and lv < below
+                and side[v] == SIDE_B
+                and not matching.is_matched(v)
+                and view.contains_node(v)
+            ):
+                yield v, lv
+
+    def dag_inputs(self, graph: BipartiteGraph, matching: Matching) -> dict[int, tuple]:
+        """Per-node input (partner, level, nbr_levels) of the programs that
+        walk the level DAG; see `level_dag`."""
+        return {
+            v: (matching.partner_of(v), self.level.get(v), self.neighbor_levels.get(v, {}))
+            for v in graph.node_ids
+        }
+
+
+def level_dag(ctx, d: int) -> tuple[list[int], list[int]]:
+    """A node's sorted predecessors and successors in the level DAG of an
+    alternating layering, from its (partner, level, nbr_levels) input.
+
+    Edges join consecutive levels and alternate: a non-matching edge from
+    an even level up to an odd one, the matching edge from an odd level up
+    to an even one. Nodes at level d or above get no successors."""
+    partner, level, nbr_levels = ctx.input
+    in_dag = []
+    out_dag = []
+    if level is not None and ctx.in_view:
+        up_via_partner = level % 2 == 1
+        for u in ctx.view_neighbors:
+            lu = nbr_levels.get(u)
+            if lu == level - 1 and (u == partner) != up_via_partner:
+                in_dag.append(u)
+            elif lu == level + 1 and (u == partner) == up_via_partner and level < d:
+                out_dag.append(u)
+    return sorted(in_dag), sorted(out_dag)
+
 
 class AltBfsProgram(NodeProgram):
     """Layered exploration of the orientation that alternates non-matching
@@ -444,8 +489,6 @@ def witness_check(
     """Full-depth layering plus an aggregated minimum over the levels of
     free in-view B-nodes: afterwards every node knows the length of the
     shortest augmenting path, or that none exists (returned as None)."""
-    from .runtime import derive_seed, id_bits
-
     stats = RoundStats()
     layering, bfs_stats = alternating_bfs(
         graph,
@@ -459,18 +502,8 @@ def witness_check(
     stats.add_sequential(bfs_stats)
     width = id_bits(graph.n) + 2
     sentinel = (1 << width) - 1
-    base = view.base
-    values = {}
-    for v in graph.node_ids:
-        lv = layering.level.get(v)
-        is_witness = (
-            lv is not None
-            and lv % 2 == 1
-            and base.side[v] == SIDE_B
-            and not matching.is_matched(v)
-            and view.contains_node(v)
-        )
-        values[v] = (lv if is_witness else sentinel,)
+    witness_level = dict(layering.witnesses(view, matching))
+    values = {v: (witness_level.get(v, sentinel),) for v in graph.node_ids}
     mins, agg_stats = pipelined_aggregate(
         graph,
         forest,

@@ -35,8 +35,14 @@ from .graph import (
 )
 from .konig import koenig_approx_cover
 from .matching import approx_matching
-from .primitives import BfsForest, alternating_bfs, elect_leader_and_bfs, pipelined_aggregate
-from .runtime import Msg, NodeProgram, RoundStats, derive_seed, id_bits, run
+from .primitives import (
+    BfsForest,
+    alternating_bfs,
+    elect_leader_and_bfs,
+    level_dag,
+    pipelined_aggregate,
+)
+from .runtime import Msg, NodeProgram, RoundStats, derive_seed, frame_count, id_bits, run
 
 INF = math.inf
 
@@ -79,36 +85,15 @@ class CountSweepProgram(NodeProgram):
         # Counts lie in [0, delta^d]; the field is reserved at that width.
         self.xw = max(1, (delta**d).bit_length()) if delta > 1 else 1
 
-    def _frames(self, ctx, nbits):
-        return max(1, -(-nbits // ctx.bandwidth))
-
     def init(self, ctx):
-        partner, level, nbr_levels = ctx.input
-        d = self.d
-        in_dag = []
-        out_dag = []
-        if level is not None and ctx.in_view:
-            for u in ctx.view_neighbors:
-                lu = nbr_levels.get(u)
-                if lu is None:
-                    continue
-                if level % 2 == 1:
-                    if lu == level - 1 and u != partner:
-                        in_dag.append(u)
-                    if lu == level + 1 and u == partner:
-                        out_dag.append(u)
-                else:
-                    if lu == level - 1 and u == partner:
-                        in_dag.append(u)
-                    if lu == level + 1 and u != partner:
-                        out_dag.append(u)
-        free = partner is None
+        partner, level, _ = ctx.input
+        in_dag, out_dag = level_dag(ctx, self.d)
         return {
             "partner": partner,
             "level": level,
-            "free": free,
-            "in_dag": sorted(in_dag),
-            "out_dag": sorted(out_dag),
+            "free": partner is None,
+            "in_dag": in_dag,
+            "out_dag": out_dag,
             "x": 1 if level == 0 else 0,
             "p": None,
             "recv_p": [],
@@ -119,8 +104,8 @@ class CountSweepProgram(NodeProgram):
         if lvl is None or not ctx.in_view:
             return st, {}, True
         d = self.d
-        fx = self._frames(ctx, 2 + self.xw)
-        fp = self._frames(ctx, 2 + 2 * self.xw)
+        fx = frame_count(2 + self.xw, ctx.bandwidth)
+        fp = frame_count(2 + 2 * self.xw, ctx.bandwidth)
         x_send = lvl * fx + 1 if lvl < d else None
         p_base = d * fx + 1
         p_send = p_base + (d - lvl) * fp if lvl > 0 else None
@@ -240,28 +225,16 @@ def count_paths(
         graph, view, matching, d, seed=derive_seed(seed, 13), bandwidth=bandwidth, phase="layering"
     )
     stats.add_sequential(bfs_stats)
-    base = view.base
-    for v, lv in layering.level.items():
-        if (
-            lv % 2 == 1
-            and lv < d
-            and base.side[v] == SIDE_B
-            and not matching.is_matched(v)
-            and view.contains_node(v)
-        ):
-            raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
+    for v, lv in layering.witnesses(view, matching, below=d):
+        raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
 
-    inputs = {
-        v: (matching.partner_of(v), layering.level.get(v), layering.neighbor_levels.get(v, {}))
-        for v in graph.node_ids
-    }
     outputs, sweep_stats = run(
         CountSweepProgram(d, delta),
         graph,
         view,
         seed=derive_seed(seed, 14),
         bandwidth=bandwidth,
-        inputs=inputs,
+        inputs=layering.dag_inputs(graph, matching),
         phase="count-sweeps",
     )
     stats.add_sequential(sweep_stats)
@@ -274,6 +247,7 @@ def count_paths(
         if not matching.is_matched(v):
             o = outputs[v]
             counts.p_node[v] = o["p"] or 0
+    base = view.base
     for u, v in matching.edges:
         b, a = (u, v) if base.side[u] == SIDE_B else (v, u)
         la = layering.level.get(a)
@@ -472,12 +446,6 @@ def repair_alpha(k: int, delta_deg: int) -> float:
     """Size coefficient 4k(k+1)(1 + 2k ln Delta) for the removed set."""
     ln_delta = math.log(delta_deg) if delta_deg > 1 else 0.0
     return 4.0 * k * (k + 1) * (1.0 + 2.0 * k * ln_delta)
-
-
-def stage_alpha(d: int, delta_deg: int) -> float:
-    """Per-stage coefficient 2(d+3)(1 + d ln Delta)."""
-    ln_delta = math.log(delta_deg) if delta_deg > 1 else 0.0
-    return 2.0 * (d + 3) * (1.0 + d * ln_delta)
 
 
 def repair_matching(

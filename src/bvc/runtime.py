@@ -71,6 +71,12 @@ def default_bandwidth(n: int) -> int:
     return max(4 * ceil_log2(n), ceil_log2(n) + 4)
 
 
+def frame_count(nbits: int, bandwidth: int) -> int:
+    """Frames, hence rounds, an `nbits`-bit message takes on one edge; an
+    empty message still takes one."""
+    return max(1, -(-nbits // bandwidth))
+
+
 class Msg:
     """A message as a tuple of unsigned integer fields with declared widths.
 
@@ -290,7 +296,7 @@ def run(
                         raise ProgramFault(f"node {v} sent to non-neighbor {tgt}")
                     if not isinstance(msg, Msg):
                         raise ProgramFault(f"node {v} sent a non-Msg object")
-                    frames = max(1, -(-msg.nbits // bw))
+                    frames = frame_count(msg.nbits, bw)
                     last_bits = msg.nbits - bw * (frames - 1)
                     queues.setdefault((v, tgt), []).append([frames, last_bits, True, msg])
             if halt:

@@ -258,7 +258,7 @@ def _pipeline_workload(instances, seeds, base_seed):
                     "seed": seed,
                     "size": cover.size,
                     "valid": cover.is_valid(),
-                    "separated": _separated(g, cs),
+                    "separated": oracle.clusters_separated(g, cs),
                     "outside": 1.0 - _matching_inside_fraction(g, cs, seed),
                     "height": cs.max_tree_height(),
                     "rounds": stats.rounds,
@@ -276,31 +276,6 @@ def _matching_inside_fraction(g, cs, seed):
 
     m, _ = maximal_matching(g, seed=derive_seed(seed, 71))
     return cs.inside_fraction(m)
-
-
-def _separated(graph, cluster_set, h=3):
-    from collections import deque
-
-    members = cluster_set.members
-    for src in graph.node_ids:
-        c = members.get(src)
-        if c is None:
-            continue
-        dist = {src: 0}
-        queue = deque([src])
-        while queue:
-            x = queue.popleft()
-            if dist[x] >= h - 1:
-                continue
-            for y in graph.adjacency[x]:
-                if y not in dist:
-                    dist[y] = dist[x] + 1
-                    queue.append(y)
-        for v, dv in dist.items():
-            cv = members.get(v)
-            if cv is not None and cv != c and dv < h:
-                return False
-    return True
 
 
 @pytest.fixture(scope="module")

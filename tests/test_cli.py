@@ -1,10 +1,16 @@
 import json
+from pathlib import Path
 
 import pytest
 
-from bvc.cli import main, run_experiment, verify_record
+from bvc import oracle
+from bvc.cli import PIPELINES, main, run_experiment, verify_record
 from bvc.errors import InvalidParam
 from bvc.graph import gen_random, write_graph
+
+# Records written by `bvc run` (commands in README.md); every later
+# change to src/ must reproduce them bit-identically.
+CORPUS = Path(__file__).parent / "data" / "corpus.jsonl"
 
 
 def test_run_exact_on_p4(capsys):
@@ -172,3 +178,34 @@ def test_run_experiment_validation():
         run_experiment({"pipeline": "warp", "graph": "gen:path:n=4"})
     with pytest.raises(InvalidParam):
         run_experiment({"pipeline": "exact"})
+
+
+def test_diameter_once_per_graph_and_only_with_oracle(monkeypatch):
+    calls = []
+    real = oracle.diameter
+    monkeypatch.setattr(oracle, "diameter", lambda g: calls.append(g) or real(g))
+    config = {"pipeline": "exact", "graph": "gen:path:n=6", "seed": 0, "repeat": 3}
+    assert [r["D"] for r in run_experiment(config)] == [5, 5, 5]
+    assert len(calls) == 1
+    assert [r["D"] for r in run_experiment(dict(config, no_oracle=True))] == [None] * 3
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize(
+    "text", [None, "3 1\n0 1\n1 2\n", "3 1\n0 x\n"], ids=["missing", "trailing", "token"]
+)
+def test_run_with_bad_graph_file_exits_2(tmp_path, capsys, text):
+    path = tmp_path / "g.txt"
+    if text is not None:
+        path.write_text(text)
+    rc = main(["run", "--pipeline", "exact", "--graph", str(path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_corpus_replays_bit_identically():
+    records = [json.loads(line) for line in CORPUS.read_text().splitlines() if line.strip()]
+    assert {r["pipeline"] for r in records} == set(PIPELINES)
+    for record in records:
+        report = verify_record(record)
+        assert report["pass"], report

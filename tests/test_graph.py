@@ -166,6 +166,31 @@ def test_read_graph_rejects_odd_cycle(tmp_path):
         read_graph(str(path))
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "3 1\n0 1\n1 2\n",  # a line after the m declared edges
+        "3 1\n0 x\n",  # non-integer token in an edge
+        "3 one\n0 1\n",  # non-integer token in the header
+        "3 2\n0 1\n",  # fewer edges than declared
+        "3 -1\n",  # negative edge count
+    ],
+)
+def test_read_graph_rejects_malformed_files(tmp_path, text):
+    path = tmp_path / "bad.txt"
+    path.write_text(text)
+    with pytest.raises(InvalidParam):
+        read_graph(str(path))
+
+
+def test_read_graph_missing_file_and_trailing_blank_lines(tmp_path):
+    with pytest.raises(InvalidParam):
+        read_graph(str(tmp_path / "absent.txt"))
+    path = tmp_path / "g.txt"
+    path.write_text("3 1\n0 1\n\n  \n")
+    assert read_graph(str(path)).m == 1
+
+
 def test_graph_from_spec():
     g = graph_from_spec("complete:na=2,nb=3")
     assert g.m == 6

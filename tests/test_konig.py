@@ -7,6 +7,7 @@ from bvc.errors import ShortAugPathWitness
 from bvc.graph import (
     Matching,
     SubgraphView,
+    VertexCover,
     build_graph,
     gen_complete,
     gen_disjoint_edges,
@@ -14,14 +15,7 @@ from bvc.graph import (
     gen_path,
     gen_random,
 )
-from bvc.konig import (
-    CandidateCoverFamily,
-    LayerPartition,
-    candidate_cover,
-    compute_partition,
-    koenig_approx_cover,
-    koenig_exact_cover,
-)
+from bvc.konig import compute_partition, koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 
 INF = math.inf
@@ -29,6 +23,20 @@ INF = math.inf
 
 def whole(g):
     return SubgraphView.whole(g)
+
+
+def candidate_cover(view, partition, s):
+    """The s-th candidate cover, checked to be a vertex cover."""
+    cover = VertexCover([v for v in view.in_nodes if partition.in_candidate(v, s)], view)
+    assert cover.is_valid()
+    return cover
+
+
+def b_class_sizes(partition):
+    return [
+        sum(1 for c in partition.b_class.values() if c == i)
+        for i in range(1, partition.k + 1)
+    ]
 
 
 def test_partition_p4_k1():
@@ -64,7 +72,7 @@ def test_candidate_cover_p4():
     partition, _ = compute_partition(g, view, m, 1, seed=1)
     cover = candidate_cover(view, partition, 1)
     assert cover.nodes == {1, 2}
-    assert cover.size == m.size + partition.size_of_b_class(1)
+    assert cover.size == m.size + b_class_sizes(partition)[0]
 
 
 def test_candidate_cover_single_matched_edge():
@@ -98,9 +106,10 @@ def test_all_candidates_are_covers():
             for v, c in partition.b_class.items():
                 if c != INF:
                     assert m.is_matched(v)
-            family = CandidateCoverFamily.from_partition(partition)
-            assert family.sizes[family.i_star - 1] == min(family.sizes)
-            assert family.sizes[family.i_star - 1] * k <= m.size
+            sizes = b_class_sizes(partition)
+            i_star = partition.i_star(sizes)
+            assert i_star - 1 == sizes.index(min(sizes))  # argmin, ties to the smallest index
+            assert sizes[i_star - 1] * k <= m.size
 
 
 def test_approx_cover_p4_k1():

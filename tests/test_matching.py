@@ -16,16 +16,27 @@ from bvc.graph import (
 from bvc.matching import (
     approx_matching,
     eliminate_short_aug_paths,
-    find_disjoint_aug_paths,
     maximal_matching,
     parse_provider,
+    select_disjoint_paths,
 )
+from bvc.primitives import alternating_bfs
+from bvc.runtime import derive_seed
 
 INF = math.inf
 
 
 def whole(g):
     return SubgraphView.whole(g)
+
+
+def find_disjoint_aug_paths(g, view, m, d, *, seed=0):
+    """A maximal set of vertex-disjoint length-d augmenting paths: one
+    layering to depth d, checked free of shorter paths, then one selection."""
+    layering, _ = alternating_bfs(g, view, m, d, seed=derive_seed(seed, 1))
+    assert not list(layering.witnesses(view, m, below=d))
+    _, paths, _ = select_disjoint_paths(g, view, m, d, layering, seed=derive_seed(seed, 2))
+    return paths
 
 
 def is_maximal(view, m):
@@ -73,14 +84,14 @@ def test_maximal_determinism():
 def test_find_paths_single_free_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
-    paths, _ = find_disjoint_aug_paths(g, view, Matching([], view), 1, seed=1)
+    paths = find_disjoint_aug_paths(g, view, Matching([], view), 1, seed=1)
     assert paths == [(0, 1)]
 
 
 def test_find_paths_two_disjoint_edges():
     g = gen_disjoint_edges(2)
     view = whole(g)
-    paths, _ = find_disjoint_aug_paths(g, view, Matching([], view), 1, seed=1)
+    paths = find_disjoint_aug_paths(g, view, Matching([], view), 1, seed=1)
     assert sorted(paths) == [(0, 1), (2, 3)]
 
 
@@ -88,7 +99,7 @@ def test_find_paths_p4_length3():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    paths, _ = find_disjoint_aug_paths(g, view, m, 3, seed=1)
+    paths = find_disjoint_aug_paths(g, view, m, 3, seed=1)
     assert paths == [(0, 1, 2, 3)]
 
 
@@ -120,7 +131,7 @@ def test_find_paths_properties_random():
         if d is INF or d > 9:
             continue
         found_any = True
-        paths, _ = find_disjoint_aug_paths(g, view, m, d, seed=seed)
+        paths = find_disjoint_aug_paths(g, view, m, d, seed=seed)
         assert paths, "a shortest augmenting path must be found"
         assert_valid_aug_paths(view, m, d, paths)
         # Maximality: removing the chosen nodes leaves no length-d path.

@@ -18,14 +18,20 @@ from bvc.repair import (
     det_cover_low_diameter,
     repair_alpha,
     repair_matching,
-    stage_alpha,
 )
+from test_acceptance import _thick_path
 
 INF = math.inf
 
 
 def whole(g):
     return SubgraphView.whole(g)
+
+
+def stage_alpha(d, delta_deg):
+    """Per-stage size coefficient 2(d+3)(1 + d ln Delta) of cover_short_paths."""
+    ln_delta = math.log(delta_deg) if delta_deg > 1 else 0.0
+    return 2.0 * (d + 3) * (1.0 + d * ln_delta)
 
 
 def weakened(view, drop):
@@ -259,3 +265,22 @@ def test_alpha_value_small_delta():
     # Stage coefficient at d=1, degree bound 2: 2*4*(1 + ln 2).
     assert stage_alpha(1, 2) == pytest.approx(8 * (1 + math.log(2)))
     assert repair_alpha(2, 1) == pytest.approx(24.0)
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+@pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
+def test_count_rounds_follow_documented_schedule(d, width):
+    """count_paths costs exactly d + 4 layering rounds and
+    d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 sweep rounds, w = bitlength(Delta^d)."""
+    g, m_edges = _thick_path(d, width)
+    view = whole(g)
+    m = Matching(m_edges, view)
+    delta = view.max_view_degree()
+    w = (delta**d).bit_length()
+    floor = (g.n - 1).bit_length() + 4
+    for bw in (floor, floor + 7, 64):
+        _, stats = count_paths(g, view, m, d, seed=1, bandwidth=bw, delta=delta)
+        phases = dict(stats.per_phase)
+        assert phases["layering"] == d + 4
+        sweeps = d * (math.ceil((2 + w) / bw) + math.ceil((2 + 2 * w) / bw)) + 1
+        assert phases["count-sweeps"] == sweeps, (bw, phases)
