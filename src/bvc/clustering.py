@@ -90,17 +90,17 @@ class MpxPartitionProgram(NodeProgram):
         self.sigma = sigma
         self.scale = scale
         self.cap = cap
+        self.kw = (2 * cap * scale).bit_length()
+        self.offset = cap * scale
 
-    def _widths(self, ctx):
-        kw = (2 * self.cap * self.scale).bit_length()
-        return kw, self.cap * self.scale
+    def setup(self, n, bandwidth):
+        self.idw = id_bits(n)
 
     def init(self, ctx):
         return {"best": None, "sent": None}
 
     def step(self, ctx, st, inbox, rnd, rng):
-        kw, offset = self._widths(ctx)
-        idw = id_bits(ctx.n)
+        kw, offset, idw = self.kw, self.offset, self.idw
         if st["best"] is None:
             shift = rng.expovariate(self.sigma) if self.sigma > 0 else 0.0
             while shift >= self.cap:
@@ -151,13 +151,15 @@ def mpx_partition(
 class ShrinkProgram(NodeProgram):
     """Drop both endpoints of every inter-cluster edge (two rounds)."""
 
+    def setup(self, n, bandwidth):
+        self.idw = id_bits(n)
+
     def init(self, ctx):
         return {"origin": ctx.input, "kept": True}
 
     def step(self, ctx, st, inbox, rnd, rng):
-        idw = id_bits(ctx.n)
         if rnd == 1:
-            out = {u: Msg((st["origin"], idw)) for u in ctx.neighbors}
+            out = {u: Msg((st["origin"], self.idw)) for u in ctx.neighbors}
             return st, out, not ctx.neighbors
         for u, msg in inbox.items():
             if msg.values[0] != st["origin"]:
@@ -196,6 +198,9 @@ class TreeBuildProgram(NodeProgram):
     """BFS trees rooted at each origin, grown only along edges whose both
     endpoints kept that origin in the pre-shrink assignment."""
 
+    def setup(self, n, bandwidth):
+        self.idw = id_bits(n)
+
     def init(self, ctx):
         origin = ctx.input
         is_root = origin == ctx.node
@@ -207,8 +212,8 @@ class TreeBuildProgram(NodeProgram):
         }
 
     def step(self, ctx, st, inbox, rnd, rng):
-        idw = id_bits(ctx.n)
-        dw = id_bits(ctx.n) + 1
+        idw = self.idw
+        dw = idw + 1
         out = {}
         if rnd == 1:
             for u in ctx.neighbors:
@@ -287,15 +292,17 @@ class ExtendProgram(NodeProgram):
     outside node adjacent to members must see exactly one cluster id (a
     second one would contradict 3-hop separation)."""
 
+    def setup(self, n, bandwidth):
+        self.idw = id_bits(n)
+
     def init(self, ctx):
         return {"member": ctx.input, "joined": ctx.input}
 
     def step(self, ctx, st, inbox, rnd, rng):
-        idw = id_bits(ctx.n)
         if rnd == 1:
             out = {}
             if st["member"] is not None:
-                msg = Msg((st["member"], idw))
+                msg = Msg((st["member"], self.idw))
                 for u in ctx.neighbors:
                     out[u] = msg
             return st, out, not ctx.neighbors, 2

@@ -36,7 +36,9 @@ class BipartiteGraph:
         max_degree: maximum adjacency list length (0 for edgeless graphs).
     """
 
-    __slots__ = ("node_ids", "side", "adjacency", "n", "max_degree", "_edges")
+    __slots__ = (
+        "node_ids", "side", "adjacency", "n", "max_degree", "_edges", "_whole", "_neighbor_sets"
+    )
 
     def __init__(self, node_ids, side, adjacency, edges):
         self.node_ids: tuple[int, ...] = node_ids
@@ -45,6 +47,8 @@ class BipartiteGraph:
         self.n: int = len(node_ids)
         self.max_degree: int = max((len(a) for a in adjacency.values()), default=0)
         self._edges: tuple[Edge, ...] = edges
+        self._whole: SubgraphView | None = None
+        self._neighbor_sets: dict[int, frozenset[int]] | None = None
 
     @property
     def edges(self) -> tuple[Edge, ...]:
@@ -59,6 +63,12 @@ class BipartiteGraph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return v in self.adjacency.get(u, ())
+
+    def neighbor_sets(self) -> dict[int, frozenset[int]]:
+        """node -> its neighbors as a set, built on first use."""
+        if self._neighbor_sets is None:
+            self._neighbor_sets = {v: frozenset(a) for v, a in self.adjacency.items()}
+        return self._neighbor_sets
 
     def components(self) -> list[list[int]]:
         """Connected components, each sorted, ordered by smallest member."""
@@ -141,9 +151,10 @@ class SubgraphView:
 
     Every in-view edge must have both endpoints in view; this is checked at
     construction. Views are immutable; derive new ones with without_nodes().
+    Each view computes its per-node topology once, on first use.
     """
 
-    __slots__ = ("base", "node_in", "edge_in", "_in_nodes", "_in_edges")
+    __slots__ = ("base", "node_in", "edge_in", "_in_nodes", "_in_edges", "_topology")
 
     def __init__(self, base: BipartiteGraph, node_in: dict[int, bool], edge_in: dict[Edge, bool]):
         self.base = base
@@ -154,10 +165,14 @@ class SubgraphView:
                 raise InvalidParam(f"edge ({u},{v}) in view but an endpoint is not")
         self._in_nodes: tuple[int, ...] = tuple(v for v in base.node_ids if node_in.get(v))
         self._in_edges: tuple[Edge, ...] = tuple(e for e in base.edges if edge_in.get(e))
+        self._topology: dict[int, tuple[bool, tuple[int, ...]]] | None = None
 
     @classmethod
     def whole(cls, base: BipartiteGraph) -> "SubgraphView":
-        return cls(base, {v: True for v in base.node_ids}, {e: True for e in base.edges})
+        """The view of everything; the same object for the same graph."""
+        if base._whole is None:
+            base._whole = cls(base, {v: True for v in base.node_ids}, {e: True for e in base.edges})
+        return base._whole
 
     @classmethod
     def induced(cls, base: BipartiteGraph, nodes: Iterable[int]) -> "SubgraphView":
@@ -188,6 +203,23 @@ class SubgraphView:
     @property
     def in_edges(self) -> tuple[Edge, ...]:
         return self._in_edges
+
+    def topology(self) -> dict[int, tuple[bool, tuple[int, ...]]]:
+        """node -> (in_view, sorted in-view neighbors), for every base node;
+        computed on first use and shared by every later caller."""
+        if self._topology is None:
+            base = self.base
+            node_in = self.node_in
+            if len(self._in_edges) == base.m:
+                nbrs = base.adjacency
+            else:
+                edge_in = self.edge_in
+                nbrs = {
+                    v: tuple(u for u in adj if edge_in.get(edge_key(u, v)))
+                    for v, adj in base.adjacency.items()
+                }
+            self._topology = {v: (bool(node_in.get(v)), nbrs[v]) for v in base.node_ids}
+        return self._topology
 
     def view_neighbors(self, v: int) -> Iterator[int]:
         for u in self.base.adjacency[v]:

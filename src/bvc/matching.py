@@ -195,12 +195,11 @@ class PathSelectProgram(NodeProgram):
             "locked_iter": None,
         }
 
-    def _schedule(self, ctx):
-        idw = id_bits(ctx.n)
-        f = frame_count(3 + 2 * idw + idw, ctx.bandwidth)  # token: tag, priority, initiator
-        prologue = (self.d + 3) * f
-        period = (3 * self.d + 8) * f
-        return f, prologue, period
+    def setup(self, n, bandwidth):
+        self.idw = id_bits(n)
+        f = frame_count(3 + 2 * self.idw + self.idw, bandwidth)  # token: tag, priority, initiator
+        self.prologue = (self.d + 3) * f
+        self.period = (3 * self.d + 8) * f
 
     def _is_initiator(self, ctx, st):
         return (
@@ -211,8 +210,7 @@ class PathSelectProgram(NodeProgram):
         )
 
     def step(self, ctx, st, inbox, rnd, rng):
-        idw = id_bits(ctx.n)
-        f, prologue, period = self._schedule(ctx)
+        idw, prologue, period = self.idw, self.prologue, self.period
         out = {}
         tokens = []
         locked = False

@@ -350,20 +350,25 @@ def exhaustive_max_matching_size(view: SubgraphView) -> int:
 
 
 def diameter(graph: BipartiteGraph) -> int:
-    """Maximum eccentricity within any connected component."""
-    best = 0
-    for comp in graph.components():
-        for src in comp:
-            dist = {src: 0}
-            queue = deque([src])
-            while queue:
-                x = queue.popleft()
-                for y in graph.adjacency[x]:
-                    if y not in dist:
-                        dist[y] = dist[x] + 1
-                        queue.append(y)
-            best = max(best, max(dist.values()))
-    return best
+    """Maximum eccentricity within any connected component.
+
+    A breadth-first search from every node at once: bit i of reach[v] is
+    set once node i is within t hops of v, and each pass ORs in the
+    neighbors' masks, adding one hop. The diameter is the number of passes
+    that still grow some mask."""
+    index = {v: i for i, v in enumerate(graph.node_ids)}
+    nbrs = [[index[u] for u in graph.adjacency[v]] for v in graph.node_ids]
+    reach = [1 << i for i in range(graph.n)]
+    passes = 0
+    while True:
+        grown = list(reach)
+        for i, ns in enumerate(nbrs):
+            for j in ns:
+                grown[i] |= reach[j]
+        if grown == reach:
+            return passes
+        reach = grown
+        passes += 1
 
 
 def clusters_separated(graph: BipartiteGraph, cluster_set, h: int = 3) -> bool:

@@ -56,6 +56,9 @@ class LeaderBfsProgram(NodeProgram):
     """Min-id leader election with BFS tree, echo termination, and a final
     DONE broadcast carrying the tree height."""
 
+    def setup(self, n, bandwidth):
+        self.idw = id_bits(n)
+
     def init(self, ctx):
         return {
             "lead": ctx.node,
@@ -99,7 +102,7 @@ class LeaderBfsProgram(NodeProgram):
         return children
 
     def step(self, ctx, st, inbox, rnd, rng):
-        idw = id_bits(ctx.n)
+        idw = self.idw
         done_received = None
         for u, msg in inbox.items():
             vals = msg.values
@@ -211,10 +214,10 @@ class AggregateProgram(NodeProgram):
         self.fn = _COMBINERS[combine]
         self.combine = combine
         self.vw = value_width
+        self.jw = id_bits(k)
 
-    def _period(self, ctx):
-        jw = id_bits(self.k)
-        return frame_count(1 + jw + self.vw, ctx.bandwidth), jw
+    def setup(self, n, bandwidth):
+        self.period = frame_count(1 + self.jw + self.vw, bandwidth)
 
     def _slot(self, rnd, period):
         return (rnd - 1) // period + 1
@@ -238,7 +241,7 @@ class AggregateProgram(NodeProgram):
         }
 
     def step(self, ctx, st, inbox, rnd, rng):
-        period, jw = self._period(ctx)
+        period, jw = self.period, self.jw
         slot = self._slot(rnd, period)
         h, dp = st["height"], st["depth"]
         out = {}
@@ -390,6 +393,7 @@ class AltBfsProgram(NodeProgram):
 
     def __init__(self, depth_limit: int):
         self.limit = depth_limit
+        self.lw = id_bits(depth_limit + 3)
 
     def init(self, ctx):
         partner = ctx.input
@@ -397,7 +401,7 @@ class AltBfsProgram(NodeProgram):
         return {"partner": partner, "level": level, "nbr_levels": {}, "announced": False}
 
     def step(self, ctx, st, inbox, rnd, rng):
-        lw = id_bits(self.limit + 3)
+        lw = self.lw
         announce_round = self.limit + 3
         out = {}
 

@@ -85,6 +85,10 @@ class CountSweepProgram(NodeProgram):
         # Counts lie in [0, delta^d]; the field is reserved at that width.
         self.xw = max(1, (delta**d).bit_length()) if delta > 1 else 1
 
+    def setup(self, n, bandwidth):
+        self.fx = frame_count(2 + self.xw, bandwidth)
+        self.fp = frame_count(2 + 2 * self.xw, bandwidth)
+
     def init(self, ctx):
         partner, level, _ = ctx.input
         in_dag, out_dag = level_dag(ctx, self.d)
@@ -103,9 +107,7 @@ class CountSweepProgram(NodeProgram):
         lvl = st["level"]
         if lvl is None or not ctx.in_view:
             return st, {}, True
-        d = self.d
-        fx = frame_count(2 + self.xw, ctx.bandwidth)
-        fp = frame_count(2 + 2 * self.xw, ctx.bandwidth)
+        d, fx, fp = self.d, self.fx, self.fp
         x_send = lvl * fx + 1 if lvl < d else None
         p_base = d * fx + 1
         p_send = p_base + (d - lvl) * fp if lvl > 0 else None

@@ -10,6 +10,12 @@ Nodes may sleep: a step may return a fourth element `wake_at` (a future
 round, or None for "wake only on message"). A sleeping node is woken early
 whenever a message arrives. This only skips steps the program declares to
 be no-ops, so simulated round counts are unaffected.
+
+Host cost: a view computes its per-node topology (in-view flag and in-view
+neighbors) once, and every run over it builds its contexts from that; the
+whole view of a graph is one shared object. A program fixes its widths
+once per run in `setup`. A round steps only the nodes with mail or a due
+wake, and the engine books traffic once per message, not once per frame.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import InvalidParam, ProgramFault, RoundCapExceeded
 from .graph import BipartiteGraph, SubgraphView
@@ -41,18 +48,25 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 
 class _LazyRng:
-    """Creates the per-(seed, node, round) random stream only when used;
-    the key derivation itself is deferred since most steps draw nothing."""
+    """The random stream of the node being stepped, keyed by (seed, node,
+    round). The engine re-arms one instance before every step; the stream
+    itself is derived only when the step first draws, since most draw
+    nothing. Valid only during that step."""
 
-    __slots__ = ("_parts", "_rng")
+    __slots__ = ("_seed", "_node", "_rnd", "_rng")
 
-    def __init__(self, seed: int, node: int, rnd: int):
-        self._parts = (seed, node, rnd)
+    def __init__(self, seed: int):
+        self._seed = seed
+        self.arm(0, 0)
+
+    def arm(self, node: int, rnd: int) -> None:
+        self._node = node
+        self._rnd = rnd
         self._rng = None
 
     def __getattr__(self, name):
         if self._rng is None:
-            self._rng = random.Random(derive_seed(*self._parts))
+            self._rng = random.Random(derive_seed(self._seed, self._node, self._rnd))
         return getattr(self._rng, name)
 
 
@@ -87,23 +101,22 @@ class Msg:
     __slots__ = ("values", "nbits")
 
     def __init__(self, *fields: tuple[int, int]):
+        values = ()
         nbits = 0
-        values = []
         for value, width in fields:
-            if width < 0 or value < 0 or (value >> width) != 0:
+            if width < 0 or value < 0 or value >> width:
                 raise InvalidParam(f"field value {value} does not fit in {width} bits")
-            values.append(value)
+            values += (value,)
             nbits += width
-        self.values = tuple(values)
+        self.values = values
         self.nbits = nbits
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"Msg({self.values}, nbits={self.nbits})"
 
 
-@dataclass(frozen=True)
-class NodeContext:
-    """Everything a node is allowed to know a priori."""
+class NodeContext(NamedTuple):
+    """Everything a node is allowed to know a priori. Immutable."""
 
     node: int
     n: int
@@ -159,12 +172,18 @@ class RoundStats:
 class NodeProgram:
     """Interface executed by the runtime.
 
+    setup(n, bandwidth) -> None, once per run before any init: fix here
+        what depends only on n, the bandwidth and the program's arguments.
     init(ctx) -> state
     step(ctx, state, inbox, rnd, rng) -> (state, outbox, halted[, wake_at])
         inbox: {sender: Msg}; outbox: {neighbor: Msg}. wake_at None means
         sleep until a message arrives; omitted means step every round.
+        rng is valid only during the step.
     output(ctx, state) -> per-node result
     """
+
+    def setup(self, n: int, bandwidth: int) -> None:
+        pass
 
     def init(self, ctx: NodeContext):
         raise NotImplementedError
@@ -174,6 +193,17 @@ class NodeProgram:
 
     def output(self, ctx, state):
         return state
+
+
+def _send_fault(v: int, outbox: dict, neighbors: frozenset[int]) -> ProgramFault:
+    """The fault for the first bad message of an outbox that has one, in
+    target order."""
+    for tgt in sorted(outbox):
+        if tgt not in neighbors:
+            return ProgramFault(f"node {v} sent to non-neighbor {tgt}")
+        if not isinstance(outbox[tgt], Msg):
+            return ProgramFault(f"node {v} sent a non-Msg object")
+    raise AssertionError("outbox has no bad message")
 
 
 def run(
@@ -193,14 +223,19 @@ def run(
     Returns (outputs, RoundStats) where outputs maps node -> program output.
 
     Raises:
+        InvalidParam: the bandwidth is below its floor, the round cap is not
+            positive, or the view is over another graph.
         RoundCapExceeded: the cap was hit, or no node can ever act again
             while some are unhalted (unless allow_quiescence, which then
             force-halts everyone; used by algorithms that converge without
             an explicit termination signal).
-        ProgramFault: a node's init/step/output raised.
+        ProgramFault: a node's init/step/output raised, or a step sent to a
+            non-neighbor, sent a non-Msg, or asked to wake in the past.
     """
     if view is None:
         view = SubgraphView.whole(graph)
+    elif view.base is not graph:
+        raise InvalidParam("view is over another graph")
     n = graph.n
     bw = default_bandwidth(n) if bandwidth is None else bandwidth
     if bw < ceil_log2(n) + 4:
@@ -208,79 +243,85 @@ def run(
     if round_cap <= 0:
         raise InvalidParam("round_cap must be positive")
 
-    ctxs = {}
-    for v in graph.node_ids:
-        vn = tuple(u for u in graph.adjacency[v] if view.contains_edge(u, v))
-        ctxs[v] = NodeContext(
-            node=v,
-            n=n,
-            bandwidth=bw,
-            side=graph.side[v],
-            in_view=view.contains_node(v),
-            neighbors=graph.adjacency[v],
-            view_neighbors=vn,
-            input=None if inputs is None else inputs.get(v),
-        )
+    side = graph.side
+    adjacency = graph.adjacency
+    inputs = {} if inputs is None else inputs
+    ctxs = {
+        v: NodeContext._make((v, n, bw, side[v], in_view, adjacency[v], view_nbrs, inputs.get(v)))
+        for v, (in_view, view_nbrs) in view.topology().items()
+    }
 
+    try:
+        program.setup(n, bw)
+    except Exception as exc:  # noqa: BLE001 - converted to ProgramFault
+        raise ProgramFault(f"setup failed: {exc!r}") from exc
     states = {}
-    for v in graph.node_ids:
+    for v, ctx in ctxs.items():
         try:
-            states[v] = program.init(ctxs[v])
+            states[v] = program.init(ctx)
         except Exception as exc:  # noqa: BLE001 - converted to ProgramFault
             raise ProgramFault(f"init failed at node {v}: {exc!r}") from exc
 
+    neighbor_sets = graph.neighbor_sets()
+    step = program.step
+    rng = _LazyRng(seed)
     halted: set[int] = set()
-    # (frames_left, last_frame_bits, first_pending, msg) per directed edge.
-    queues: dict[tuple[int, int], list] = {}
-    pending_inbox: dict[int, dict[int, dict[int, Msg]]] = {}
-    wake_heap: list[tuple[int, int]] = [(1, v) for v in graph.node_ids]
-    wake_round: dict[int, int | None] = {v: 1 for v in graph.node_ids}
-    heapq.heapify(wake_heap)
-    stats = RoundStats()
+    # A message holds its edge for frame_count(nbits, bw) consecutive
+    # rounds, from the round it is sent or, behind earlier messages on that
+    # edge, from the round after the edge frees up. It arrives at the start
+    # of the round after its last frame, unless its target has halted by
+    # then; its bits count either way. Bits are booked when a message is
+    # sent and frames still unsent when every node has halted are taken
+    # back, so only frames actually transmitted count.
+    inbox_next: dict[int, dict[int, Msg]] = {}
+    edge_busy: dict[tuple[int, int], int] = {}  # last round an edge is held
+    arrivals: dict[int, list] = {}  # last-frame round -> [(src, tgt, msg, first round)]
+    frag: set[int] = set()  # rounds in which some edge carries a continuation frame
+    tx_until = 0  # last round in which some edge carries a frame
+    # Nodes due next round, in step order; later wakes sit in `wake_heap`,
+    # where an entry is live while `wake_round` still holds it.
+    awake = list(graph.node_ids)
+    wake_heap: list[tuple[int, int]] = []
+    wake_round: dict[int, int] = {}
+    total_bits = max_bits = 0
     rnd = 0
 
     while True:
-        nxt = None
-        if queues:
+        if awake or inbox_next or tx_until > rnd:
             nxt = rnd + 1
-        if pending_inbox:
-            first = min(pending_inbox)
-            nxt = first if nxt is None else min(nxt, first)
-        while wake_heap and (
-            wake_heap[0][1] in halted or wake_round.get(wake_heap[0][1]) != wake_heap[0][0]
-        ):
-            heapq.heappop(wake_heap)
-        if wake_heap:
-            nxt = wake_heap[0][0] if nxt is None else min(nxt, wake_heap[0][0])
-
-        if nxt is None:
-            if len(halted) == n:
-                break
-            if allow_quiescence:
-                break
-            raise RoundCapExceeded(
-                f"quiescent at round {rnd} with {n - len(halted)} nodes unhalted"
-            )
+        else:
+            while wake_heap and wake_round.get(wake_heap[0][1]) != wake_heap[0][0]:
+                heapq.heappop(wake_heap)
+            if not wake_heap:
+                if len(halted) == n or allow_quiescence:
+                    break
+                raise RoundCapExceeded(
+                    f"quiescent at round {rnd} with {n - len(halted)} nodes unhalted"
+                )
+            nxt = wake_heap[0][0]
         if nxt > round_cap:
             raise RoundCapExceeded(f"round cap {round_cap} exceeded")
         rnd = nxt
-        stats.rounds = rnd
 
-        inbox_map = pending_inbox.pop(rnd, {})
-        to_step = set(inbox_map)
-        while wake_heap and wake_heap[0][0] == rnd:
-            _, v = heapq.heappop(wake_heap)
-            if v not in halted and wake_round.get(v) == rnd:
-                to_step.add(v)
-        for v in sorted(to_step):
-            if v in halted:
-                continue
-            wake_round[v] = None
-            raw = inbox_map.get(v, {})
-            inbox = raw if len(raw) < 2 else {u: raw[u] for u in sorted(raw)}
-            rng = _LazyRng(seed, v, rnd)
+        inbox_now, inbox_next = inbox_next, {}
+        order, awake = awake, []
+        if inbox_now or (wake_heap and wake_heap[0][0] == rnd):
+            due = set(order)
+            due.update(inbox_now)
+            while wake_heap and wake_heap[0][0] == rnd:
+                _, v = heapq.heappop(wake_heap)
+                if wake_round.get(v) == rnd:
+                    due.add(v)
+            order = sorted(due)
+        newly_halted = []
+        for v in order:
+            wake_round.pop(v, None)
+            inbox = inbox_now.get(v, {})
+            if len(inbox) > 1:
+                inbox = {u: inbox[u] for u in sorted(inbox)}
+            rng.arm(v, rnd)
             try:
-                result = program.step(ctxs[v], states[v], inbox, rnd, rng)
+                result = step(ctxs[v], states[v], inbox, rnd, rng)
             except Exception as exc:  # noqa: BLE001
                 raise ProgramFault(f"step failed at node {v}, round {rnd}: {exc!r}") from exc
             if len(result) == 3:
@@ -290,60 +331,70 @@ def run(
                 state, outbox, halt, wake = result
             states[v] = state
             if outbox:
-                for tgt in sorted(outbox):
-                    msg = outbox[tgt]
-                    if tgt not in ctxs[v].neighbors:
-                        raise ProgramFault(f"node {v} sent to non-neighbor {tgt}")
+                if not outbox.keys() <= neighbor_sets[v]:
+                    raise _send_fault(v, outbox, neighbor_sets[v])
+                for tgt, msg in outbox.items():
                     if not isinstance(msg, Msg):
-                        raise ProgramFault(f"node {v} sent a non-Msg object")
-                    frames = frame_count(msg.nbits, bw)
-                    last_bits = msg.nbits - bw * (frames - 1)
-                    queues.setdefault((v, tgt), []).append([frames, last_bits, True, msg])
+                        raise _send_fault(v, outbox, neighbor_sets[v])
+                    nbits = msg.nbits
+                    total_bits += nbits
+                    if nbits <= bw and (tx_until < rnd or edge_busy.get((v, tgt), 0) < rnd):
+                        # One frame on an idle edge: it arrives next round.
+                        if nbits > max_bits:
+                            max_bits = nbits
+                        if tgt not in halted:
+                            inbox_next.setdefault(tgt, {})[v] = msg
+                        continue
+                    frames = frame_count(nbits, bw)
+                    # Only a last frame carries fewer than bw bits. A message
+                    # that is held back never raises the maximum: the one
+                    # ahead of it has already sent a bw-bit frame.
+                    max_bits = max(max_bits, nbits if frames == 1 else bw)
+                    first = max(rnd, edge_busy.get((v, tgt), 0) + 1)
+                    last = first + frames - 1
+                    edge_busy[(v, tgt)] = last
+                    frag.update(range(first + 1, last + 1))
+                    arrivals.setdefault(last, []).append((v, tgt, msg, first))
+                    tx_until = max(tx_until, last)
             if halt:
                 halted.add(v)
+                newly_halted.append(v)
             elif wake is not None:
                 if wake <= rnd:
                     raise ProgramFault(f"node {v} requested wake_at {wake} <= round {rnd}")
-                wake_round[v] = wake
-                heapq.heappush(wake_heap, (wake, v))
-
-        if queues:
-            fragmented = False
-            done_edges = []
-            for edge in queues:
-                q = queues[edge]
-                head = q[0]
-                if head[2]:
-                    head[2] = False
+                if wake == rnd + 1:
+                    awake.append(v)
                 else:
-                    fragmented = True
-                head[0] -= 1
-                frame_bits = head[1] if head[0] == 0 else bw
-                stats.total_bits += frame_bits
-                if frame_bits > stats.max_message_bits:
-                    stats.max_message_bits = frame_bits
-                if head[0] == 0:
-                    q.pop(0)
-                    tgt = edge[1]
-                    if tgt not in halted:
-                        pending_inbox.setdefault(rnd + 1, {}).setdefault(tgt, {})[
-                            edge[0]
-                        ] = head[3]
-                    if not q:
-                        done_edges.append(edge)
-            for edge in done_edges:
-                del queues[edge]
-            if fragmented:
-                stats.fragmentation_rounds += 1
+                    wake_round[v] = wake
+                    heapq.heappush(wake_heap, (wake, v))
+
+        # Mail sent this round to a node that halted later in the round is
+        # dropped; its bits still count.
+        for v in newly_halted:
+            inbox_next.pop(v, None)
+
+        for src, tgt, msg, _ in arrivals.pop(rnd, ()):
+            if tgt not in halted:
+                inbox_next.setdefault(tgt, {})[src] = msg
 
         if len(halted) == n:
+            for last, pending in arrivals.items():
+                for _, _, msg, first in pending:
+                    unsent = last - max(first, rnd + 1) + 1
+                    total_bits -= msg.nbits - bw * (frame_count(msg.nbits, bw) - unsent)
             break
 
     outputs = {}
-    for v in graph.node_ids:
+    for v, ctx in ctxs.items():
         try:
-            outputs[v] = program.output(ctxs[v], states[v])
+            outputs[v] = program.output(ctx, states[v])
         except Exception as exc:  # noqa: BLE001
             raise ProgramFault(f"output failed at node {v}: {exc!r}") from exc
+    stats = RoundStats(
+        rounds=rnd,
+        max_message_bits=max_bits,
+        total_bits=total_bits,
+        fragmentation_rounds=sum(1 for r in frag if r <= rnd),
+    )
     stats.per_phase.append((phase, stats.rounds))
     return outputs, stats

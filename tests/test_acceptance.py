@@ -39,6 +39,8 @@ from bvc.repair import (
 )
 from bvc.runtime import default_bandwidth
 
+pytestmark = pytest.mark.acceptance
+
 # Every (max_message_bits, bandwidth) pair observed anywhere in the suite;
 # criterion 9 asserts zero violations over all of them.
 BANDWIDTH_LOG: list[tuple[int, int]] = []

@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from bvc import oracle
-from bvc.cli import PIPELINES, main, run_experiment, verify_record
+from bvc.cli import PIPELINES, load_graph, main, run_experiment, verify_record
 from bvc.errors import InvalidParam
 from bvc.graph import gen_random, write_graph
 
@@ -209,3 +209,4 @@ def test_corpus_replays_bit_identically():
     for record in records:
         report = verify_record(record)
         assert report["pass"], report
+        assert record["D"] == oracle.diameter(load_graph(record["graph"])), record

@@ -1,13 +1,17 @@
 import statistics
 
+import pytest
+
 from bvc import oracle
 from bvc.clustering import (
+    ClusterSet,
     build_cluster_trees,
     combine_with_clusters,
     mpx_partition,
     randomized_pipeline,
     shrink_partition,
 )
+from bvc.errors import ProgramFault
 from bvc.graph import (
     Matching,
     SubgraphView,
@@ -182,6 +186,15 @@ def test_combine_x_covers_outside_matching():
     cover, _ = combine_with_clusters(g, m, cs, 1.0, seed=1)
     assert {2, 3} <= cover.nodes
     assert cover.is_valid()
+
+
+def test_combine_rejects_clusters_one_hop_apart():
+    # Node 1 borders clusters 0 and 2: extension must refuse, not guess.
+    g = gen_path(3)
+    m = Matching([], SubgraphView.whole(g))
+    cs = ClusterSet(members={0: 0, 1: None, 2: 2}, origin={0: 0, 1: 0, 2: 2}, lam=1.0, sigma=0.25)
+    with pytest.raises(ProgramFault, match="separation violated"):
+        combine_with_clusters(g, m, cs, 1.0, seed=1)
 
 
 def test_pipeline_edgeless():

@@ -143,6 +143,19 @@ def test_view_restriction():
     assert sub.max_view_degree() == 1
 
 
+def test_whole_view_is_shared_and_topology_matches_view():
+    g = gen_random(6, 6, 0.4, 2)
+    assert SubgraphView.whole(g) is SubgraphView.whole(g)
+    assert SubgraphView.whole(g) is not SubgraphView.whole(gen_random(6, 6, 0.4, 2))
+    for view in (SubgraphView.whole(g), SubgraphView.induced(g, range(10)).without_nodes([3])):
+        topo = view.topology()
+        assert topo is view.topology()
+        assert list(topo) == list(g.node_ids)
+        for v, (in_view, nbrs) in topo.items():
+            assert in_view == view.contains_node(v)
+            assert nbrs == tuple(view.view_neighbors(v))
+
+
 def test_matching_restricted_to_view():
     g = gen_path(4)
     m = Matching([(0, 1), (2, 3)], SubgraphView.whole(g))

@@ -1,4 +1,5 @@
 import math
+from collections import deque
 
 import pytest
 
@@ -162,6 +163,30 @@ def test_diameter():
     assert oracle.diameter(gen_disjoint_edges(3)) == 1
     assert oracle.diameter(build_graph([], extra_nodes=[0])) == 0
     assert oracle.diameter(gen_even_cycle(8)) == 4
+
+
+def bfs_diameter(g):
+    """Reference: the largest BFS distance from any source."""
+    best = 0
+    for src in g.node_ids:
+        dist = {src: 0}
+        queue = deque([src])
+        while queue:
+            x = queue.popleft()
+            for y in g.adjacency[x]:
+                if y not in dist:
+                    dist[y] = dist[x] + 1
+                    queue.append(y)
+        best = max(best, max(dist.values()))
+    return best
+
+
+def test_diameter_matches_per_source_bfs():
+    graphs = [gen_random(1 + s % 9, 1 + s % 7, (0.1, 0.3, 0.8)[s % 3], s) for s in range(60)]
+    graphs += [gen_path(n) for n in range(1, 12)] + [gen_even_cycle(n) for n in (4, 10, 16)]
+    graphs += [gen_complete(3, 5), gen_disjoint_edges(4), build_graph([], extra_nodes=range(3))]
+    for g in graphs:
+        assert oracle.diameter(g) == bfs_diameter(g)
 
 
 def test_dfs_enumeration_budget():
