@@ -27,6 +27,7 @@ from .errors import BvcError, InvalidParam
 from .graph import BipartiteGraph, Matching, SubgraphView, graph_from_spec, read_graph
 from .konig import koenig_approx_cover, koenig_exact_cover
 from .matching import eliminate_short_aug_paths, parse_provider
+from .primitives import elect_leader_and_bfs
 from .repair import det_cover_low_diameter
 
 PIPELINES = (
@@ -120,11 +121,13 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     elif pipeline == "diameter1":
         k = int(config["k"]) if config.get("k") else max(1, math.ceil(1.0 / eps))
         record["params"].update({"k": k, "eps": eps})
-        matching, stats = eliminate_short_aug_paths(
-            graph, view, Matching([], view), k, seed=seed, bandwidth=bandwidth
+        forest, stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
+        matching, elim_stats = eliminate_short_aug_paths(
+            graph, view, Matching([], view), k, seed=seed, bandwidth=bandwidth, forest=forest
         )
+        stats.add_sequential(elim_stats)
         cover, cover_stats = koenig_approx_cover(
-            graph, view, matching, k, seed=seed + 1, bandwidth=bandwidth
+            graph, view, matching, k, forest=forest, seed=seed + 1, bandwidth=bandwidth
         )
         stats.add_sequential(cover_stats)
         record["cover_size"] = cover.size
@@ -148,7 +151,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         record["params"]["lam"] = lam
         assignment, stats = mpx_partition(graph, lam, seed=seed, bandwidth=bandwidth)
         cluster_set, shrink_stats = shrink_partition(
-            graph, assignment, lam=lam, seed=seed + 1, bandwidth=bandwidth
+            graph, assignment, seed=seed + 1, bandwidth=bandwidth
         )
         stats.add_sequential(shrink_stats)
         stats.add_sequential(

@@ -29,7 +29,7 @@ from .graph import (
 )
 from .konig import koenig_approx_cover
 from .matching import eliminate_short_aug_paths, maximal_matching
-from .primitives import BfsTree
+from .primitives import BfsTree, elect_leader_and_bfs
 from .runtime import (
     Msg,
     NodeProgram,
@@ -50,8 +50,6 @@ class ClusterSet:
 
     members: dict[int, int | None]
     origin: dict[int, int]
-    lam: float
-    sigma: float
     trees: dict[int, BfsTree] = field(default_factory=dict)
     congestion: int = 0
 
@@ -174,7 +172,6 @@ def shrink_partition(
     graph: BipartiteGraph,
     assignment: dict[int, int],
     *,
-    lam: float = 0.0,
     seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[ClusterSet, RoundStats]:
@@ -188,10 +185,7 @@ def shrink_partition(
         inputs=assignment,
         phase="shrink",
     )
-    return (
-        ClusterSet(members=dict(outputs), origin=dict(assignment), lam=lam, sigma=lam / 4.0),
-        stats,
-    )
+    return ClusterSet(members=dict(outputs), origin=dict(assignment)), stats
 
 
 class TreeBuildProgram(NodeProgram):
@@ -347,42 +341,23 @@ def _induced_subproblem(graph, region_nodes, member_nodes, crossing_edges):
     return sub_graph, sub_view, to_sub, ordered
 
 
-def elimination_cover_inner(psi: float):
-    """Inner cover solver: eliminate augmenting paths to depth 2k-1 with
-    k = ceil(2 / psi), then the layered cover, for a (1 + psi) guarantee."""
-    k = math.ceil(2.0 / psi)
-
-    def solve(sub_graph, sub_view, m0, *, seed, bandwidth):
-        stats = RoundStats()
-        m1, elim_stats = eliminate_short_aug_paths(
-            sub_graph, sub_view, m0, k, seed=derive_seed(seed, 1), bandwidth=bandwidth
-        )
-        stats.add_sequential(elim_stats)
-        cover, cover_stats = koenig_approx_cover(
-            sub_graph, sub_view, m1, k, seed=derive_seed(seed, 2), bandwidth=bandwidth
-        )
-        stats.add_sequential(cover_stats)
-        return cover, stats
-
-    return solve
-
-
 def combine_with_clusters(
     graph: BipartiteGraph,
     matching: Matching,
     cluster_set: ClusterSet,
     psi: float,
-    inner_solver=None,
     *,
     seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[VertexCover, RoundStats]:
     """Cover = matched nodes outside clusters + per-cluster covers of the
-    one-hop extended cluster graphs, solved concurrently."""
+    one-hop extended cluster graphs, solved concurrently. Each cluster
+    solve elects on its sub-graph, eliminates augmenting paths to length
+    2k-1 with k = ceil(2 / psi), and takes the layered cover, for a
+    (1 + psi) guarantee."""
     if not 0.0 < psi <= 1.0:
         raise InvalidParam("psi must be in (0, 1]")
-    if inner_solver is None:
-        inner_solver = elimination_cover_inner(psi)
+    k = math.ceil(2.0 / psi)
     bw = bandwidth if bandwidth is not None else default_bandwidth(graph.n)
     view = SubgraphView.whole(graph)
     stats = RoundStats()
@@ -433,9 +408,16 @@ def combine_with_clusters(
             if u in to_sub and v in to_sub and sub_view.contains_edge(to_sub[u], to_sub[v])
         ]
         m0 = Matching(m0_edges, sub_view)
-        cover_i, st_i = inner_solver(
-            sub_graph, sub_view, m0, seed=derive_seed(seed, 1000 + idx), bandwidth=bw
+        sub_seed = derive_seed(seed, 1000 + idx)
+        forest, st_i = elect_leader_and_bfs(sub_graph, bandwidth=bw)
+        m1, elim_stats = eliminate_short_aug_paths(
+            sub_graph, sub_view, m0, k, seed=derive_seed(sub_seed, 1), bandwidth=bw, forest=forest
         )
+        st_i.add_sequential(elim_stats)
+        cover_i, cover_stats = koenig_approx_cover(
+            sub_graph, sub_view, m1, k, forest=forest, seed=derive_seed(sub_seed, 2), bandwidth=bw
+        )
+        st_i.add_sequential(cover_stats)
         inner_stats.append(st_i)
         cover_nodes.update(ordered[i] for i in cover_i.nodes)
     stats.add_parallel(inner_stats, "cluster-solves")
@@ -469,7 +451,7 @@ def randomized_pipeline(
     stats.add_sequential(mpx_stats)
 
     cluster_set, shrink_stats = shrink_partition(
-        graph, assignment, lam=lam, seed=derive_seed(seed, 73), bandwidth=bandwidth
+        graph, assignment, seed=derive_seed(seed, 73), bandwidth=bandwidth
     )
     stats.add_sequential(shrink_stats)
 

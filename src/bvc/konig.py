@@ -99,23 +99,18 @@ def koenig_approx_cover(
     matching: Matching,
     k: int,
     *,
+    forest: BfsForest,
     seed: int = 0,
     bandwidth: int | None = None,
-    forest: BfsForest | None = None,
 ) -> tuple[VertexCover, RoundStats]:
     """Cover of size at most (1 + 1/k) times the matching size, given a
     matching with no augmenting path of length <= 2k - 1.
 
-    Phases: leader/BFS/bipartition, the 2k-level partition, pipelined
-    aggregation of the k B-class sizes, and local selection against the
-    componentwise argmin index (ties to the smallest index).
+    Phases: the 2k-level partition, pipelined aggregation of the k B-class
+    sizes over the caller's BFS `forest` of the graph, and local selection
+    against the componentwise argmin index (ties to the smallest index).
     """
     stats = RoundStats()
-    if forest is None:
-        forest, elect_stats = elect_leader_and_bfs(
-            graph, view, seed=derive_seed(seed, 101), bandwidth=bandwidth
-        )
-        stats.add_sequential(elect_stats)
     partition, part_stats = compute_partition(
         graph, view, matching, k, seed=derive_seed(seed, 102), bandwidth=bandwidth
     )
@@ -160,9 +155,7 @@ def koenig_exact_cover(
     depth until none remain, then keep the A-nodes missed by the final
     alternating reachability and the B-nodes it reaches."""
     stats = RoundStats()
-    forest, elect_stats = elect_leader_and_bfs(
-        graph, view, seed=derive_seed(seed, 201), bandwidth=bandwidth
-    )
+    forest, elect_stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
     stats.add_sequential(elect_stats)
 
     matching = Matching([], view)
@@ -186,6 +179,7 @@ def koenig_exact_cover(
             seed=derive_seed(seed, 400 + attempt),
             bandwidth=bandwidth,
             d_start=d_start,
+            forest=forest,
         )
         stats.add_sequential(elim_stats)
         d_start = 2 * k + 1

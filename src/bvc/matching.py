@@ -19,7 +19,14 @@ from dataclasses import dataclass
 
 from .errors import InvalidParam, ShortAugPathWitness
 from .graph import SIDE_B, BipartiteGraph, Matching, SubgraphView, edge_key
-from .primitives import AlternatingLayering, alternating_bfs, level_dag
+from .primitives import (
+    AlternatingLayering,
+    BfsForest,
+    alternating_bfs,
+    elect_leader_and_bfs,
+    level_dag,
+    witness_check,
+)
 from .runtime import Msg, NodeProgram, RoundStats, derive_seed, frame_count, id_bits, run
 
 INF = math.inf
@@ -370,13 +377,15 @@ def eliminate_short_aug_paths(
     bandwidth: int | None = None,
     deterministic: bool = False,
     d_start: int = 1,
-    phase_hook=None,
+    forest: BfsForest | None = None,
 ) -> tuple[Matching, RoundStats]:
     """Phases d = 1, 3, ..., 2k-1; after phase d no augmenting path of
     length <= d remains, so the result has none of length <= 2k-1.
 
     d_start skips phases a caller has already discharged (the input then
-    must have no augmenting path shorter than d_start)."""
+    must have no augmenting path shorter than d_start). Above 12 phases
+    each one starts with a shortest-length check over `forest`, which is
+    elected here only when the caller passes none."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     if d_start % 2 == 0:
@@ -387,13 +396,8 @@ def eliminate_short_aug_paths(
     # For large k most phases would be empty; a per-phase shortest-length
     # check lets the loop jump straight to the next populated length.
     checked = (2 * k - d_start) // 2 + 1 > 12
-    forest = None
-    if checked:
-        from .primitives import elect_leader_and_bfs, witness_check
-
-        forest, elect_stats = elect_leader_and_bfs(
-            graph, view, seed=derive_seed(seed, 9991), bandwidth=bandwidth
-        )
+    if checked and forest is None:
+        forest, elect_stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
         stats.add_sequential(elect_stats)
 
     d = d_start
@@ -433,8 +437,6 @@ def eliminate_short_aug_paths(
             phase=f"select[d={d}]",
         )
         stats.add_sequential(sel_stats)
-        if phase_hook is not None:
-            phase_hook(d, matching)
         d += 2
         i += 1
     return matching, stats
@@ -448,11 +450,13 @@ def approx_matching(
     seed: int = 0,
     bandwidth: int | None = None,
     deterministic: bool = False,
+    forest: BfsForest | None = None,
 ) -> tuple[Matching, RoundStats]:
     """Matching of size at least (1 - delta) times maximum: eliminating all
     augmenting paths of length <= 2k-1 guarantees a 1 - 1/(k+1) factor, so
     k = max(1, ceil(1/delta) - 1) suffices. No simple path has more than
-    n - 1 edges, so k is capped where the result is already maximum."""
+    n - 1 edges, so k is capped where the result is already maximum.
+    `forest` is passed on to the elimination."""
     if not 0.0 < delta <= 1.0:
         raise InvalidParam("delta must be in (0, 1]")
     k = max(1, math.ceil(1.0 / delta) - 1)
@@ -465,6 +469,7 @@ def approx_matching(
         seed=seed,
         bandwidth=bandwidth,
         deterministic=deterministic,
+        forest=forest,
     )
 
 

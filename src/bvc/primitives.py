@@ -73,20 +73,14 @@ class LeaderBfsProgram(NodeProgram):
         }
 
     def _recompute(self, ctx, st):
-        best = (st["lead"], st["dist"])
-        parent = st["parent"]
-        for u in sorted(st["nbr"]):
-            lu, du, _child, _cu, _hu = st["nbr"][u]
-            cand = (lu, du + 1)
-            if cand < best:
-                best = cand
-                parent = u
-        if best < (st["lead"], st["dist"]):
-            st["lead"], st["dist"] = best
-            st["parent"] = parent
-            st["complete"] = False
-
         nbr = st["nbr"]
+        if nbr:
+            # The parent is the smallest id among the best candidates, and
+            # changes only on a strict improvement.
+            best, parent = min(((lu, du + 1), u) for u, (lu, du, _c, _cu, _hu) in nbr.items())
+            if best < (st["lead"], st["dist"]):
+                st["lead"], st["dist"] = best
+                st["parent"] = parent
         lead, dist = st["lead"], st["dist"]
         children = [
             u
@@ -160,17 +154,14 @@ class LeaderBfsProgram(NodeProgram):
 
 
 def elect_leader_and_bfs(
-    graph: BipartiteGraph,
-    view: SubgraphView | None = None,
-    *,
-    seed: int = 0,
-    bandwidth: int | None = None,
-    phase: str = "elect-bfs",
+    graph: BipartiteGraph, *, bandwidth: int | None = None
 ) -> tuple[BfsForest, RoundStats]:
-    """Per-component leader (the minimum id), BFS tree, and bipartition."""
-    outputs, stats = run(
-        LeaderBfsProgram(), graph, view, seed=seed, bandwidth=bandwidth, phase=phase
-    )
+    """Per-component leader (the minimum id), BFS tree, and bipartition.
+
+    The program reads only node ids and graph neighbors and draws no
+    randomness, so the forest depends on the graph alone: a pipeline elects
+    once and passes the forest to every phase, whatever view it works on."""
+    outputs, stats = run(LeaderBfsProgram(), graph, bandwidth=bandwidth, phase="elect-bfs")
     trees: dict[int, BfsTree] = {}
     root_of: dict[int, int] = {}
     side: dict[int, str] = {}

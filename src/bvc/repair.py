@@ -194,14 +194,14 @@ def count_paths(
     matching: Matching,
     d: int,
     *,
+    delta: int,
     seed: int = 0,
     bandwidth: int | None = None,
-    forest: BfsForest | None = None,
-    delta: int | None = None,
 ) -> tuple[PathCounts, RoundStats]:
     """Count length-d augmenting paths through free nodes and matching
     edges. Requires that no shorter augmenting path exists (raises
-    ShorterPathExists on a witness in the layering).
+    ShorterPathExists on a witness in the layering); `delta` bounds the
+    in-view degree and fixes the count width.
 
     Round cost: d + O(1) rounds of alternating-BFS layering, then
     d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 rounds of counting sweeps,
@@ -212,17 +212,6 @@ def count_paths(
     if d <= 0 or d % 2 == 0:
         raise InvalidParam("d must be a positive odd integer")
     stats = RoundStats()
-    if delta is None:
-        if forest is None:
-            forest, elect_stats = elect_leader_and_bfs(
-                graph, view, seed=derive_seed(seed, 11), bandwidth=bandwidth
-            )
-            stats.add_sequential(elect_stats)
-        delta, deg_stats = view_max_degree_aggregate(
-            graph, view, forest, seed=derive_seed(seed, 12), bandwidth=bandwidth
-        )
-        stats.add_sequential(deg_stats)
-
     layering, bfs_stats = alternating_bfs(
         graph, view, matching, d, seed=derive_seed(seed, 13), bandwidth=bandwidth, phase="layering"
     )
@@ -318,11 +307,12 @@ def cover_short_paths(
     matching: Matching,
     d: int,
     *,
+    forest: BfsForest,
     seed: int = 0,
     bandwidth: int | None = None,
-    forest: BfsForest | None = None,
 ) -> tuple[set[int], RoundStats]:
-    """Remove a small node set that hits every length-d augmenting path.
+    """Remove a small node set that hits every length-d augmenting path;
+    every aggregation runs over the caller's BFS `forest` of the graph.
 
     Selection runs in halving-threshold phases; within a phase the sweep
     visits the endpoint position 0, the matching-edge positions 1, 3, ...,
@@ -331,11 +321,6 @@ def cover_short_paths(
     nodes are always removed together with their partners.
     """
     stats = RoundStats()
-    if forest is None:
-        forest, elect_stats = elect_leader_and_bfs(
-            graph, view, seed=derive_seed(seed, 21), bandwidth=bandwidth
-        )
-        stats.add_sequential(elect_stats)
     delta, deg_stats = view_max_degree_aggregate(
         graph, view, forest, seed=derive_seed(seed, 22), bandwidth=bandwidth
     )
@@ -353,8 +338,7 @@ def cover_short_paths(
     counter = 100
 
     counts, c_stats = count_paths(
-        graph, residual, m_bar, d, seed=derive_seed(seed, 99), bandwidth=bandwidth,
-        forest=forest, delta=delta,
+        graph, residual, m_bar, d, delta=delta, seed=derive_seed(seed, 99), bandwidth=bandwidth
     )
     stats.add_sequential(c_stats)
     remaining, agg_stats = _aggregate_total_paths(
@@ -375,7 +359,6 @@ def cover_short_paths(
                 d,
                 seed=derive_seed(seed, counter),
                 bandwidth=bandwidth,
-                forest=forest,
                 delta=delta,
             )
             stats.add_sequential(c_stats)
@@ -421,7 +404,6 @@ def cover_short_paths(
             d,
             seed=derive_seed(seed, 9000 + i),
             bandwidth=bandwidth,
-            forest=forest,
             delta=delta,
         )
         stats.add_sequential(c_stats)
@@ -456,6 +438,7 @@ def repair_matching(
     matching: Matching,
     k: int,
     *,
+    forest: BfsForest,
     seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[RepairResult, Matching, RoundStats]:
@@ -463,16 +446,12 @@ def repair_matching(
     induced subgraph has no augmenting path of length at most 2k - 1.
 
     Stages run d = 1, 3, ..., 2k - 1 in order; each stage covers all
-    length-d paths, and because removals always take out whole matched
-    pairs, no new free node ever appears, so earlier stages stay
-    discharged."""
+    length-d paths over the caller's BFS `forest`, and because removals
+    always take out whole matched pairs, no new free node ever appears, so
+    earlier stages stay discharged."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     stats = RoundStats()
-    forest, elect_stats = elect_leader_and_bfs(
-        graph, view, seed=derive_seed(seed, 31), bandwidth=bandwidth
-    )
-    stats.add_sequential(elect_stats)
     delta0 = view.max_view_degree()
 
     s1: set[int] = set()
@@ -523,9 +502,7 @@ def det_cover_low_diameter(
         return VertexCover([], view), stats
 
     k_prime = math.ceil(2.0 / eps)
-    forest, elect_stats = elect_leader_and_bfs(
-        graph, view, seed=derive_seed(seed, 41), bandwidth=bandwidth
-    )
+    forest, elect_stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
     stats.add_sequential(elect_stats)
     delta, deg_stats = view_max_degree_aggregate(
         graph, view, forest, seed=derive_seed(seed, 42), bandwidth=bandwidth
@@ -535,18 +512,36 @@ def det_cover_low_diameter(
     delta_acc = eps / (2.0 * alpha)
 
     m_prime, match_stats = approx_matching(
-        graph, view, delta_acc, seed=derive_seed(seed, 43), bandwidth=bandwidth, deterministic=True
+        graph,
+        view,
+        delta_acc,
+        seed=derive_seed(seed, 43),
+        bandwidth=bandwidth,
+        deterministic=True,
+        forest=forest,
     )
     stats.add_sequential(match_stats)
 
     repair, m_bar, repair_stats = repair_matching(
-        graph, view, m_prime, k_prime, seed=derive_seed(seed, 44), bandwidth=bandwidth
+        graph,
+        view,
+        m_prime,
+        k_prime,
+        forest=forest,
+        seed=derive_seed(seed, 44),
+        bandwidth=bandwidth,
     )
     stats.add_sequential(repair_stats)
 
     residual = view.without_nodes(repair.s1)
     cover2, cover_stats = koenig_approx_cover(
-        graph, residual, m_bar, k_prime, seed=derive_seed(seed, 45), bandwidth=bandwidth
+        graph,
+        residual,
+        m_bar,
+        k_prime,
+        forest=forest,
+        seed=derive_seed(seed, 45),
+        bandwidth=bandwidth,
     )
     stats.add_sequential(cover_stats)
 

@@ -110,7 +110,9 @@ def test_criterion_2_layered_cover_bound():
             g, view, Matching([], view), k, seed=2000 + i
         )
         track(m_stats, default_bandwidth(g.n))
-        cover, stats = koenig_approx_cover(g, view, m, k, seed=3000 + i)
+        forest, e_stats = elect_leader_and_bfs(g)
+        track(e_stats, default_bandwidth(g.n))
+        cover, stats = koenig_approx_cover(g, view, m, k, forest=forest, seed=3000 + i)
         track(stats, default_bandwidth(g.n))
         assert cover.is_valid(), f"instance {i}: invalid cover"
         assert k * cover.size <= (k + 1) * m.size, f"instance {i}: bound failed"
@@ -163,7 +165,7 @@ def test_criterion_3_path_count_oracle_equivalence():
         collected[d] += 1
     per_d = {1: 0, 3: 0, 5: 0}
     for i, (g, view, m, d) in enumerate(cases):
-        counts, stats = count_paths(g, view, m, d, seed=4000 + i)
+        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree(), seed=4000 + i)
         track(stats, default_bandwidth(g.n))
         expected = oracle.enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
@@ -195,7 +197,9 @@ def test_criterion_4_repair_bounds():
         m = Matching(best_edges[drop:], view)
         delta_true = drop / len(best_edges)
         opt = len(best_edges)
-        result, m_bar, stats = repair_matching(g, view, m, k, seed=5000 + i)
+        forest, e_stats = elect_leader_and_bfs(g)
+        track(e_stats, default_bandwidth(g.n))
+        result, m_bar, stats = repair_matching(g, view, m, k, forest=forest, seed=5000 + i)
         track(stats, default_bandwidth(g.n))
         residual = view.without_nodes(result.s1)
         shortest = oracle.shortest_aug_path_len(residual, m_bar)
@@ -366,7 +370,9 @@ def test_criterion_8a_cover_rounds_linear_in_diameter():
         g = gen_path(d_target + 1)
         view = whole(g)
         m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=7)
-        cover, stats = koenig_approx_cover(g, view, m, k, seed=8)
+        forest, stats = elect_leader_and_bfs(g)
+        cover, cover_stats = koenig_approx_cover(g, view, m, k, forest=forest, seed=8)
+        stats.add_sequential(cover_stats)
         track(stats, default_bandwidth(g.n))
         bound = 8 * (d_target + k) + 20
         rows.append((d_target, k, stats.rounds, bound))
@@ -435,10 +441,8 @@ def test_criterion_8c_count_rounds_quadratic():
         m = Matching(m_edges, view)
         assert oracle.shortest_aug_path_len(view, m) == d
         bw = (g.n - 1).bit_length() + 4  # smallest bandwidth the engine allows
-        forest, _ = elect_leader_and_bfs(g, view, seed=1, bandwidth=bw)
         counts, stats = count_paths(
-            g, view, m, d, seed=1, bandwidth=bw, forest=forest,
-            delta=view.max_view_degree(),
+            g, view, m, d, delta=view.max_view_degree(), seed=1, bandwidth=bw
         )
         track(stats, bw)
         rows.append((d, stats.rounds, dict(stats.per_phase)))

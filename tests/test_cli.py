@@ -3,10 +3,13 @@ from pathlib import Path
 
 import pytest
 
-from bvc import oracle
-from bvc.cli import PIPELINES, load_graph, main, run_experiment, verify_record
+from bvc import oracle, primitives
+from bvc.cli import PIPELINES, load_graph, main, run_experiment, run_one, verify_record
 from bvc.errors import InvalidParam
-from bvc.graph import gen_random, write_graph
+from bvc.graph import Matching, SubgraphView, gen_path, gen_random, write_graph
+from bvc.konig import koenig_exact_cover
+from bvc.matching import eliminate_short_aug_paths
+from bvc.repair import det_cover_low_diameter
 
 # Records written by `bvc run` (commands in README.md); every later
 # change to src/ must reproduce them bit-identically.
@@ -210,3 +213,48 @@ def test_corpus_replays_bit_identically():
         report = verify_record(record)
         assert report["pass"], report
         assert record["D"] == oracle.diameter(load_graph(record["graph"])), record
+
+
+def test_pipelines_elect_once(monkeypatch):
+    """The election depends on the graph alone, so each pipeline root
+    elects once and hands the forest to every phase below it."""
+    spec = "gen:random:na=12,nb=12,p=0.2"
+    g = load_graph(spec)
+    view = SubgraphView.whole(g)
+
+    def elections(stats):
+        return sum(1 for label, _ in stats.per_phase if label == "elect-bfs")
+
+    _, stats = det_cover_low_diameter(g, view, 0.5, seed=0)
+    assert elections(stats) == 1
+    # On this path the exact cover's doubling reaches an elimination of
+    # more than 12 phases, which runs its shortest-length checks over the
+    # forest (and used to elect a second time).
+    path = gen_path(40)
+    _, stats = koenig_exact_cover(path, SubgraphView.whole(path), seed=0)
+    assert elections(stats) == 1
+
+    # CLI records carry no phases, so count the engine runs the election makes.
+    phases = []
+    engine = primitives.run
+
+    def recording_run(*args, **kwargs):
+        phases.append(kwargs.get("phase"))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(primitives, "run", recording_run)
+    record = run_one({"pipeline": "diameter1", "graph": spec, "k": 14}, g, 0)
+    monkeypatch.undo()
+    assert record["valid"]
+    assert phases.count("elect-bfs") == 1
+
+    # Above 12 phases the elimination elects only when given no forest.
+    forest, elect_stats = primitives.elect_leader_and_bfs(g)
+    m_own, own_stats = eliminate_short_aug_paths(g, view, Matching([], view), 14, seed=3)
+    m_given, given_stats = eliminate_short_aug_paths(
+        g, view, Matching([], view), 14, seed=3, forest=forest
+    )
+    assert m_given.edges == m_own.edges
+    assert elections(own_stats) == 1 and elections(given_stats) == 0
+    assert own_stats.rounds - given_stats.rounds == elect_stats.rounds
+    assert own_stats.total_bits - given_stats.total_bits == elect_stats.total_bits

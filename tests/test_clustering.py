@@ -192,7 +192,7 @@ def test_combine_rejects_clusters_one_hop_apart():
     # Node 1 borders clusters 0 and 2: extension must refuse, not guess.
     g = gen_path(3)
     m = Matching([], SubgraphView.whole(g))
-    cs = ClusterSet(members={0: 0, 1: None, 2: 2}, origin={0: 0, 1: 0, 2: 2}, lam=1.0, sigma=0.25)
+    cs = ClusterSet(members={0: 0, 1: None, 2: 2}, origin={0: 0, 1: 0, 2: 2})
     with pytest.raises(ProgramFault, match="separation violated"):
         combine_with_clusters(g, m, cs, 1.0, seed=1)
 
@@ -269,7 +269,7 @@ def test_pipeline_density_statistics():
         m, _ = maximal_matching(g, seed=seed)
         lam = 0.25
         assignment, _ = mpx_partition(g, lam, seed=seed + 1000)
-        cs, _ = shrink_partition(g, assignment, lam=lam)
+        cs, _ = shrink_partition(g, assignment)
         fractions.append(1.0 - cs.inside_fraction(m))
     mean_outside = statistics.mean(fractions)
     stderr = statistics.pstdev(fractions) / max(1, len(fractions)) ** 0.5

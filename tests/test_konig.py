@@ -17,12 +17,17 @@ from bvc.graph import (
 )
 from bvc.konig import compute_partition, koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
+from bvc.primitives import elect_leader_and_bfs
 
 INF = math.inf
 
 
 def whole(g):
     return SubgraphView.whole(g)
+
+
+def forest(g):
+    return elect_leader_and_bfs(g)[0]
 
 
 def candidate_cover(view, partition, s):
@@ -116,7 +121,7 @@ def test_approx_cover_p4_k1():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    cover, _ = koenig_approx_cover(g, view, m, 1, seed=1)
+    cover, _ = koenig_approx_cover(g, view, m, 1, forest=forest(g), seed=1)
     assert cover.is_valid()
     assert cover.size <= 2 * m.size
 
@@ -127,7 +132,7 @@ def test_approx_cover_bound_and_identity():
         view = whole(g)
         for k in (1, 2, 3):
             m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
-            cover, _ = koenig_approx_cover(g, view, m, k, seed=seed)
+            cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g), seed=seed)
             assert cover.is_valid()
             assert k * cover.size <= (k + 1) * m.size
             # Size identity, componentwise stars summed.
@@ -153,14 +158,14 @@ def test_approx_cover_with_maximum_matching_is_optimal():
         view = whole(g)
         m = oracle.max_matching_oracle(view)
         k = max(1, m.size)
-        cover, _ = koenig_approx_cover(g, view, m, k, seed=seed)
+        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g), seed=seed)
         assert cover.size == m.size
 
 
 def test_approx_cover_empty_view():
     g = build_graph([], extra_nodes=[0, 1, 2])
     view = whole(g)
-    cover, _ = koenig_approx_cover(g, view, Matching([], view), 2, seed=1)
+    cover, _ = koenig_approx_cover(g, view, Matching([], view), 2, forest=forest(g), seed=1)
     assert cover.size == 0
 
 
@@ -193,5 +198,7 @@ def test_approx_cover_round_bound():
         view = whole(g)
         m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=3)
         d = oracle.diameter(g)
-        _, stats = koenig_approx_cover(g, view, m, k, seed=3)
+        f, stats = elect_leader_and_bfs(g)
+        _, cover_stats = koenig_approx_cover(g, view, m, k, forest=f, seed=3)
+        stats.add_sequential(cover_stats)
         assert stats.rounds <= 8 * (d + k) + 20

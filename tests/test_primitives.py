@@ -18,7 +18,7 @@ INF = math.inf
 
 def test_elect_path5():
     g = gen_path(5)
-    forest, stats = elect_leader_and_bfs(g, seed=1)
+    forest, stats = elect_leader_and_bfs(g)
     assert set(forest.trees) == {0}
     tree = forest.trees[0]
     assert tree.height == 4
@@ -29,21 +29,21 @@ def test_elect_path5():
 
 def test_elect_single_node():
     g = build_graph([], extra_nodes=[0])
-    forest, stats = elect_leader_and_bfs(g, seed=1)
+    forest, stats = elect_leader_and_bfs(g)
     assert forest.trees[0].height == 0
     assert stats.rounds <= 2
 
 
 def test_elect_two_components():
     g = gen_disjoint_edges(2)
-    forest, _ = elect_leader_and_bfs(g, seed=1)
+    forest, _ = elect_leader_and_bfs(g)
     assert set(forest.trees) == {0, 2}
     assert forest.root_of == {0: 0, 1: 0, 2: 2, 3: 2}
 
 
 def test_elect_bipartition_matches_graph_sides():
     for g in [gen_path(6), gen_even_cycle(8), gen_complete(3, 4), gen_random(8, 8, 0.3, 5)]:
-        forest, _ = elect_leader_and_bfs(g, seed=3)
+        forest, _ = elect_leader_and_bfs(g)
         # Leader is the component minimum, which is also the side-A root used
         # at construction, so the bipartitions agree exactly.
         assert forest.side == g.side
@@ -62,13 +62,13 @@ def test_elect_round_bound():
     ]
     for g in graphs:
         d = oracle.diameter(g)
-        _, stats = elect_leader_and_bfs(g, seed=7)
+        _, stats = elect_leader_and_bfs(g)
         assert stats.rounds <= 3 * d + 5, f"rounds={stats.rounds} D={d}"
 
 
 def test_elect_depths_are_bfs_distances():
     g = gen_random(10, 10, 0.25, 9)
-    forest, _ = elect_leader_and_bfs(g, seed=2)
+    forest, _ = elect_leader_and_bfs(g)
     for comp in g.components():
         root = min(comp)
         dist = {root: 0}
@@ -88,7 +88,7 @@ def test_elect_depths_are_bfs_distances():
 
 def test_aggregate_sum_path():
     g = gen_path(5)
-    forest, _ = elect_leader_and_bfs(g, seed=1)
+    forest, _ = elect_leader_and_bfs(g)
     values = {v: (1,) for v in g.node_ids}
     results, stats = pipelined_aggregate(g, forest, values, combine="sum", seed=1)
     assert all(results[v] == (5,) for v in g.node_ids)
@@ -98,7 +98,7 @@ def test_aggregate_sum_path():
 
 def test_aggregate_star_three_values():
     g = gen_complete(1, 4)  # star with center 0
-    forest, _ = elect_leader_and_bfs(g, seed=1)
+    forest, _ = elect_leader_and_bfs(g)
     values = {v: (1, 0, 2) if v != 0 else (0, 0, 0) for v in g.node_ids}
     results, _ = pipelined_aggregate(g, forest, values, combine="sum", seed=1)
     assert results[0] == (4, 0, 8)
@@ -106,7 +106,7 @@ def test_aggregate_star_three_values():
 
 def test_aggregate_min_idempotent():
     g = gen_path(6)
-    forest, _ = elect_leader_and_bfs(g, seed=1)
+    forest, _ = elect_leader_and_bfs(g)
     values = {v: (7, 3) for v in g.node_ids}
     results, _ = pipelined_aggregate(g, forest, values, combine="min", seed=1)
     assert all(results[v] == (7, 3) for v in g.node_ids)
@@ -117,7 +117,7 @@ def test_aggregate_matches_sequential_sums():
 
     rng = random.Random(5)
     g = gen_random(9, 9, 0.3, 4)
-    forest, _ = elect_leader_and_bfs(g, seed=1)
+    forest, _ = elect_leader_and_bfs(g)
     k = 4
     values = {v: tuple(rng.randrange(16) for _ in range(k)) for v in g.node_ids}
     results, _ = pipelined_aggregate(g, forest, values, combine="sum", seed=1)
@@ -129,7 +129,7 @@ def test_aggregate_matches_sequential_sums():
 
 def test_aggregate_per_component():
     g = gen_disjoint_edges(3)
-    forest, _ = elect_leader_and_bfs(g, seed=1)
+    forest, _ = elect_leader_and_bfs(g)
     values = {v: (v,) for v in g.node_ids}
     results, _ = pipelined_aggregate(g, forest, values, combine="max", seed=1)
     assert results[0] == (1,)

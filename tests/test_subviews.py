@@ -7,6 +7,7 @@ from bvc import oracle
 from bvc.graph import Matching, SubgraphView, gen_random
 from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths, maximal_matching
+from bvc.primitives import elect_leader_and_bfs
 from bvc.repair import det_cover_low_diameter
 
 
@@ -33,7 +34,8 @@ def test_layered_cover_on_subview():
         k = 2
         m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
         assert oracle.shortest_aug_path_len(view, m) >= 2 * k + 1
-        cover, _ = koenig_approx_cover(g, view, m, k, seed=seed)
+        forest, _ = elect_leader_and_bfs(g)
+        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest, seed=seed)
         assert cover.is_valid()
         assert k * cover.size <= (k + 1) * m.size
 
