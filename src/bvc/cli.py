@@ -70,9 +70,9 @@ _DEFAULTS = {
 }
 
 
-def load_graph(spec: str, seed: int = 0) -> BipartiteGraph:
+def load_graph(spec: str) -> BipartiteGraph:
     if spec.startswith("gen:"):
-        return graph_from_spec(spec[4:], seed=seed)
+        return graph_from_spec(spec[4:])
     return read_graph(spec)
 
 
@@ -127,7 +127,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         )
         stats.add_sequential(elim_stats)
         cover, cover_stats = koenig_approx_cover(
-            graph, view, matching, k, forest=forest, seed=seed + 1, bandwidth=bandwidth
+            graph, view, matching, k, forest=forest, bandwidth=bandwidth
         )
         stats.add_sequential(cover_stats)
         record["cover_size"] = cover.size
@@ -143,20 +143,16 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         valid = cover.is_valid() and oracle.clusters_separated(graph, cluster_set)
     elif pipeline == "det-low-diam":
         record["params"]["eps"] = eps
-        cover, stats = det_cover_low_diameter(graph, view, eps, seed=seed, bandwidth=bandwidth)
+        cover, stats = det_cover_low_diameter(graph, view, eps, bandwidth=bandwidth)
         record["cover_size"] = cover.size
         valid = cover.is_valid()
     elif pipeline == "clustering-only":
         lam = float(config["lam"]) if config.get("lam") else eps / 4.0
         record["params"]["lam"] = lam
         assignment, stats = mpx_partition(graph, lam, seed=seed, bandwidth=bandwidth)
-        cluster_set, shrink_stats = shrink_partition(
-            graph, assignment, seed=seed + 1, bandwidth=bandwidth
-        )
+        cluster_set, shrink_stats = shrink_partition(graph, assignment, bandwidth=bandwidth)
         stats.add_sequential(shrink_stats)
-        stats.add_sequential(
-            build_cluster_trees(graph, cluster_set, seed=seed + 2, bandwidth=bandwidth)
-        )
+        stats.add_sequential(build_cluster_trees(graph, cluster_set, bandwidth=bandwidth))
         extra["clusters"] = len(cluster_set.clusters())
         extra["max_tree_height"] = cluster_set.max_tree_height()
         extra["congestion"] = cluster_set.congestion

@@ -172,18 +172,12 @@ def shrink_partition(
     graph: BipartiteGraph,
     assignment: dict[int, int],
     *,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[ClusterSet, RoundStats]:
     """3-hop separated clusters: survivors kept all their neighbors, so
     nodes of different clusters cannot share a neighbor."""
     outputs, stats = run(
-        ShrinkProgram(),
-        graph,
-        seed=seed,
-        bandwidth=bandwidth,
-        inputs=assignment,
-        phase="shrink",
+        ShrinkProgram(), graph, bandwidth=bandwidth, inputs=assignment, phase="shrink"
     )
     return ClusterSet(members=dict(outputs), origin=dict(assignment)), stats
 
@@ -242,7 +236,6 @@ def build_cluster_trees(
     graph: BipartiteGraph,
     cluster_set: ClusterSet,
     *,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> RoundStats:
     """Fill in the spanning trees; every graph edge serves at most one
@@ -255,7 +248,6 @@ def build_cluster_trees(
     outputs, stats = run(
         TreeBuildProgram(),
         graph,
-        seed=seed,
         bandwidth=bandwidth,
         inputs=cluster_set.origin,
         allow_quiescence=True,
@@ -363,12 +355,7 @@ def combine_with_clusters(
     stats = RoundStats()
 
     outputs, ext_stats = run(
-        ExtendProgram(),
-        graph,
-        seed=derive_seed(seed, 61),
-        bandwidth=bw,
-        inputs=cluster_set.members,
-        phase="extend",
+        ExtendProgram(), graph, bandwidth=bw, inputs=cluster_set.members, phase="extend"
     )
     stats.add_sequential(ext_stats)
 
@@ -415,7 +402,7 @@ def combine_with_clusters(
         )
         st_i.add_sequential(elim_stats)
         cover_i, cover_stats = koenig_approx_cover(
-            sub_graph, sub_view, m1, k, forest=forest, seed=derive_seed(sub_seed, 2), bandwidth=bw
+            sub_graph, sub_view, m1, k, forest=forest, bandwidth=bw
         )
         st_i.add_sequential(cover_stats)
         inner_stats.append(st_i)
@@ -450,14 +437,10 @@ def randomized_pipeline(
     )
     stats.add_sequential(mpx_stats)
 
-    cluster_set, shrink_stats = shrink_partition(
-        graph, assignment, seed=derive_seed(seed, 73), bandwidth=bandwidth
-    )
+    cluster_set, shrink_stats = shrink_partition(graph, assignment, bandwidth=bandwidth)
     stats.add_sequential(shrink_stats)
 
-    tree_stats = build_cluster_trees(
-        graph, cluster_set, seed=derive_seed(seed, 74), bandwidth=bandwidth
-    )
+    tree_stats = build_cluster_trees(graph, cluster_set, bandwidth=bandwidth)
     stats.add_sequential(tree_stats)
 
     cover, comb_stats = combine_with_clusters(

@@ -74,7 +74,6 @@ def compute_partition(
     matching: Matching,
     k: int,
     *,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[LayerPartition, RoundStats]:
     """Distributed layering to depth 2k, classified per node.
@@ -85,7 +84,7 @@ def compute_partition(
     if k < 1:
         raise InvalidParam("k must be >= 1")
     layering, stats = alternating_bfs(
-        graph, view, matching, 2 * k, seed=seed, bandwidth=bandwidth, phase="partition"
+        graph, view, matching, 2 * k, bandwidth=bandwidth, phase="partition"
     )
     witness = min((lv for _, lv in layering.witnesses(view, matching, below=2 * k)), default=None)
     if witness is not None:
@@ -100,7 +99,6 @@ def koenig_approx_cover(
     k: int,
     *,
     forest: BfsForest,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[VertexCover, RoundStats]:
     """Cover of size at most (1 + 1/k) times the matching size, given a
@@ -111,9 +109,7 @@ def koenig_approx_cover(
     against the componentwise argmin index (ties to the smallest index).
     """
     stats = RoundStats()
-    partition, part_stats = compute_partition(
-        graph, view, matching, k, seed=derive_seed(seed, 102), bandwidth=bandwidth
-    )
+    partition, part_stats = compute_partition(graph, view, matching, k, bandwidth=bandwidth)
     stats.add_sequential(part_stats)
 
     values = {}
@@ -129,7 +125,6 @@ def koenig_approx_cover(
         values,
         combine="sum",
         value_width=id_bits(graph.n) + 1,
-        seed=derive_seed(seed, 103),
         bandwidth=bandwidth,
         view=view,
         phase="class-sizes",
@@ -164,7 +159,7 @@ def koenig_exact_cover(
     layering = None
     for attempt in range(2 * graph.n + 2):
         shortest, layering, check_stats = witness_check(
-            graph, view, matching, forest, seed=derive_seed(seed, 300 + attempt), bandwidth=bandwidth
+            graph, view, matching, forest, bandwidth=bandwidth
         )
         stats.add_sequential(check_stats)
         if shortest is None:

@@ -356,7 +356,7 @@ def select_disjoint_paths(
         PathSelectProgram(d, deterministic),
         graph,
         view,
-        seed=seed,
+        seed=None if deterministic else seed,
         bandwidth=bandwidth,
         inputs=layering.dag_inputs(graph, matching),
         allow_quiescence=True,
@@ -405,7 +405,7 @@ def eliminate_short_aug_paths(
     while d <= 2 * k - 1:
         if checked:
             shortest, _, check_stats = witness_check(
-                graph, view, matching, forest, seed=derive_seed(seed, 5000 + i), bandwidth=bandwidth
+                graph, view, matching, forest, bandwidth=bandwidth
             )
             stats.add_sequential(check_stats)
             if shortest is None or shortest > 2 * k - 1:
@@ -414,13 +414,7 @@ def eliminate_short_aug_paths(
                 raise ShortAugPathWitness(f"augmenting path of length {shortest} < {d}")
             d = shortest
         layering, bfs_stats = alternating_bfs(
-            graph,
-            view,
-            matching,
-            d,
-            seed=derive_seed(seed, 2 * i),
-            bandwidth=bandwidth,
-            phase=f"bfs[d={d}]",
+            graph, view, matching, d, bandwidth=bandwidth, phase=f"bfs[d={d}]"
         )
         stats.add_sequential(bfs_stats)
         for v, lv in layering.witnesses(view, matching, below=d):

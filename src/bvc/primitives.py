@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .graph import SIDE_A, SIDE_B, BipartiteGraph, Matching, SubgraphView
-from .runtime import Msg, NodeProgram, RoundStats, derive_seed, frame_count, id_bits, run
+from .runtime import Msg, NodeProgram, RoundStats, frame_count, id_bits, run
 
 INF = math.inf
 
@@ -286,7 +286,6 @@ def pipelined_aggregate(
     *,
     combine: str = "sum",
     value_width: int | None = None,
-    seed: int = 0,
     bandwidth: int | None = None,
     view: SubgraphView | None = None,
     phase: str = "aggregate",
@@ -301,9 +300,7 @@ def pipelined_aggregate(
         tree = forest.tree_of(v)
         inputs[v] = (tree.parent[v], tree.depth[v], tree.height, kids[v], values[v])
     program = AggregateProgram(k, combine, vw)
-    return run(
-        program, graph, view, seed=seed, bandwidth=bandwidth, inputs=inputs, phase=phase
-    )
+    return run(program, graph, view, bandwidth=bandwidth, inputs=inputs, phase=phase)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +449,6 @@ def alternating_bfs(
     matching: Matching,
     depth_limit: int,
     *,
-    seed: int = 0,
     bandwidth: int | None = None,
     phase: str = "alt-bfs",
 ) -> tuple[AlternatingLayering, RoundStats]:
@@ -462,7 +458,6 @@ def alternating_bfs(
         AltBfsProgram(depth_limit),
         graph,
         view,
-        seed=seed,
         bandwidth=bandwidth,
         inputs=inputs,
         phase=phase,
@@ -478,7 +473,6 @@ def witness_check(
     matching: Matching,
     forest: BfsForest,
     *,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[int | None, AlternatingLayering, RoundStats]:
     """Full-depth layering plus an aggregated minimum over the levels of
@@ -490,7 +484,6 @@ def witness_check(
         view,
         matching,
         graph.n + 1,
-        seed=derive_seed(seed, 7),
         bandwidth=bandwidth,
         phase="reachability",
     )
@@ -505,7 +498,6 @@ def witness_check(
         values,
         combine="min",
         value_width=width,
-        seed=derive_seed(seed, 8),
         bandwidth=bandwidth,
         view=view,
         phase="witness-check",

@@ -42,7 +42,7 @@ from .primitives import (
     level_dag,
     pipelined_aggregate,
 )
-from .runtime import Msg, NodeProgram, RoundStats, derive_seed, frame_count, id_bits, run
+from .runtime import Msg, NodeProgram, RoundStats, frame_count, id_bits, run
 
 INF = math.inf
 
@@ -165,7 +165,6 @@ def view_max_degree_aggregate(
     view: SubgraphView,
     forest: BfsForest,
     *,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[int, RoundStats]:
     """All nodes learn the maximum in-view degree via a pipelined max."""
@@ -180,7 +179,6 @@ def view_max_degree_aggregate(
         values,
         combine="max",
         value_width=width,
-        seed=seed,
         bandwidth=bandwidth,
         view=view,
         phase="max-degree",
@@ -195,7 +193,6 @@ def count_paths(
     d: int,
     *,
     delta: int,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[PathCounts, RoundStats]:
     """Count length-d augmenting paths through free nodes and matching
@@ -213,7 +210,7 @@ def count_paths(
         raise InvalidParam("d must be a positive odd integer")
     stats = RoundStats()
     layering, bfs_stats = alternating_bfs(
-        graph, view, matching, d, seed=derive_seed(seed, 13), bandwidth=bandwidth, phase="layering"
+        graph, view, matching, d, bandwidth=bandwidth, phase="layering"
     )
     stats.add_sequential(bfs_stats)
     for v, lv in layering.witnesses(view, matching, below=d):
@@ -223,7 +220,6 @@ def count_paths(
         CountSweepProgram(d, delta),
         graph,
         view,
-        seed=derive_seed(seed, 14),
         bandwidth=bandwidth,
         inputs=layering.dag_inputs(graph, matching),
         phase="count-sweeps",
@@ -263,21 +259,15 @@ class AnnounceRemovalProgram(NodeProgram):
         return st, out, True
 
 
-def _announce_removals(graph, view, removed, *, seed, bandwidth) -> RoundStats:
+def _announce_removals(graph, view, removed, *, bandwidth) -> RoundStats:
     inputs = {v: v in removed for v in graph.node_ids}
     _, stats = run(
-        AnnounceRemovalProgram(),
-        graph,
-        view,
-        seed=seed,
-        bandwidth=bandwidth,
-        inputs=inputs,
-        phase="remove",
+        AnnounceRemovalProgram(), graph, view, bandwidth=bandwidth, inputs=inputs, phase="remove"
     )
     return stats
 
 
-def _aggregate_total_paths(graph, view, forest, counts, *, seed, bandwidth):
+def _aggregate_total_paths(graph, view, forest, counts, *, bandwidth):
     """Pipelined sum of the level-0 path counts, so that every node (and
     the driver) knows whether any path remains. Counts are capped into the
     frame width; only zero versus nonzero is consumed."""
@@ -293,7 +283,6 @@ def _aggregate_total_paths(graph, view, forest, counts, *, seed, bandwidth):
         values,
         combine="sum",
         value_width=width + id_bits(graph.n),
-        seed=seed,
         bandwidth=bandwidth,
         view=view,
         phase="remaining-paths",
@@ -308,7 +297,6 @@ def cover_short_paths(
     d: int,
     *,
     forest: BfsForest,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[set[int], RoundStats]:
     """Remove a small node set that hits every length-d augmenting path;
@@ -321,9 +309,7 @@ def cover_short_paths(
     nodes are always removed together with their partners.
     """
     stats = RoundStats()
-    delta, deg_stats = view_max_degree_aggregate(
-        graph, view, forest, seed=derive_seed(seed, 22), bandwidth=bandwidth
-    )
+    delta, deg_stats = view_max_degree_aggregate(graph, view, forest, bandwidth=bandwidth)
     stats.add_sequential(deg_stats)
     if delta == 0:
         return set(), stats
@@ -335,14 +321,11 @@ def cover_short_paths(
     phases = _ceil_log2_pow(delta, d) + 1
     positions = [0] + list(range(1, d - 1, 2)) + [d]
     base = view.base
-    counter = 100
 
-    counts, c_stats = count_paths(
-        graph, residual, m_bar, d, delta=delta, seed=derive_seed(seed, 99), bandwidth=bandwidth
-    )
+    counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta, bandwidth=bandwidth)
     stats.add_sequential(c_stats)
     remaining, agg_stats = _aggregate_total_paths(
-        graph, residual, forest, counts, seed=derive_seed(seed, 98), bandwidth=bandwidth
+        graph, residual, forest, counts, bandwidth=bandwidth
     )
     stats.add_sequential(agg_stats)
     if remaining == 0:
@@ -351,15 +334,8 @@ def cover_short_paths(
     for i in range(1, phases + 1):
         phase_checked = False
         for pos in positions:
-            counter += 1
             counts, c_stats = count_paths(
-                graph,
-                residual,
-                m_bar,
-                d,
-                seed=derive_seed(seed, counter),
-                bandwidth=bandwidth,
-                delta=delta,
+                graph, residual, m_bar, d, delta=delta, bandwidth=bandwidth
             )
             stats.add_sequential(c_stats)
             if not phase_checked:
@@ -389,26 +365,16 @@ def cover_short_paths(
                         batch.add(v)
             if batch:
                 stats.add_sequential(
-                    _announce_removals(
-                        graph, residual, batch, seed=derive_seed(seed, counter + 7000), bandwidth=bandwidth
-                    )
+                    _announce_removals(graph, residual, batch, bandwidth=bandwidth)
                 )
                 removed |= batch
                 residual = residual.without_nodes(batch)
                 m_bar = m_bar.restricted_to(residual)
 
-        counts, c_stats = count_paths(
-            graph,
-            residual,
-            m_bar,
-            d,
-            seed=derive_seed(seed, 9000 + i),
-            bandwidth=bandwidth,
-            delta=delta,
-        )
+        counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta, bandwidth=bandwidth)
         stats.add_sequential(c_stats)
         remaining, agg_stats = _aggregate_total_paths(
-            graph, residual, forest, counts, seed=derive_seed(seed, 9500 + i), bandwidth=bandwidth
+            graph, residual, forest, counts, bandwidth=bandwidth
         )
         stats.add_sequential(agg_stats)
         if remaining == 0:
@@ -439,7 +405,6 @@ def repair_matching(
     k: int,
     *,
     forest: BfsForest,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[RepairResult, Matching, RoundStats]:
     """Delete nodes until the restriction of `matching` to the remaining
@@ -458,15 +423,9 @@ def repair_matching(
     per_stage = []
     residual = view
     m_bar = matching
-    for idx, d in enumerate(range(1, 2 * k, 2)):
+    for d in range(1, 2 * k, 2):
         f_i, c_stats = cover_short_paths(
-            graph,
-            residual,
-            m_bar,
-            d,
-            seed=derive_seed(seed, 50 + idx),
-            bandwidth=bandwidth,
-            forest=forest,
+            graph, residual, m_bar, d, forest=forest, bandwidth=bandwidth
         )
         phases_used = sum(1 for label, _ in c_stats.per_phase if label == "remaining-paths")
         stats.add_sequential(c_stats)
@@ -488,7 +447,6 @@ def det_cover_low_diameter(
     view: SubgraphView,
     eps: float,
     *,
-    seed: int = 0,
     bandwidth: int | None = None,
 ) -> tuple[VertexCover, RoundStats]:
     """Deterministic cover within (1 + eps) of optimal: an approximation
@@ -504,9 +462,7 @@ def det_cover_low_diameter(
     k_prime = math.ceil(2.0 / eps)
     forest, elect_stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
     stats.add_sequential(elect_stats)
-    delta, deg_stats = view_max_degree_aggregate(
-        graph, view, forest, seed=derive_seed(seed, 42), bandwidth=bandwidth
-    )
+    delta, deg_stats = view_max_degree_aggregate(graph, view, forest, bandwidth=bandwidth)
     stats.add_sequential(deg_stats)
     alpha = repair_alpha(k_prime, delta)
     delta_acc = eps / (2.0 * alpha)
@@ -515,7 +471,6 @@ def det_cover_low_diameter(
         graph,
         view,
         delta_acc,
-        seed=derive_seed(seed, 43),
         bandwidth=bandwidth,
         deterministic=True,
         forest=forest,
@@ -528,7 +483,6 @@ def det_cover_low_diameter(
         m_prime,
         k_prime,
         forest=forest,
-        seed=derive_seed(seed, 44),
         bandwidth=bandwidth,
     )
     stats.add_sequential(repair_stats)
@@ -540,7 +494,6 @@ def det_cover_low_diameter(
         m_bar,
         k_prime,
         forest=forest,
-        seed=derive_seed(seed, 45),
         bandwidth=bandwidth,
     )
     stats.add_sequential(cover_stats)

@@ -6,6 +6,11 @@ are fragmented transparently and arrive once their last frame has been
 transmitted. Identical (program, graph, view, seed, bandwidth) inputs give
 bit-identical outputs and statistics.
 
+Randomness is per node and per round, derived from the run's seed. Only
+programs that draw need a seed: a run is unseeded by default, and a draw
+in an unseeded run raises ProgramFault, so a deterministic phase is
+draw-free by check, not by convention.
+
 Nodes may sleep: a step may return a fourth element `wake_at` (a future
 round, or None for "wake only on message"). A sleeping node is woken early
 whenever a message arrives. This only skips steps the program declares to
@@ -51,11 +56,12 @@ class _LazyRng:
     """The random stream of the node being stepped, keyed by (seed, node,
     round). The engine re-arms one instance before every step; the stream
     itself is derived only when the step first draws, since most draw
-    nothing. Valid only during that step."""
+    nothing. Valid only during that step. Without a seed, a draw raises
+    ProgramFault."""
 
     __slots__ = ("_seed", "_node", "_rnd", "_rng")
 
-    def __init__(self, seed: int):
+    def __init__(self, seed: int | None):
         self._seed = seed
         self.arm(0, 0)
 
@@ -65,6 +71,10 @@ class _LazyRng:
         self._rng = None
 
     def __getattr__(self, name):
+        if self._seed is None:
+            raise ProgramFault(
+                f"node {self._node} drew randomness in round {self._rnd} of an unseeded run"
+            )
         if self._rng is None:
             self._rng = random.Random(derive_seed(self._seed, self._node, self._rnd))
         return getattr(self._rng, name)
@@ -211,7 +221,7 @@ def run(
     graph: BipartiteGraph,
     view: SubgraphView | None = None,
     *,
-    seed: int = 0,
+    seed: int | None = None,
     bandwidth: int | None = None,
     round_cap: int = 1_000_000,
     inputs: dict | None = None,
@@ -230,7 +240,8 @@ def run(
             force-halts everyone; used by algorithms that converge without
             an explicit termination signal).
         ProgramFault: a node's init/step/output raised, or a step sent to a
-            non-neighbor, sent a non-Msg, or asked to wake in the past.
+            non-neighbor, sent a non-Msg, asked to wake in the past, or drew
+            randomness in a run without a seed.
     """
     if view is None:
         view = SubgraphView.whole(graph)
@@ -322,6 +333,8 @@ def run(
             rng.arm(v, rnd)
             try:
                 result = step(ctxs[v], states[v], inbox, rnd, rng)
+            except ProgramFault:
+                raise
             except Exception as exc:  # noqa: BLE001
                 raise ProgramFault(f"step failed at node {v}, round {rnd}: {exc!r}") from exc
             if len(result) == 3:

@@ -112,12 +112,12 @@ def test_criterion_2_layered_cover_bound():
         track(m_stats, default_bandwidth(g.n))
         forest, e_stats = elect_leader_and_bfs(g)
         track(e_stats, default_bandwidth(g.n))
-        cover, stats = koenig_approx_cover(g, view, m, k, forest=forest, seed=3000 + i)
+        cover, stats = koenig_approx_cover(g, view, m, k, forest=forest)
         track(stats, default_bandwidth(g.n))
         assert cover.is_valid(), f"instance {i}: invalid cover"
         assert k * cover.size <= (k + 1) * m.size, f"instance {i}: bound failed"
         # Size identity |C| = |M| + |B'(i*)|, componentwise stars summed.
-        partition, _ = compute_partition(g, view, m, k, seed=3000 + i)
+        partition, _ = compute_partition(g, view, m, k)
         expected = m.size
         for comp in g.components():
             comp_set = set(comp)
@@ -165,7 +165,7 @@ def test_criterion_3_path_count_oracle_equivalence():
         collected[d] += 1
     per_d = {1: 0, 3: 0, 5: 0}
     for i, (g, view, m, d) in enumerate(cases):
-        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree(), seed=4000 + i)
+        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree())
         track(stats, default_bandwidth(g.n))
         expected = oracle.enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
@@ -199,7 +199,7 @@ def test_criterion_4_repair_bounds():
         opt = len(best_edges)
         forest, e_stats = elect_leader_and_bfs(g)
         track(e_stats, default_bandwidth(g.n))
-        result, m_bar, stats = repair_matching(g, view, m, k, forest=forest, seed=5000 + i)
+        result, m_bar, stats = repair_matching(g, view, m, k, forest=forest)
         track(stats, default_bandwidth(g.n))
         residual = view.without_nodes(result.s1)
         shortest = oracle.shortest_aug_path_len(residual, m_bar)
@@ -227,7 +227,7 @@ def test_criterion_5_det_pipeline():
             na = rng.randint(8, 60)
         g = gen_random(na, rng.randint(max(4, na // 2), na), min(1.0, 2.2 / na), rng.randrange(1 << 30))
         view = whole(g)
-        cover, stats = det_cover_low_diameter(g, view, eps, seed=6000 + i)
+        cover, stats = det_cover_low_diameter(g, view, eps)
         track(stats, default_bandwidth(g.n))
         opt = oracle.min_vc_oracle(view).size
         assert cover.is_valid(), f"instance {i}: invalid"
@@ -371,7 +371,7 @@ def test_criterion_8a_cover_rounds_linear_in_diameter():
         view = whole(g)
         m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=7)
         forest, stats = elect_leader_and_bfs(g)
-        cover, cover_stats = koenig_approx_cover(g, view, m, k, forest=forest, seed=8)
+        cover, cover_stats = koenig_approx_cover(g, view, m, k, forest=forest)
         stats.add_sequential(cover_stats)
         track(stats, default_bandwidth(g.n))
         bound = 8 * (d_target + k) + 20
@@ -441,9 +441,7 @@ def test_criterion_8c_count_rounds_quadratic():
         m = Matching(m_edges, view)
         assert oracle.shortest_aug_path_len(view, m) == d
         bw = (g.n - 1).bit_length() + 4  # smallest bandwidth the engine allows
-        counts, stats = count_paths(
-            g, view, m, d, delta=view.max_view_degree(), seed=1, bandwidth=bw
-        )
+        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree(), bandwidth=bw)
         track(stats, bw)
         rows.append((d, stats.rounds, dict(stats.per_phase)))
     floor = rows[0][1]
@@ -496,7 +494,7 @@ def test_criterion_9_bandwidth_and_determinism(big_runs):
     view = whole(g)
     for fn in (
         lambda s: koenig_exact_cover(g, view, seed=s),
-        lambda s: det_cover_low_diameter(g, view, 0.5, seed=s),
+        lambda s: det_cover_low_diameter(g, view, 0.5),
     ):
         c1, s1 = fn(77)
         c2, s2 = fn(77)

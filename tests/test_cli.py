@@ -206,6 +206,17 @@ def test_run_with_bad_graph_file_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+def test_det_low_diam_is_seed_independent(capsys):
+    """The deterministic pipeline runs unseeded (a draw would fault), so
+    every seed gives the same cover and costs."""
+    spec = "gen:random:na=12,nb=12,p=0.2"
+    rc = main(["run", "--pipeline", "det-low-diam", "--graph", spec, "--repeat", "2"])
+    first, second = [json.loads(line) for line in capsys.readouterr().out.splitlines()]
+    assert rc == 0 and (first["seed"], second["seed"]) == (0, 1)
+    for key in ("cover_size", "rounds", "total_bits"):
+        assert first[key] == second[key], key
+
+
 def test_corpus_replays_bit_identically():
     records = [json.loads(line) for line in CORPUS.read_text().splitlines() if line.strip()]
     assert {r["pipeline"] for r in records} == set(PIPELINES)
@@ -225,7 +236,7 @@ def test_pipelines_elect_once(monkeypatch):
     def elections(stats):
         return sum(1 for label, _ in stats.per_phase if label == "elect-bfs")
 
-    _, stats = det_cover_low_diameter(g, view, 0.5, seed=0)
+    _, stats = det_cover_low_diameter(g, view, 0.5)
     assert elections(stats) == 1
     # On this path the exact cover's doubling reaches an elimination of
     # more than 12 phases, which runs its shortest-length checks over the

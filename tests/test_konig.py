@@ -48,7 +48,7 @@ def test_partition_p4_k1():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    partition, _ = compute_partition(g, view, m, 1, seed=1)
+    partition, _ = compute_partition(g, view, m, 1)
     assert partition.a_class == {0: 0, 2: 1}
     assert partition.b_class == {1: 1, 3: INF}
 
@@ -57,7 +57,7 @@ def test_partition_p4_maximum_k2():
     g = gen_path(4)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    partition, _ = compute_partition(g, view, m, 2, seed=1)
+    partition, _ = compute_partition(g, view, m, 2)
     assert all(c == INF for c in partition.a_class.values())
     assert all(c == INF for c in partition.b_class.values())
 
@@ -67,14 +67,14 @@ def test_partition_witness_raises():
     view = whole(g)
     m = Matching([(1, 2)], view)
     with pytest.raises(ShortAugPathWitness):
-        compute_partition(g, view, m, 2, seed=1)
+        compute_partition(g, view, m, 2)
 
 
 def test_candidate_cover_p4():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    partition, _ = compute_partition(g, view, m, 1, seed=1)
+    partition, _ = compute_partition(g, view, m, 1)
     cover = candidate_cover(view, partition, 1)
     assert cover.nodes == {1, 2}
     assert cover.size == m.size + b_class_sizes(partition)[0]
@@ -84,7 +84,7 @@ def test_candidate_cover_single_matched_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
     m = Matching([(0, 1)], view)
-    partition, _ = compute_partition(g, view, m, 1, seed=1)
+    partition, _ = compute_partition(g, view, m, 1)
     cover = candidate_cover(view, partition, 1)
     assert cover.nodes == {0}
 
@@ -93,7 +93,7 @@ def test_candidate_cover_k23_maximum():
     g = gen_complete(2, 3)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    partition, _ = compute_partition(g, view, m, 1, seed=1)
+    partition, _ = compute_partition(g, view, m, 1)
     cover = candidate_cover(view, partition, 1)
     assert cover.nodes == {0, 1}
 
@@ -104,7 +104,7 @@ def test_all_candidates_are_covers():
         view = whole(g)
         for k in (1, 2, 3):
             m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
-            partition, _ = compute_partition(g, view, m, k, seed=seed)
+            partition, _ = compute_partition(g, view, m, k)
             for s in range(1, k + 1):
                 candidate_cover(view, partition, s)  # validates internally
             # All B-classes 1..k hold matched nodes only.
@@ -121,7 +121,7 @@ def test_approx_cover_p4_k1():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    cover, _ = koenig_approx_cover(g, view, m, 1, forest=forest(g), seed=1)
+    cover, _ = koenig_approx_cover(g, view, m, 1, forest=forest(g))
     assert cover.is_valid()
     assert cover.size <= 2 * m.size
 
@@ -132,11 +132,11 @@ def test_approx_cover_bound_and_identity():
         view = whole(g)
         for k in (1, 2, 3):
             m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
-            cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g), seed=seed)
+            cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g))
             assert cover.is_valid()
             assert k * cover.size <= (k + 1) * m.size
             # Size identity, componentwise stars summed.
-            partition, _ = compute_partition(g, view, m, k, seed=seed)
+            partition, _ = compute_partition(g, view, m, k)
             total = m.size
             for comp in g.components():
                 comp_set = set(comp)
@@ -158,14 +158,14 @@ def test_approx_cover_with_maximum_matching_is_optimal():
         view = whole(g)
         m = oracle.max_matching_oracle(view)
         k = max(1, m.size)
-        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g), seed=seed)
+        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g))
         assert cover.size == m.size
 
 
 def test_approx_cover_empty_view():
     g = build_graph([], extra_nodes=[0, 1, 2])
     view = whole(g)
-    cover, _ = koenig_approx_cover(g, view, Matching([], view), 2, forest=forest(g), seed=1)
+    cover, _ = koenig_approx_cover(g, view, Matching([], view), 2, forest=forest(g))
     assert cover.size == 0
 
 
@@ -199,6 +199,6 @@ def test_approx_cover_round_bound():
         m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=3)
         d = oracle.diameter(g)
         f, stats = elect_leader_and_bfs(g)
-        _, cover_stats = koenig_approx_cover(g, view, m, k, forest=f, seed=3)
+        _, cover_stats = koenig_approx_cover(g, view, m, k, forest=f)
         stats.add_sequential(cover_stats)
         assert stats.rounds <= 8 * (d + k) + 20

@@ -33,7 +33,7 @@ def whole(g):
 def find_disjoint_aug_paths(g, view, m, d, *, seed=0):
     """A maximal set of vertex-disjoint length-d augmenting paths: one
     layering to depth d, checked free of shorter paths, then one selection."""
-    layering, _ = alternating_bfs(g, view, m, d, seed=derive_seed(seed, 1))
+    layering, _ = alternating_bfs(g, view, m, d)
     assert not list(layering.witnesses(view, m, below=d))
     _, paths, _ = select_disjoint_paths(g, view, m, d, layering, seed=derive_seed(seed, 2))
     return paths
@@ -149,7 +149,7 @@ def test_select_augments_by_path_count():
         g = gen_random(10, 10, 0.3, seed)
         view = whole(g)
         m = Matching([], view)
-        layering, _ = alternating_bfs(g, view, m, 1, seed=seed)
+        layering, _ = alternating_bfs(g, view, m, 1)
         flipped, paths, _ = select_disjoint_paths(g, view, m, 1, layering, seed=seed)
         assert flipped.size == m.size + len(paths)
 

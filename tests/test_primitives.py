@@ -90,7 +90,7 @@ def test_aggregate_sum_path():
     g = gen_path(5)
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (1,) for v in g.node_ids}
-    results, stats = pipelined_aggregate(g, forest, values, combine="sum", seed=1)
+    results, stats = pipelined_aggregate(g, forest, values, combine="sum")
     assert all(results[v] == (5,) for v in g.node_ids)
     height = forest.trees[0].height
     assert stats.rounds <= 2 * (height + 1) + 8
@@ -100,7 +100,7 @@ def test_aggregate_star_three_values():
     g = gen_complete(1, 4)  # star with center 0
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (1, 0, 2) if v != 0 else (0, 0, 0) for v in g.node_ids}
-    results, _ = pipelined_aggregate(g, forest, values, combine="sum", seed=1)
+    results, _ = pipelined_aggregate(g, forest, values, combine="sum")
     assert results[0] == (4, 0, 8)
 
 
@@ -108,7 +108,7 @@ def test_aggregate_min_idempotent():
     g = gen_path(6)
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (7, 3) for v in g.node_ids}
-    results, _ = pipelined_aggregate(g, forest, values, combine="min", seed=1)
+    results, _ = pipelined_aggregate(g, forest, values, combine="min")
     assert all(results[v] == (7, 3) for v in g.node_ids)
 
 
@@ -120,7 +120,7 @@ def test_aggregate_matches_sequential_sums():
     forest, _ = elect_leader_and_bfs(g)
     k = 4
     values = {v: tuple(rng.randrange(16) for _ in range(k)) for v in g.node_ids}
-    results, _ = pipelined_aggregate(g, forest, values, combine="sum", seed=1)
+    results, _ = pipelined_aggregate(g, forest, values, combine="sum")
     for comp in g.components():
         expected = tuple(sum(values[v][j] for v in comp) for j in range(k))
         for v in comp:
@@ -131,7 +131,7 @@ def test_aggregate_per_component():
     g = gen_disjoint_edges(3)
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (v,) for v in g.node_ids}
-    results, _ = pipelined_aggregate(g, forest, values, combine="max", seed=1)
+    results, _ = pipelined_aggregate(g, forest, values, combine="max")
     assert results[0] == (1,)
     assert results[4] == (5,)
 
@@ -144,7 +144,7 @@ def test_alt_bfs_p4():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    layering, stats = alternating_bfs(g, view, m, 4, seed=1)
+    layering, stats = alternating_bfs(g, view, m, 4)
     assert layering.level == {0: 0, 1: 1, 2: 2, 3: 3}
     assert stats.rounds <= 4 + 5
 
@@ -153,14 +153,14 @@ def test_alt_bfs_maximum_matching_no_free_a():
     g = gen_path(4)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    layering, _ = alternating_bfs(g, view, m, 4, seed=1)
+    layering, _ = alternating_bfs(g, view, m, 4)
     assert layering.level == {}
 
 
 def test_alt_bfs_free_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
-    layering, _ = alternating_bfs(g, view, Matching([]), 2, seed=1)
+    layering, _ = alternating_bfs(g, view, Matching([]), 2)
     assert layering.level == {0: 0, 1: 1}
 
 
@@ -168,7 +168,7 @@ def test_alt_bfs_depth_limit():
     g = gen_path(6)
     view = whole(g)
     m = Matching([(1, 2), (3, 4)], view)
-    layering, _ = alternating_bfs(g, view, m, 2, seed=1)
+    layering, _ = alternating_bfs(g, view, m, 2)
     assert layering.level == {0: 0, 1: 1, 2: 2}
 
 
@@ -179,7 +179,7 @@ def test_alt_bfs_matches_oracle_levels():
         m_edges = sorted(oracle.max_matching_oracle(view).edges)
         m = Matching(m_edges[: len(m_edges) * 2 // 3], view)
         depth = 2 * g.n
-        layering, _ = alternating_bfs(g, view, m, depth, seed=seed)
+        layering, _ = alternating_bfs(g, view, m, depth)
         expected = oracle.alternating_levels(view, m)
         assert layering.level == expected
 
@@ -188,6 +188,6 @@ def test_alt_bfs_neighbor_levels_exchange():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    layering, _ = alternating_bfs(g, view, m, 4, seed=1)
+    layering, _ = alternating_bfs(g, view, m, 4)
     assert layering.neighbor_levels[1] == {0: 0, 2: 2}
     assert layering.neighbor_levels[0] == {1: 1}

@@ -48,7 +48,7 @@ def weakened(view, drop):
 def test_count_single_free_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
-    counts, _ = count_paths(g, view, Matching([], view), 1, delta=view.max_view_degree(), seed=1)
+    counts, _ = count_paths(g, view, Matching([], view), 1, delta=view.max_view_degree())
     assert counts.p_node == {0: 1, 1: 1}
     assert counts.total == 1
 
@@ -57,7 +57,7 @@ def test_count_p4():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree(), seed=1)
+    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree())
     assert counts.p_node[0] == 1
     assert counts.p_node[3] == 1
     assert counts.p_edge[(1, 2)] == 1
@@ -67,7 +67,7 @@ def test_count_shared_middle_edge():
     g = build_graph([(0, 4), (2, 4), (4, 5), (5, 6)])
     view = whole(g)
     m = Matching([(4, 5)], view)
-    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree(), seed=1)
+    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree())
     assert counts.p_edge[(4, 5)] == 2
     assert counts.p_node[0] == 1
     assert counts.p_node[2] == 1
@@ -78,7 +78,7 @@ def test_count_precondition():
     g = gen_path(4)
     view = whole(g)
     with pytest.raises(ShorterPathExists):
-        count_paths(g, view, Matching([(1, 2)], view), 5, delta=view.max_view_degree(), seed=1)
+        count_paths(g, view, Matching([(1, 2)], view), 5, delta=view.max_view_degree())
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -99,7 +99,7 @@ def test_count_matches_oracle(d):
         if oracle.shortest_aug_path_len(view, m) != d:
             continue
         hits += 1
-        counts, _ = count_paths(g, view, m, d, delta=view.max_view_degree(), seed=seed)
+        counts, _ = count_paths(g, view, m, d, delta=view.max_view_degree())
         expected = oracle.enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
             assert counts.p_node.get(v, 0) == c, f"node {v}"
@@ -119,7 +119,7 @@ def test_count_matches_oracle(d):
 def test_cover_single_edge_d1():
     g = build_graph([(0, 1)])
     view = whole(g)
-    s_h, _ = cover_short_paths(g, view, Matching([], view), 1, forest=forest(g), seed=1)
+    s_h, _ = cover_short_paths(g, view, Matching([], view), 1, forest=forest(g))
     assert len(s_h) == 1
     residual = view.without_nodes(s_h)
     assert oracle.shortest_aug_path_len(residual, Matching([], residual)) == INF
@@ -129,7 +129,7 @@ def test_cover_no_paths():
     g = gen_path(4)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    s_h, _ = cover_short_paths(g, view, m, 3, forest=forest(g), seed=1)
+    s_h, _ = cover_short_paths(g, view, m, 3, forest=forest(g))
     assert s_h == set()
 
 
@@ -137,7 +137,7 @@ def test_cover_p4_d3():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    s_h, _ = cover_short_paths(g, view, m, 3, forest=forest(g), seed=1)
+    s_h, _ = cover_short_paths(g, view, m, 3, forest=forest(g))
     assert s_h in ({0}, {3}, {1, 2})
     residual = view.without_nodes(s_h)
     m_bar = m.restricted_to(residual)
@@ -152,7 +152,7 @@ def test_cover_pairs_and_bound():
         d = oracle.shortest_aug_path_len(view, m)
         if d is INF or d > 5:
             continue
-        s_h, _ = cover_short_paths(g, view, m, d, forest=forest(g), seed=seed)
+        s_h, _ = cover_short_paths(g, view, m, d, forest=forest(g))
         residual = view.without_nodes(s_h)
         m_bar = m.restricted_to(residual)
         assert oracle.shortest_aug_path_len(residual, m_bar) > d
@@ -171,7 +171,7 @@ def test_repair_maximum_matching_no_removal():
     g = gen_random(8, 8, 0.4, 2)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    result, m_bar, _ = repair_matching(g, view, m, 2, forest=forest(g), seed=3)
+    result, m_bar, _ = repair_matching(g, view, m, 2, forest=forest(g))
     assert result.s1 == set()
     assert m_bar.edges == m.edges
 
@@ -180,7 +180,7 @@ def test_repair_p4_k2():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    result, m_bar, _ = repair_matching(g, view, m, 2, forest=forest(g), seed=3)
+    result, m_bar, _ = repair_matching(g, view, m, 2, forest=forest(g))
     residual = view.without_nodes(result.s1)
     assert oracle.shortest_aug_path_len(residual, m_bar) >= 5
     stages = dict((d, f) for d, f, _ in result.per_stage)
@@ -194,7 +194,7 @@ def test_repair_k1_on_maximal_matching():
     g = gen_random(9, 9, 0.3, 5)
     view = whole(g)
     m, _ = maximal_matching(g, seed=5)
-    result, _, _ = repair_matching(g, view, m, 1, forest=forest(g), seed=5)
+    result, _, _ = repair_matching(g, view, m, 1, forest=forest(g))
     assert result.s1 == set()
 
 
@@ -204,7 +204,7 @@ def test_repair_bounds(k):
         g = gen_random(11, 11, 0.3, seed)
         view = whole(g)
         m, best = weakened(view, 2)
-        result, m_bar, _ = repair_matching(g, view, m, k, forest=forest(g), seed=seed)
+        result, m_bar, _ = repair_matching(g, view, m, k, forest=forest(g))
         residual = view.without_nodes(result.s1)
         assert oracle.shortest_aug_path_len(residual, m_bar) >= 2 * k + 1
         # Unmatched nodes after repair were unmatched before.
@@ -224,7 +224,7 @@ def test_unmatched_preservation_direct():
         g = gen_random(10, 10, 0.35, seed)
         view = whole(g)
         m, _ = weakened(view, 3)
-        result, m_bar, _ = repair_matching(g, view, m, 2, forest=forest(g), seed=seed)
+        result, m_bar, _ = repair_matching(g, view, m, 2, forest=forest(g))
         residual = view.without_nodes(result.s1)
         for v in residual.in_nodes:
             if m.is_matched(v):
@@ -234,7 +234,7 @@ def test_unmatched_preservation_direct():
 def test_det_cover_p4():
     g = gen_path(4)
     view = whole(g)
-    cover, _ = det_cover_low_diameter(g, view, 1.0, seed=1)
+    cover, _ = det_cover_low_diameter(g, view, 1.0)
     assert cover.is_valid()
     assert cover.size <= 4
     assert cover.size <= 3
@@ -243,7 +243,7 @@ def test_det_cover_p4():
 def test_det_cover_k23():
     g = gen_complete(2, 3)
     view = whole(g)
-    cover, _ = det_cover_low_diameter(g, view, 0.5, seed=1)
+    cover, _ = det_cover_low_diameter(g, view, 0.5)
     assert cover.is_valid()
     assert cover.size <= 3
 
@@ -251,7 +251,7 @@ def test_det_cover_k23():
 def test_det_cover_edgeless():
     g = build_graph([], extra_nodes=[0, 1])
     view = whole(g)
-    cover, _ = det_cover_low_diameter(g, view, 0.5, seed=1)
+    cover, _ = det_cover_low_diameter(g, view, 0.5)
     assert cover.size == 0
 
 
@@ -260,7 +260,7 @@ def test_det_cover_bound_random(eps):
     for seed in range(4):
         g = gen_random(12, 12, 0.25, seed)
         view = whole(g)
-        cover, _ = det_cover_low_diameter(g, view, eps, seed=seed)
+        cover, _ = det_cover_low_diameter(g, view, eps)
         assert cover.is_valid()
         opt = oracle.min_vc_oracle(view).size
         assert cover.size <= (1 + eps) * opt + 1e-9
@@ -284,7 +284,7 @@ def test_count_rounds_follow_documented_schedule(d, width):
     w = (delta**d).bit_length()
     floor = (g.n - 1).bit_length() + 4
     for bw in (floor, floor + 7, 64):
-        _, stats = count_paths(g, view, m, d, delta=delta, seed=1, bandwidth=bw)
+        _, stats = count_paths(g, view, m, d, delta=delta, bandwidth=bw)
         phases = dict(stats.per_phase)
         assert phases["layering"] == d + 4
         sweeps = d * (math.ceil((2 + w) / bw) + math.ceil((2 + 2 * w) / bw)) + 1

@@ -160,6 +160,14 @@ def test_determinism_same_seed():
     assert out1 != out3
 
 
+def test_unseeded_draw_faults():
+    g = gen_path(6)
+    with pytest.raises(ProgramFault, match="unseeded"):
+        run(RandomReporter(), g)
+    outputs, _ = run(RandomReporter(), g, seed=0)
+    assert all(len(draws) == 3 for draws in outputs.values())
+
+
 def test_round_cap():
     g = build_graph([(0, 1)])
     with pytest.raises(RoundCapExceeded):

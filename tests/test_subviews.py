@@ -35,7 +35,7 @@ def test_layered_cover_on_subview():
         m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
         assert oracle.shortest_aug_path_len(view, m) >= 2 * k + 1
         forest, _ = elect_leader_and_bfs(g)
-        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest, seed=seed)
+        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest)
         assert cover.is_valid()
         assert k * cover.size <= (k + 1) * m.size
 
@@ -53,7 +53,7 @@ def test_det_pipeline_on_subview():
     for seed in range(3):
         g = gen_random(12, 12, 0.25, seed)
         view = random_subview(g, seed + 300)
-        cover, _ = det_cover_low_diameter(g, view, 0.5, seed=seed)
+        cover, _ = det_cover_low_diameter(g, view, 0.5)
         assert cover.is_valid()
         opt = oracle.min_vc_oracle(view).size
         assert cover.size <= 1.5 * opt + 1e-9
