@@ -25,13 +25,8 @@ class ProgramFault(BvcError):
     """A node program raised during init/step/output."""
 
 
-class ShortAugPathWitness(BvcError):
-    """A free right-side node appeared at an odd layer while the matching
-    was assumed to admit no short augmenting path."""
-
-
 class ShorterPathExists(BvcError):
-    """An augmenting path shorter than the requested length exists."""
+    """An augmenting path shorter than the caller assumed exists."""
 
 
 class DisconnectedCluster(BvcError):

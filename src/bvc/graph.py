@@ -61,9 +61,6 @@ class BipartiteGraph:
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
-    def has_edge(self, u: int, v: int) -> bool:
-        return v in self.adjacency.get(u, ())
-
     def neighbor_sets(self) -> dict[int, frozenset[int]]:
         """node -> its neighbors as a set, built on first use."""
         if self._neighbor_sets is None:

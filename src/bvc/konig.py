@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParam, ShortAugPathWitness
+from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_A, BipartiteGraph, Matching, SubgraphView, VertexCover
 from .matching import eliminate_short_aug_paths
 from .primitives import (
@@ -78,7 +78,7 @@ def compute_partition(
 ) -> tuple[LayerPartition, RoundStats]:
     """Distributed layering to depth 2k, classified per node.
 
-    Raises ShortAugPathWitness if a free B-node shows up at an odd level
+    Raises ShorterPathExists if a free B-node shows up at an odd level
     <= 2k - 1, which certifies an augmenting path the caller assumed away.
     """
     if k < 1:
@@ -88,7 +88,7 @@ def compute_partition(
     )
     witness = min((lv for _, lv in layering.witnesses(view, matching, below=2 * k)), default=None)
     if witness is not None:
-        raise ShortAugPathWitness(f"free B-node at level {witness} <= {2 * k - 1}")
+        raise ShorterPathExists(f"free B-node at level {witness} <= {2 * k - 1}")
     return LayerPartition.from_layering(view, layering, k), stats
 
 

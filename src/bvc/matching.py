@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParam, ShortAugPathWitness
+from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_B, BipartiteGraph, Matching, SubgraphView, edge_key
 from .primitives import (
     AlternatingLayering,
@@ -411,14 +411,14 @@ def eliminate_short_aug_paths(
             if shortest is None or shortest > 2 * k - 1:
                 break
             if shortest < d:
-                raise ShortAugPathWitness(f"augmenting path of length {shortest} < {d}")
+                raise ShorterPathExists(f"augmenting path of length {shortest} < {d}")
             d = shortest
         layering, bfs_stats = alternating_bfs(
             graph, view, matching, d, bandwidth=bandwidth, phase=f"bfs[d={d}]"
         )
         stats.add_sequential(bfs_stats)
         for v, lv in layering.witnesses(view, matching, below=d):
-            raise ShortAugPathWitness(f"free node {v} at level {lv} < {d}")
+            raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
         matching, _, sel_stats = select_disjoint_paths(
             graph,
             view,

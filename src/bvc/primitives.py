@@ -1,5 +1,5 @@
-"""Distributed building blocks: leader election with BFS tree and
-bipartition, pipelined tree aggregation, and parallel alternating-path BFS.
+"""Distributed building blocks: leader election with BFS tree, pipelined
+tree aggregation, and parallel alternating-path BFS.
 
 All of these are node programs for the round-synchronous engine. The leader
 election floods the minimum id together with hop distances and detects
@@ -12,7 +12,7 @@ adopts a larger id, so the first DONE broadcast is always genuine.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import SIDE_A, SIDE_B, BipartiteGraph, Matching, SubgraphView
@@ -34,11 +34,10 @@ class BfsTree:
 
 @dataclass
 class BfsForest:
-    """Per-component BFS trees plus the derived two-sided bipartition."""
+    """Per-component BFS trees."""
 
     trees: dict[int, BfsTree]
     root_of: dict[int, int]
-    side: dict[int, str]
 
     def children(self) -> dict[int, tuple[int, ...]]:
         kids: dict[int, list[int]] = {v: [] for v in self.root_of}
@@ -149,14 +148,13 @@ class LeaderBfsProgram(NodeProgram):
             "parent": None if st["parent"] == ctx.node else st["parent"],
             "depth": st["dist"],
             "height": st["tree_height"],
-            "side": SIDE_A if st["dist"] % 2 == 0 else SIDE_B,
         }
 
 
 def elect_leader_and_bfs(
     graph: BipartiteGraph, *, bandwidth: int | None = None
 ) -> tuple[BfsForest, RoundStats]:
-    """Per-component leader (the minimum id), BFS tree, and bipartition.
+    """Per-component leader (the minimum id) and BFS tree.
 
     The program reads only node ids and graph neighbors and draws no
     randomness, so the forest depends on the graph alone: a pipeline elects
@@ -164,18 +162,16 @@ def elect_leader_and_bfs(
     outputs, stats = run(LeaderBfsProgram(), graph, bandwidth=bandwidth, phase="elect-bfs")
     trees: dict[int, BfsTree] = {}
     root_of: dict[int, int] = {}
-    side: dict[int, str] = {}
     for v, out in outputs.items():
         root = out["leader"]
         root_of[v] = root
-        side[v] = out["side"]
         tree = trees.get(root)
         if tree is None:
             tree = trees[root] = BfsTree(root, {}, {}, 0)
         tree.parent[v] = out["parent"]
         tree.depth[v] = out["depth"]
         tree.height = out["height"]
-    return BfsForest(trees, root_of, side), stats
+    return BfsForest(trees, root_of), stats
 
 
 # ---------------------------------------------------------------------------
@@ -315,11 +311,7 @@ class AlternatingLayering:
     """
 
     level: dict[int, int]
-    k: int
-    neighbor_levels: dict[int, dict[int, int | None]] = field(default_factory=dict)
-
-    def level_of(self, v: int) -> int | float:
-        return self.level.get(v, INF)
+    neighbor_levels: dict[int, dict[int, int | None]]
 
     def witnesses(
         self, view: SubgraphView, matching: Matching, below: int | float = INF
@@ -464,7 +456,7 @@ def alternating_bfs(
     )
     level = {v: out["level"] for v, out in outputs.items() if out["level"] is not None}
     nbr = {v: out["nbr_levels"] for v, out in outputs.items()}
-    return AlternatingLayering(level, depth_limit // 2, nbr), stats
+    return AlternatingLayering(level, nbr), stats
 
 
 def witness_check(

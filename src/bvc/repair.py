@@ -304,9 +304,11 @@ def cover_short_paths(
 
     Selection runs in halving-threshold phases; within a phase the sweep
     visits the endpoint position 0, the matching-edge positions 1, 3, ...,
-    d-2, and the endpoint position d, recounting paths before each pick so
-    parallel selections on one position cover disjoint path sets. Matched
-    nodes are always removed together with their partners.
+    d-2, and the endpoint position d, recounting paths before each pick
+    after the first so parallel selections on one position cover disjoint
+    path sets. The first pick and the phase invariant use the count already
+    taken of the residual, which nothing has changed since. Matched nodes
+    are always removed together with their partners.
     """
     stats = RoundStats()
     delta, deg_stats = view_max_degree_aggregate(graph, view, forest, bandwidth=bandwidth)
@@ -332,20 +334,17 @@ def cover_short_paths(
         return removed, stats
 
     for i in range(1, phases + 1):
-        phase_checked = False
+        for p in list(counts.p_node.values()) + list(counts.p_edge.values()):
+            if p * (1 << (i - 1)) > threshold_num:
+                raise ProgramFault(
+                    f"count {p} exceeds the phase-{i} invariant delta^d / 2^({i - 1})"
+                )
         for pos in positions:
-            counts, c_stats = count_paths(
-                graph, residual, m_bar, d, delta=delta, bandwidth=bandwidth
-            )
-            stats.add_sequential(c_stats)
-            if not phase_checked:
-                phase_checked = True
-                for p in list(counts.p_node.values()) + list(counts.p_edge.values()):
-                    if p * (1 << (i - 1)) > threshold_num:
-                        raise ProgramFault(
-                            f"count {p} exceeds the phase-{i} invariant "
-                            f"delta^d / 2^({i - 1})"
-                        )
+            if pos != 0:
+                counts, c_stats = count_paths(
+                    graph, residual, m_bar, d, delta=delta, bandwidth=bandwidth
+                )
+                stats.add_sequential(c_stats)
 
             batch: set[int] = set()
             if pos in (0, d):

@@ -3,7 +3,7 @@ import math
 import pytest
 
 from bvc import oracle
-from bvc.errors import ShortAugPathWitness
+from bvc.errors import ShorterPathExists
 from bvc.graph import (
     Matching,
     SubgraphView,
@@ -66,7 +66,7 @@ def test_partition_witness_raises():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    with pytest.raises(ShortAugPathWitness):
+    with pytest.raises(ShorterPathExists):
         compute_partition(g, view, m, 2)
 
 

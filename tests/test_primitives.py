@@ -2,6 +2,7 @@ import math
 
 from bvc import oracle
 from bvc.graph import (
+    SIDE_A,
     Matching,
     SubgraphView,
     build_graph,
@@ -45,8 +46,9 @@ def test_elect_bipartition_matches_graph_sides():
     for g in [gen_path(6), gen_even_cycle(8), gen_complete(3, 4), gen_random(8, 8, 0.3, 5)]:
         forest, _ = elect_leader_and_bfs(g)
         # Leader is the component minimum, which is also the side-A root used
-        # at construction, so the bipartitions agree exactly.
-        assert forest.side == g.side
+        # at construction, so depth parity is exactly the graph's side.
+        for v in g.node_ids:
+            assert (forest.tree_of(v).depth[v] % 2 == 0) == (g.side[v] == SIDE_A)
 
 
 def test_elect_round_bound():
