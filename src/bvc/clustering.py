@@ -129,12 +129,13 @@ def mpx_partition(
 ) -> tuple[dict[int, int], RoundStats]:
     """Assign every node to an origin by exponentially shifted distances.
 
-    Shifts use parameter sigma = lam / 4, a fixed-point grid of 1/n^3, and
-    are resampled above n so keys stay in a bounded integer range."""
+    Shifts use parameter sigma = lam / 4, a fixed-point grid of 1/n, and
+    are resampled above n, so a key takes bitlength(2n^2) bits and a key
+    with an origin id fits one frame of the default bandwidth."""
     if not 0.0 < lam <= 1.0:
         raise InvalidParam("lam must be in (0, 1]")
     n = max(graph.n, 2)
-    program = MpxPartitionProgram(lam / 4.0, n**3, n)
+    program = MpxPartitionProgram(lam / 4.0, n, n)
     outputs, stats = run(
         program,
         graph,

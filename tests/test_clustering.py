@@ -93,6 +93,13 @@ def test_mpx_clusters_connected():
             assert seen == vs
 
 
+def test_mpx_messages_fit_one_frame():
+    for na in (5, 50, 200, 500):
+        g = gen_random(na, na, 2.4 / na, 1)
+        _, stats = mpx_partition(g, 0.125, seed=0)
+        assert stats.rounds > 1 and stats.fragmentation_rounds == 0
+
+
 def test_mpx_path8_lambda1_snapshot():
     # Frozen regression output for a fixed seed.
     g = gen_path(8)
