@@ -333,8 +333,6 @@ def run(
             rng.arm(v, rnd)
             try:
                 result = step(ctxs[v], states[v], inbox, rnd, rng)
-            except ProgramFault:
-                raise
             except Exception as exc:  # noqa: BLE001
                 raise ProgramFault(f"step failed at node {v}, round {rnd}: {exc!r}") from exc
             if len(result) == 3:
