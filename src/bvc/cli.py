@@ -70,10 +70,12 @@ _DEFAULTS = {
 }
 
 
-def load_graph(spec: str) -> BipartiteGraph:
-    if spec.startswith("gen:"):
-        return graph_from_spec(spec[4:])
-    return read_graph(spec)
+def load_graph(spec: str, bandwidth: int | str | None = None) -> BipartiteGraph:
+    """The graph of a file or gen: spec, with B = `bandwidth` bits per edge
+    and round when one is given (the --bandwidth option or config key) and
+    its default B otherwise. This is the one place the CLI sets B."""
+    graph = graph_from_spec(spec[4:]) if spec.startswith("gen:") else read_graph(spec)
+    return graph if bandwidth is None else graph.with_bandwidth(int(bandwidth))
 
 
 def _truthy(value) -> bool:
@@ -88,9 +90,6 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     pipeline = config["pipeline"]
     view = SubgraphView.whole(graph)
     eps = float(config.get("eps") or 0.5)
-    bandwidth = config.get("bandwidth")
-    if bandwidth is not None:
-        bandwidth = int(bandwidth)
     use_oracle = not _truthy(config.get("no_oracle"))
     record = {
         "pipeline": pipeline,
@@ -109,50 +108,46 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         "seed": seed,
         "wall_ms": 0.0,
     }
-    if bandwidth is not None:
-        record["params"]["bandwidth"] = int(bandwidth)
+    if config.get("bandwidth") is not None:
+        record["params"]["bandwidth"] = graph.bandwidth
     t0 = time.perf_counter()
 
     extra = {}
     if pipeline == "exact":
-        cover, stats = koenig_exact_cover(graph, view, seed=seed, bandwidth=bandwidth)
+        cover, stats = koenig_exact_cover(graph, view, seed=seed)
         record["cover_size"] = cover.size
         valid = cover.is_valid()
     elif pipeline == "diameter1":
         k = int(config["k"]) if config.get("k") else max(1, math.ceil(1.0 / eps))
         record["params"].update({"k": k, "eps": eps})
-        forest, stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
+        forest, stats = elect_leader_and_bfs(graph)
         matching, elim_stats = eliminate_short_aug_paths(
-            graph, view, Matching([], view), k, seed=seed, bandwidth=bandwidth, forest=forest
+            graph, view, Matching([], view), k, seed=seed, forest=forest
         )
         stats.add_sequential(elim_stats)
-        cover, cover_stats = koenig_approx_cover(
-            graph, view, matching, k, forest=forest, bandwidth=bandwidth
-        )
+        cover, cover_stats = koenig_approx_cover(graph, view, matching, k, forest=forest)
         stats.add_sequential(cover_stats)
         record["cover_size"] = cover.size
         valid = cover.is_valid() and k * cover.size <= (k + 1) * matching.size
     elif pipeline == "rand-pipeline":
         record["params"]["eps"] = eps
-        cover, stats, cluster_set = randomized_pipeline(
-            graph, eps, seed=seed, bandwidth=bandwidth
-        )
+        cover, stats, cluster_set = randomized_pipeline(graph, eps, seed=seed)
         record["cover_size"] = cover.size
         extra["clusters"] = len(cluster_set.clusters())
         extra["max_tree_height"] = cluster_set.max_tree_height()
         valid = cover.is_valid() and oracle.clusters_separated(graph, cluster_set)
     elif pipeline == "det-low-diam":
         record["params"]["eps"] = eps
-        cover, stats = det_cover_low_diameter(graph, view, eps, bandwidth=bandwidth)
+        cover, stats = det_cover_low_diameter(graph, view, eps)
         record["cover_size"] = cover.size
         valid = cover.is_valid()
     elif pipeline == "clustering-only":
         lam = float(config["lam"]) if config.get("lam") else eps / 4.0
         record["params"]["lam"] = lam
-        assignment, stats = mpx_partition(graph, lam, seed=seed, bandwidth=bandwidth)
-        cluster_set, shrink_stats = shrink_partition(graph, assignment, bandwidth=bandwidth)
+        assignment, stats = mpx_partition(graph, lam, seed=seed)
+        cluster_set, shrink_stats = shrink_partition(graph, assignment)
         stats.add_sequential(shrink_stats)
-        stats.add_sequential(build_cluster_trees(graph, cluster_set, bandwidth=bandwidth))
+        stats.add_sequential(build_cluster_trees(graph, cluster_set))
         extra["clusters"] = len(cluster_set.clusters())
         extra["max_tree_height"] = cluster_set.max_tree_height()
         extra["congestion"] = cluster_set.congestion
@@ -163,7 +158,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
             provider = f"eliminate:k={config['k']}" if config.get("k") else "maximal"
         record["params"]["provider"] = provider
         spec = parse_provider(provider)
-        matching, stats = spec.run(graph, view, seed=seed, bandwidth=bandwidth)
+        matching, stats = spec.run(graph, view, seed=seed)
         record["cover_size"] = matching.size
         if spec.kind == "maximal":
             valid = all(
@@ -210,7 +205,7 @@ def run_experiment(config: dict) -> list[dict]:
         raise InvalidParam(f"pipeline must be one of {', '.join(PIPELINES)}")
     if not config.get("graph"):
         raise InvalidParam("a graph file or gen: spec is required")
-    graph = load_graph(config["graph"])
+    graph = load_graph(config["graph"], config.get("bandwidth"))
     diameter = None if _truthy(config.get("no_oracle")) else oracle.diameter(graph)
     records = []
     base_seed = int(config.get("seed") or 0)
@@ -233,7 +228,7 @@ def verify_record(record: dict) -> dict:
         "bandwidth": record.get("params", {}).get("bandwidth"),
         "no_oracle": record.get("opt") is None,
     }
-    graph = load_graph(record["graph"])
+    graph = load_graph(config["graph"], config["bandwidth"])
     fresh = run_one(config, graph, record["seed"])
     mismatches = {}
     for key in ("cover_size", "rounds", "max_message_bits", "total_bits", "opt"):

@@ -34,7 +34,6 @@ from .runtime import (
     Msg,
     NodeProgram,
     RoundStats,
-    default_bandwidth,
     derive_seed,
     id_bits,
     run,
@@ -125,7 +124,6 @@ def mpx_partition(
     lam: float,
     *,
     seed: int = 0,
-    bandwidth: int | None = None,
 ) -> tuple[dict[int, int], RoundStats]:
     """Assign every node to an origin by exponentially shifted distances.
 
@@ -136,14 +134,7 @@ def mpx_partition(
         raise InvalidParam("lam must be in (0, 1]")
     n = max(graph.n, 2)
     program = MpxPartitionProgram(lam / 4.0, n, n)
-    outputs, stats = run(
-        program,
-        graph,
-        seed=seed,
-        bandwidth=bandwidth,
-        allow_quiescence=True,
-        phase="mpx",
-    )
+    outputs, stats = run(program, graph, seed=seed, allow_quiescence=True, phase="mpx")
     return dict(outputs), stats
 
 
@@ -172,14 +163,10 @@ class ShrinkProgram(NodeProgram):
 def shrink_partition(
     graph: BipartiteGraph,
     assignment: dict[int, int],
-    *,
-    bandwidth: int | None = None,
 ) -> tuple[ClusterSet, RoundStats]:
     """3-hop separated clusters: survivors kept all their neighbors, so
     nodes of different clusters cannot share a neighbor."""
-    outputs, stats = run(
-        ShrinkProgram(), graph, bandwidth=bandwidth, inputs=assignment, phase="shrink"
-    )
+    outputs, stats = run(ShrinkProgram(), graph, inputs=assignment, phase="shrink")
     return ClusterSet(members=dict(outputs), origin=dict(assignment)), stats
 
 
@@ -233,12 +220,7 @@ class TreeBuildProgram(NodeProgram):
         return {"origin": st["origin"], "parent": st["parent"], "depth": st["depth"]}
 
 
-def build_cluster_trees(
-    graph: BipartiteGraph,
-    cluster_set: ClusterSet,
-    *,
-    bandwidth: int | None = None,
-) -> RoundStats:
+def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> RoundStats:
     """Fill in the spanning trees; every graph edge serves at most one
     tree because tree regions are the (vertex-disjoint) origin groups.
 
@@ -249,7 +231,6 @@ def build_cluster_trees(
     outputs, stats = run(
         TreeBuildProgram(),
         graph,
-        bandwidth=bandwidth,
         inputs=cluster_set.origin,
         allow_quiescence=True,
         phase="cluster-trees",
@@ -312,13 +293,14 @@ def _induced_subproblem(graph, region_nodes, member_nodes, crossing_edges):
     while the solved view holds the cluster members, the crossing-edge
     endpoints, the member-member edges, and the crossing edges. Edges
     between two attached nodes stay outside the solved view (they are
-    covered by matched nodes outside clusters)."""
+    covered by matched nodes outside clusters). The sub-graph keeps the
+    parent's bandwidth: it is a part of the same network."""
     ordered = sorted(region_nodes)
     to_sub = {v: i for i, v in enumerate(ordered)}
     edges = [
         (to_sub[u], to_sub[v]) for u, v in graph.edges if u in to_sub and v in to_sub
     ]
-    sub_graph = build_graph(edges, extra_nodes=range(len(ordered)))
+    sub_graph = build_graph(edges, extra_nodes=range(len(ordered))).with_bandwidth(graph.bandwidth)
     members = {to_sub[v] for v in member_nodes}
     crossing = {edge_key(to_sub[u], to_sub[v]) for u, v in crossing_edges}
     in_nodes = set(members)
@@ -341,7 +323,6 @@ def combine_with_clusters(
     psi: float,
     *,
     seed: int = 0,
-    bandwidth: int | None = None,
 ) -> tuple[VertexCover, RoundStats]:
     """Cover = matched nodes outside clusters + per-cluster covers of the
     one-hop extended cluster graphs, solved concurrently. Each cluster
@@ -351,13 +332,10 @@ def combine_with_clusters(
     if not 0.0 < psi <= 1.0:
         raise InvalidParam("psi must be in (0, 1]")
     k = math.ceil(2.0 / psi)
-    bw = bandwidth if bandwidth is not None else default_bandwidth(graph.n)
     view = SubgraphView.whole(graph)
     stats = RoundStats()
 
-    outputs, ext_stats = run(
-        ExtendProgram(), graph, bandwidth=bw, inputs=cluster_set.members, phase="extend"
-    )
+    outputs, ext_stats = run(ExtendProgram(), graph, inputs=cluster_set.members, phase="extend")
     stats.add_sequential(ext_stats)
 
     x_nodes = {
@@ -397,14 +375,12 @@ def combine_with_clusters(
         ]
         m0 = Matching(m0_edges, sub_view)
         sub_seed = derive_seed(seed, 1000 + idx)
-        forest, st_i = elect_leader_and_bfs(sub_graph, bandwidth=bw)
+        forest, st_i = elect_leader_and_bfs(sub_graph)
         m1, elim_stats = eliminate_short_aug_paths(
-            sub_graph, sub_view, m0, k, seed=derive_seed(sub_seed, 1), bandwidth=bw, forest=forest
+            sub_graph, sub_view, m0, k, seed=derive_seed(sub_seed, 1), forest=forest
         )
         st_i.add_sequential(elim_stats)
-        cover_i, cover_stats = koenig_approx_cover(
-            sub_graph, sub_view, m1, k, forest=forest, bandwidth=bw
-        )
+        cover_i, cover_stats = koenig_approx_cover(sub_graph, sub_view, m1, k, forest=forest)
         st_i.add_sequential(cover_stats)
         inner_stats.append(st_i)
         cover_nodes.update(ordered[i] for i in cover_i.nodes)
@@ -421,7 +397,6 @@ def randomized_pipeline(
     eps: float,
     *,
     seed: int = 0,
-    bandwidth: int | None = None,
 ) -> tuple[VertexCover, RoundStats, ClusterSet]:
     """End-to-end randomized cover with expected size (1 + eps) times
     optimal: maximal matching, shifted-distance clustering at lam = eps/4,
@@ -429,19 +404,17 @@ def randomized_pipeline(
     if not 0.0 < eps <= 1.0:
         raise InvalidParam("eps must be in (0, 1]")
     stats = RoundStats()
-    matching, m_stats = maximal_matching(graph, seed=derive_seed(seed, 71), bandwidth=bandwidth)
+    matching, m_stats = maximal_matching(graph, seed=derive_seed(seed, 71))
     stats.add_sequential(m_stats)
 
     lam = eps / 4.0
-    assignment, mpx_stats = mpx_partition(
-        graph, lam, seed=derive_seed(seed, 72), bandwidth=bandwidth
-    )
+    assignment, mpx_stats = mpx_partition(graph, lam, seed=derive_seed(seed, 72))
     stats.add_sequential(mpx_stats)
 
-    cluster_set, shrink_stats = shrink_partition(graph, assignment, bandwidth=bandwidth)
+    cluster_set, shrink_stats = shrink_partition(graph, assignment)
     stats.add_sequential(shrink_stats)
 
-    tree_stats = build_cluster_trees(graph, cluster_set, bandwidth=bandwidth)
+    tree_stats = build_cluster_trees(graph, cluster_set)
     stats.add_sequential(tree_stats)
 
     cover, comb_stats = combine_with_clusters(
@@ -450,7 +423,6 @@ def randomized_pipeline(
         cluster_set,
         eps / 2.0,
         seed=derive_seed(seed, 75),
-        bandwidth=bandwidth,
     )
     stats.add_sequential(comb_stats)
     return cover, stats, cluster_set

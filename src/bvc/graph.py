@@ -25,8 +25,18 @@ def edge_key(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def ceil_log2(n: int) -> int:
+    return (n - 1).bit_length() if n > 1 else 0
+
+
+def default_bandwidth(n: int) -> int:
+    """Default per-edge, per-round budget: 4 * ceil(log2 n) bits, but never
+    below the floor of ceil(log2 n) + 4."""
+    return max(4 * ceil_log2(n), ceil_log2(n) + 4)
+
+
 class BipartiteGraph:
-    """Immutable bipartite graph.
+    """Immutable bipartite graph: a network together with its bandwidth.
 
     Attributes:
         node_ids: sorted tuple of node ids.
@@ -34,10 +44,14 @@ class BipartiteGraph:
         adjacency: node -> sorted tuple of neighbors.
         n: number of nodes.
         max_degree: maximum adjacency list length (0 for edgeless graphs).
+        bandwidth: B, the bits one edge carries per round; every run on
+            this graph uses it. default_bandwidth(n) unless set with
+            with_bandwidth().
     """
 
     __slots__ = (
-        "node_ids", "side", "adjacency", "n", "max_degree", "_edges", "_whole", "_neighbor_sets"
+        "node_ids", "side", "adjacency", "n", "max_degree", "bandwidth", "_edges", "_whole",
+        "_neighbor_sets",
     )
 
     def __init__(self, node_ids, side, adjacency, edges):
@@ -46,9 +60,23 @@ class BipartiteGraph:
         self.adjacency: dict[int, tuple[int, ...]] = adjacency
         self.n: int = len(node_ids)
         self.max_degree: int = max((len(a) for a in adjacency.values()), default=0)
+        self.bandwidth: int = default_bandwidth(self.n)
         self._edges: tuple[Edge, ...] = edges
         self._whole: SubgraphView | None = None
         self._neighbor_sets: dict[int, frozenset[int]] | None = None
+
+    def with_bandwidth(self, bandwidth: int) -> "BipartiteGraph":
+        """The same network with B = `bandwidth`: a new graph that shares
+        this one's node ids, sides, adjacency and edges.
+
+        Raises InvalidParam below the floor ceil(log2 n) + 4."""
+        floor = ceil_log2(self.n) + 4
+        if bandwidth < floor:
+            raise InvalidParam(f"bandwidth {bandwidth} below floor {floor}")
+        graph = BipartiteGraph(self.node_ids, self.side, self.adjacency, self._edges)
+        graph.bandwidth = bandwidth
+        graph._neighbor_sets = self._neighbor_sets
+        return graph
 
     @property
     def edges(self) -> tuple[Edge, ...]:

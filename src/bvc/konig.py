@@ -73,8 +73,6 @@ def compute_partition(
     view: SubgraphView,
     matching: Matching,
     k: int,
-    *,
-    bandwidth: int | None = None,
 ) -> tuple[LayerPartition, RoundStats]:
     """Distributed layering to depth 2k, classified per node.
 
@@ -83,9 +81,7 @@ def compute_partition(
     """
     if k < 1:
         raise InvalidParam("k must be >= 1")
-    layering, stats = alternating_bfs(
-        graph, view, matching, 2 * k, bandwidth=bandwidth, phase="partition"
-    )
+    layering, stats = alternating_bfs(graph, view, matching, 2 * k, phase="partition")
     witness = min((lv for _, lv in layering.witnesses(view, matching, below=2 * k)), default=None)
     if witness is not None:
         raise ShorterPathExists(f"free B-node at level {witness} <= {2 * k - 1}")
@@ -99,7 +95,6 @@ def koenig_approx_cover(
     k: int,
     *,
     forest: BfsForest,
-    bandwidth: int | None = None,
 ) -> tuple[VertexCover, RoundStats]:
     """Cover of size at most (1 + 1/k) times the matching size, given a
     matching with no augmenting path of length <= 2k - 1.
@@ -109,7 +104,7 @@ def koenig_approx_cover(
     against the componentwise argmin index (ties to the smallest index).
     """
     stats = RoundStats()
-    partition, part_stats = compute_partition(graph, view, matching, k, bandwidth=bandwidth)
+    partition, part_stats = compute_partition(graph, view, matching, k)
     stats.add_sequential(part_stats)
 
     values = {}
@@ -125,7 +120,6 @@ def koenig_approx_cover(
         values,
         combine="sum",
         value_width=id_bits(graph.n) + 1,
-        bandwidth=bandwidth,
         view=view,
         phase="class-sizes",
     )
@@ -144,13 +138,12 @@ def koenig_exact_cover(
     view: SubgraphView,
     *,
     seed: int = 0,
-    bandwidth: int | None = None,
 ) -> tuple[VertexCover, RoundStats]:
     """Exact minimum vertex cover: eliminate augmenting paths with doubling
     depth until none remain, then keep the A-nodes missed by the final
     alternating reachability and the B-nodes it reaches."""
     stats = RoundStats()
-    forest, elect_stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
+    forest, elect_stats = elect_leader_and_bfs(graph)
     stats.add_sequential(elect_stats)
 
     matching = Matching([], view)
@@ -158,9 +151,7 @@ def koenig_exact_cover(
     d_start = 1
     layering = None
     for attempt in range(2 * graph.n + 2):
-        shortest, layering, check_stats = witness_check(
-            graph, view, matching, forest, bandwidth=bandwidth
-        )
+        shortest, layering, check_stats = witness_check(graph, view, matching, forest)
         stats.add_sequential(check_stats)
         if shortest is None:
             break
@@ -172,7 +163,6 @@ def koenig_exact_cover(
             matching,
             k,
             seed=derive_seed(seed, 400 + attempt),
-            bandwidth=bandwidth,
             d_start=d_start,
             forest=forest,
         )

@@ -128,7 +128,6 @@ def maximal_matching(
     view: SubgraphView | None = None,
     *,
     seed: int = 0,
-    bandwidth: int | None = None,
     phase: str = "maximal-matching",
 ) -> tuple[Matching, RoundStats]:
     """Randomized maximal matching; every in-view edge ends with a matched
@@ -142,7 +141,6 @@ def maximal_matching(
         graph,
         view,
         seed=seed,
-        bandwidth=bandwidth,
         round_cap=cap,
         phase=phase,
     )
@@ -177,7 +175,7 @@ class PathSelectProgram(NodeProgram):
     the node id as the priority and the minimum-id predecessor.
     """
 
-    def __init__(self, d: int, deterministic: bool = False):
+    def __init__(self, d: int, deterministic: bool):
         if d <= 0 or d % 2 == 0:
             raise InvalidParam("path length d must be a positive odd integer")
         self.d = d
@@ -345,19 +343,17 @@ def select_disjoint_paths(
     d: int,
     layering: AlternatingLayering,
     *,
-    seed: int = 0,
-    bandwidth: int | None = None,
-    deterministic: bool = False,
+    seed: int | None = 0,
     phase: str = "select",
 ) -> tuple[Matching, list[tuple[int, ...]], RoundStats]:
     """Run one selection phase; returns the flipped matching and the chosen
-    paths. Callers must pass the layering of `matching` at depth >= d."""
+    paths. Callers must pass the layering of `matching` at depth >= d.
+    Without a seed the phase follows the deterministic rule."""
     outputs, stats = run(
-        PathSelectProgram(d, deterministic),
+        PathSelectProgram(d, seed is None),
         graph,
         view,
-        seed=None if deterministic else seed,
-        bandwidth=bandwidth,
+        seed=seed,
         inputs=layering.dag_inputs(graph, matching),
         allow_quiescence=True,
         phase=phase,
@@ -373,14 +369,14 @@ def eliminate_short_aug_paths(
     m0: Matching,
     k: int,
     *,
-    seed: int = 0,
-    bandwidth: int | None = None,
-    deterministic: bool = False,
+    seed: int | None = 0,
     d_start: int = 1,
     forest: BfsForest | None = None,
 ) -> tuple[Matching, RoundStats]:
     """Phases d = 1, 3, ..., 2k-1; after phase d no augmenting path of
-    length <= d remains, so the result has none of length <= 2k-1.
+    length <= d remains, so the result has none of length <= 2k-1. Each
+    phase's selection draws from its own seed derived from `seed`, or
+    follows the deterministic rule when `seed` is None.
 
     d_start skips phases a caller has already discharged (the input then
     must have no augmenting path shorter than d_start). Above 12 phases
@@ -397,25 +393,21 @@ def eliminate_short_aug_paths(
     # check lets the loop jump straight to the next populated length.
     checked = (2 * k - d_start) // 2 + 1 > 12
     if checked and forest is None:
-        forest, elect_stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
+        forest, elect_stats = elect_leader_and_bfs(graph)
         stats.add_sequential(elect_stats)
 
     d = d_start
     i = 0
     while d <= 2 * k - 1:
         if checked:
-            shortest, _, check_stats = witness_check(
-                graph, view, matching, forest, bandwidth=bandwidth
-            )
+            shortest, _, check_stats = witness_check(graph, view, matching, forest)
             stats.add_sequential(check_stats)
             if shortest is None or shortest > 2 * k - 1:
                 break
             if shortest < d:
                 raise ShorterPathExists(f"augmenting path of length {shortest} < {d}")
             d = shortest
-        layering, bfs_stats = alternating_bfs(
-            graph, view, matching, d, bandwidth=bandwidth, phase=f"bfs[d={d}]"
-        )
+        layering, bfs_stats = alternating_bfs(graph, view, matching, d, phase=f"bfs[d={d}]")
         stats.add_sequential(bfs_stats)
         for v, lv in layering.witnesses(view, matching, below=d):
             raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
@@ -425,9 +417,7 @@ def eliminate_short_aug_paths(
             matching,
             d,
             layering,
-            seed=derive_seed(seed, 2 * i + 1),
-            bandwidth=bandwidth,
-            deterministic=deterministic,
+            seed=None if seed is None else derive_seed(seed, 2 * i + 1),
             phase=f"select[d={d}]",
         )
         stats.add_sequential(sel_stats)
@@ -441,30 +431,20 @@ def approx_matching(
     view: SubgraphView,
     delta: float,
     *,
-    seed: int = 0,
-    bandwidth: int | None = None,
-    deterministic: bool = False,
+    seed: int | None = 0,
     forest: BfsForest | None = None,
 ) -> tuple[Matching, RoundStats]:
     """Matching of size at least (1 - delta) times maximum: eliminating all
     augmenting paths of length <= 2k-1 guarantees a 1 - 1/(k+1) factor, so
     k = max(1, ceil(1/delta) - 1) suffices. No simple path has more than
     n - 1 edges, so k is capped where the result is already maximum.
-    `forest` is passed on to the elimination."""
+    `seed` (None for the deterministic rule) and `forest` are passed on to
+    the elimination."""
     if not 0.0 < delta <= 1.0:
         raise InvalidParam("delta must be in (0, 1]")
     k = max(1, math.ceil(1.0 / delta) - 1)
     k = min(k, graph.n // 2 + 1)
-    return eliminate_short_aug_paths(
-        graph,
-        view,
-        Matching([], view),
-        k,
-        seed=seed,
-        bandwidth=bandwidth,
-        deterministic=deterministic,
-        forest=forest,
-    )
+    return eliminate_short_aug_paths(graph, view, Matching([], view), k, seed=seed, forest=forest)
 
 
 @dataclass(frozen=True)
@@ -473,18 +453,15 @@ class ProviderSpec:
     k: int = 0
     delta: float = 0.0
 
-    def run(self, graph, view, *, seed=0, bandwidth=None):
+    def run(self, graph, view, *, seed=0):
+        """The provider's matching; det-approx runs unseeded."""
         if self.kind == "maximal":
-            return maximal_matching(graph, view, seed=seed, bandwidth=bandwidth)
+            return maximal_matching(graph, view, seed=seed)
         if self.kind == "eliminate":
-            return eliminate_short_aug_paths(
-                graph, view, Matching([], view), self.k, seed=seed, bandwidth=bandwidth
-            )
+            return eliminate_short_aug_paths(graph, view, Matching([], view), self.k, seed=seed)
         if self.kind == "approx":
-            return approx_matching(graph, view, self.delta, seed=seed, bandwidth=bandwidth)
-        return approx_matching(
-            graph, view, self.delta, seed=seed, bandwidth=bandwidth, deterministic=True
-        )
+            return approx_matching(graph, view, self.delta, seed=seed)
+        return approx_matching(graph, view, self.delta, seed=None)
 
 
 def parse_provider(spec: str) -> ProviderSpec:

@@ -151,15 +151,13 @@ class LeaderBfsProgram(NodeProgram):
         }
 
 
-def elect_leader_and_bfs(
-    graph: BipartiteGraph, *, bandwidth: int | None = None
-) -> tuple[BfsForest, RoundStats]:
+def elect_leader_and_bfs(graph: BipartiteGraph) -> tuple[BfsForest, RoundStats]:
     """Per-component leader (the minimum id) and BFS tree.
 
     The program reads only node ids and graph neighbors and draws no
     randomness, so the forest depends on the graph alone: a pipeline elects
     once and passes the forest to every phase, whatever view it works on."""
-    outputs, stats = run(LeaderBfsProgram(), graph, bandwidth=bandwidth, phase="elect-bfs")
+    outputs, stats = run(LeaderBfsProgram(), graph, phase="elect-bfs")
     trees: dict[int, BfsTree] = {}
     root_of: dict[int, int] = {}
     for v, out in outputs.items():
@@ -282,13 +280,12 @@ def pipelined_aggregate(
     *,
     combine: str = "sum",
     value_width: int | None = None,
-    bandwidth: int | None = None,
     view: SubgraphView | None = None,
     phase: str = "aggregate",
 ) -> tuple[dict[int, tuple], RoundStats]:
     """Aggregate k values per node over each component's BFS tree and
     broadcast the componentwise results back to every node."""
-    k = len(next(iter(values.values())))
+    k = len(next(iter(values.values()), ()))
     vw = value_width if value_width is not None else 2 * id_bits(graph.n)
     kids = forest.children()
     inputs = {}
@@ -296,7 +293,7 @@ def pipelined_aggregate(
         tree = forest.tree_of(v)
         inputs[v] = (tree.parent[v], tree.depth[v], tree.height, kids[v], values[v])
     program = AggregateProgram(k, combine, vw)
-    return run(program, graph, view, bandwidth=bandwidth, inputs=inputs, phase=phase)
+    return run(program, graph, view, inputs=inputs, phase=phase)
 
 
 # ---------------------------------------------------------------------------
@@ -441,19 +438,11 @@ def alternating_bfs(
     matching: Matching,
     depth_limit: int,
     *,
-    bandwidth: int | None = None,
     phase: str = "alt-bfs",
 ) -> tuple[AlternatingLayering, RoundStats]:
     """Distributed alternating BFS; levels match the sequential oracle."""
     inputs = {v: matching.partner_of(v) for v in graph.node_ids}
-    outputs, stats = run(
-        AltBfsProgram(depth_limit),
-        graph,
-        view,
-        bandwidth=bandwidth,
-        inputs=inputs,
-        phase=phase,
-    )
+    outputs, stats = run(AltBfsProgram(depth_limit), graph, view, inputs=inputs, phase=phase)
     level = {v: out["level"] for v, out in outputs.items() if out["level"] is not None}
     nbr = {v: out["nbr_levels"] for v, out in outputs.items()}
     return AlternatingLayering(level, nbr), stats
@@ -464,21 +453,12 @@ def witness_check(
     view: SubgraphView,
     matching: Matching,
     forest: BfsForest,
-    *,
-    bandwidth: int | None = None,
 ) -> tuple[int | None, AlternatingLayering, RoundStats]:
     """Full-depth layering plus an aggregated minimum over the levels of
     free in-view B-nodes: afterwards every node knows the length of the
     shortest augmenting path, or that none exists (returned as None)."""
     stats = RoundStats()
-    layering, bfs_stats = alternating_bfs(
-        graph,
-        view,
-        matching,
-        graph.n + 1,
-        bandwidth=bandwidth,
-        phase="reachability",
-    )
+    layering, bfs_stats = alternating_bfs(graph, view, matching, graph.n + 1, phase="reachability")
     stats.add_sequential(bfs_stats)
     width = id_bits(graph.n) + 2
     sentinel = (1 << width) - 1
@@ -490,7 +470,6 @@ def witness_check(
         values,
         combine="min",
         value_width=width,
-        bandwidth=bandwidth,
         view=view,
         phase="witness-check",
     )

@@ -164,8 +164,6 @@ def view_max_degree_aggregate(
     graph: BipartiteGraph,
     view: SubgraphView,
     forest: BfsForest,
-    *,
-    bandwidth: int | None = None,
 ) -> tuple[int, RoundStats]:
     """All nodes learn the maximum in-view degree via a pipelined max."""
     width = id_bits(graph.n) + 1
@@ -179,7 +177,6 @@ def view_max_degree_aggregate(
         values,
         combine="max",
         value_width=width,
-        bandwidth=bandwidth,
         view=view,
         phase="max-degree",
     )
@@ -193,7 +190,6 @@ def count_paths(
     d: int,
     *,
     delta: int,
-    bandwidth: int | None = None,
 ) -> tuple[PathCounts, RoundStats]:
     """Count length-d augmenting paths through free nodes and matching
     edges. Requires that no shorter augmenting path exists (raises
@@ -209,9 +205,7 @@ def count_paths(
     if d <= 0 or d % 2 == 0:
         raise InvalidParam("d must be a positive odd integer")
     stats = RoundStats()
-    layering, bfs_stats = alternating_bfs(
-        graph, view, matching, d, bandwidth=bandwidth, phase="layering"
-    )
+    layering, bfs_stats = alternating_bfs(graph, view, matching, d, phase="layering")
     stats.add_sequential(bfs_stats)
     for v, lv in layering.witnesses(view, matching, below=d):
         raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
@@ -220,7 +214,6 @@ def count_paths(
         CountSweepProgram(d, delta),
         graph,
         view,
-        bandwidth=bandwidth,
         inputs=layering.dag_inputs(graph, matching),
         phase="count-sweeps",
     )
@@ -259,15 +252,13 @@ class AnnounceRemovalProgram(NodeProgram):
         return st, out, True
 
 
-def _announce_removals(graph, view, removed, *, bandwidth) -> RoundStats:
+def _announce_removals(graph, view, removed) -> RoundStats:
     inputs = {v: v in removed for v in graph.node_ids}
-    _, stats = run(
-        AnnounceRemovalProgram(), graph, view, bandwidth=bandwidth, inputs=inputs, phase="remove"
-    )
+    _, stats = run(AnnounceRemovalProgram(), graph, view, inputs=inputs, phase="remove")
     return stats
 
 
-def _aggregate_total_paths(graph, view, forest, counts, *, bandwidth):
+def _aggregate_total_paths(graph, view, forest, counts):
     """Pipelined sum of the level-0 path counts, so that every node (and
     the driver) knows whether any path remains. Counts are capped into the
     frame width; only zero versus nonzero is consumed."""
@@ -283,7 +274,6 @@ def _aggregate_total_paths(graph, view, forest, counts, *, bandwidth):
         values,
         combine="sum",
         value_width=width + id_bits(graph.n),
-        bandwidth=bandwidth,
         view=view,
         phase="remaining-paths",
     )
@@ -297,7 +287,6 @@ def cover_short_paths(
     d: int,
     *,
     forest: BfsForest,
-    bandwidth: int | None = None,
 ) -> tuple[set[int], RoundStats]:
     """Remove a small node set that hits every length-d augmenting path;
     every aggregation runs over the caller's BFS `forest` of the graph.
@@ -311,7 +300,7 @@ def cover_short_paths(
     are always removed together with their partners.
     """
     stats = RoundStats()
-    delta, deg_stats = view_max_degree_aggregate(graph, view, forest, bandwidth=bandwidth)
+    delta, deg_stats = view_max_degree_aggregate(graph, view, forest)
     stats.add_sequential(deg_stats)
     if delta == 0:
         return set(), stats
@@ -324,11 +313,9 @@ def cover_short_paths(
     positions = [0] + list(range(1, d - 1, 2)) + [d]
     base = view.base
 
-    counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta, bandwidth=bandwidth)
+    counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
     stats.add_sequential(c_stats)
-    remaining, agg_stats = _aggregate_total_paths(
-        graph, residual, forest, counts, bandwidth=bandwidth
-    )
+    remaining, agg_stats = _aggregate_total_paths(graph, residual, forest, counts)
     stats.add_sequential(agg_stats)
     if remaining == 0:
         return removed, stats
@@ -341,9 +328,7 @@ def cover_short_paths(
                 )
         for pos in positions:
             if pos != 0:
-                counts, c_stats = count_paths(
-                    graph, residual, m_bar, d, delta=delta, bandwidth=bandwidth
-                )
+                counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
                 stats.add_sequential(c_stats)
 
             batch: set[int] = set()
@@ -363,18 +348,14 @@ def cover_short_paths(
                         batch.add(u)
                         batch.add(v)
             if batch:
-                stats.add_sequential(
-                    _announce_removals(graph, residual, batch, bandwidth=bandwidth)
-                )
+                stats.add_sequential(_announce_removals(graph, residual, batch))
                 removed |= batch
                 residual = residual.without_nodes(batch)
                 m_bar = m_bar.restricted_to(residual)
 
-        counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta, bandwidth=bandwidth)
+        counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
         stats.add_sequential(c_stats)
-        remaining, agg_stats = _aggregate_total_paths(
-            graph, residual, forest, counts, bandwidth=bandwidth
-        )
+        remaining, agg_stats = _aggregate_total_paths(graph, residual, forest, counts)
         stats.add_sequential(agg_stats)
         if remaining == 0:
             break
@@ -404,7 +385,6 @@ def repair_matching(
     k: int,
     *,
     forest: BfsForest,
-    bandwidth: int | None = None,
 ) -> tuple[RepairResult, Matching, RoundStats]:
     """Delete nodes until the restriction of `matching` to the remaining
     induced subgraph has no augmenting path of length at most 2k - 1.
@@ -423,9 +403,7 @@ def repair_matching(
     residual = view
     m_bar = matching
     for d in range(1, 2 * k, 2):
-        f_i, c_stats = cover_short_paths(
-            graph, residual, m_bar, d, forest=forest, bandwidth=bandwidth
-        )
+        f_i, c_stats = cover_short_paths(graph, residual, m_bar, d, forest=forest)
         phases_used = sum(1 for label, _ in c_stats.per_phase if label == "remaining-paths")
         stats.add_sequential(c_stats)
         if f_i:
@@ -445,8 +423,6 @@ def det_cover_low_diameter(
     graph: BipartiteGraph,
     view: SubgraphView,
     eps: float,
-    *,
-    bandwidth: int | None = None,
 ) -> tuple[VertexCover, RoundStats]:
     """Deterministic cover within (1 + eps) of optimal: an approximation
     matching at accuracy eps / (2 * alpha), node repair up to path length
@@ -459,42 +435,21 @@ def det_cover_low_diameter(
         return VertexCover([], view), stats
 
     k_prime = math.ceil(2.0 / eps)
-    forest, elect_stats = elect_leader_and_bfs(graph, bandwidth=bandwidth)
+    forest, elect_stats = elect_leader_and_bfs(graph)
     stats.add_sequential(elect_stats)
-    delta, deg_stats = view_max_degree_aggregate(graph, view, forest, bandwidth=bandwidth)
+    delta, deg_stats = view_max_degree_aggregate(graph, view, forest)
     stats.add_sequential(deg_stats)
     alpha = repair_alpha(k_prime, delta)
     delta_acc = eps / (2.0 * alpha)
 
-    m_prime, match_stats = approx_matching(
-        graph,
-        view,
-        delta_acc,
-        bandwidth=bandwidth,
-        deterministic=True,
-        forest=forest,
-    )
+    m_prime, match_stats = approx_matching(graph, view, delta_acc, seed=None, forest=forest)
     stats.add_sequential(match_stats)
 
-    repair, m_bar, repair_stats = repair_matching(
-        graph,
-        view,
-        m_prime,
-        k_prime,
-        forest=forest,
-        bandwidth=bandwidth,
-    )
+    repair, m_bar, repair_stats = repair_matching(graph, view, m_prime, k_prime, forest=forest)
     stats.add_sequential(repair_stats)
 
     residual = view.without_nodes(repair.s1)
-    cover2, cover_stats = koenig_approx_cover(
-        graph,
-        residual,
-        m_bar,
-        k_prime,
-        forest=forest,
-        bandwidth=bandwidth,
-    )
+    cover2, cover_stats = koenig_approx_cover(graph, residual, m_bar, k_prime, forest=forest)
     stats.add_sequential(cover_stats)
 
     cover = VertexCover(repair.s1 | cover2.nodes, view)

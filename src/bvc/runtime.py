@@ -3,8 +3,9 @@
 The engine runs a node program on every node of a graph. Per round, each
 directed edge carries at most one frame of at most B bits; larger messages
 are fragmented transparently and arrive once their last frame has been
-transmitted. Identical (program, graph, view, seed, bandwidth) inputs give
-bit-identical outputs and statistics.
+transmitted. B is the graph's own `bandwidth`, set once per network (see
+BipartiteGraph.with_bandwidth), never per run. Identical (program, graph,
+view, seed) inputs give bit-identical outputs and statistics.
 
 Randomness is per node and per round, derived from the run's seed. Only
 programs that draw need a seed: a run is unseeded by default, and a draw
@@ -31,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import NamedTuple
 
 from .errors import InvalidParam, ProgramFault, RoundCapExceeded
-from .graph import BipartiteGraph, SubgraphView
+from .graph import BipartiteGraph, SubgraphView, ceil_log2
 
 _M64 = (1 << 64) - 1
 
@@ -80,19 +81,9 @@ class _LazyRng:
         return getattr(self._rng, name)
 
 
-def ceil_log2(n: int) -> int:
-    return (n - 1).bit_length() if n > 1 else 0
-
-
 def id_bits(n: int) -> int:
     """Bits needed to name a node, at least 1."""
     return max(1, ceil_log2(n))
-
-
-def default_bandwidth(n: int) -> int:
-    """Default per-edge, per-round budget: 4 * ceil(log2 n) bits, but never
-    below the runtime's own floor of ceil(log2 n) + 4."""
-    return max(4 * ceil_log2(n), ceil_log2(n) + 4)
 
 
 def frame_count(nbits: int, bandwidth: int) -> int:
@@ -222,19 +213,19 @@ def run(
     view: SubgraphView | None = None,
     *,
     seed: int | None = None,
-    bandwidth: int | None = None,
     round_cap: int = 1_000_000,
     inputs: dict | None = None,
     phase: str = "main",
     allow_quiescence: bool = False,
 ):
-    """Execute `program` on every node until all halt.
+    """Execute `program` on every node until all halt, with every edge
+    carrying at most `graph.bandwidth` bits per round.
 
     Returns (outputs, RoundStats) where outputs maps node -> program output.
 
     Raises:
-        InvalidParam: the bandwidth is below its floor, the round cap is not
-            positive, or the view is over another graph.
+        InvalidParam: the round cap is not positive, or the view is over
+            another graph.
         RoundCapExceeded: the cap was hit, or no node can ever act again
             while some are unhalted (unless allow_quiescence, which then
             force-halts everyone; used by algorithms that converge without
@@ -248,9 +239,7 @@ def run(
     elif view.base is not graph:
         raise InvalidParam("view is over another graph")
     n = graph.n
-    bw = default_bandwidth(n) if bandwidth is None else bandwidth
-    if bw < ceil_log2(n) + 4:
-        raise InvalidParam(f"bandwidth {bw} below floor {ceil_log2(n) + 4}")
+    bw = graph.bandwidth
     if round_cap <= 0:
         raise InvalidParam("round_cap must be positive")
 

@@ -23,6 +23,7 @@ from bvc.graph import (
     Matching,
     SubgraphView,
     build_graph,
+    default_bandwidth,
     gen_complete,
     gen_even_cycle,
     gen_path,
@@ -37,7 +38,6 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
-from bvc.runtime import default_bandwidth
 
 pytestmark = pytest.mark.acceptance
 
@@ -440,8 +440,9 @@ def test_criterion_8c_count_rounds_quadratic():
         view = whole(g)
         m = Matching(m_edges, view)
         assert oracle.shortest_aug_path_len(view, m) == d
-        bw = (g.n - 1).bit_length() + 4  # smallest bandwidth the engine allows
-        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree(), bandwidth=bw)
+        bw = (g.n - 1).bit_length() + 4  # smallest bandwidth a graph allows
+        g_bw = g.with_bandwidth(bw)
+        counts, stats = count_paths(g_bw, whole(g_bw), m, d, delta=view.max_view_degree())
         track(stats, bw)
         rows.append((d, stats.rounds, dict(stats.per_phase)))
     floor = rows[0][1]

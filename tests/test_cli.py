@@ -206,6 +206,29 @@ def test_run_with_bad_graph_file_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "pipeline, extra",
+    [(p, []) for p in PIPELINES] + [("matching-only", ["--provider", "eliminate:k=14"])],
+    ids=[*PIPELINES, "eliminate-k14"],
+)
+def test_zero_node_graph_gives_valid_records(tmp_path, capsys, pipeline, extra):
+    """A `0 0` file is a degenerate graph, not bad input: every pipeline
+    gives a valid record of 0 rounds."""
+    path = tmp_path / "empty.txt"
+    path.write_text("0 0\n")
+    rc = main(["run", "--pipeline", pipeline, "--graph", str(path)] + extra)
+    record = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    assert record["valid"] is True
+    assert (record["n"], record["rounds"], record["total_bits"]) == (0, 0, 0)
+
+
+def test_bandwidth_below_floor_exits_2(capsys):
+    rc = main(["run", "--pipeline", "exact", "--graph", "gen:path:n=40", "--bandwidth", "9"])
+    assert rc == 2
+    assert "below floor 10" in capsys.readouterr().err
+
+
 def test_det_low_diam_is_seed_independent(capsys):
     """The deterministic pipeline runs unseeded (a draw would fault), so
     every seed gives the same cover and costs."""

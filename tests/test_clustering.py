@@ -2,7 +2,7 @@ import statistics
 
 import pytest
 
-from bvc import oracle
+from bvc import clustering, matching, oracle, primitives, repair
 from bvc.clustering import (
     ClusterSet,
     build_cluster_trees,
@@ -16,6 +16,8 @@ from bvc.graph import (
     Matching,
     SubgraphView,
     build_graph,
+    ceil_log2,
+    default_bandwidth,
     gen_disjoint_edges,
     gen_path,
     gen_random,
@@ -233,6 +235,36 @@ def test_pipeline_valid_and_reasonable():
         assert separation_ok(g, cs)
         sizes.append(cover.size)
     assert statistics.mean(sizes) <= 1.6 * opt
+
+
+@pytest.mark.parametrize("which", ["floor", "default", "default+7"])
+def test_pipeline_runs_at_the_graph_bandwidth(monkeypatch, which):
+    """B belongs to the network: every engine call of the pipeline, the
+    cluster solves on their relabelled sub-graphs included, runs at the
+    graph's B, although the smaller sub-graphs have smaller defaults."""
+    g = gen_random(40, 40, 0.05, 5)
+    b = {
+        "floor": ceil_log2(g.n) + 4,
+        "default": default_bandwidth(g.n),
+        "default+7": default_bandwidth(g.n) + 7,
+    }[which]
+    calls = []
+
+    def recording(engine):
+        def run(program, graph, *args, **kwargs):
+            calls.append((graph.n, graph.bandwidth))
+            return engine(program, graph, *args, **kwargs)
+
+        return run
+
+    for module in (primitives, matching, repair, clustering):
+        monkeypatch.setattr(module, "run", recording(module.run))
+    cover, _, _ = randomized_pipeline(g.with_bandwidth(b), 0.5, seed=1)
+    monkeypatch.undo()
+    assert cover.is_valid()
+    assert {bw for _, bw in calls} == {b}
+    sub_sizes = {n for n, _ in calls if n < g.n}
+    assert any(default_bandwidth(n) < default_bandwidth(g.n) for n in sub_sizes)
 
 
 def test_cluster_optima_are_disjoint_lower_bounds():

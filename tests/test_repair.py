@@ -284,7 +284,8 @@ def test_count_rounds_follow_documented_schedule(d, width):
     w = (delta**d).bit_length()
     floor = (g.n - 1).bit_length() + 4
     for bw in (floor, floor + 7, 64):
-        _, stats = count_paths(g, view, m, d, delta=delta, bandwidth=bw)
+        g_bw = g.with_bandwidth(bw)
+        _, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta)
         phases = dict(stats.per_phase)
         assert phases["layering"] == d + 4
         sweeps = d * (math.ceil((2 + w) / bw) + math.ceil((2 + 2 * w) / bw)) + 1

@@ -4,13 +4,18 @@ import random
 import pytest
 
 from bvc.errors import InvalidParam, ProgramFault, RoundCapExceeded
-from bvc.graph import SubgraphView, build_graph, gen_path, gen_random
+from bvc.graph import (
+    SubgraphView,
+    build_graph,
+    ceil_log2,
+    default_bandwidth,
+    gen_path,
+    gen_random,
+)
 from bvc.runtime import (
     Msg,
     NodeContext,
     NodeProgram,
-    ceil_log2,
-    default_bandwidth,
     derive_seed,
     frame_count,
     id_bits,
@@ -123,9 +128,9 @@ def test_echo_once_single_edge():
 
 
 def test_payload_fragmentation():
-    g = build_graph([(0, 1)])
     bw = default_bandwidth(2)
-    outputs, stats = run(BigPayload(3 * bw), g, seed=1, bandwidth=bw)
+    g = build_graph([(0, 1)]).with_bandwidth(bw)
+    outputs, stats = run(BigPayload(3 * bw), g, seed=1)
     # Three frames occupy the edge for rounds 1..3; delivery read at round 4.
     assert outputs[1] == 3 * bw
     assert stats.fragmentation_rounds == 2
@@ -135,9 +140,9 @@ def test_payload_fragmentation():
 
 
 def test_single_frame_payload_takes_one_round():
-    g = build_graph([(0, 1)])
     bw = default_bandwidth(2)
-    _, stats = run(BigPayload(bw), g, seed=1, bandwidth=bw)
+    g = build_graph([(0, 1)]).with_bandwidth(bw)
+    _, stats = run(BigPayload(bw), g, seed=1)
     assert stats.fragmentation_rounds == 0
     assert stats.total_bits == bw
 
@@ -208,7 +213,8 @@ def test_program_fault_wrapped():
 def test_bandwidth_floor_enforced():
     g = gen_path(40)
     with pytest.raises(InvalidParam):
-        run(EchoOnce(), g, seed=0, bandwidth=5)
+        g.with_bandwidth(5)
+    assert g.with_bandwidth(ceil_log2(40) + 4).bandwidth == 10
 
 
 def test_stats_json_fields():
@@ -314,13 +320,13 @@ def test_init_and_output_errors_raise_program_fault(where):
 
 
 def test_message_to_halted_node_dropped_but_counted():
-    g = build_graph([(0, 1)])
     bw = default_bandwidth(2)
+    g = build_graph([(0, 1)]).with_bandwidth(bw)
     outputs, stats = run(SendsToHalted(5, 2), g, seed=0, allow_quiescence=True)
     # Delivery would need a round 3; the dropped message only costs bits.
     assert outputs[1] == 0
     assert (stats.rounds, stats.total_bits) == (2, 5)
-    outputs, stats = run(SendsToHalted(3 * bw, 2), g, seed=0, bandwidth=bw, allow_quiescence=True)
+    outputs, stats = run(SendsToHalted(3 * bw, 2), g, seed=0, allow_quiescence=True)
     # All three frames are sent (rounds 2..4), then the run goes quiet.
     assert outputs[1] == 0
     assert (stats.rounds, stats.total_bits, stats.fragmentation_rounds) == (4, 3 * bw, 2)
@@ -340,9 +346,9 @@ class SendsAndHalts(NodeProgram):
 
 
 def test_frames_after_the_last_halt_are_not_sent():
-    g = build_graph([(0, 1)])
     bw = default_bandwidth(2)
-    _, stats = run(SendsAndHalts(3 * bw), g, seed=0, bandwidth=bw)
+    g = build_graph([(0, 1)]).with_bandwidth(bw)
+    _, stats = run(SendsAndHalts(3 * bw), g, seed=0)
     # Everyone halted in round 1: only the first frame on each edge moved.
     assert stats.to_dict() == {
         "rounds": 1,
@@ -427,12 +433,12 @@ def test_node_context_is_immutable_and_keyword_built():
 # ---------------------------------------------------------------------------
 
 
-def reference_run(program, graph, view, *, seed, bandwidth, inputs, allow_quiescence, round_cap):
+def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round_cap):
     """The engine's semantics spelled out: each round steps the due nodes
     in id order, then moves one frame along every busy edge; a message
     whose last frame moved arrives next round unless its target halted."""
     n = graph.n
-    bw = bandwidth
+    bw = graph.bandwidth
     ctxs = {
         v: NodeContext(
             node=v,
@@ -543,11 +549,12 @@ def test_engine_matches_per_frame_reference():
     for case in range(150):
         rng = random.Random(case)
         g = gen_random(rng.randrange(1, 7), rng.randrange(1, 7), rng.choice([0.2, 0.5, 0.9]), case)
-        view = SubgraphView.induced(g, [v for v in g.node_ids if rng.random() < 0.8])
+        kept = [v for v in g.node_ids if rng.random() < 0.8]
         bw = default_bandwidth(g.n) + rng.choice([0, 3])
+        g = g.with_bandwidth(bw)
+        view = SubgraphView.induced(g, kept)
         kwargs = dict(
             seed=case,
-            bandwidth=bw,
             inputs={v: 3 * v for v in g.node_ids} if case % 2 else None,
             allow_quiescence=case % 3 == 0,
             round_cap=rng.choice([10, 1000]),
