@@ -69,13 +69,16 @@ _DEFAULTS = {
     "no_oracle": False,
 }
 
+# Keys that hold numbers; a config file gives them as text.
+_TYPED = {"seed": int, "repeat": int, "eps": float, "k": int, "lam": float, "bandwidth": int}
 
-def load_graph(spec: str, bandwidth: int | str | None = None) -> BipartiteGraph:
+
+def load_graph(spec: str, bandwidth: int | None = None) -> BipartiteGraph:
     """The graph of a file or gen: spec, with B = `bandwidth` bits per edge
     and round when one is given (the --bandwidth option or config key) and
     its default B otherwise. This is the one place the CLI sets B."""
     graph = graph_from_spec(spec[4:]) if spec.startswith("gen:") else read_graph(spec)
-    return graph if bandwidth is None else graph.with_bandwidth(int(bandwidth))
+    return graph if bandwidth is None else graph.with_bandwidth(bandwidth)
 
 
 def _truthy(value) -> bool:
@@ -89,7 +92,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     left None for run_experiment to fill."""
     pipeline = config["pipeline"]
     view = SubgraphView.whole(graph)
-    eps = float(config.get("eps") or 0.5)
+    eps = config.get("eps") or 0.5
     use_oracle = not _truthy(config.get("no_oracle"))
     record = {
         "pipeline": pipeline,
@@ -118,7 +121,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         record["cover_size"] = cover.size
         valid = cover.is_valid()
     elif pipeline == "diameter1":
-        k = int(config["k"]) if config.get("k") else max(1, math.ceil(1.0 / eps))
+        k = config.get("k") or max(1, math.ceil(1.0 / eps))
         record["params"].update({"k": k, "eps": eps})
         forest, stats = elect_leader_and_bfs(graph)
         matching, elim_stats = eliminate_short_aug_paths(
@@ -142,7 +145,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         record["cover_size"] = cover.size
         valid = cover.is_valid()
     elif pipeline == "clustering-only":
-        lam = float(config["lam"]) if config.get("lam") else eps / 4.0
+        lam = config.get("lam") or eps / 4.0
         record["params"]["lam"] = lam
         assignment, stats = mpx_partition(graph, lam, seed=seed)
         cluster_set, shrink_stats = shrink_partition(graph, assignment)
@@ -208,8 +211,8 @@ def run_experiment(config: dict) -> list[dict]:
     graph = load_graph(config["graph"], config.get("bandwidth"))
     diameter = None if _truthy(config.get("no_oracle")) else oracle.diameter(graph)
     records = []
-    base_seed = int(config.get("seed") or 0)
-    for i in range(int(config.get("repeat") or 1)):
+    base_seed = config.get("seed") or 0
+    for i in range(config.get("repeat") or 1):
         record = run_one(config, graph, base_seed + i)
         record["D"] = diameter
         records.append(record)
@@ -261,12 +264,22 @@ def _read_config_file(path: str) -> dict:
 
 
 def _merge_config(args) -> dict:
+    """Defaults, then the config file, then the command line; numeric keys
+    from the file are converted here, once."""
     config = dict(_DEFAULTS)
     if args.config:
         file_conf = _read_config_file(args.config)
         unknown = set(file_conf) - set(_DEFAULTS)
         if unknown:
             raise InvalidParam(f"unknown config keys: {sorted(unknown)}")
+        for key, kind in _TYPED.items():
+            if key in file_conf:
+                try:
+                    file_conf[key] = kind(file_conf[key])
+                except ValueError:
+                    raise InvalidParam(
+                        f"{args.config}: {key} must be {kind.__name__}, got {file_conf[key]!r}"
+                    ) from None
         config.update(file_conf)
     for key in _DEFAULTS:
         cli_value = getattr(args, key, None)

@@ -9,8 +9,9 @@ stay edge-disjoint even when shrinking disconnects a cluster's survivors.
 
 The combination step covers everything outside clusters with matched
 nodes, extends every cluster by one hop, and runs an inner cover solver in
-all extended clusters at once; with edge-disjoint cluster regions the
-parallel runs cost as many rounds as the slowest one.
+all extended clusters at once, each over its cluster's tree; with
+edge-disjoint cluster regions the parallel runs cost as many rounds as the
+slowest one.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from .graph import (
     SubgraphView,
     VertexCover,
     build_graph,
-    edge_key,
 )
 from .konig import koenig_approx_cover
 from .matching import eliminate_short_aug_paths, maximal_matching
-from .primitives import BfsTree, elect_leader_and_bfs
+from .primitives import BfsForest, BfsTree
 from .runtime import (
     Msg,
     NodeProgram,
@@ -60,18 +60,7 @@ class ClusterSet:
         return {c: sorted(vs) for c, vs in out.items()}
 
     def max_tree_height(self) -> int:
-        return max((t.height for t in self.trees.values()), default=0)
-
-    def inside_fraction(self, matching: Matching) -> float:
-        """Fraction of matching weight with both endpoints in one cluster."""
-        if matching.size == 0:
-            return 1.0
-        inside = sum(
-            1
-            for u, v in matching.edges
-            if self.members.get(u) is not None and self.members[u] == self.members.get(v)
-        )
-        return inside / matching.size
+        return max((d for t in self.trees.values() for d in t.depth.values()), default=0)
 
 
 class MpxPartitionProgram(NodeProgram):
@@ -172,24 +161,31 @@ def shrink_partition(
 
 class TreeBuildProgram(NodeProgram):
     """BFS trees rooted at each origin, grown only along edges whose both
-    endpoints kept that origin in the pre-shrink assignment."""
+    endpoints kept that origin in the pre-shrink assignment.
+
+    A node joins in the first round a grow reaches it (the root in round
+    2), takes the smallest (depth, id) sender as its parent and sends grows
+    to its other same-origin neighbors. A grow is one frame and each edge
+    carries one per direction, and a same-origin neighbor is one BFS level
+    away at most, so every one that is not a child has sent this node a
+    grow within two rounds of its own: the node stays up that long, and the
+    neighbors it did not hear from are its children."""
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
 
     def init(self, ctx):
         origin = ctx.input
-        is_root = origin == ctx.node
         return {
             "origin": origin,
             "parent": None,
-            "depth": 0 if is_root else None,
-            "same": set(),
+            "depth": 0 if origin == ctx.node else None,
+            "same": set(),  # same-origin neighbors; after joining, the unheard ones
+            "until": None,  # last round of the wait for grows, once joined
         }
 
     def step(self, ctx, st, inbox, rnd, rng):
         idw = self.idw
-        dw = idw + 1
         out = {}
         if rnd == 1:
             for u in ctx.neighbors:
@@ -202,22 +198,28 @@ class TreeBuildProgram(NodeProgram):
                     st["same"].add(u)
             else:
                 grows.append((msg.values[1], u))
-        if rnd == 2 and st["depth"] == 0:
+        if st["until"] is None:
+            if grows and st["depth"] is None:
+                st["depth"], st["parent"] = min(grows)
+            elif not (rnd == 2 and st["depth"] == 0):
+                return st, out, False, None
+            st["until"] = rnd + 2
+            grow = Msg((1, 1), (st["depth"] + 1, idw + 1))
             for u in st["same"]:
-                out[u] = Msg((1, 1), (1, dw))
+                if u != st["parent"]:
+                    out[u] = grow
+        st["same"].difference_update(u for _, u in grows)
+        if not st["same"] or rnd == st["until"]:
             return st, out, True
-        if grows and st["depth"] is None:
-            depth, parent = min(grows)
-            st["depth"] = depth
-            st["parent"] = parent
-            for u in st["same"]:
-                if u != parent:
-                    out[u] = Msg((1, 1), (depth + 1, dw))
-            return st, out, True
-        return st, out, False, None
+        return st, out, False, st["until"]
 
     def output(self, ctx, st):
-        return {"origin": st["origin"], "parent": st["parent"], "depth": st["depth"]}
+        return {
+            "origin": st["origin"],
+            "parent": st["parent"],
+            "depth": st["depth"],
+            "children": tuple(sorted(st["same"])),
+        }
 
 
 def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> RoundStats:
@@ -244,10 +246,10 @@ def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> Round
         root = o["origin"]
         tree = trees.get(root)
         if tree is None:
-            tree = trees[root] = BfsTree(root, {}, {}, 0)
+            tree = trees[root] = BfsTree(root, {}, {}, {})
         tree.parent[v] = o["parent"]
         tree.depth[v] = o["depth"]
-        tree.height = max(tree.height, o["depth"])
+        tree.children[v] = o["children"]
     # Drop trees of fully-shrunk clusters; keep those with surviving members.
     live = {c for c, vs in cluster_set.clusters().items() if vs}
     cluster_set.trees = {c: t for c, t in trees.items() if c in live}
@@ -288,32 +290,35 @@ class ExtendProgram(NodeProgram):
         return st["joined"]
 
 
-def _induced_subproblem(graph, region_nodes, member_nodes, crossing_edges):
-    """Relabel a region densely; communication uses the induced subgraph,
-    while the solved view holds the cluster members, the crossing-edge
-    endpoints, the member-member edges, and the crossing edges. Edges
-    between two attached nodes stay outside the solved view (they are
-    covered by matched nodes outside clusters). The sub-graph keeps the
-    parent's bandwidth: it is a part of the same network."""
-    ordered = sorted(region_nodes)
+def _induced_subproblem(graph, tree, member_nodes, solve_nodes):
+    """Relabel a cluster's tree region densely. Communication uses the
+    induced subgraph over the cluster's own tree, while the solved view
+    holds the one-hop extended cluster and every edge with a member
+    endpoint; a member's neighbors all share its origin, so they lie in
+    the region. Edges between two attached nodes stay outside the solved
+    view (they are covered by matched nodes outside clusters). The
+    sub-graph keeps the parent's bandwidth: it is a part of the same
+    network."""
+    ordered = sorted(tree.parent)
     to_sub = {v: i for i, v in enumerate(ordered)}
     edges = [
         (to_sub[u], to_sub[v]) for u, v in graph.edges if u in to_sub and v in to_sub
     ]
     sub_graph = build_graph(edges, extra_nodes=range(len(ordered))).with_bandwidth(graph.bandwidth)
     members = {to_sub[v] for v in member_nodes}
-    crossing = {edge_key(to_sub[u], to_sub[v]) for u, v in crossing_edges}
-    in_nodes = set(members)
-    for u, v in crossing:
-        in_nodes.add(u)
-        in_nodes.add(v)
-    node_in = {i: i in in_nodes for i in sub_graph.node_ids}
-    edge_in = {
-        e: (e[0] in members and e[1] in members) or e in crossing
-        for e in sub_graph.edges
-    }
+    solve = {to_sub[v] for v in solve_nodes}
+    node_in = {i: i in solve for i in sub_graph.node_ids}
+    edge_in = {e: e[0] in members or e[1] in members for e in sub_graph.edges}
     sub_view = SubgraphView(sub_graph, node_in, edge_in)
-    return sub_graph, sub_view, to_sub, ordered
+    root = to_sub[tree.root]
+    sub_tree = BfsTree(
+        root,
+        {to_sub[v]: None if p is None else to_sub[p] for v, p in tree.parent.items()},
+        {to_sub[v]: d for v, d in tree.depth.items()},
+        {to_sub[v]: tuple(to_sub[c] for c in cs) for v, cs in tree.children.items()},
+    )
+    forest = BfsForest({root: sub_tree}, dict.fromkeys(sub_graph.node_ids, root))
+    return sub_graph, sub_view, forest, to_sub, ordered
 
 
 def combine_with_clusters(
@@ -326,9 +331,9 @@ def combine_with_clusters(
 ) -> tuple[VertexCover, RoundStats]:
     """Cover = matched nodes outside clusters + per-cluster covers of the
     one-hop extended cluster graphs, solved concurrently. Each cluster
-    solve elects on its sub-graph, eliminates augmenting paths to length
-    2k-1 with k = ceil(2 / psi), and takes the layered cover, for a
-    (1 + psi) guarantee."""
+    solve runs over the cluster's tree from `build_cluster_trees`,
+    eliminates augmenting paths to length 2k-1 with k = ceil(2 / psi), and
+    takes the layered cover, for a (1 + psi) guarantee."""
     if not 0.0 < psi <= 1.0:
         raise InvalidParam("psi must be in (0, 1]")
     k = math.ceil(2.0 / psi)
@@ -348,25 +353,13 @@ def combine_with_clusters(
     for v, joined in outputs.items():
         if joined is not None:
             extended.setdefault(joined, set()).add(v)
-    crossing: dict[int, list] = {}
-    for u, v in graph.edges:
-        cu, cv = cluster_set.members.get(u), cluster_set.members.get(v)
-        if cu is not None and cv is None:
-            crossing.setdefault(cu, []).append((u, v))
-        elif cv is not None and cu is None:
-            crossing.setdefault(cv, []).append((u, v))
 
     cover_nodes = set(x_nodes)
     inner_stats: list[RoundStats] = []
     members_by_cluster = cluster_set.clusters()
     for idx, c in enumerate(sorted(extended)):
-        solve_nodes = extended[c]
-        if not solve_nodes:
-            continue
-        region = {v for v in graph.node_ids if cluster_set.origin.get(v) == c}
-        region |= solve_nodes
-        sub_graph, sub_view, to_sub, ordered = _induced_subproblem(
-            graph, region, members_by_cluster.get(c, []), crossing.get(c, [])
+        sub_graph, sub_view, forest, to_sub, ordered = _induced_subproblem(
+            graph, cluster_set.trees[c], members_by_cluster[c], extended[c]
         )
         m0_edges = [
             (to_sub[u], to_sub[v])
@@ -375,11 +368,9 @@ def combine_with_clusters(
         ]
         m0 = Matching(m0_edges, sub_view)
         sub_seed = derive_seed(seed, 1000 + idx)
-        forest, st_i = elect_leader_and_bfs(sub_graph)
-        m1, elim_stats = eliminate_short_aug_paths(
+        m1, st_i = eliminate_short_aug_paths(
             sub_graph, sub_view, m0, k, seed=derive_seed(sub_seed, 1), forest=forest
         )
-        st_i.add_sequential(elim_stats)
         cover_i, cover_stats = koenig_approx_cover(sub_graph, sub_view, m1, k, forest=forest)
         st_i.add_sequential(cover_stats)
         inner_stats.append(st_i)

@@ -7,6 +7,11 @@ termination with an echo whose certificates are keyed to the exact
 (leader, distance, parent) a node currently holds: a certificate for a
 non-minimal leader can never complete because the true minimum node never
 adopts a larger id, so the first DONE broadcast is always genuine.
+
+A tree is its root, each node's parent and depth, and each node's
+children, which the nodes themselves learned: aggregation needs only the
+parent and children, so it runs over any spanning tree a protocol built,
+such as the per-cluster trees of the randomized pipeline.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterator
 
 from .graph import SIDE_A, SIDE_B, BipartiteGraph, Matching, SubgraphView
-from .runtime import Msg, NodeProgram, RoundStats, frame_count, id_bits, run
+from .runtime import Msg, NodeProgram, RoundStats, id_bits, run
 
 INF = math.inf
 
@@ -29,7 +34,7 @@ class BfsTree:
     root: int
     parent: dict[int, int | None]
     depth: dict[int, int]
-    height: int
+    children: dict[int, tuple[int, ...]]
 
 
 @dataclass
@@ -39,21 +44,14 @@ class BfsForest:
     trees: dict[int, BfsTree]
     root_of: dict[int, int]
 
-    def children(self) -> dict[int, tuple[int, ...]]:
-        kids: dict[int, list[int]] = {v: [] for v in self.root_of}
-        for tree in self.trees.values():
-            for v, p in tree.parent.items():
-                if p is not None:
-                    kids[p].append(v)
-        return {v: tuple(sorted(c)) for v, c in kids.items()}
-
     def tree_of(self, v: int) -> BfsTree:
         return self.trees[self.root_of[v]]
 
 
 class LeaderBfsProgram(NodeProgram):
     """Min-id leader election with BFS tree, echo termination, and a final
-    DONE broadcast carrying the tree height."""
+    DONE broadcast down the tree. Each node learns its children from the
+    child flag in its neighbors' statuses."""
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
@@ -64,11 +62,9 @@ class LeaderBfsProgram(NodeProgram):
             "dist": 0,
             "parent": ctx.node,  # own id encodes "no parent"
             "complete": False,
-            "height": 0,
             "nbr": {},
             "sent": None,
-            "tree_height": 0,
-            "done": False,
+            "children": (),
         }
 
     def _recompute(self, ctx, st):
@@ -76,67 +72,49 @@ class LeaderBfsProgram(NodeProgram):
         if nbr:
             # The parent is the smallest id among the best candidates, and
             # changes only on a strict improvement.
-            best, parent = min(((lu, du + 1), u) for u, (lu, du, _c, _cu, _hu) in nbr.items())
+            best, parent = min(((lu, du + 1), u) for u, (lu, du, _c, _cu) in nbr.items())
             if best < (st["lead"], st["dist"]):
                 st["lead"], st["dist"] = best
                 st["parent"] = parent
         lead, dist = st["lead"], st["dist"]
         children = [
-            u
-            for u, (lu, du, child, _cu, _hu) in nbr.items()
-            if child and lu == lead and du == dist + 1
+            u for u, (lu, du, child, _cu) in nbr.items() if child and lu == lead and du == dist + 1
         ]
         resolved = all(
             u in nbr and nbr[u][0] == lead and nbr[u][1] <= dist + 1
             for u in ctx.neighbors
         )
         st["complete"] = resolved and all(nbr[c][3] for c in children)
-        st["height"] = max((nbr[c][4] + 1 for c in children), default=0)
         return children
 
     def step(self, ctx, st, inbox, rnd, rng):
         idw = self.idw
-        done_received = None
+        done_received = False
         for u, msg in inbox.items():
             vals = msg.values
             if vals[0] == _STATUS:
-                if len(vals) == 6:
-                    st["nbr"][u] = (vals[1], vals[2], vals[3], vals[4], vals[5])
-                else:
-                    st["nbr"][u] = (vals[1], vals[2], 0, 0, 0)
+                st["nbr"][u] = vals[1:] if len(vals) == 5 else vals[1:] + (0,)
             else:
-                done_received = vals[1]
+                done_received = True
 
         children = self._recompute(ctx, st)
         out = {}
 
-        if done_received is not None and not st["done"]:
-            st["done"] = True
-            st["tree_height"] = done_received
+        if done_received or (st["lead"] == ctx.node and st["complete"]):
+            st["children"] = tuple(sorted(children))
+            done = Msg((_DONE, 1))
             for c in children:
-                out[c] = Msg((_DONE, 1), (done_received, idw))
+                out[c] = done
             return st, out, True
 
-        if st["lead"] == ctx.node and st["complete"]:
-            st["done"] = True
-            st["tree_height"] = st["height"]
-            for c in children:
-                out[c] = Msg((_DONE, 1), (st["height"], idw))
-            return st, out, True
-
-        status = (st["lead"], st["dist"], st["parent"], int(st["complete"]), st["height"])
+        status = (st["lead"], st["dist"], st["parent"], int(st["complete"]))
         if status != st["sent"]:
             st["sent"] = status
             # Only the parent needs the certificate fields; keeping the
             # other statuses narrow lets every frame fit the bandwidth.
             short = Msg((_STATUS, 1), (status[0], idw), (status[1], idw), (0, 1))
             full = Msg(
-                (_STATUS, 1),
-                (status[0], idw),
-                (status[1], idw),
-                (1, 1),
-                (status[3], 1),
-                (status[4], idw),
+                (_STATUS, 1), (status[0], idw), (status[1], idw), (1, 1), (status[3], 1)
             )
             for u in ctx.neighbors:
                 out[u] = full if u == st["parent"] else short
@@ -147,7 +125,7 @@ class LeaderBfsProgram(NodeProgram):
             "leader": st["lead"],
             "parent": None if st["parent"] == ctx.node else st["parent"],
             "depth": st["dist"],
-            "height": st["tree_height"],
+            "children": st["children"],
         }
 
 
@@ -165,15 +143,15 @@ def elect_leader_and_bfs(graph: BipartiteGraph) -> tuple[BfsForest, RoundStats]:
         root_of[v] = root
         tree = trees.get(root)
         if tree is None:
-            tree = trees[root] = BfsTree(root, {}, {}, 0)
+            tree = trees[root] = BfsTree(root, {}, {}, {})
         tree.parent[v] = out["parent"]
         tree.depth[v] = out["depth"]
-        tree.height = out["height"]
+        tree.children[v] = out["children"]
     return BfsForest(trees, root_of), stats
 
 
 # ---------------------------------------------------------------------------
-# Pipelined aggregation over a BFS tree
+# Pipelined aggregation over a tree
 # ---------------------------------------------------------------------------
 
 _COMBINERS = {
@@ -186,10 +164,18 @@ _COMBINERS = {
 class AggregateProgram(NodeProgram):
     """Convergecast of k values with pipelining, then pipelined broadcast.
 
-    Inputs per node: (parent, depth, height, children, values). Value j
-    climbs one tree level per slot; the root rebroadcasts each result as
-    soon as it is final. A slot is one round unless messages fragment, in
-    which case everything stretches by the same factor.
+    Input per node: (parent, children, values). A node sends value j to its
+    parent, combined with its subtree's, once every child has sent its
+    value j, at most one value per step; the root broadcasts each result as
+    soon as it is final, and every node forwards the results it receives.
+    An edge delivers messages in the order they were sent, so a message
+    holds only the value: its index is the count of values before it.
+
+    Schedule: a message takes P = frame_count(value_width, B) rounds on an
+    edge (a leaf sends one value per step; later ones queue behind the
+    first). A node whose subtree has height s delivers value j to its
+    parent in round (s + j + 1)·P + 1, so for k >= 1 a tree of height
+    H >= 1 finishes in (2H + k - 1)·P + 1 rounds and a lone node in one.
     """
 
     def __init__(self, k: int, combine: str, value_width: int):
@@ -197,77 +183,50 @@ class AggregateProgram(NodeProgram):
             raise ValueError(f"unknown combine {combine!r}")
         self.k = k
         self.fn = _COMBINERS[combine]
-        self.combine = combine
         self.vw = value_width
-        self.jw = id_bits(k)
-
-    def setup(self, n, bandwidth):
-        self.period = frame_count(1 + self.jw + self.vw, bandwidth)
-
-    def _slot(self, rnd, period):
-        return (rnd - 1) // period + 1
-
-    def _slot_start(self, slot, period):
-        return (slot - 1) * period + 1
 
     def init(self, ctx):
-        parent, depth, height, children, values = ctx.input
+        parent, children, values = ctx.input
         if len(values) != self.k:
             raise ValueError("every node must hold exactly k values")
         return {
             "parent": parent,
-            "depth": depth,
-            "height": height,
             "children": children,
             "partial": list(values),
-            "results": [None] * self.k,
-            "up_next": 0,
-            "down_sent": 0,
+            "heard": dict.fromkeys(children, 0),  # values received per child
+            "sent": 0,  # values sent up, or at the root broadcast
+            # A lone root holds every result at once.
+            "results": list(values) if parent is None and not children else [],
         }
 
     def step(self, ctx, st, inbox, rnd, rng):
-        period, jw = self.period, self.jw
-        slot = self._slot(rnd, period)
-        h, dp = st["height"], st["depth"]
+        parent, partial, heard, results = st["parent"], st["partial"], st["heard"], st["results"]
         out = {}
-
         for u, msg in inbox.items():
-            tag, j, value = msg.values
-            if tag == 0:
-                st["partial"][j] = self.fn(st["partial"][j], value)
+            if u == parent:
+                results.append(msg.values[0])
+                for c in st["children"]:
+                    out[c] = msg
             else:
-                st["results"][j] = value
-                for c in st["children"]:
-                    out[c] = Msg((1, 1), (j, jw), (value, self.vw))
-                st["down_sent"] = j + 1
+                j = heard[u]
+                heard[u] = j + 1
+                partial[j] = self.fn(partial[j], msg.values[0])
 
-        if st["parent"] is not None:
-            # Value j climbs at slot (h - dp) + j + 1.
-            j = slot - 1 - (h - dp)
-            if j == st["up_next"] and 0 <= j < self.k:
-                out[st["parent"]] = Msg((0, 1), (j, jw), (st["partial"][j], self.vw))
-                st["up_next"] = j + 1
-        else:
-            j = slot - 1 - (h + 1)
-            if j == st["down_sent"] and 0 <= j < self.k:
-                st["results"][j] = st["partial"][j]
+        ready = min(heard.values(), default=self.k)
+        j = st["sent"]
+        if j < ready and len(results) < self.k:
+            st["sent"] = j + 1
+            msg = Msg((partial[j], self.vw))
+            if parent is not None:
+                out[parent] = msg
+            else:
+                results.append(partial[j])
                 for c in st["children"]:
-                    out[c] = Msg((1, 1), (j, jw), (st["partial"][j], self.vw))
-                st["down_sent"] = j + 1
-
-        finished = all(r is not None for r in st["results"])
-        if finished and (st["parent"] is None or not st["children"] or st["down_sent"] >= self.k):
+                    out[c] = msg
+        if len(results) == self.k:
             return st, out, True
-
-        # Wake at the next slot with scheduled work, or on mail.
-        wake = None
-        if st["parent"] is not None and st["up_next"] < self.k:
-            wake = self._slot_start((h - dp) + st["up_next"] + 1, period)
-        elif st["parent"] is None and st["down_sent"] < self.k:
-            wake = self._slot_start((h + 1) + st["down_sent"] + 1, period)
-        if wake is not None and wake <= rnd:
-            wake = rnd + 1
-        return st, out, False, wake
+        # A value already complete goes out next step; otherwise wait for mail.
+        return st, out, False, rnd + 1 if st["sent"] < ready else None
 
     def output(self, ctx, st):
         return tuple(st["results"])
@@ -283,15 +242,14 @@ def pipelined_aggregate(
     view: SubgraphView | None = None,
     phase: str = "aggregate",
 ) -> tuple[dict[int, tuple], RoundStats]:
-    """Aggregate k values per node over each component's BFS tree and
-    broadcast the componentwise results back to every node."""
+    """Aggregate k values per node over each component's tree in `forest`
+    and broadcast the componentwise results back to every node."""
     k = len(next(iter(values.values()), ()))
     vw = value_width if value_width is not None else 2 * id_bits(graph.n)
-    kids = forest.children()
     inputs = {}
     for v in graph.node_ids:
         tree = forest.tree_of(v)
-        inputs[v] = (tree.parent[v], tree.depth[v], tree.height, kids[v], values[v])
+        inputs[v] = (tree.parent[v], tree.children[v], values[v])
     program = AggregateProgram(k, combine, vw)
     return run(program, graph, view, inputs=inputs, phase=phase)
 

@@ -276,12 +276,23 @@ def _pipeline_workload(instances, seeds, base_seed):
     return results
 
 
+def inside_fraction(cluster_set, matching):
+    """Fraction of matching edges with both endpoints in one cluster."""
+    if matching.size == 0:
+        return 1.0
+    members = cluster_set.members
+    inside = sum(
+        1 for u, v in matching.edges if members.get(u) is not None and members[u] == members.get(v)
+    )
+    return inside / matching.size
+
+
 def _matching_inside_fraction(g, cs, seed):
     # The pipeline's maximal matching is reproducible from its seed salt.
     from bvc.runtime import derive_seed
 
     m, _ = maximal_matching(g, seed=derive_seed(seed, 71))
-    return cs.inside_fraction(m)
+    return inside_fraction(cs, m)
 
 
 @pytest.fixture(scope="module")

@@ -114,6 +114,15 @@ def test_config_file_precedence(tmp_path, capsys):
     assert record["pipeline"] == "exact"
 
 
+@pytest.mark.parametrize("key", ["seed", "repeat", "eps", "k", "lam", "bandwidth"])
+def test_config_rejects_non_numeric_values(tmp_path, capsys, key):
+    conf = tmp_path / "exp.conf"
+    conf.write_text(f"pipeline=exact\ngraph=gen:path:n=4\n{key}=abc\n")
+    rc = main(["run", "--config", str(conf)])
+    assert rc == 2
+    assert f"{key} must be" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_keys(tmp_path):
     conf = tmp_path / "exp.conf"
     conf.write_text("pipeline=exact\nbogus=1\n")
@@ -278,9 +287,15 @@ def test_pipelines_elect_once(monkeypatch):
 
     monkeypatch.setattr(primitives, "run", recording_run)
     record = run_one({"pipeline": "diameter1", "graph": spec, "k": 14}, g, 0)
-    monkeypatch.undo()
     assert record["valid"]
     assert phases.count("elect-bfs") == 1
+    # The randomized pipeline's cluster solves run over the clustering's
+    # own trees, so it elects nowhere.
+    phases.clear()
+    record = run_one({"pipeline": "rand-pipeline", "graph": spec, "eps": 0.5}, g, 0)
+    monkeypatch.undo()
+    assert record["valid"] and record["clusters"] > 0
+    assert "class-sizes" in phases and "elect-bfs" not in phases
 
     # Above 12 phases the elimination elects only when given no forest.
     forest, elect_stats = primitives.elect_leader_and_bfs(g)

@@ -23,6 +23,7 @@ from bvc.graph import (
     gen_random,
 )
 from bvc.matching import maximal_matching
+from test_acceptance import inside_fraction
 
 
 def separation_ok(graph, cluster_set, h=3):
@@ -144,7 +145,9 @@ def test_tree_build_heights_and_congestion():
     assignment = {v: 0 for v in g.node_ids}
     cs, _ = shrink_partition(g, assignment)
     build_cluster_trees(g, cs)
-    assert cs.trees[0].height == 4
+    assert max(cs.trees[0].depth.values()) == 4
+    assert cs.max_tree_height() == 4
+    assert cs.trees[0].children == {0: (1,), 1: (2,), 2: (3,), 3: (4,), 4: ()}
     assert cs.congestion == 1
 
     g2 = gen_disjoint_edges(2)
@@ -169,6 +172,9 @@ def test_tree_spans_members_after_shrink():
             tree = cs.trees[c]
             for v in members:
                 assert v in tree.depth
+            # The children each node learned are exactly the nodes naming it parent.
+            for v in tree.parent:
+                assert tree.children[v] == tuple(u for u in sorted(tree.parent) if tree.parent[u] == v)
 
 
 def test_combine_single_cluster_reduces_to_inner():
@@ -182,6 +188,43 @@ def test_combine_single_cluster_reduces_to_inner():
     view = SubgraphView.whole(g)
     opt = oracle.min_vc_oracle(view).size
     assert cover.size <= 2 * opt + 1e-9
+
+
+def test_combine_solves_over_the_cluster_trees(monkeypatch):
+    """Each cluster solve runs over its cluster's tree, relabelled into the
+    sub-graph and rooted at the cluster's origin, and elects nothing."""
+    g = gen_random(30, 30, 0.06, 3)
+    m, _ = maximal_matching(g, seed=3)
+    assignment, _ = mpx_partition(g, 0.25, seed=4)
+    cs, _ = shrink_partition(g, assignment)
+    build_cluster_trees(g, cs)
+    assert len(cs.trees) > 1
+    forests, phases = [], []
+    inner, engine = clustering.koenig_approx_cover, primitives.run
+
+    def recording_cover(graph, view, matching, k, *, forest):
+        forests.append(forest)
+        return inner(graph, view, matching, k, forest=forest)
+
+    def recording_run(*args, **kwargs):
+        phases.append(kwargs.get("phase"))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(clustering, "koenig_approx_cover", recording_cover)
+    monkeypatch.setattr(primitives, "run", recording_run)
+    cover, _ = combine_with_clusters(g, m, cs, 0.5, seed=3)
+    monkeypatch.undo()
+    assert cover.is_valid()
+    assert "class-sizes" in phases and "elect-bfs" not in phases
+    assert len(forests) == len(cs.trees)
+    for forest, (c, tree) in zip(forests, sorted(cs.trees.items())):
+        ordered = sorted(tree.parent)
+        (root, sub_tree), = forest.trees.items()
+        assert ordered[root] == c
+        assert set(forest.root_of.values()) == {root}
+        parent = {ordered[v]: p if p is None else ordered[p] for v, p in sub_tree.parent.items()}
+        assert parent == tree.parent
+        assert {ordered[v]: d for v, d in sub_tree.depth.items()} == tree.depth
 
 
 def test_combine_x_covers_outside_matching():
@@ -309,7 +352,7 @@ def test_pipeline_density_statistics():
         lam = 0.25
         assignment, _ = mpx_partition(g, lam, seed=seed + 1000)
         cs, _ = shrink_partition(g, assignment)
-        fractions.append(1.0 - cs.inside_fraction(m))
+        fractions.append(1.0 - inside_fraction(cs, m))
     mean_outside = statistics.mean(fractions)
     stderr = statistics.pstdev(fractions) / max(1, len(fractions)) ** 0.5
     assert mean_outside <= 0.25 + 3 * stderr + 0.05

@@ -1,4 +1,8 @@
+import functools
 import math
+import random
+
+import pytest
 
 from bvc import oracle
 from bvc.graph import (
@@ -6,13 +10,21 @@ from bvc.graph import (
     Matching,
     SubgraphView,
     build_graph,
+    ceil_log2,
     gen_complete,
     gen_disjoint_edges,
     gen_even_cycle,
     gen_path,
     gen_random,
 )
-from bvc.primitives import alternating_bfs, elect_leader_and_bfs, pipelined_aggregate
+from bvc.primitives import (
+    BfsForest,
+    BfsTree,
+    alternating_bfs,
+    elect_leader_and_bfs,
+    pipelined_aggregate,
+)
+from bvc.runtime import frame_count, id_bits
 
 INF = math.inf
 
@@ -22,7 +34,7 @@ def test_elect_path5():
     forest, stats = elect_leader_and_bfs(g)
     assert set(forest.trees) == {0}
     tree = forest.trees[0]
-    assert tree.height == 4
+    assert max(tree.depth.values()) == 4
     assert tree.depth == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
     assert tree.parent[0] is None
     assert tree.parent[3] == 2
@@ -31,7 +43,8 @@ def test_elect_path5():
 def test_elect_single_node():
     g = build_graph([], extra_nodes=[0])
     forest, stats = elect_leader_and_bfs(g)
-    assert forest.trees[0].height == 0
+    assert forest.trees[0].depth == {0: 0}
+    assert forest.trees[0].children == {0: ()}
     assert stats.rounds <= 2
 
 
@@ -85,7 +98,10 @@ def test_elect_depths_are_bfs_distances():
             frontier = nxt
         tree = forest.trees[root]
         assert {v: tree.depth[v] for v in comp} == dist
-        assert tree.height == max(dist.values())
+        assert max(tree.depth.values()) == max(dist.values())
+        # The children each node learned are exactly the nodes naming it parent.
+        for v in comp:
+            assert tree.children[v] == tuple(u for u in comp if tree.parent[u] == v)
 
 
 def test_aggregate_sum_path():
@@ -94,7 +110,7 @@ def test_aggregate_sum_path():
     values = {v: (1,) for v in g.node_ids}
     results, stats = pipelined_aggregate(g, forest, values, combine="sum")
     assert all(results[v] == (5,) for v in g.node_ids)
-    height = forest.trees[0].height
+    height = max(forest.trees[0].depth.values())
     assert stats.rounds <= 2 * (height + 1) + 8
 
 
@@ -136,6 +152,68 @@ def test_aggregate_per_component():
     results, _ = pipelined_aggregate(g, forest, values, combine="max")
     assert results[0] == (1,)
     assert results[4] == (5,)
+
+
+def _forest_by_hand(g, roots):
+    """BFS trees of g from the given roots (one per component), built
+    without an election."""
+    trees, root_of = {}, {}
+    for root in roots:
+        tree = trees[root] = BfsTree(root, {root: None}, {root: 0}, {})
+        frontier = [root]
+        while frontier:
+            nxt = []
+            for x in frontier:
+                root_of[x] = root
+                kids = tuple(y for y in g.adjacency[x] if y not in tree.parent)
+                for y in kids:
+                    tree.parent[y] = x
+                    tree.depth[y] = tree.depth[x] + 1
+                tree.children[x] = tuple(sorted(kids))
+                nxt.extend(kids)
+            frontier = nxt
+    return BfsForest(trees, root_of)
+
+
+@pytest.mark.parametrize("combine", ["sum", "min", "max"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_aggregate_unbalanced_forest_at_the_floor(k, combine):
+    """A wide star with a long path hanging off one leaf (rooted at the
+    star's centre), a short path rooted off-centre and a lone node. At the
+    9-bit floor every value takes two frames, so leaves queue their values
+    on the edge; results match a sequential fold and the round count the
+    closed form (2H + k - 1)·P + 1 of the highest tree."""
+    star = [(0, leaf) for leaf in range(1, 11)]
+    hanging = [(1, 11)] + [(v, v + 1) for v in range(11, 22)]
+    short = [(v, v + 1) for v in range(23, 27)]
+    g = build_graph(star + hanging + short, extra_nodes=[28])
+    g = g.with_bandwidth(ceil_log2(g.n) + 4)
+    assert g.bandwidth == 9
+    forest = _forest_by_hand(g, [0, 24, 28])
+    heights = {r: max(t.depth.values()) for r, t in forest.trees.items()}
+    assert heights == {0: 13, 24: 3, 28: 0}
+
+    rng = random.Random(k)
+    values = {v: tuple(rng.randrange(32) for _ in range(k)) for v in g.node_ids}
+    results, stats = pipelined_aggregate(g, forest, values, combine=combine)
+
+    fold = {"sum": lambda a, b: a + b, "min": min, "max": max}[combine]
+    for root, tree in forest.trees.items():
+        expected = tuple(
+            functools.reduce(fold, (values[v][j] for v in tree.depth)) for j in range(k)
+        )
+        assert all(results[v] == expected for v in tree.depth)
+    p = frame_count(2 * id_bits(g.n), g.bandwidth)
+    assert p == 2 and stats.fragmentation_rounds > 0
+    assert stats.rounds == (2 * heights[0] + k - 1) * p + 1
+
+
+def test_aggregate_lone_nodes_finish_in_one_round():
+    g = build_graph([], extra_nodes=[0, 1])
+    forest, _ = elect_leader_and_bfs(g)
+    results, stats = pipelined_aggregate(g, forest, {0: (3, 4), 1: (5, 6)})
+    assert results == {0: (3, 4), 1: (5, 6)}
+    assert stats.rounds == 1
 
 
 def whole(g):
