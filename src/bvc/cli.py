@@ -87,12 +87,21 @@ def _truthy(value) -> bool:
     return bool(value)
 
 
+def _given(config: dict, key: str, default):
+    """config[key], or `default` when it is absent or None. A given zero is
+    kept, so the check that owns the value can reject it."""
+    value = config.get(key)
+    return default if value is None else value
+
+
 def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     """Execute one (pipeline, graph, seed) and build its record; `D` is
     left None for run_experiment to fill."""
     pipeline = config["pipeline"]
     view = SubgraphView.whole(graph)
-    eps = config.get("eps") or 0.5
+    eps = _given(config, "eps", 0.5)
+    if not 0.0 < eps <= 1.0:
+        raise InvalidParam("eps must be in (0, 1]")
     use_oracle = not _truthy(config.get("no_oracle"))
     record = {
         "pipeline": pipeline,
@@ -121,10 +130,10 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         record["cover_size"] = cover.size
         valid = cover.is_valid()
     elif pipeline == "diameter1":
-        k = config.get("k") or max(1, math.ceil(1.0 / eps))
+        k = _given(config, "k", max(1, math.ceil(1.0 / eps)))
         record["params"].update({"k": k, "eps": eps})
         forest, stats = elect_leader_and_bfs(graph)
-        matching, elim_stats = eliminate_short_aug_paths(
+        matching, _, elim_stats = eliminate_short_aug_paths(
             graph, view, Matching([], view), k, seed=seed, forest=forest
         )
         stats.add_sequential(elim_stats)
@@ -145,7 +154,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         record["cover_size"] = cover.size
         valid = cover.is_valid()
     elif pipeline == "clustering-only":
-        lam = config.get("lam") or eps / 4.0
+        lam = _given(config, "lam", eps / 4.0)
         record["params"]["lam"] = lam
         assignment, stats = mpx_partition(graph, lam, seed=seed)
         cluster_set, shrink_stats = shrink_partition(graph, assignment)
@@ -158,7 +167,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     elif pipeline == "matching-only":
         provider = config.get("provider")
         if not provider:
-            provider = f"eliminate:k={config['k']}" if config.get("k") else "maximal"
+            provider = "maximal" if config.get("k") is None else f"eliminate:k={config['k']}"
         record["params"]["provider"] = provider
         spec = parse_provider(provider)
         matching, stats = spec.run(graph, view, seed=seed)
@@ -208,11 +217,14 @@ def run_experiment(config: dict) -> list[dict]:
         raise InvalidParam(f"pipeline must be one of {', '.join(PIPELINES)}")
     if not config.get("graph"):
         raise InvalidParam("a graph file or gen: spec is required")
+    repeat = _given(config, "repeat", 1)
+    if repeat < 1:
+        raise InvalidParam("repeat must be >= 1")
     graph = load_graph(config["graph"], config.get("bandwidth"))
     diameter = None if _truthy(config.get("no_oracle")) else oracle.diameter(graph)
     records = []
-    base_seed = config.get("seed") or 0
-    for i in range(config.get("repeat") or 1):
+    base_seed = _given(config, "seed", 0)
+    for i in range(repeat):
         record = run_one(config, graph, base_seed + i)
         record["D"] = diameter
         records.append(record)

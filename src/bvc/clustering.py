@@ -368,7 +368,7 @@ def combine_with_clusters(
         ]
         m0 = Matching(m0_edges, sub_view)
         sub_seed = derive_seed(seed, 1000 + idx)
-        m1, st_i = eliminate_short_aug_paths(
+        m1, _, st_i = eliminate_short_aug_paths(
             sub_graph, sub_view, m0, k, seed=derive_seed(sub_seed, 1), forest=forest
         )
         cover_i, cover_stats = koenig_approx_cover(sub_graph, sub_view, m1, k, forest=forest)

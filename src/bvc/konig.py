@@ -3,8 +3,9 @@
 From a matching with no augmenting path shorter than 2k+1, the alternating
 BFS levels partition each side into classes; unions of class prefixes and
 suffixes give k candidate covers whose smallest member is within (1 + 1/k)
-of the matching size. Running the same construction on a maximum matching
-with unbounded depth yields an exact minimum vertex cover.
+of the matching size. The exact cover is König's construction on a
+maximum matching: one elimination long enough to leave no augmenting path,
+whose last, empty check already holds the full alternating reachability.
 """
 
 from __future__ import annotations
@@ -15,15 +16,8 @@ from dataclasses import dataclass
 from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_A, BipartiteGraph, Matching, SubgraphView, VertexCover
 from .matching import eliminate_short_aug_paths
-from .primitives import (
-    AlternatingLayering,
-    BfsForest,
-    alternating_bfs,
-    elect_leader_and_bfs,
-    pipelined_aggregate,
-    witness_check,
-)
-from .runtime import RoundStats, derive_seed, id_bits
+from .primitives import AlternatingLayering, BfsForest, alternating_bfs, pipelined_aggregate
+from .runtime import RoundStats, id_bits
 
 INF = math.inf
 
@@ -139,36 +133,20 @@ def koenig_exact_cover(
     *,
     seed: int = 0,
 ) -> tuple[VertexCover, RoundStats]:
-    """Exact minimum vertex cover: eliminate augmenting paths with doubling
-    depth until none remain, then keep the A-nodes missed by the final
-    alternating reachability and the B-nodes it reaches."""
-    stats = RoundStats()
-    forest, elect_stats = elect_leader_and_bfs(graph)
-    stats.add_sequential(elect_stats)
-
-    matching = Matching([], view)
-    k = 1
-    d_start = 1
-    layering = None
-    for attempt in range(2 * graph.n + 2):
-        shortest, layering, check_stats = witness_check(graph, view, matching, forest)
-        stats.add_sequential(check_stats)
-        if shortest is None:
-            break
-        while 2 * k - 1 < shortest:
-            k *= 2
-        matching, elim_stats = eliminate_short_aug_paths(
-            graph,
-            view,
-            matching,
-            k,
-            seed=derive_seed(seed, 400 + attempt),
-            d_start=d_start,
-            forest=forest,
+    """Exact minimum vertex cover: one elimination with k = n//2 + 1 leaves
+    no augmenting path (2k - 1 >= n exceeds every simple path), then keep
+    the A-nodes missed by the alternating reachability and the B-nodes it
+    reaches. That reachability is the layering of the elimination's last,
+    empty check; only an elimination that ran no check (n <= 15) is
+    followed by a BFS of its own."""
+    matching, layering, stats = eliminate_short_aug_paths(
+        graph, view, Matching([], view), graph.n // 2 + 1, seed=seed
+    )
+    if layering is None:
+        layering, bfs_stats = alternating_bfs(
+            graph, view, matching, graph.n + 1, phase="reachability"
         )
-        stats.add_sequential(elim_stats)
-        d_start = 2 * k + 1
-        k *= 2
+        stats.add_sequential(bfs_stats)
 
     base = view.base
     nodes = [

@@ -363,6 +363,11 @@ def select_disjoint_paths(
     return flipped, _reconstruct_paths(outputs, d), stats
 
 
+# Phases up to this length run unchecked: their BFS to depth d costs less
+# than a check to depth 2k - 1 would.
+_UNCHECKED_LENGTH = 15
+
+
 def eliminate_short_aug_paths(
     graph: BipartiteGraph,
     view: SubgraphView,
@@ -370,60 +375,55 @@ def eliminate_short_aug_paths(
     k: int,
     *,
     seed: int | None = 0,
-    d_start: int = 1,
     forest: BfsForest | None = None,
-) -> tuple[Matching, RoundStats]:
-    """Phases d = 1, 3, ..., 2k-1; after phase d no augmenting path of
-    length <= d remains, so the result has none of length <= 2k-1. Each
-    phase's selection draws from its own seed derived from `seed`, or
-    follows the deterministic rule when `seed` is None.
+) -> tuple[Matching, AlternatingLayering | None, RoundStats]:
+    """Phases of increasing odd length d up to 2k-1, each flipping a maximal
+    set of disjoint augmenting paths of length d; after phase d none of
+    length <= d remains, so the result has none of length <= 2k-1. The
+    selection of phase d draws from derive_seed(seed, d), or follows the
+    deterministic rule when `seed` is None.
 
-    d_start skips phases a caller has already discharged (the input then
-    must have no augmenting path shorter than d_start). Above 12 phases
-    each one starts with a shortest-length check over `forest`, which is
-    elected here only when the caller passes none."""
+    Phases d <= 15 run unchecked: alternating BFS to depth d, then
+    selection. Every longer phase starts with a `witness_check` to depth
+    2k-1 over `forest` (elected here when the caller passes none), jumps to
+    the shortest length it finds and selects on its layering, or ends the
+    loop when it finds none. That last, empty check's layering of the
+    result is returned; it is None when the loop ended without one."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
-    if d_start % 2 == 0:
-        raise InvalidParam("d_start must be odd")
     matching = m0
     stats = RoundStats()
-
-    # For large k most phases would be empty; a per-phase shortest-length
-    # check lets the loop jump straight to the next populated length.
-    checked = (2 * k - d_start) // 2 + 1 > 12
-    if checked and forest is None:
+    top = 2 * k - 1
+    if top > _UNCHECKED_LENGTH and forest is None:
         forest, elect_stats = elect_leader_and_bfs(graph)
         stats.add_sequential(elect_stats)
 
-    d = d_start
-    i = 0
-    while d <= 2 * k - 1:
-        if checked:
-            shortest, _, check_stats = witness_check(graph, view, matching, forest)
+    d = 1
+    while d <= top:
+        if d <= _UNCHECKED_LENGTH:
+            layering, bfs_stats = alternating_bfs(graph, view, matching, d, phase=f"bfs[d={d}]")
+            stats.add_sequential(bfs_stats)
+            shortest = min((lv for _, lv in layering.witnesses(view, matching)), default=d)
+        else:
+            shortest, layering, check_stats = witness_check(graph, view, matching, forest, top)
             stats.add_sequential(check_stats)
-            if shortest is None or shortest > 2 * k - 1:
-                break
-            if shortest < d:
-                raise ShorterPathExists(f"augmenting path of length {shortest} < {d}")
-            d = shortest
-        layering, bfs_stats = alternating_bfs(graph, view, matching, d, phase=f"bfs[d={d}]")
-        stats.add_sequential(bfs_stats)
-        for v, lv in layering.witnesses(view, matching, below=d):
-            raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
+            if shortest is None:
+                return matching, layering, stats
+        if shortest < d:
+            raise ShorterPathExists(f"augmenting path of length {shortest} < {d}")
+        d = shortest
         matching, _, sel_stats = select_disjoint_paths(
             graph,
             view,
             matching,
             d,
             layering,
-            seed=None if seed is None else derive_seed(seed, 2 * i + 1),
+            seed=None if seed is None else derive_seed(seed, d),
             phase=f"select[d={d}]",
         )
         stats.add_sequential(sel_stats)
         d += 2
-        i += 1
-    return matching, stats
+    return matching, None, stats
 
 
 def approx_matching(
@@ -444,7 +444,10 @@ def approx_matching(
         raise InvalidParam("delta must be in (0, 1]")
     k = max(1, math.ceil(1.0 / delta) - 1)
     k = min(k, graph.n // 2 + 1)
-    return eliminate_short_aug_paths(graph, view, Matching([], view), k, seed=seed, forest=forest)
+    matching, _, stats = eliminate_short_aug_paths(
+        graph, view, Matching([], view), k, seed=seed, forest=forest
+    )
+    return matching, stats
 
 
 @dataclass(frozen=True)
@@ -458,7 +461,10 @@ class ProviderSpec:
         if self.kind == "maximal":
             return maximal_matching(graph, view, seed=seed)
         if self.kind == "eliminate":
-            return eliminate_short_aug_paths(graph, view, Matching([], view), self.k, seed=seed)
+            matching, _, stats = eliminate_short_aug_paths(
+                graph, view, Matching([], view), self.k, seed=seed
+            )
+            return matching, stats
         if self.kind == "approx":
             return approx_matching(graph, view, self.delta, seed=seed)
         return approx_matching(graph, view, self.delta, seed=None)

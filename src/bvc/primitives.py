@@ -411,12 +411,15 @@ def witness_check(
     view: SubgraphView,
     matching: Matching,
     forest: BfsForest,
+    depth: int,
 ) -> tuple[int | None, AlternatingLayering, RoundStats]:
-    """Full-depth layering plus an aggregated minimum over the levels of
+    """Layering to `depth` plus an aggregated minimum over the levels of
     free in-view B-nodes: afterwards every node knows the length of the
-    shortest augmenting path, or that none exists (returned as None)."""
+    shortest augmenting path of length <= depth, or that none exists
+    (returned as None). Any depth >= n - 1 covers every simple path, so
+    its layering is the full alternating reachability."""
     stats = RoundStats()
-    layering, bfs_stats = alternating_bfs(graph, view, matching, graph.n + 1, phase="reachability")
+    layering, bfs_stats = alternating_bfs(graph, view, matching, depth, phase="reachability")
     stats.add_sequential(bfs_stats)
     width = id_bits(graph.n) + 2
     sentinel = (1 << width) - 1

@@ -106,7 +106,7 @@ def test_criterion_2_layered_cover_bound():
         na = rng.randint(4, 100)
         g = gen_random(na, rng.randint(4, 100), min(1.0, 2.5 / na), rng.randrange(1 << 30))
         view = whole(g)
-        m, m_stats = eliminate_short_aug_paths(
+        m, _, m_stats = eliminate_short_aug_paths(
             g, view, Matching([], view), k, seed=2000 + i
         )
         track(m_stats, default_bandwidth(g.n))
@@ -156,7 +156,7 @@ def test_criterion_3_path_count_oracle_equivalence():
         if d == 1:
             m = Matching([], view)
         else:
-            m, _ = eliminate_short_aug_paths(
+            m, _, _ = eliminate_short_aug_paths(
                 g, view, Matching([], view), (d - 1) // 2, seed=attempts
             )
         if oracle.shortest_aug_path_len(view, m) != d:
@@ -380,7 +380,7 @@ def test_criterion_8a_cover_rounds_linear_in_diameter():
     for d_target, k in [(10, 1), (20, 2), (40, 3), (80, 2), (160, 1), (320, 2)]:
         g = gen_path(d_target + 1)
         view = whole(g)
-        m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=7)
+        m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=7)
         forest, stats = elect_leader_and_bfs(g)
         cover, cover_stats = koenig_approx_cover(g, view, m, k, forest=forest)
         stats.add_sequential(cover_stats)

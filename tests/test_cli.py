@@ -238,6 +238,17 @@ def test_bandwidth_below_floor_exits_2(capsys):
     assert "below floor 10" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "pipeline, option",
+    [("diameter1", "--eps"), ("diameter1", "--k"), ("clustering-only", "--lam"), ("exact", "--repeat")],
+)
+def test_zero_parameter_exits_2(capsys, pipeline, option):
+    """A zero is a given value, not a missing one: it reaches its check."""
+    rc = main(["run", "--pipeline", pipeline, "--graph", "gen:path:n=4", option, "0"])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_det_low_diam_is_seed_independent(capsys):
     """The deterministic pipeline runs unseeded (a draw would fault), so
     every seed gives the same cover and costs."""
@@ -270,9 +281,9 @@ def test_pipelines_elect_once(monkeypatch):
 
     _, stats = det_cover_low_diameter(g, view, 0.5)
     assert elections(stats) == 1
-    # On this path the exact cover's doubling reaches an elimination of
-    # more than 12 phases, which runs its shortest-length checks over the
-    # forest (and used to elect a second time).
+    # On this path the exact cover's one elimination (k = 21) reaches the
+    # phases beyond d = 15, whose shortest-length checks run over a forest;
+    # the elimination elects it, once.
     path = gen_path(40)
     _, stats = koenig_exact_cover(path, SubgraphView.whole(path), seed=0)
     assert elections(stats) == 1
@@ -297,10 +308,11 @@ def test_pipelines_elect_once(monkeypatch):
     assert record["valid"] and record["clusters"] > 0
     assert "class-sizes" in phases and "elect-bfs" not in phases
 
-    # Above 12 phases the elimination elects only when given no forest.
+    # With phases beyond d = 15 (k = 14) the elimination elects only when
+    # given no forest.
     forest, elect_stats = primitives.elect_leader_and_bfs(g)
-    m_own, own_stats = eliminate_short_aug_paths(g, view, Matching([], view), 14, seed=3)
-    m_given, given_stats = eliminate_short_aug_paths(
+    m_own, _, own_stats = eliminate_short_aug_paths(g, view, Matching([], view), 14, seed=3)
+    m_given, _, given_stats = eliminate_short_aug_paths(
         g, view, Matching([], view), 14, seed=3, forest=forest
     )
     assert m_given.edges == m_own.edges

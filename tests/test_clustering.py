@@ -280,6 +280,16 @@ def test_pipeline_valid_and_reasonable():
     assert statistics.mean(sizes) <= 1.6 * opt
 
 
+def test_pipeline_rounds_have_no_cliff_in_eps():
+    """Asking for a slightly better ratio costs slightly more: between
+    neighbouring eps (k = 8, 12, 13, 16, 40 in the cluster solves) rounds
+    differ by at most 2x."""
+    g = gen_random(200, 200, 0.012, 5)
+    rounds = [randomized_pipeline(g, eps, seed=1)[1].rounds for eps in (0.5, 0.34, 0.33, 0.25, 0.1)]
+    for a, b in zip(rounds, rounds[1:]):
+        assert max(a, b) <= 2 * min(a, b), rounds
+
+
 @pytest.mark.parametrize("which", ["floor", "default", "default+7"])
 def test_pipeline_runs_at_the_graph_bandwidth(monkeypatch, which):
     """B belongs to the network: every engine call of the pipeline, the

@@ -103,7 +103,7 @@ def test_all_candidates_are_covers():
         g = gen_random(10, 10, 0.3, seed)
         view = whole(g)
         for k in (1, 2, 3):
-            m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
+            m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
             partition, _ = compute_partition(g, view, m, k)
             for s in range(1, k + 1):
                 candidate_cover(view, partition, s)  # validates internally
@@ -131,7 +131,7 @@ def test_approx_cover_bound_and_identity():
         g = gen_random(12, 12, 0.25, seed)
         view = whole(g)
         for k in (1, 2, 3):
-            m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
+            m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
             cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g))
             assert cover.is_valid()
             assert k * cover.size <= (k + 1) * m.size
@@ -192,11 +192,33 @@ def test_exact_cover_random():
         assert cover.size == oracle.min_vc_oracle(view).size
 
 
+def test_exact_cover_reads_the_last_check():
+    """The cover is read off the elimination's last, empty check, so no
+    layering runs after it, and phases beyond d = 15 select on their
+    check's layering instead of a BFS of their own. An elimination too
+    short for any check (n <= 15) is followed by one reachability BFS."""
+    g = gen_path(40)
+    cover, stats = koenig_exact_cover(g, whole(g), seed=0)
+    labels = [label for label, _ in stats.per_phase]
+    assert cover.size == oracle.min_vc_oracle(whole(g)).size
+    assert labels[-2:] == ["reachability", "witness-check"]
+    assert labels.count("reachability") == labels.count("witness-check") > 1
+    assert "select[d=21]" in labels
+    assert all(int(label[6:-1]) <= 15 for label in labels if label.startswith("bfs[d="))
+
+    g = gen_random(7, 8, 0.3, 1)
+    cover, stats = koenig_exact_cover(g, whole(g), seed=0)
+    labels = [label for label, _ in stats.per_phase]
+    assert cover.size == oracle.min_vc_oracle(whole(g)).size
+    assert labels[-2] == "select[d=15]" and labels[-1] == "reachability"
+    assert labels.count("reachability") == 1 and "witness-check" not in labels
+
+
 def test_approx_cover_round_bound():
     for n, k in [(12, 2), (24, 3), (48, 2)]:
         g = gen_path(n)
         view = whole(g)
-        m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=3)
+        m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=3)
         d = oracle.diameter(g)
         f, stats = elect_leader_and_bfs(g)
         _, cover_stats = koenig_approx_cover(g, view, m, k, forest=f)

@@ -157,7 +157,7 @@ def test_select_augments_by_path_count():
 def test_eliminate_k1_is_maximal():
     g = gen_path(4)
     view = whole(g)
-    m, _ = eliminate_short_aug_paths(g, view, Matching([], view), 1, seed=4)
+    m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), 1, seed=4)
     assert is_maximal(view, m)
 
 
@@ -165,7 +165,7 @@ def test_eliminate_p4_k2_reaches_maximum():
     g = gen_path(4)
     view = whole(g)
     m0 = Matching([(1, 2)], view)
-    m, _ = eliminate_short_aug_paths(g, view, m0, 2, seed=4)
+    m, _, _ = eliminate_short_aug_paths(g, view, m0, 2, seed=4)
     assert m.size == 2
 
 
@@ -174,7 +174,7 @@ def test_eliminate_large_k_gives_maximum():
         g = gen_random(9, 9, 0.3, seed)
         view = whole(g)
         k = (g.n + 2) // 2
-        m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
+        m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
         assert m.size == oracle.max_matching_oracle(view).size
 
 
@@ -183,7 +183,7 @@ def test_eliminate_postcondition_and_hk_bound(k):
     for seed in range(4):
         g = gen_random(11, 11, 0.25, seed)
         view = whole(g)
-        m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
+        m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
         assert oracle.shortest_aug_path_len(view, m) >= 2 * k + 1
         best = oracle.max_matching_oracle(view).size
         assert (k + 1) * m.size >= k * best  # |M| >= (1 - 1/(k+1)) |M*|
@@ -198,7 +198,7 @@ def test_eliminate_monotone_size_and_phases():
     # Phase i draws the same seeds whatever k is, so the run with k stops
     # at the matching that phase d = 2k - 1 of the run with k = 3 leaves.
     for k in (1, 2, 3):
-        m, _ = eliminate_short_aug_paths(g, view, m0, k, seed=2)
+        m, _, _ = eliminate_short_aug_paths(g, view, m0, k, seed=2)
         sizes.append(m.size)
         lengths.append(oracle.shortest_aug_path_len(view, m))
     assert all(b >= a for a, b in zip(sizes, sizes[1:]))
@@ -211,8 +211,8 @@ def test_eliminate_monotone_size_and_phases():
 def test_eliminate_deterministic_mode():
     g = gen_random(10, 10, 0.3, 3)
     view = whole(g)
-    m1, s1 = eliminate_short_aug_paths(g, view, Matching([], view), 3, seed=None)
-    m2, s2 = eliminate_short_aug_paths(g, view, Matching([], view), 3, seed=None)
+    m1, _, s1 = eliminate_short_aug_paths(g, view, Matching([], view), 3, seed=None)
+    m2, _, s2 = eliminate_short_aug_paths(g, view, Matching([], view), 3, seed=None)
     assert m1.edges == m2.edges
     assert s1.rounds == s2.rounds
 

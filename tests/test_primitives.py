@@ -23,6 +23,7 @@ from bvc.primitives import (
     alternating_bfs,
     elect_leader_and_bfs,
     pipelined_aggregate,
+    witness_check,
 )
 from bvc.runtime import frame_count, id_bits
 
@@ -271,3 +272,17 @@ def test_alt_bfs_neighbor_levels_exchange():
     layering, _ = alternating_bfs(g, view, m, 4)
     assert layering.neighbor_levels[1] == {0: 0, 2: 2}
     assert layering.neighbor_levels[0] == {1: 1}
+
+
+def test_witness_check_is_bounded_by_depth():
+    """The one augmenting path of an 8-node path matched as (1,2), (3,4),
+    (5,6) has length 7: a check to depth 5 misses it, deeper checks find
+    it, and each layering stops at its depth."""
+    g = gen_path(8)
+    view = whole(g)
+    m = Matching([(1, 2), (3, 4), (5, 6)], view)
+    forest, _ = elect_leader_and_bfs(g)
+    for depth, expected in ((5, None), (7, 7), (9, 7)):
+        shortest, layering, _ = witness_check(g, view, m, forest, depth)
+        assert shortest == expected
+        assert max(layering.level.values()) == min(depth, 7)

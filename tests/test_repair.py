@@ -93,7 +93,7 @@ def test_count_matches_oracle(d):
             m, _ = weakened(view, 2)
         else:
             # Eliminating shorter paths leaves the shortest at >= d.
-            m, _ = eliminate_short_aug_paths(
+            m, _, _ = eliminate_short_aug_paths(
                 g, view, Matching([], view), (d - 1) // 2, seed=seed
             )
         if oracle.shortest_aug_path_len(view, m) != d:

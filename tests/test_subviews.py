@@ -32,7 +32,7 @@ def test_layered_cover_on_subview():
         g = gen_random(11, 11, 0.3, seed)
         view = random_subview(g, seed + 200)
         k = 2
-        m, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
+        m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
         assert oracle.shortest_aug_path_len(view, m) >= 2 * k + 1
         forest, _ = elect_leader_and_bfs(g)
         cover, _ = koenig_approx_cover(g, view, m, k, forest=forest)
