@@ -5,7 +5,8 @@ BFS levels partition each side into classes; unions of class prefixes and
 suffixes give k candidate covers whose smallest member is within (1 + 1/k)
 of the matching size. The exact cover is König's construction on a
 maximum matching: one elimination long enough to leave no augmenting path,
-whose last, empty check already holds the full alternating reachability.
+whose last, empty check stops where the alternating BFS runs out of nodes
+and so already holds the full alternating reachability.
 """
 
 from __future__ import annotations
@@ -137,8 +138,9 @@ def koenig_exact_cover(
     no augmenting path (2k - 1 >= n exceeds every simple path), then keep
     the A-nodes missed by the alternating reachability and the B-nodes it
     reaches. That reachability is the layering of the elimination's last,
-    empty check; only an elimination that ran no check (n <= 15) is
-    followed by a BFS of its own."""
+    empty check, whose BFS ran only as deep as the reachability goes; only
+    an elimination that ran no check (n <= 15) is followed by a BFS of its
+    own."""
     matching, layering, stats = eliminate_short_aug_paths(
         graph, view, Matching([], view), graph.n // 2 + 1, seed=seed
     )

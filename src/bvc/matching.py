@@ -363,8 +363,8 @@ def select_disjoint_paths(
     return flipped, _reconstruct_paths(outputs, d), stats
 
 
-# Phases up to this length run unchecked: their BFS to depth d costs less
-# than a check to depth 2k - 1 would.
+# Phases up to this length run unchecked: each costs a BFS to depth d and a
+# selection, without the tree aggregation of a check.
 _UNCHECKED_LENGTH = 15
 
 
@@ -384,10 +384,11 @@ def eliminate_short_aug_paths(
     deterministic rule when `seed` is None.
 
     Phases d <= 15 run unchecked: alternating BFS to depth d, then
-    selection. Every longer phase starts with a `witness_check` to depth
-    2k-1 over `forest` (elected here when the caller passes none), jumps to
-    the shortest length it finds and selects on its layering, or ends the
-    loop when it finds none. That last, empty check's layering of the
+    selection. Every longer phase starts with a `witness_check` from d to
+    depth 2k-1 over `forest` (elected here when the caller passes none),
+    whose BFS deepens from d only while it grows; the phase jumps to the
+    shortest length found and selects on the check's layering, or ends the
+    loop when there is none. That last, empty check's layering of the
     result is returned; it is None when the loop ended without one."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
@@ -405,7 +406,7 @@ def eliminate_short_aug_paths(
             stats.add_sequential(bfs_stats)
             shortest = min((lv for _, lv in layering.witnesses(view, matching)), default=d)
         else:
-            shortest, layering, check_stats = witness_check(graph, view, matching, forest, top)
+            shortest, layering, check_stats = witness_check(graph, view, matching, forest, d, top)
             stats.add_sequential(check_stats)
             if shortest is None:
                 return matching, layering, stats

@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
+from .errors import InvalidParam
 from .graph import SIDE_A, SIDE_B, BipartiteGraph, Matching, SubgraphView
 from .runtime import Msg, NodeProgram, RoundStats, id_bits, run
 
@@ -61,53 +62,75 @@ class LeaderBfsProgram(NodeProgram):
             "lead": ctx.node,
             "dist": 0,
             "parent": ctx.node,  # own id encodes "no parent"
-            "complete": False,
             "nbr": {},
+            # The neighbors that keep this node's certificate incomplete.
+            "blocking": set(ctx.neighbors),
             "sent": None,
             "children": (),
         }
 
-    def _recompute(self, ctx, st):
+    @staticmethod
+    def _blocks(st, u):
+        """Whether neighbor u has not yet reported this node's leader at a
+        distance <= dist + 1, or is a child whose certificate is
+        incomplete."""
+        entry = st["nbr"].get(u)
+        if entry is None:
+            return True
+        lu, du, child, cu = entry
+        dist = st["dist"]
+        return lu != st["lead"] or du > dist + 1 or (child and du == dist + 1 and not cu)
+
+    def _update(self, ctx, st, senders):
+        """Fold in the statuses the senders just sent. After every step no
+        neighbor offers a better (lead, dist) than this node holds, so a
+        better one comes from a sender; and only the senders' standing
+        changes unless this node's (lead, dist) does."""
         nbr = st["nbr"]
-        if nbr:
+        if senders:
             # The parent is the smallest id among the best candidates, and
             # changes only on a strict improvement.
-            best, parent = min(((lu, du + 1), u) for u, (lu, du, _c, _cu) in nbr.items())
+            best, parent = min(((nbr[u][0], nbr[u][1] + 1), u) for u in senders)
             if best < (st["lead"], st["dist"]):
                 st["lead"], st["dist"] = best
                 st["parent"] = parent
-        lead, dist = st["lead"], st["dist"]
-        children = [
-            u for u, (lu, du, child, _cu) in nbr.items() if child and lu == lead and du == dist + 1
-        ]
-        resolved = all(
-            u in nbr and nbr[u][0] == lead and nbr[u][1] <= dist + 1
-            for u in ctx.neighbors
-        )
-        st["complete"] = resolved and all(nbr[c][3] for c in children)
-        return children
+                senders = ctx.neighbors
+        blocking = st["blocking"]
+        for u in senders:
+            if self._blocks(st, u):
+                blocking.add(u)
+            else:
+                blocking.discard(u)
 
     def step(self, ctx, st, inbox, rnd, rng):
         idw = self.idw
+        nbr = st["nbr"]
         done_received = False
+        senders = []
         for u, msg in inbox.items():
             vals = msg.values
             if vals[0] == _STATUS:
-                st["nbr"][u] = vals[1:] if len(vals) == 5 else vals[1:] + (0,)
+                nbr[u] = vals[1:] if len(vals) == 5 else vals[1:] + (0,)
+                senders.append(u)
             else:
                 done_received = True
 
-        children = self._recompute(ctx, st)
+        self._update(ctx, st, senders)
+        complete = not st["blocking"]
         out = {}
 
-        if done_received or (st["lead"] == ctx.node and st["complete"]):
+        if done_received or (st["lead"] == ctx.node and complete):
+            lead, dist = st["lead"], st["dist"]
+            children = [
+                u for u, (lu, du, child, _cu) in nbr.items() if child and lu == lead and du == dist + 1
+            ]
             st["children"] = tuple(sorted(children))
             done = Msg((_DONE, 1))
             for c in children:
                 out[c] = done
             return st, out, True
 
-        status = (st["lead"], st["dist"], st["parent"], int(st["complete"]))
+        status = (st["lead"], st["dist"], st["parent"], int(complete))
         if status != st["sent"]:
             st["sent"] = status
             # Only the parent needs the certificate fields; keeping the
@@ -411,29 +434,57 @@ def witness_check(
     view: SubgraphView,
     matching: Matching,
     forest: BfsForest,
+    d: int,
     depth: int,
 ) -> tuple[int | None, AlternatingLayering, RoundStats]:
-    """Layering to `depth` plus an aggregated minimum over the levels of
-    free in-view B-nodes: afterwards every node knows the length of the
-    shortest augmenting path of length <= depth, or that none exists
-    (returned as None). Any depth >= n - 1 covers every simple path, so
-    its layering is the full alternating reachability."""
+    """The length of the shortest augmenting path of length <= `depth`, or
+    None when there is none, known to every node. `d` >= 1 is the length
+    the caller expects at least (a shorter path is still reported).
+
+    The check deepens its alternating BFS only while the BFS keeps
+    growing: attempt t = min(d, depth), then t <- min(2t, depth). Each
+    attempt is a BFS to depth t and one min over `forest`, to which every
+    free in-view B-node at an odd level <= t sends its level, every other
+    node at level t (the live frontier) sends t + 1 and the rest a
+    sentinel. A min below t + 1 is the answer; t + 1 doubles t below
+    `depth`; the sentinel, or t + 1 at `depth`, is None. Levels <= t do not
+    depend on the depth limit, so the returned layering (the last
+    attempt's) agrees with one to `depth` up to its own depth. A None
+    check that ended on the sentinel left no node at level t, hence none
+    deeper: its layering is the full alternating reachability, and so is
+    that of any check to depth >= n - 1."""
+    if d < 1:
+        raise InvalidParam("d must be >= 1")  # t = 0 would never double
     stats = RoundStats()
-    layering, bfs_stats = alternating_bfs(graph, view, matching, depth, phase="reachability")
-    stats.add_sequential(bfs_stats)
     width = id_bits(graph.n) + 2
     sentinel = (1 << width) - 1
-    witness_level = dict(layering.witnesses(view, matching))
-    values = {v: (witness_level.get(v, sentinel),) for v in graph.node_ids}
-    mins, agg_stats = pipelined_aggregate(
-        graph,
-        forest,
-        values,
-        combine="min",
-        value_width=width,
-        view=view,
-        phase="witness-check",
-    )
-    stats.add_sequential(agg_stats)
-    shortest = min((mins[v][0] for v in graph.node_ids), default=sentinel)
-    return (None if shortest == sentinel else shortest), layering, stats
+    t = min(d, depth)
+    while True:
+        layering, bfs_stats = alternating_bfs(graph, view, matching, t, phase="reachability")
+        stats.add_sequential(bfs_stats)
+        values = {v: (sentinel,) for v in graph.node_ids}
+        for v, lv in layering.level.items():
+            if lv == t:
+                values[v] = (t + 1,)
+        for v, lv in layering.witnesses(view, matching):
+            values[v] = (lv,)
+        mins, agg_stats = pipelined_aggregate(
+            graph,
+            forest,
+            values,
+            combine="min",
+            value_width=width,
+            view=view,
+            phase="witness-check",
+        )
+        stats.add_sequential(agg_stats)
+        shortest = min((mins[v][0] for v in graph.node_ids), default=sentinel)
+        # A frontier at level t has t + 1 <= n below the sentinel, but t
+        # itself may exceed it on a tiny graph: test the sentinel first.
+        if shortest == sentinel:
+            return None, layering, stats
+        if shortest <= t:
+            return shortest, layering, stats
+        if t == depth:
+            return None, layering, stats
+        t = min(2 * t, depth)

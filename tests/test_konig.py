@@ -214,6 +214,19 @@ def test_exact_cover_reads_the_last_check():
     assert labels.count("reachability") == 1 and "witness-check" not in labels
 
 
+def test_exact_cover_checks_stop_where_the_reachability_stops():
+    """The exact cover's checks deepen their BFS only while it grows, so
+    their BFS rounds follow the depth L of the final alternating
+    reachability, not the elimination's depth 2k - 1 of about n."""
+    g = gen_random(300, 300, 0.006, 1)
+    view = whole(g)
+    _, stats = koenig_exact_cover(g, view, seed=0)
+    matching, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), g.n // 2 + 1, seed=0)
+    deepest = max(oracle.alternating_levels(view, matching).values(), default=0)
+    bfs_rounds = sum(r for label, r in stats.per_phase if label == "reachability")
+    assert bfs_rounds < 4 * (deepest + 17)
+
+
 def test_approx_cover_round_bound():
     for n, k in [(12, 2), (24, 3), (48, 2)]:
         g = gen_path(n)

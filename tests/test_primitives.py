@@ -5,6 +5,7 @@ import random
 import pytest
 
 from bvc import oracle
+from bvc.errors import InvalidParam
 from bvc.graph import (
     SIDE_A,
     Matching,
@@ -17,6 +18,7 @@ from bvc.graph import (
     gen_path,
     gen_random,
 )
+from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import (
     BfsForest,
     BfsTree,
@@ -283,6 +285,77 @@ def test_witness_check_is_bounded_by_depth():
     m = Matching([(1, 2), (3, 4), (5, 6)], view)
     forest, _ = elect_leader_and_bfs(g)
     for depth, expected in ((5, None), (7, 7), (9, 7)):
-        shortest, layering, _ = witness_check(g, view, m, forest, depth)
+        shortest, layering, _ = witness_check(g, view, m, forest, 1, depth)
         assert shortest == expected
         assert max(layering.level.values()) == min(depth, 7)
+    with pytest.raises(InvalidParam):
+        witness_check(g, view, m, forest, 0, 5)
+
+
+def _attempt_depths(levels, shortest, d, depth):
+    """The BFS depths of a check from `d` to `depth`, from the full oracle
+    levels: it doubles until an attempt t reaches the shortest length,
+    reaches `depth`, or has no node at level t."""
+    depths = [min(d, depth)]
+    while shortest > depths[-1] < depth and depths[-1] in levels.values():
+        depths.append(min(2 * depths[-1], depth))
+    return depths
+
+
+def test_witness_check_matches_oracle():
+    """Seeded graphs, disconnected ones among them, a graph whose sentinel
+    is below d, and one sub-view, under the empty matching and the
+    matching the unchecked phases leave: the check finds the oracle's
+    shortest length when it lies within `depth`, its layering agrees with
+    the oracle's up to the last attempt's depth, it runs one BFS per
+    attempt, and a None check to depth >= n - 1 holds the full
+    reachability."""
+    path, tiny = gen_path(40), gen_path(3)
+    cases = [(path, whole(path), 0), (tiny, whole(tiny), 0)]
+    for seed, (na, nb, p) in enumerate([(10, 12, 0.25), (20, 20, 0.06), (30, 28, 0.04), (25, 25, 0.1)]):
+        g = gen_random(na, nb, p, seed)
+        cases.append((g, whole(g), seed))
+    g = gen_random(20, 20, 0.12, 7)
+    cases.append((g, SubgraphView.induced(g, [v for v in g.node_ids if v % 5]), 7))
+    checked = set()
+    components = []
+    for g, view, seed in cases:
+        forest, _ = elect_leader_and_bfs(g)
+        components.append(len(forest.trees))
+        unchecked, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), 8, seed=seed)
+        for m in (Matching([], view), unchecked):
+            levels = oracle.alternating_levels(view, m)
+            length = oracle.shortest_aug_path_len(view, m)
+            for d, depth in ((1, 1), (1, 6), (1, g.n + 1), (3, 9), (17, 17), (17, 40), (17, g.n - 1)):
+                shortest, layering, stats = witness_check(g, view, m, forest, d, depth)
+                assert shortest == (length if length <= depth else None)
+                depths = _attempt_depths(levels, length, d, depth)
+                assert layering.level == oracle.alternating_levels(view, m, depths[-1])
+                labels = [label for label, _ in stats.per_phase]
+                assert labels == ["reachability", "witness-check"] * len(depths)
+                if shortest is None and depth >= g.n - 1:
+                    assert layering.level == levels
+                checked.add((shortest is None, len(depths) > 1))
+    # Every outcome, found or not, in one attempt or several, occurred.
+    assert checked == {(False, False), (False, True), (True, False), (True, True)}
+    assert max(components) > 1
+
+
+def test_witness_check_fits_one_frame_at_the_floor():
+    """At the floor bandwidth ceil(log2 n) + 4, every BFS level, frontier
+    value t + 1 and sentinel of a check to depth n + 1 fits one frame."""
+    path = gen_path(41)
+    rand = gen_random(30, 30, 0.08, 5)
+    for g, edges in (
+        (path, [(v, v + 1) for v in range(1, 40, 2)]),
+        (rand, oracle.max_matching_oracle(whole(rand)).edges),
+    ):
+        g = g.with_bandwidth(ceil_log2(g.n) + 4)
+        view = whole(g)
+        m = Matching(edges, view)
+        forest, _ = elect_leader_and_bfs(g)
+        shortest, layering, stats = witness_check(g, view, m, forest, 1, g.n + 1)
+        assert shortest is None and layering.level == oracle.alternating_levels(view, m)
+        assert len(stats.per_phase) > 2
+        assert stats.fragmentation_rounds == 0
+        assert stats.max_message_bits <= g.bandwidth
