@@ -165,14 +165,16 @@ class PathSelectProgram(NodeProgram):
     After a settling prologue that marks which nodes can still reach level 0
     ("alive"), free level-d nodes repeatedly launch tokens that walk down
     the levels, one hop per slot, choosing a random alive predecessor.
-    同-slot collisions keep the smallest (priority, initiator) token; the
+    Same-slot collisions keep the smallest (priority, initiator) token; the
     winner locks its chain bottom-up, flipping matched and unmatched edges,
     and locked nodes withdraw from the structure. Iterations repeat on a
     fixed schedule until no live initiator remains, at which point the run
     goes quiescent.
 
     Input per node: (partner, level, nbr_levels). Deterministic mode uses
-    the node id as the priority and the minimum-id predecessor.
+    the initiator id as the priority and the minimum-id predecessor; its
+    tokens carry no priority field, so the prologue and period are sized
+    to the shorter token.
     """
 
     def __init__(self, d: int, deterministic: bool):
@@ -202,7 +204,8 @@ class PathSelectProgram(NodeProgram):
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
-        f = frame_count(3 + 2 * self.idw + self.idw, bandwidth)  # token: tag, priority, initiator
+        self.pw = 0 if self.det else 2 * self.idw
+        f = frame_count(3 + self.pw + self.idw, bandwidth)  # token: tag, priority, initiator
         self.prologue = (self.d + 3) * f
         self.period = (3 * self.d + 8) * f
 
@@ -288,7 +291,7 @@ class PathSelectProgram(NodeProgram):
                 if choices:
                     nxt = min(choices) if self.det else choices[rng.randrange(len(choices))]
                     st["chain_down"] = nxt
-                    out[nxt] = Msg((_T_TOKEN, 3), (prio, 2 * idw), (init, idw))
+                    out[nxt] = Msg((_T_TOKEN, 3), (prio, self.pw), (init, idw))
                 # No live predecessor: the token dies silently; the
                 # initiator retries on the next launch slot.
 
@@ -302,9 +305,9 @@ class PathSelectProgram(NodeProgram):
                     choices = [u for u in st["in_dag"] if u in st["in_alive"]]
                     if choices:
                         nxt = min(choices) if self.det else choices[rng.randrange(len(choices))]
-                        prio = 0 if self.det else rng.getrandbits(2 * idw)
+                        prio = 0 if self.det else rng.getrandbits(self.pw)
                         st["chain_down"] = nxt
-                        out[nxt] = Msg((_T_TOKEN, 3), (prio, 2 * idw), (ctx.node, idw))
+                        out[nxt] = Msg((_T_TOKEN, 3), (prio, self.pw), (ctx.node, idw))
                     next_launch = rnd + period
                 else:
                     next_launch = rnd + (period - offset)

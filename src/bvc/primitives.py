@@ -346,7 +346,9 @@ class AltBfsProgram(NodeProgram):
     the matching edge is not in the current view). Level 0 is exactly the
     set of free in-view A-nodes. One BFS hop takes one round: the level
     message always fits a single frame because its width is at most
-    id_bits(n) + 3 <= bandwidth.
+    id_bits(n) + 3 <= bandwidth. Level j settles in round j + 1, so the
+    last offer lands in round limit + 1; every node announces its level in
+    round limit + 2, and the run ends in round limit + 3.
     """
 
     def __init__(self, depth_limit: int):
@@ -360,7 +362,7 @@ class AltBfsProgram(NodeProgram):
 
     def step(self, ctx, st, inbox, rnd, rng):
         lw = self.lw
-        announce_round = self.limit + 3
+        announce_round = self.limit + 2
         out = {}
 
         if rnd >= announce_round:

@@ -11,9 +11,13 @@ and fragment accordingly, and the divisions are checked to be integral.
 Thresholded selection then removes heavy endpoints and matching edges in
 halving phases, which realizes a factor-2-relaxed greedy set cover over
 the paths; iterating over d = 1, 3, ..., 2k-1 leaves no augmenting path of
-length at most 2k-1 in the remaining induced subgraph. The deterministic
-low-diameter pipeline combines this repair with an approximation-provider
-matching and the layered cover construction.
+length at most 2k-1 in the remaining induced subgraph. Whether a path
+remains is decided by `witness_check` alone: after each threshold phase
+at depth d, and before each repair stage at depth 2k-1, where the repair
+jumps to the shortest remaining length, so a matching with no augmenting
+path of length at most 2k-1 costs one check and no count. The
+deterministic low-diameter pipeline combines this repair with an
+approximation-provider matching and the layered cover construction.
 """
 
 from __future__ import annotations
@@ -41,6 +45,7 @@ from .primitives import (
     elect_leader_and_bfs,
     level_dag,
     pipelined_aggregate,
+    witness_check,
 )
 from .runtime import Msg, NodeProgram, RoundStats, frame_count, id_bits, run
 
@@ -56,10 +61,6 @@ class PathCounts:
     p_node: dict[int, int] = field(default_factory=dict)
     p_edge: dict[Edge, int] = field(default_factory=dict)
     level: dict[int, int] = field(default_factory=dict)
-
-    @property
-    def total(self) -> int:
-        return sum(p for v, p in self.p_node.items() if self.level.get(v) == 0)
 
 
 def _ceil_log2_pow(delta: int, d: int) -> int:
@@ -196,7 +197,7 @@ def count_paths(
     ShorterPathExists on a witness in the layering); `delta` bounds the
     in-view degree and fixes the count width.
 
-    Round cost: d + O(1) rounds of alternating-BFS layering, then
+    Round cost: d + 3 rounds of alternating-BFS layering, then
     d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 rounds of counting sweeps,
     where w = bitlength(delta^d) is the reserved count width and B the
     bandwidth. Since w <= d*ceil(log2 delta) + 1, each of the d levels
@@ -258,28 +259,6 @@ def _announce_removals(graph, view, removed) -> RoundStats:
     return stats
 
 
-def _aggregate_total_paths(graph, view, forest, counts):
-    """Pipelined sum of the level-0 path counts, so that every node (and
-    the driver) knows whether any path remains. Counts are capped into the
-    frame width; only zero versus nonzero is consumed."""
-    width = 2 * id_bits(graph.n)
-    cap = (1 << width) - 1
-    values = {}
-    for v in graph.node_ids:
-        p = counts.p_node.get(v, 0) if counts.level.get(v) == 0 else 0
-        values[v] = (min(p, cap),)
-    sums, stats = pipelined_aggregate(
-        graph,
-        forest,
-        values,
-        combine="sum",
-        value_width=width + id_bits(graph.n),
-        view=view,
-        phase="remaining-paths",
-    )
-    return sum(sums[v][0] for v in set(forest.trees)), stats
-
-
 def cover_short_paths(
     graph: BipartiteGraph,
     view: SubgraphView,
@@ -293,11 +272,12 @@ def cover_short_paths(
 
     Selection runs in halving-threshold phases; within a phase the sweep
     visits the endpoint position 0, the matching-edge positions 1, 3, ...,
-    d-2, and the endpoint position d, recounting paths before each pick
-    after the first so parallel selections on one position cover disjoint
-    path sets. The first pick and the phase invariant use the count already
-    taken of the residual, which nothing has changed since. Matched nodes
-    are always removed together with their partners.
+    d-2, and the endpoint position d, recounting paths before each pick so
+    parallel selections on one position cover disjoint path sets. After
+    each phase a `witness_check` to depth d tells every node whether a
+    length-d path remains; the first phase with none left ends the loop,
+    so a residual without such paths costs one phase that picks nothing.
+    Matched nodes are always removed together with their partners.
     """
     stats = RoundStats()
     delta, deg_stats = view_max_degree_aggregate(graph, view, forest)
@@ -313,23 +293,15 @@ def cover_short_paths(
     positions = [0] + list(range(1, d - 1, 2)) + [d]
     base = view.base
 
-    counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
-    stats.add_sequential(c_stats)
-    remaining, agg_stats = _aggregate_total_paths(graph, residual, forest, counts)
-    stats.add_sequential(agg_stats)
-    if remaining == 0:
-        return removed, stats
-
     for i in range(1, phases + 1):
-        for p in list(counts.p_node.values()) + list(counts.p_edge.values()):
-            if p * (1 << (i - 1)) > threshold_num:
-                raise ProgramFault(
-                    f"count {p} exceeds the phase-{i} invariant delta^d / 2^({i - 1})"
-                )
         for pos in positions:
-            if pos != 0:
-                counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
-                stats.add_sequential(c_stats)
+            counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
+            stats.add_sequential(c_stats)
+            for p in list(counts.p_node.values()) + list(counts.p_edge.values()):
+                if p * (1 << (i - 1)) > threshold_num:
+                    raise ProgramFault(
+                        f"count {p} exceeds the phase-{i} invariant delta^d / 2^({i - 1})"
+                    )
 
             batch: set[int] = set()
             if pos in (0, d):
@@ -353,11 +325,9 @@ def cover_short_paths(
                 residual = residual.without_nodes(batch)
                 m_bar = m_bar.restricted_to(residual)
 
-        counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
-        stats.add_sequential(c_stats)
-        remaining, agg_stats = _aggregate_total_paths(graph, residual, forest, counts)
-        stats.add_sequential(agg_stats)
-        if remaining == 0:
+        remaining, _, check_stats = witness_check(graph, residual, m_bar, forest, d, d)
+        stats.add_sequential(check_stats)
+        if remaining is None:
             break
     else:
         raise ProgramFault("threshold phases ended with paths remaining")
@@ -368,7 +338,7 @@ def cover_short_paths(
 @dataclass
 class RepairResult:
     s1: set[int]
-    per_stage: list[tuple[int, set[int], int]]
+    per_stage: list[tuple[int, set[int]]]
     alpha: float
 
 
@@ -389,32 +359,45 @@ def repair_matching(
     """Delete nodes until the restriction of `matching` to the remaining
     induced subgraph has no augmenting path of length at most 2k - 1.
 
-    Stages run d = 1, 3, ..., 2k - 1 in order; each stage covers all
-    length-d paths over the caller's BFS `forest`, and because removals
-    always take out whole matched pairs, no new free node ever appears, so
-    earlier stages stay discharged."""
+    Stages run d = 1, 3, ..., 2k - 1 in order. Before each stage one
+    `witness_check` over the caller's BFS `forest`, a single BFS to depth
+    2k - 1, finds the shortest remaining length l: the stages below l are
+    recorded empty, stage l covers all length-l paths, and a check that
+    finds none ends the repair. Because removals always take out whole
+    matched pairs, no new free node ever appears, so no shorter path can
+    appear and earlier stages stay discharged."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     stats = RoundStats()
     delta0 = view.max_view_degree()
+    top = 2 * k - 1
 
     s1: set[int] = set()
     per_stage = []
     residual = view
     m_bar = matching
-    for d in range(1, 2 * k, 2):
+    d = 1
+    while d <= top:
+        shortest, _, check_stats = witness_check(graph, residual, m_bar, forest, top, top)
+        stats.add_sequential(check_stats)
+        shortest = top + 2 if shortest is None else shortest
+        if shortest < d:
+            raise ProgramFault(f"augmenting path of length {shortest} after stage {d - 2}")
+        per_stage += [(e, set()) for e in range(d, shortest, 2)]
+        d = shortest
+        if d > top:
+            break
         f_i, c_stats = cover_short_paths(graph, residual, m_bar, d, forest=forest)
-        phases_used = sum(1 for label, _ in c_stats.per_phase if label == "remaining-paths")
         stats.add_sequential(c_stats)
-        if f_i:
-            residual = residual.without_nodes(f_i)
-            m_bar = m_bar.restricted_to(residual)
-            s1 |= f_i
-        per_stage.append((d, f_i, phases_used))
+        residual = residual.without_nodes(f_i)
+        m_bar = m_bar.restricted_to(residual)
+        s1 |= f_i
+        per_stage.append((d, f_i))
         for v in f_i:
             p = matching.partner_of(v)
             if p is not None and p not in s1:
                 raise ProgramFault(f"matched node {v} removed without partner {p}")
+        d += 2
 
     return RepairResult(s1, per_stage, repair_alpha(k, delta0)), m_bar, stats
 

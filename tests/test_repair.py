@@ -50,7 +50,7 @@ def test_count_single_free_edge():
     view = whole(g)
     counts, _ = count_paths(g, view, Matching([], view), 1, delta=view.max_view_degree())
     assert counts.p_node == {0: 1, 1: 1}
-    assert counts.total == 1
+    assert sum(p for v, p in counts.p_node.items() if counts.level[v] == 0) == 1
 
 
 def test_count_p4():
@@ -112,7 +112,7 @@ def test_count_matches_oracle(d):
         end_total = sum(
             c for v, c in counts.p_node.items() if counts.level.get(v) == d
         )
-        assert start_total == end_total == counts.total
+        assert start_total == end_total == expected.total
     assert hits > 0 or d == 5
 
 
@@ -183,9 +183,30 @@ def test_repair_p4_k2():
     result, m_bar, _ = repair_matching(g, view, m, 2, forest=forest(g))
     residual = view.without_nodes(result.s1)
     assert oracle.shortest_aug_path_len(residual, m_bar) >= 5
-    stages = dict((d, f) for d, f, _ in result.per_stage)
+    stages = dict(result.per_stage)
     assert stages[1] == set()
     assert stages[3]
+
+
+def test_repair_counts_only_the_stages_a_check_leaves(monkeypatch):
+    """On P4 with M = {(1, 2)} the shortest augmenting path has length 3:
+    stage 1 is recorded empty and nothing is counted for it."""
+    import bvc.repair
+
+    counted = []
+    real = bvc.repair.count_paths
+
+    def spy(graph, view, matching, d, **kwargs):
+        counted.append(d)
+        return real(graph, view, matching, d, **kwargs)
+
+    monkeypatch.setattr(bvc.repair, "count_paths", spy)
+    g = gen_path(4)
+    view = whole(g)
+    result, _, _ = repair_matching(g, view, Matching([(1, 2)], view), 2, forest=forest(g))
+    assert counted and set(counted) == {3}
+    assert result.per_stage[0] == (1, set())
+    assert [d for d, _ in result.per_stage] == [1, 3]
 
 
 def test_repair_k1_on_maximal_matching():
@@ -248,6 +269,21 @@ def test_det_cover_k23():
     assert cover.size <= 3
 
 
+def test_det_cover_runs_no_count_after_a_certified_elimination():
+    """The default provider leaves no augmenting path of length <= 2k' - 1,
+    so the repair's first check ends it: no count, and the only max-degree
+    aggregate is the pipeline's own."""
+    g = gen_random(20, 20, 0.1, 3)
+    g = g.with_bandwidth((g.n - 1).bit_length() + 4)
+    view = whole(g)
+    cover, stats = det_cover_low_diameter(g, view, 0.5)
+    labels = [label for label, _ in stats.per_phase]
+    assert "count-sweeps" not in labels and "layering" not in labels
+    assert labels.count("max-degree") == 1
+    assert cover.is_valid()
+    assert cover.size <= 1.5 * oracle.min_vc_oracle(view).size
+
+
 def test_det_cover_edgeless():
     g = build_graph([], extra_nodes=[0, 1])
     view = whole(g)
@@ -275,7 +311,7 @@ def test_alpha_value_small_delta():
 @pytest.mark.parametrize("width", [2, 3, 4])
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
 def test_count_rounds_follow_documented_schedule(d, width):
-    """count_paths costs exactly d + 4 layering rounds and
+    """count_paths costs exactly d + 3 layering rounds and
     d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 sweep rounds, w = bitlength(Delta^d)."""
     g, m_edges = _thick_path(d, width)
     view = whole(g)
@@ -287,6 +323,6 @@ def test_count_rounds_follow_documented_schedule(d, width):
         g_bw = g.with_bandwidth(bw)
         _, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta)
         phases = dict(stats.per_phase)
-        assert phases["layering"] == d + 4
+        assert phases["layering"] == d + 3
         sweeps = d * (math.ceil((2 + w) / bw) + math.ceil((2 + 2 * w) / bw)) + 1
         assert phases["count-sweeps"] == sweeps, (bw, phases)
