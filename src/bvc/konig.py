@@ -132,7 +132,7 @@ def koenig_exact_cover(
     graph: BipartiteGraph,
     view: SubgraphView,
     *,
-    seed: int = 0,
+    seed: int | None = 0,
 ) -> tuple[VertexCover, RoundStats]:
     """Exact minimum vertex cover: one elimination with k = n//2 + 1 leaves
     no augmenting path (2k - 1 >= n exceeds every simple path), then keep
@@ -140,7 +140,7 @@ def koenig_exact_cover(
     reaches. That reachability is the layering of the elimination's last,
     empty check, whose BFS ran only as deep as the reachability goes; only
     an elimination that ran no check (n <= 15) is followed by a BFS of its
-    own."""
+    own. Without a seed the elimination follows the deterministic rule."""
     matching, layering, stats = eliminate_short_aug_paths(
         graph, view, Matching([], view), graph.n // 2 + 1, seed=seed
     )

@@ -151,30 +151,33 @@ def maximal_matching(
 # Disjoint shortest augmenting paths of one fixed length
 # ---------------------------------------------------------------------------
 
-_T_ALIVE = 0
-_T_DEAD = 1
-_T_TOKEN = 2
-_T_LOCK = 3
-_T_CONSUMED = 4
+_T_DEAD = 0
+_T_TOKEN = 1
+_T_LOCK = 2
+_T_CONSUMED = 3
 
 
 class PathSelectProgram(NodeProgram):
     """Select a maximal set of vertex-disjoint augmenting paths of length
     exactly d in the level structure and flip them.
 
-    After a settling prologue that marks which nodes can still reach level 0
-    ("alive"), free level-d nodes repeatedly launch tokens that walk down
-    the levels, one hop per slot, choosing a random alive predecessor.
-    Same-slot collisions keep the smallest (priority, initiator) token; the
-    winner locks its chain bottom-up, flipping matched and unmatched edges,
-    and locked nodes withdraw from the structure. Iterations repeat on a
-    fixed schedule until no live initiator remains, at which point the run
-    goes quiescent.
+    A node is alive while it can reach level 0 down the level DAG. Every
+    node starts alive: the layering is an alternating BFS, so a node at
+    level 1..d took its level from a DAG predecessor one level down, and
+    each node reads its predecessors off the levels its neighbours
+    announced. Aliveness can only be lost, and a node that loses it tells
+    its successors. From round 1, free level-d nodes repeatedly launch
+    tokens that walk down the levels, one hop per slot, choosing a random
+    live predecessor. Same-slot collisions keep the smallest (priority,
+    initiator) token; the winner locks its chain bottom-up, flipping
+    matched and unmatched edges, and locked nodes withdraw from the
+    structure. Iterations repeat on a fixed schedule until no live
+    initiator remains, at which point the run goes quiescent.
 
     Input per node: (partner, level, nbr_levels). Deterministic mode uses
     the initiator id as the priority and the minimum-id predecessor; its
-    tokens carry no priority field, so the prologue and period are sized
-    to the shorter token.
+    tokens carry no priority field, so the period is sized to the shorter
+    token.
     """
 
     def __init__(self, d: int, deterministic: bool):
@@ -187,76 +190,62 @@ class PathSelectProgram(NodeProgram):
         partner, level, _ = ctx.input
         in_dag, out_dag = level_dag(ctx, self.d)
         return {
-            "partner": partner,
             "level": level,
-            "in_dag": in_dag,
-            "in_alive": set(),
+            "initiator": level == self.d and partner is None and ctx.side == SIDE_B and ctx.in_view,
+            "in_alive": set(in_dag),
             "out_dag": out_dag,
-            "alive": level == 0 and ctx.in_view,
-            "alive_sent": False,
+            "alive": level == 0 and ctx.in_view or bool(in_dag),
             "consumed": False,
             "chain_up": None,
             "chain_down": None,
             "accepted_iter": None,
             "new_partner": partner,
-            "locked_iter": None,
         }
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
         self.pw = 0 if self.det else 2 * self.idw
         f = frame_count(3 + self.pw + self.idw, bandwidth)  # token: tag, priority, initiator
-        self.prologue = (self.d + 3) * f
         self.period = (3 * self.d + 8) * f
 
-    def _is_initiator(self, ctx, st):
-        return (
-            st["level"] == self.d
-            and st["partner"] is None
-            and ctx.side == SIDE_B
-            and ctx.in_view
-        )
+    def _next_hop(self, st, rng):
+        """A live predecessor for a token, the smallest in deterministic
+        mode, recorded as the chain's next node; None when none is left."""
+        choices = sorted(st["in_alive"])
+        if not choices:
+            return None
+        nxt = choices[0] if self.det else choices[rng.randrange(len(choices))]
+        st["chain_down"] = nxt
+        return nxt
 
     def step(self, ctx, st, inbox, rnd, rng):
-        idw, prologue, period = self.idw, self.prologue, self.period
+        idw = self.idw
         out = {}
         tokens = []
         locked = False
         for u, msg in inbox.items():
             tag = msg.values[0]
-            if tag == _T_ALIVE:
-                st["in_alive"].add(u)
-            elif tag in (_T_DEAD, _T_CONSUMED):
+            if tag == _T_TOKEN:
+                tokens.append((msg.values[1], msg.values[2], u))
+            elif tag == _T_LOCK:
+                locked = True
+            else:
                 st["in_alive"].discard(u)
                 if tag == _T_CONSUMED and not st["consumed"]:
                     # A consumed successor can no longer be claimed.
                     if u in st["out_dag"]:
                         st["out_dag"].remove(u)
-            elif tag == _T_TOKEN:
-                tokens.append((msg.values[1], msg.values[2], u))
-            elif tag == _T_LOCK:
-                locked = True
 
-        # Alive bookkeeping: a node can reach level 0 while it has a live
-        # predecessor; changes propagate up the levels as events.
-        was_alive = st["alive"]
-        if st["level"] is not None and not st["consumed"]:
-            st["alive"] = st["level"] == 0 and ctx.in_view or bool(st["in_alive"])
-        else:
+        # A node above level 0 dies with its last live predecessor; the
+        # death propagates up the levels as events.
+        if st["alive"] and st["level"] > 0 and not st["in_alive"]:
             st["alive"] = False
-        if st["alive"] and not st["alive_sent"]:
-            st["alive_sent"] = True
-            for u in st["out_dag"]:
-                out[u] = Msg((_T_ALIVE, 3))
-        elif was_alive and not st["alive"] and st["alive_sent"] and not st["consumed"]:
-            st["alive_sent"] = False
             for u in st["out_dag"]:
                 out[u] = Msg((_T_DEAD, 3))
 
-        iter_no = (rnd - prologue) // period if rnd >= prologue else None
+        iter_no = (rnd - 1) // self.period
 
-        if locked and st["locked_iter"] is None:
-            st["locked_iter"] = iter_no
+        if locked and not st["consumed"]:
             st["consumed"] = True
             st["alive"] = False
             if st["level"] % 2 == 0:
@@ -279,7 +268,6 @@ class PathSelectProgram(NodeProgram):
                 # Path complete: lock bottom-up and marry the level-1 node.
                 st["consumed"] = True
                 st["alive"] = False
-                st["locked_iter"] = iter_no
                 st["new_partner"] = sender
                 out[sender] = Msg((_T_LOCK, 3))
                 consumed = Msg((_T_CONSUMED, 3))
@@ -287,32 +275,22 @@ class PathSelectProgram(NodeProgram):
                     if u != sender:
                         out[u] = consumed
             else:
-                choices = [u for u in st["in_dag"] if u in st["in_alive"]]
-                if choices:
-                    nxt = min(choices) if self.det else choices[rng.randrange(len(choices))]
-                    st["chain_down"] = nxt
+                nxt = self._next_hop(st, rng)
+                if nxt is not None:
                     out[nxt] = Msg((_T_TOKEN, 3), (prio, self.pw), (init, idw))
                 # No live predecessor: the token dies silently; the
                 # initiator retries on the next launch slot.
 
+        # A live initiator launches at the start of every iteration; a dead
+        # one stops scheduling wakes, since aliveness never returns.
         next_launch = None
-        if self._is_initiator(ctx, st) and not st["consumed"]:
-            if rnd < prologue:
-                next_launch = prologue
-            elif st["alive"]:
-                offset = (rnd - prologue) % period
-                if offset == 0:
-                    choices = [u for u in st["in_dag"] if u in st["in_alive"]]
-                    if choices:
-                        nxt = min(choices) if self.det else choices[rng.randrange(len(choices))]
-                        prio = 0 if self.det else rng.getrandbits(self.pw)
-                        st["chain_down"] = nxt
-                        out[nxt] = Msg((_T_TOKEN, 3), (prio, self.pw), (ctx.node, idw))
-                    next_launch = rnd + period
-                else:
-                    next_launch = rnd + (period - offset)
-            # A dead initiator stops scheduling wakes: aliveness never
-            # returns once the settling prologue is over.
+        if st["initiator"] and st["alive"]:
+            offset = (rnd - 1) % self.period
+            if offset == 0:
+                nxt = self._next_hop(st, rng)
+                prio = 0 if self.det else rng.getrandbits(self.pw)
+                out[nxt] = Msg((_T_TOKEN, 3), (prio, self.pw), (ctx.node, idw))
+            next_launch = rnd + self.period - offset
 
         return st, out, False, next_launch
 
@@ -350,8 +328,12 @@ def select_disjoint_paths(
     phase: str = "select",
 ) -> tuple[Matching, list[tuple[int, ...]], RoundStats]:
     """Run one selection phase; returns the flipped matching and the chosen
-    paths. Callers must pass the layering of `matching` at depth >= d.
-    Without a seed the phase follows the deterministic rule."""
+    paths. Callers must pass the layering of `matching` at depth >= d. The
+    phase starts on that layering as it is: every node at level 1..d got
+    its level from a node one level down, a predecessor it can read off its
+    neighbours' announced levels, so every layered node starts able to
+    reach level 0 and tokens launch in round 1. Without a seed the phase
+    follows the deterministic rule."""
     outputs, stats = run(
         PathSelectProgram(d, seed is None),
         graph,

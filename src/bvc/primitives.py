@@ -133,8 +133,10 @@ class LeaderBfsProgram(NodeProgram):
         status = (st["lead"], st["dist"], st["parent"], int(complete))
         if status != st["sent"]:
             st["sent"] = status
-            # Only the parent needs the certificate fields; keeping the
-            # other statuses narrow lets every frame fit the bandwidth.
+            # Only the parent needs the certificate bit; the other statuses
+            # leave it out, one bit fewer each. They still take
+            # 2 + 2·id_bits bits, two frames at the floor bandwidth
+            # id_bits + 4 once id_bits > 2.
             short = Msg((_STATUS, 1), (status[0], idw), (status[1], idw), (0, 1))
             full = Msg(
                 (_STATUS, 1), (status[0], idw), (status[1], idw), (1, 1), (status[3], 1)

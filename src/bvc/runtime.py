@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import heapq
 import random
+import types
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -35,6 +36,9 @@ from .errors import InvalidParam, ProgramFault, RoundCapExceeded
 from .graph import BipartiteGraph, SubgraphView, ceil_log2
 
 _M64 = (1 << 64) - 1
+
+# The inbox of every step without mail: one shared, read-only mapping.
+_NO_MAIL = types.MappingProxyType({})
 
 
 def _splitmix(x: int) -> int:
@@ -55,20 +59,16 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 class _LazyRng:
     """The random stream of the node being stepped, keyed by (seed, node,
-    round). The engine re-arms one instance before every step; the stream
-    itself is derived only when the step first draws, since most draw
-    nothing. Valid only during that step. Without a seed, a draw raises
-    ProgramFault."""
+    round). The engine re-arms one instance before every step by storing
+    the node and round and clearing the stream; the stream itself is
+    derived only when the step first draws, since most draw nothing. Valid
+    only during that step. Without a seed, a draw raises ProgramFault."""
 
     __slots__ = ("_seed", "_node", "_rnd", "_rng")
 
     def __init__(self, seed: int | None):
         self._seed = seed
-        self.arm(0, 0)
-
-    def arm(self, node: int, rnd: int) -> None:
-        self._node = node
-        self._rnd = rnd
+        self._node = self._rnd = 0
         self._rng = None
 
     def __getattr__(self, name):
@@ -177,9 +177,9 @@ class NodeProgram:
         what depends only on n, the bandwidth and the program's arguments.
     init(ctx) -> state
     step(ctx, state, inbox, rnd, rng) -> (state, outbox, halted[, wake_at])
-        inbox: {sender: Msg}; outbox: {neighbor: Msg}. wake_at None means
-        sleep until a message arrives; omitted means step every round.
-        rng is valid only during the step.
+        inbox: {sender: Msg}, read-only; outbox: {neighbor: Msg}. wake_at
+        None means sleep until a message arrives; omitted means step every
+        round. rng is valid only during the step.
     output(ctx, state) -> per-node result
     """
 
@@ -315,11 +315,14 @@ def run(
             order = sorted(due)
         newly_halted = []
         for v in order:
-            wake_round.pop(v, None)
-            inbox = inbox_now.get(v, {})
+            if wake_round:
+                wake_round.pop(v, None)
+            inbox = inbox_now.get(v, _NO_MAIL)
             if len(inbox) > 1:
                 inbox = {u: inbox[u] for u in sorted(inbox)}
-            rng.arm(v, rnd)
+            rng._node = v
+            rng._rnd = rnd
+            rng._rng = None
             try:
                 result = step(ctxs[v], states[v], inbox, rnd, rng)
             except Exception as exc:  # noqa: BLE001

@@ -196,9 +196,15 @@ def test_exact_cover_reads_the_last_check():
     """The cover is read off the elimination's last, empty check, so no
     layering runs after it, and phases beyond d = 15 select on their
     check's layering instead of a BFS of their own. An elimination too
-    short for any check (n <= 15) is followed by one reachability BFS."""
-    g = gen_path(40)
-    cover, stats = koenig_exact_cover(g, whole(g), seed=0)
+    short for any check (n <= 15) is followed by one reachability BFS.
+
+    The first instance runs the deterministic rule on a 22-node path whose
+    A-side ids fall along it: every B-node takes its right-hand neighbour,
+    so one augmenting path of length 21 survives the unchecked phases."""
+    g = build_graph([(10 - i, 11 + i) for i in range(11)] + [(11 + i, 9 - i) for i in range(10)])
+    unchecked, _, _ = eliminate_short_aug_paths(g, whole(g), Matching([], whole(g)), 8, seed=None)
+    assert oracle.shortest_aug_path_len(whole(g), unchecked) == 21
+    cover, stats = koenig_exact_cover(g, whole(g), seed=None)
     labels = [label for label, _ in stats.per_phase]
     assert cover.size == oracle.min_vc_oracle(whole(g)).size
     assert labels[-2:] == ["reachability", "witness-check"]

@@ -1,6 +1,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvc import oracle
 from bvc.errors import InvalidParam
@@ -8,6 +10,7 @@ from bvc.graph import (
     Matching,
     SubgraphView,
     build_graph,
+    ceil_log2,
     gen_complete,
     gen_disjoint_edges,
     gen_path,
@@ -20,8 +23,8 @@ from bvc.matching import (
     parse_provider,
     select_disjoint_paths,
 )
-from bvc.primitives import alternating_bfs
-from bvc.runtime import derive_seed
+from bvc.primitives import alternating_bfs, elect_leader_and_bfs, level_dag, witness_check
+from bvc.runtime import NodeContext, derive_seed, id_bits
 
 INF = math.inf
 
@@ -152,6 +155,133 @@ def test_select_augments_by_path_count():
         layering, _ = alternating_bfs(g, view, m, 1)
         flipped, paths, _ = select_disjoint_paths(g, view, m, 1, layering, seed=seed)
         assert flipped.size == m.size + len(paths)
+
+
+def _one_graph():
+    return st.one_of(
+        st.builds(gen_complete, st.just(1), st.integers(1, 8)),  # stars
+        st.builds(gen_complete, st.integers(1, 5), st.integers(1, 5)),
+        st.builds(gen_path, st.integers(2, 40)),
+        st.builds(
+            gen_random,
+            st.integers(2, 14),
+            st.integers(2, 14),
+            st.sampled_from((0.1, 0.2, 0.35)),
+            st.integers(0, 10_000),
+        ),
+    )
+
+
+def _disjoint_union(g, h):
+    return build_graph(
+        list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges], extra_nodes=range(g.n + h.n)
+    )
+
+
+@st.composite
+def _layered_instances(draw):
+    """A small graph (one of the families, or two side by side), a view of
+    it (the whole graph, or the sub-view induced without up to a quarter of
+    its nodes), a start matching, a number k of elimination phases, a seed
+    and the source of the layering. Small k leave shorter paths than small
+    graphs otherwise keep; k = 8 runs every phase that goes unchecked."""
+    g = draw(_one_graph())
+    if draw(st.booleans()):
+        g = _disjoint_union(g, draw(_one_graph()))
+    dropped = draw(st.none() | st.sets(st.sampled_from(g.node_ids), max_size=g.n // 4))
+    keep = None if dropped is None else set(g.node_ids) - dropped
+    start = draw(st.sampled_from(("greedy", "empty")))
+    k = draw(st.sampled_from((0, 1, 2, 8)))
+    seed = draw(st.none() | st.integers(0, 10_000))
+    source = draw(st.sampled_from(("check", "bfs")))
+    return g, keep, start, k, seed, source
+
+
+def _greedy_maximal(view):
+    """A maximal matching that takes edges from an odd-numbered node first:
+    on a path it leaves both ends free, joined by one augmenting path."""
+    matched = set()
+    edges = []
+    for u, v in sorted(view.in_edges, key=lambda e: (e[0] % 2 == 0, e)):
+        if u not in matched and v not in matched:
+            matched.update((u, v))
+            edges.append((u, v))
+    return Matching(edges, view)
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_layered_instances())
+def test_layered_nodes_start_alive_and_selection_clears_length_d(instance):
+    """PathSelectProgram starts with every layered node alive, which holds
+    because every node above level 0 of an alternating BFS, from
+    `alternating_bfs` or from `witness_check`, has a predecessor in the
+    level DAG. On that start, a selection at the shortest length d leaves
+    no augmenting path of length <= d, in both modes, at the default and
+    at the floor bandwidth.
+
+    The matchings are the empty one, a greedy maximal one, and what the
+    elimination phases d <= 2k - 1 leave of either; k <= 8, so every phase
+    runs unchecked, and unseeded phases follow the deterministic rule."""
+    g0, keep, start, k, seed, source = instance
+    for g in (g0, g0.with_bandwidth(ceil_log2(g0.n) + 4)):
+        view = whole(g) if keep is None else SubgraphView.induced(g, keep)
+        m = Matching([], view) if start == "empty" else _greedy_maximal(view)
+        if k:
+            m, _, _ = eliminate_short_aug_paths(g, view, m, k, seed=seed)
+        d = oracle.shortest_aug_path_len(view, m)
+        if source == "bfs":
+            layering, _ = alternating_bfs(g, view, m, g.n + 1 if d == INF else d)
+        else:
+            forest, _ = elect_leader_and_bfs(g)
+            shortest, layering, _ = witness_check(g, view, m, forest, 2 * k + 1, g.n + 1)
+            assert shortest == (None if d == INF else d)
+        topology, inputs = view.topology(), layering.dag_inputs(g, m)
+        for v, lv in layering.level.items():
+            if lv > 0:
+                in_view, view_nbrs = topology[v]
+                ctx = NodeContext(
+                    v, g.n, g.bandwidth, g.side[v], in_view, g.adjacency[v], view_nbrs, inputs[v]
+                )
+                assert level_dag(ctx, lv)[0], f"node {v} at level {lv} has no predecessor"
+        if d == INF:
+            continue
+        for select_seed in (None, derive_seed(k, d, g.bandwidth)):
+            flipped, paths, _ = select_disjoint_paths(g, view, m, d, layering, seed=select_seed)
+            assert paths and flipped.size == m.size + len(paths)
+            assert oracle.shortest_aug_path_len(view, flipped) > d
+
+
+@pytest.mark.parametrize("d", [5, 7, 9])
+def test_select_on_one_alternating_path_takes_2d_plus_2_rounds(d):
+    """One token walks d hops down, the lock climbs d hops back, and the
+    last CONSUMED notices land a round later: 2d + 2 rounds at the default
+    bandwidth, where every token is one frame, in both modes."""
+    g = gen_path(d + 1)
+    view = whole(g)
+    m = Matching([(v, v + 1) for v in range(1, d, 2)], view)
+    layering, _ = alternating_bfs(g, view, m, d)
+    for seed in (None, 1):
+        _, paths, stats = select_disjoint_paths(g, view, m, d, layering, seed=seed)
+        assert paths == [tuple(range(d + 1))]
+        assert stats.rounds == 2 * d + 2
+
+
+def test_deterministic_select_fits_one_frame_at_the_floor():
+    """At the floor bandwidth ceil(log2 n) + 4, the deterministic token of
+    3 + id_bits(n) bits is the widest message and fits one frame, so a
+    selection fragments nothing."""
+    for g0, edges, d in (
+        (gen_path(40), [(v, v + 1) for v in range(1, 39, 2)], 39),
+        (gen_random(30, 30, 0.08, 5), [], 1),
+    ):
+        g = g0.with_bandwidth(ceil_log2(g0.n) + 4)
+        view = whole(g)
+        m = Matching(edges, view)
+        layering, _ = alternating_bfs(g, view, m, d)
+        _, paths, stats = select_disjoint_paths(g, view, m, d, layering, seed=None)
+        assert paths
+        assert stats.fragmentation_rounds == 0
+        assert stats.max_message_bits == 3 + id_bits(g.n) <= g.bandwidth
 
 
 def test_eliminate_k1_is_maximal():

@@ -309,9 +309,13 @@ def test_witness_check_matches_oracle():
     shortest length when it lies within `depth`, its layering agrees with
     the oracle's up to the last attempt's depth, it runs one BFS per
     attempt, and a None check to depth >= n - 1 holds the full
-    reachability."""
-    path, tiny = gen_path(40), gen_path(3)
-    cases = [(path, whole(path), 0), (tiny, whole(tiny), 0)]
+    reachability. The 22-node path, under the deterministic rule, keeps an
+    augmenting path of length 21 past the unchecked phases (see
+    test_konig.py::test_exact_cover_reads_the_last_check), so a check
+    finds a path only after doubling."""
+    path = build_graph([(10 - i, 11 + i) for i in range(11)] + [(11 + i, 9 - i) for i in range(10)])
+    tiny = gen_path(3)
+    cases = [(path, whole(path), None), (tiny, whole(tiny), 0)]
     for seed, (na, nb, p) in enumerate([(10, 12, 0.25), (20, 20, 0.06), (30, 28, 0.04), (25, 25, 0.1)]):
         g = gen_random(na, nb, p, seed)
         cases.append((g, whole(g), seed))
@@ -323,6 +327,8 @@ def test_witness_check_matches_oracle():
         forest, _ = elect_leader_and_bfs(g)
         components.append(len(forest.trees))
         unchecked, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), 8, seed=seed)
+        if g is path:
+            assert oracle.shortest_aug_path_len(view, unchecked) == 21
         for m in (Matching([], view), unchecked):
             levels = oracle.alternating_levels(view, m)
             length = oracle.shortest_aug_path_len(view, m)
