@@ -26,7 +26,7 @@ from .clustering import (
 from .errors import BvcError, InvalidParam
 from .graph import BipartiteGraph, Matching, SubgraphView, graph_from_spec, read_graph
 from .konig import koenig_approx_cover, koenig_exact_cover
-from .matching import eliminate_short_aug_paths, parse_provider
+from .matching import ceil_ratio, eliminate_short_aug_paths, parse_provider
 from .primitives import elect_leader_and_bfs
 from .repair import det_cover_low_diameter
 
@@ -130,7 +130,9 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         record["cover_size"] = cover.size
         valid = cover.is_valid()
     elif pipeline == "diameter1":
-        k = _given(config, "k", max(1, math.ceil(1.0 / eps)))
+        k = config.get("k")
+        if k is None:
+            k = ceil_ratio(1.0, eps, "eps")
         record["params"].update({"k": k, "eps": eps})
         forest, stats = elect_leader_and_bfs(graph)
         matching, _, elim_stats = eliminate_short_aug_paths(
@@ -162,7 +164,6 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         stats.add_sequential(build_cluster_trees(graph, cluster_set))
         extra["clusters"] = len(cluster_set.clusters())
         extra["max_tree_height"] = cluster_set.max_tree_height()
-        extra["congestion"] = cluster_set.congestion
         valid = oracle.clusters_separated(graph, cluster_set)
     elif pipeline == "matching-only":
         provider = config.get("provider")

@@ -28,7 +28,7 @@ from .graph import (
     build_graph,
 )
 from .konig import koenig_approx_cover
-from .matching import eliminate_short_aug_paths, maximal_matching
+from .matching import ceil_ratio, eliminate_short_aug_paths, maximal_matching
 from .primitives import BfsForest, BfsTree
 from .runtime import (
     Msg,
@@ -50,7 +50,6 @@ class ClusterSet:
     members: dict[int, int | None]
     origin: dict[int, int]
     trees: dict[int, BfsTree] = field(default_factory=dict)
-    congestion: int = 0
 
     def clusters(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -61,6 +60,12 @@ class ClusterSet:
 
     def max_tree_height(self) -> int:
         return max((d for t in self.trees.values() for d in t.depth.values()), default=0)
+
+
+# Redraws of a shift before it is drawn by inverting the CDF of the
+# exponential truncated to [0, cap): the same distribution, in one draw,
+# where a tiny sigma * cap makes almost every draw land above the cap.
+_MAX_REDRAWS = 64
 
 
 class MpxPartitionProgram(NodeProgram):
@@ -85,13 +90,23 @@ class MpxPartitionProgram(NodeProgram):
     def init(self, ctx):
         return {"best": None, "sent": None}
 
+    def draw_shift(self, rng) -> float:
+        """An exponential draw of rate sigma conditioned below the cap."""
+        shift = rng.expovariate(self.sigma) if self.sigma > 0 else 0.0
+        redraws = 0
+        while shift >= self.cap:
+            redraws += 1
+            if redraws < _MAX_REDRAWS:
+                shift = rng.expovariate(self.sigma)
+            else:
+                below_cap = -math.expm1(-self.sigma * self.cap)
+                shift = -math.log1p(-rng.random() * below_cap) / self.sigma
+        return shift
+
     def step(self, ctx, st, inbox, rnd, rng):
         kw, offset, idw = self.kw, self.offset, self.idw
         if st["best"] is None:
-            shift = rng.expovariate(self.sigma) if self.sigma > 0 else 0.0
-            while shift >= self.cap:
-                shift = rng.expovariate(self.sigma)
-            st["best"] = (-int(shift * self.scale), ctx.node)
+            st["best"] = (-int(self.draw_shift(rng) * self.scale), ctx.node)
         for u, msg in inbox.items():
             cand = (msg.values[0] - offset + self.scale, msg.values[1])
             if cand < st["best"]:
@@ -117,7 +132,7 @@ def mpx_partition(
     """Assign every node to an origin by exponentially shifted distances.
 
     Shifts use parameter sigma = lam / 4, a fixed-point grid of 1/n, and
-    are resampled above n, so a key takes bitlength(2n^2) bits and a key
+    are conditioned below n, so a key takes bitlength(2n^2) bits and a key
     with an origin id fits one frame of the default bandwidth."""
     if not 0.0 < lam <= 1.0:
         raise InvalidParam("lam must be in (0, 1]")
@@ -253,7 +268,6 @@ def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> Round
     # Drop trees of fully-shrunk clusters; keep those with surviving members.
     live = {c for c, vs in cluster_set.clusters().items() if vs}
     cluster_set.trees = {c: t for c, t in trees.items() if c in live}
-    cluster_set.congestion = 1 if cluster_set.trees else 0
     return stats
 
 
@@ -334,9 +348,7 @@ def combine_with_clusters(
     solve runs over the cluster's tree from `build_cluster_trees`,
     eliminates augmenting paths to length 2k-1 with k = ceil(2 / psi), and
     takes the layered cover, for a (1 + psi) guarantee."""
-    if not 0.0 < psi <= 1.0:
-        raise InvalidParam("psi must be in (0, 1]")
-    k = math.ceil(2.0 / psi)
+    k = ceil_ratio(2.0, psi, "psi")
     view = SubgraphView.whole(graph)
     stats = RoundStats()
 

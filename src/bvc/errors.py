@@ -31,7 +31,3 @@ class ShorterPathExists(BvcError):
 
 class DisconnectedCluster(BvcError):
     """A cluster has no connected spanning tree inside its own subgraph."""
-
-
-class PathBudgetExceeded(BvcError):
-    """Exhaustive path enumeration exceeded its partial-path budget."""

@@ -86,34 +86,11 @@ class BipartiteGraph:
     def m(self) -> int:
         return len(self._edges)
 
-    def degree(self, v: int) -> int:
-        return len(self.adjacency[v])
-
     def neighbor_sets(self) -> dict[int, frozenset[int]]:
         """node -> its neighbors as a set, built on first use."""
         if self._neighbor_sets is None:
             self._neighbor_sets = {v: frozenset(a) for v, a in self.adjacency.items()}
         return self._neighbor_sets
-
-    def components(self) -> list[list[int]]:
-        """Connected components, each sorted, ordered by smallest member."""
-        seen: set[int] = set()
-        comps = []
-        for start in self.node_ids:
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            queue = deque([start])
-            while queue:
-                x = queue.popleft()
-                for y in self.adjacency[x]:
-                    if y not in seen:
-                        seen.add(y)
-                        comp.append(y)
-                        queue.append(y)
-            comps.append(sorted(comp))
-        return comps
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"BipartiteGraph(n={self.n}, m={self.m}, max_degree={self.max_degree})"

@@ -97,7 +97,13 @@ def koenig_approx_cover(
     Phases: the 2k-level partition, pipelined aggregation of the k B-class
     sizes over the caller's BFS `forest` of the graph, and local selection
     against the componentwise argmin index (ties to the smallest index).
+
+    k is capped at n//2 + 1, which leaves the cover unchanged: a B-node of
+    class j ends an alternating path of 2j nodes, so class n//2 + 1 is
+    empty, the argmin is the first empty class, and no A-node has a class
+    between it and k.
     """
+    k = min(k, graph.n // 2 + 1)
     stats = RoundStats()
     partition, part_stats = compute_partition(graph, view, matching, k)
     stats.add_sequential(part_stats)

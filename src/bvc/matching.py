@@ -374,12 +374,15 @@ def eliminate_short_aug_paths(
     whose BFS deepens from d only while it grows; the phase jumps to the
     shortest length found and selects on the check's layering, or ends the
     loop when there is none. That last, empty check's layering of the
-    result is returned; it is None when the loop ended without one."""
+    result is returned; it is None when the loop ended without one.
+
+    k is capped at n//2 + 1, where 2k - 1 >= n exceeds every simple path,
+    so a larger k changes nothing but the number of phases."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     matching = m0
     stats = RoundStats()
-    top = 2 * k - 1
+    top = 2 * min(k, graph.n // 2 + 1) - 1
     if top > _UNCHECKED_LENGTH and forest is None:
         forest, elect_stats = elect_leader_and_bfs(graph)
         stats.add_sequential(elect_stats)
@@ -412,6 +415,16 @@ def eliminate_short_aug_paths(
     return matching, None, stats
 
 
+def ceil_ratio(c: float, x: float, name: str) -> int:
+    """ceil(c / x) for the parameter `name` = x in (0, 1]. Raises
+    InvalidParam outside that range, and where c / x overflows a float."""
+    if not 0.0 < x <= 1.0:
+        raise InvalidParam(f"{name} must be in (0, 1]")
+    if c / x == INF:
+        raise InvalidParam(f"{name} = {x!r} is too small")
+    return math.ceil(c / x)
+
+
 def approx_matching(
     graph: BipartiteGraph,
     view: SubgraphView,
@@ -422,14 +435,9 @@ def approx_matching(
 ) -> tuple[Matching, RoundStats]:
     """Matching of size at least (1 - delta) times maximum: eliminating all
     augmenting paths of length <= 2k-1 guarantees a 1 - 1/(k+1) factor, so
-    k = max(1, ceil(1/delta) - 1) suffices. No simple path has more than
-    n - 1 edges, so k is capped where the result is already maximum.
-    `seed` (None for the deterministic rule) and `forest` are passed on to
-    the elimination."""
-    if not 0.0 < delta <= 1.0:
-        raise InvalidParam("delta must be in (0, 1]")
-    k = max(1, math.ceil(1.0 / delta) - 1)
-    k = min(k, graph.n // 2 + 1)
+    k = max(1, ceil(1/delta) - 1) suffices. `seed` (None for the
+    deterministic rule) and `forest` are passed on to the elimination."""
+    k = max(1, ceil_ratio(1.0, delta, "delta") - 1)
     matching, _, stats = eliminate_short_aug_paths(
         graph, view, Matching([], view), k, seed=seed, forest=forest
     )

@@ -38,7 +38,7 @@ from .graph import (
     edge_key,
 )
 from .konig import koenig_approx_cover
-from .matching import approx_matching
+from .matching import approx_matching, ceil_ratio
 from .primitives import (
     BfsForest,
     alternating_bfs,
@@ -57,7 +57,6 @@ class PathCounts:
     """Exact counts of shortest (length-d) augmenting paths."""
 
     d: int
-    x: dict[int, int] = field(default_factory=dict)
     p_node: dict[int, int] = field(default_factory=dict)
     p_edge: dict[Edge, int] = field(default_factory=dict)
     level: dict[int, int] = field(default_factory=dict)
@@ -158,7 +157,7 @@ class CountSweepProgram(NodeProgram):
         return int(total)
 
     def output(self, ctx, st):
-        return {"x": st["x"], "p": st["p"], "level": st["level"]}
+        return st["p"]
 
 
 def view_max_degree_aggregate(
@@ -221,19 +220,15 @@ def count_paths(
     stats.add_sequential(sweep_stats)
 
     counts = PathCounts(d=d, level=dict(layering.level))
-    for v, o in outputs.items():
-        if o["level"] is not None:
-            counts.x[v] = o["x"]
     for v in view.in_nodes:
         if not matching.is_matched(v):
-            o = outputs[v]
-            counts.p_node[v] = o["p"] or 0
+            counts.p_node[v] = outputs[v] or 0
     base = view.base
     for u, v in matching.edges:
         b, a = (u, v) if base.side[u] == SIDE_B else (v, u)
         la = layering.level.get(a)
         if la is not None and la % 2 == 0 and layering.level.get(b) == la - 1:
-            counts.p_edge[edge_key(u, v)] = outputs[a]["p"] or 0
+            counts.p_edge[edge_key(u, v)] = outputs[a] or 0
         else:
             counts.p_edge[edge_key(u, v)] = 0
     return counts, stats
@@ -365,12 +360,14 @@ def repair_matching(
     recorded empty, stage l covers all length-l paths, and a check that
     finds none ends the repair. Because removals always take out whole
     matched pairs, no new free node ever appears, so no shorter path can
-    appear and earlier stages stay discharged."""
+    appear and earlier stages stay discharged. The stages stop at
+    k = n//2 + 1, where 2k - 1 >= n exceeds every simple path; the size
+    coefficient keeps the caller's k."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     stats = RoundStats()
     delta0 = view.max_view_degree()
-    top = 2 * k - 1
+    top = 2 * min(k, graph.n // 2 + 1) - 1
 
     s1: set[int] = set()
     per_stage = []
@@ -411,13 +408,11 @@ def det_cover_low_diameter(
     matching at accuracy eps / (2 * alpha), node repair up to path length
     2k' - 1 with k' = ceil(2 / eps), and the layered cover on the repaired
     subgraph; the removed nodes join the cover."""
-    if not 0.0 < eps <= 1.0:
-        raise InvalidParam("eps must be in (0, 1]")
+    k_prime = ceil_ratio(2.0, eps, "eps")
     stats = RoundStats()
     if not view.in_edges:
         return VertexCover([], view), stats
 
-    k_prime = math.ceil(2.0 / eps)
     forest, elect_stats = elect_leader_and_bfs(graph)
     stats.add_sequential(elect_stats)
     delta, deg_stats = view_max_degree_aggregate(graph, view, forest)

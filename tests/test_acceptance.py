@@ -38,6 +38,7 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
+from support import components
 
 pytestmark = pytest.mark.acceptance
 
@@ -119,8 +120,7 @@ def test_criterion_2_layered_cover_bound():
         # Size identity |C| = |M| + |B'(i*)|, componentwise stars summed.
         partition, _ = compute_partition(g, view, m, k)
         expected = m.size
-        for comp in g.components():
-            comp_set = set(comp)
+        for comp_set in components(g):
             sizes = [
                 sum(1 for v, c in partition.b_class.items() if c == j and v in comp_set)
                 for j in range(1, k + 1)

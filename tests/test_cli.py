@@ -1,7 +1,12 @@
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvc import oracle, primitives
 from bvc.cli import PIPELINES, load_graph, main, run_experiment, run_one, verify_record
@@ -10,6 +15,7 @@ from bvc.graph import Matching, SubgraphView, gen_path, gen_random, write_graph
 from bvc.konig import koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.repair import det_cover_low_diameter
+from support import time_limit
 
 # Records written by `bvc run` (commands in README.md); every later
 # change to src/ must reproduce them bit-identically.
@@ -86,7 +92,6 @@ def test_clustering_only_fields():
     r = records[0]
     assert r["cover_size"] is None
     assert r["valid"] is True
-    assert r["congestion"] in (0, 1)
     assert "max_tree_height" in r
 
 
@@ -319,3 +324,110 @@ def test_pipelines_elect_once(monkeypatch):
     assert elections(own_stats) == 1 and elections(given_stats) == 0
     assert own_stats.rounds - given_stats.rounds == elect_stats.rounds
     assert own_stats.total_bits - given_stats.total_bits == elect_stats.total_bits
+
+
+def test_k_beyond_half_n_changes_nothing():
+    """k is capped at n//2 + 1 wherever it is used: beyond it no augmenting
+    path or layer class is left, so a larger k, or a smaller eps, gives the
+    same record instead of thousands of empty rounds."""
+    graph = "gen:random:na=30,nb=30,p=0.06"
+
+    def costs(**config):
+        (record,) = run_experiment({"graph": graph, "no_oracle": True, **config})
+        assert record["valid"]
+        return record["cover_size"], record["rounds"], record["total_bits"]
+
+    with time_limit(120):
+        assert costs(pipeline="diameter1", k=1000) == costs(pipeline="diameter1", k=31)
+        assert costs(pipeline="det-low-diam", eps=0.001) == costs(pipeline="det-low-diam", eps=0.005)
+
+
+@pytest.mark.parametrize(
+    "pipeline, option, value",
+    [
+        ("diameter1", "--k", "100000000"),
+        ("det-low-diam", "--eps", "1e-8"),
+        ("rand-pipeline", "--eps", "1e-300"),
+        ("clustering-only", "--lam", "1e-300"),
+    ],
+)
+def test_extreme_parameters_give_valid_records(capsys, pipeline, option, value):
+    """A huge k or a tiny eps needs no more rounds than k = n//2 + 1, and a
+    tiny lam (sigma * n << 1) draws its shifts by the inverse CDF instead
+    of redrawing without end."""
+    with time_limit(60):
+        rc = main(["run", "--pipeline", pipeline, "--graph", "gen:path:n=6", option, value])
+    record = json.loads(capsys.readouterr().out)
+    assert rc == 0 and record["valid"]
+
+
+@pytest.mark.parametrize(
+    "pipeline, eps", [("diameter1", "1e-320"), ("rand-pipeline", "1e-308"), ("det-low-diam", "1e-79")]
+)
+def test_eps_too_small_for_k_exits_2(capsys, pipeline, eps):
+    """An eps whose k = ceil(c / eps) overflows a float is an InvalidParam,
+    not an OverflowError."""
+    with time_limit(60):
+        rc = main(["run", "--pipeline", pipeline, "--graph", "gen:path:n=6", "--eps", eps])
+    assert rc == 2
+    assert "is too small" in capsys.readouterr().err
+
+
+_JUNK = st.text(alphabet="ax-.e1 ", max_size=4)
+_GRAPHS = (
+    "gen:path:n=6",
+    "gen:complete:na=2,nb=3",
+    "gen:random:na=5,nb=6,p=0.3",
+    "gen:random:na=8,nb=8,p=0.25",
+)
+_CONFIG_OPTIONAL = {
+    "seed": st.integers(-(10**9), 10**9).map(str),
+    "repeat": st.integers(1, 2).map(str),
+    "eps": st.floats(0.0, 1.0).map(repr),
+    "k": (st.integers(-1, 40) | st.integers(-2, 10**12)).map(str),
+    "lam": st.floats(0.0, 1.0).map(repr),
+    "provider": st.sampled_from(
+        ("maximal", "eliminate:k=3", "eliminate:k=0", "approx:delta=0.3")
+        + ("det-approx:delta=1e-300", "approx:delta=5e-324", "approx:k=2", "bogus")
+    ),
+    "bandwidth": st.integers(6, 40).map(str),
+    "no_oracle": st.sampled_from(("true", "false", "1", "0", "")),
+}
+
+
+@st.composite
+def _config_files(draw):
+    """Config entries, each value in or near its range. About one file in
+    ten puts text where a number belongs, one gives eps or lam any float,
+    and one names a pipeline or graph that does not exist."""
+    required = {"pipeline": st.sampled_from(PIPELINES), "graph": st.sampled_from(_GRAPHS)}
+    config = draw(st.fixed_dictionaries(required, optional=_CONFIG_OPTIONAL))
+    fault = draw(st.sampled_from((None,) * 7 + ("text", "float", "name")))
+    if fault == "text":
+        config[draw(st.sampled_from(sorted(config)))] = draw(_JUNK)
+    elif fault == "float":
+        value = draw(st.floats(allow_nan=True, allow_infinity=True))
+        config[draw(st.sampled_from(("eps", "lam")))] = repr(value)
+    elif fault == "name":
+        key = draw(st.sampled_from(("pipeline", "graph")))
+        config[key] = draw(st.sampled_from(("nope", "gen:path:n=0", "missing.txt")))
+    return config
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_config_files())
+def test_config_files_run_or_exit_2(config):
+    """Any `--config` file either runs, every record valid, or exits 2
+    with an `error:` line: numbers out of range, text for numbers, unknown
+    keys, pipelines, graphs and providers all end in a typed error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.conf"
+        path.write_text("".join(f"{key} = {value}\n" for key, value in config.items()))
+        out, err = io.StringIO(), io.StringIO()
+        with time_limit(30), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(["run", "--config", str(path)])
+    if rc == 2:
+        assert err.getvalue().startswith("error: ")
+    else:
+        assert rc == 0
+        assert all(json.loads(line)["valid"] for line in out.getvalue().splitlines())

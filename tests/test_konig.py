@@ -18,6 +18,7 @@ from bvc.graph import (
 from bvc.konig import compute_partition, koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import elect_leader_and_bfs
+from support import components
 
 INF = math.inf
 
@@ -138,8 +139,7 @@ def test_approx_cover_bound_and_identity():
             # Size identity, componentwise stars summed.
             partition, _ = compute_partition(g, view, m, k)
             total = m.size
-            for comp in g.components():
-                comp_set = set(comp)
+            for comp_set in components(g):
                 sizes = [
                     sum(
                         1

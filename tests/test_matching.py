@@ -25,6 +25,7 @@ from bvc.matching import (
 )
 from bvc.primitives import alternating_bfs, elect_leader_and_bfs, level_dag, witness_check
 from bvc.runtime import NodeContext, derive_seed, id_bits
+from support import disjoint_union, graphs
 
 INF = math.inf
 
@@ -157,27 +158,6 @@ def test_select_augments_by_path_count():
         assert flipped.size == m.size + len(paths)
 
 
-def _one_graph():
-    return st.one_of(
-        st.builds(gen_complete, st.just(1), st.integers(1, 8)),  # stars
-        st.builds(gen_complete, st.integers(1, 5), st.integers(1, 5)),
-        st.builds(gen_path, st.integers(2, 40)),
-        st.builds(
-            gen_random,
-            st.integers(2, 14),
-            st.integers(2, 14),
-            st.sampled_from((0.1, 0.2, 0.35)),
-            st.integers(0, 10_000),
-        ),
-    )
-
-
-def _disjoint_union(g, h):
-    return build_graph(
-        list(g.edges) + [(u + g.n, v + g.n) for u, v in h.edges], extra_nodes=range(g.n + h.n)
-    )
-
-
 @st.composite
 def _layered_instances(draw):
     """A small graph (one of the families, or two side by side), a view of
@@ -185,9 +165,9 @@ def _layered_instances(draw):
     its nodes), a start matching, a number k of elimination phases, a seed
     and the source of the layering. Small k leave shorter paths than small
     graphs otherwise keep; k = 8 runs every phase that goes unchecked."""
-    g = draw(_one_graph())
+    g = draw(graphs())
     if draw(st.booleans()):
-        g = _disjoint_union(g, draw(_one_graph()))
+        g = disjoint_union(g, draw(graphs()))
     dropped = draw(st.none() | st.sets(st.sampled_from(g.node_ids), max_size=g.n // 4))
     keep = None if dropped is None else set(g.node_ids) - dropped
     start = draw(st.sampled_from(("greedy", "empty")))

@@ -1,20 +1,25 @@
 import math
 from collections import deque
 
+import networkx as nx
 import pytest
 
 from bvc import oracle
 from bvc.errors import ShorterPathExists
 from bvc.graph import (
+    SIDE_A,
+    SIDE_B,
     Matching,
     SubgraphView,
     build_graph,
+    edge_key,
     gen_complete,
     gen_disjoint_edges,
     gen_even_cycle,
     gen_path,
     gen_random,
 )
+from support import matching_size
 
 INF = math.inf
 
@@ -24,7 +29,7 @@ def whole(g):
 
 
 def test_max_matching_small_graphs():
-    # Expected sizes frozen from the exhaustive edge-subset search below.
+    # Expected sizes frozen from networkx's Hopcroft-Karp matching.
     assert oracle.max_matching_oracle(whole(gen_path(4))).size == 2
     assert oracle.max_matching_oracle(whole(gen_complete(2, 3))).size == 2
     g = build_graph([], extra_nodes=[0, 1])
@@ -37,7 +42,7 @@ def test_max_matching_is_maximum_no_aug_path():
         view = whole(g)
         m = oracle.max_matching_oracle(view)
         assert oracle.shortest_aug_path_len(view, m) == INF
-        assert m.size == oracle.exhaustive_max_matching_size(view)
+        assert m.size == matching_size(view)
 
 
 def test_min_vc_small_graphs():
@@ -48,13 +53,14 @@ def test_min_vc_small_graphs():
     assert oracle.min_vc_oracle(whole(build_graph([(0, 1)]))).size == 1
 
 
-def test_min_vc_matches_exhaustive():
+def test_min_vc_matches_networkx():
+    # A valid cover no larger than some matching is minimum (weak duality).
     for seed in range(8):
         g = gen_random(5, 5, 0.4, seed)
         view = whole(g)
         cover = oracle.min_vc_oracle(view)
         assert cover.is_valid()
-        assert cover.size == oracle.exhaustive_min_vc_size(view)
+        assert cover.size == matching_size(view)
 
 
 def test_koenig_duality_families():
@@ -83,7 +89,7 @@ def test_enumerate_single_free_edge():
     view = whole(g)
     counts = oracle.enumerate_aug_paths(view, Matching([]), 1)
     assert counts.node_counts == {0: 1, 1: 1}
-    assert counts.total == 1
+    assert frees(view, counts, "A") == 1
 
 
 def test_enumerate_p4():
@@ -94,7 +100,7 @@ def test_enumerate_p4():
     assert counts.node_counts[0] == 1
     assert counts.node_counts[3] == 1
     assert counts.edge_counts[(1, 2)] == 1
-    assert counts.total == 1
+    assert frees(view, counts, "A") == 1
 
 
 def test_enumerate_zero_for_maximum():
@@ -124,7 +130,7 @@ def test_enumerate_shared_middle_edge():
     assert counts.node_counts[0] == 1
     assert counts.node_counts[2] == 1
     assert counts.node_counts[6] == 2
-    assert counts.total == 2
+    assert frees(view, counts, "A") == 2
 
 
 def frees(view, counts, side):
@@ -134,6 +140,36 @@ def frees(view, counts, side):
         for v, c in counts.node_counts.items()
         if base.side[v] == side
     )
+
+
+def aug_path_counts(view: SubgraphView, matching, d: int):
+    """(node_counts, edge_counts): the d-edge augmenting paths through every
+    free in-view node and every matching edge, keyed as
+    `oracle.enumerate_aug_paths` keys them. networkx counts the simple
+    d-edge paths of the directed alternating graph, with non-matching
+    edges A -> B and matching edges B -> A, from free A to free B."""
+    side = view.base.side
+    arcs = nx.DiGraph()
+    arcs.add_nodes_from(view.in_nodes)
+    for u, v in view.in_edges:
+        a, b = (u, v) if side[u] == SIDE_A else (v, u)
+        if matching.partner_of(a) == b:
+            arcs.add_edge(b, a)
+        else:
+            arcs.add_edge(a, b)
+    free = [v for v in view.in_nodes if not matching.is_matched(v)]
+    node_counts = dict.fromkeys(free, 0)
+    edge_counts = dict.fromkeys(matching.edges, 0)
+    targets = {v for v in free if side[v] == SIDE_B}
+    for source in (v for v in free if side[v] == SIDE_A):
+        for path in nx.all_simple_paths(arcs, source, targets, cutoff=d):
+            if len(path) != d + 1:
+                continue
+            node_counts[path[0]] += 1
+            node_counts[path[-1]] += 1
+            for i in range(1, d, 2):
+                edge_counts[edge_key(path[i], path[i + 1])] += 1
+    return node_counts, edge_counts
 
 
 def test_count_symmetry_and_dfs_agreement():
@@ -150,12 +186,8 @@ def test_count_symmetry_and_dfs_agreement():
         if d is INF or d > 7:
             continue
         fast = oracle.enumerate_aug_paths(view, m2, d)
-        slow = oracle.enumerate_aug_paths_dfs(view, m2, d)
-        assert fast.node_counts == slow.node_counts
-        assert fast.edge_counts == slow.edge_counts
-        a_total = frees(view, fast, "A")
-        b_total = frees(view, fast, "B")
-        assert a_total == b_total == fast.total
+        assert (fast.node_counts, fast.edge_counts) == aug_path_counts(view, m2, d)
+        assert frees(view, fast, "A") == frees(view, fast, "B")
 
 
 def test_diameter():
@@ -187,12 +219,3 @@ def test_diameter_matches_per_source_bfs():
     graphs += [gen_complete(3, 5), gen_disjoint_edges(4), build_graph([], extra_nodes=range(3))]
     for g in graphs:
         assert oracle.diameter(g) == bfs_diameter(g)
-
-
-def test_dfs_enumeration_budget():
-    from bvc.errors import PathBudgetExceeded
-
-    g = gen_complete(6, 6)
-    view = whole(g)
-    with pytest.raises(PathBudgetExceeded):
-        oracle.enumerate_aug_paths_dfs(view, Matching([]), 1, budget=5)

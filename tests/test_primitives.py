@@ -28,6 +28,7 @@ from bvc.primitives import (
     witness_check,
 )
 from bvc.runtime import frame_count, id_bits
+from support import components
 
 INF = math.inf
 
@@ -87,7 +88,7 @@ def test_elect_round_bound():
 def test_elect_depths_are_bfs_distances():
     g = gen_random(10, 10, 0.25, 9)
     forest, _ = elect_leader_and_bfs(g)
-    for comp in g.components():
+    for comp in components(g):
         root = min(comp)
         dist = {root: 0}
         frontier = [root]
@@ -142,7 +143,7 @@ def test_aggregate_matches_sequential_sums():
     k = 4
     values = {v: tuple(rng.randrange(16) for _ in range(k)) for v in g.node_ids}
     results, _ = pipelined_aggregate(g, forest, values, combine="sum")
-    for comp in g.components():
+    for comp in components(g):
         expected = tuple(sum(values[v][j] for v in comp) for j in range(k))
         for v in comp:
             assert results[v] == expected

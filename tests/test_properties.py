@@ -1,0 +1,76 @@
+"""Each pipeline's guarantee, checked against networkx's maximum matching
+size nu on small drawn graphs: stars, complete bipartite graphs, paths and
+sparse random graphs, alone or two side by side, at the default or the
+floor bandwidth, on the whole graph or an induced sub-view."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from bvc.clustering import randomized_pipeline
+from bvc.graph import Matching, SubgraphView, ceil_log2
+from bvc.konig import koenig_approx_cover, koenig_exact_cover
+from bvc.matching import eliminate_short_aug_paths
+from bvc.primitives import elect_leader_and_bfs
+from bvc.repair import det_cover_low_diameter
+from support import disjoint_union, graphs, matching_size
+
+SETTINGS = settings(max_examples=75, derandomize=True, deadline=None, database=None)
+
+
+@st.composite
+def networks(draw):
+    g = draw(graphs())
+    if draw(st.booleans()):
+        g = disjoint_union(g, draw(graphs()))
+    if draw(st.booleans()):
+        g = g.with_bandwidth(ceil_log2(g.n) + 4)
+    return g
+
+
+@st.composite
+def views(draw):
+    """A network and the whole of it, or the sub-view induced without up
+    to a quarter of its nodes."""
+    g = draw(networks())
+    dropped = draw(st.sets(st.sampled_from(g.node_ids), max_size=g.n // 4))
+    return g, SubgraphView.induced(g, set(g.node_ids) - dropped)
+
+
+SEEDS = st.none() | st.integers(0, 10_000)
+
+
+@SETTINGS
+@given(views(), SEEDS)
+def test_exact_cover_has_size_nu(instance, seed):
+    g, view = instance
+    cover, _ = koenig_exact_cover(g, view, seed=seed)
+    assert cover.is_valid() and cover.size == matching_size(view)
+
+
+@SETTINGS
+@given(views(), st.sampled_from((0.05, 0.25, 0.5, 1.0)))
+def test_det_low_diam_within_1_plus_eps_of_nu(instance, eps):
+    g, view = instance
+    cover, _ = det_cover_low_diameter(g, view, eps)
+    assert cover.is_valid() and cover.size <= (1 + eps) * matching_size(view) + 1e-9
+
+
+@SETTINGS
+@given(views(), st.integers(1, 40), SEEDS)
+def test_diameter1_within_1_plus_1_over_k_of_nu(instance, k, seed):
+    g, view = instance
+    forest, _ = elect_leader_and_bfs(g)
+    matching, _, _ = eliminate_short_aug_paths(
+        g, view, Matching([], view), k, seed=seed, forest=forest
+    )
+    cover, _ = koenig_approx_cover(g, view, matching, k, forest=forest)
+    assert cover.is_valid() and k * cover.size <= (k + 1) * matching_size(view)
+
+
+@SETTINGS
+@given(networks(), st.sampled_from((0.1, 0.5, 1.0)), st.integers(0, 10_000))
+def test_rand_pipeline_is_valid_and_reproducible(g, eps, seed):
+    cover, stats, _ = randomized_pipeline(g, eps, seed=seed)
+    again, stats_again, _ = randomized_pipeline(g, eps, seed=seed)
+    assert cover.is_valid() and cover.size >= matching_size(SubgraphView.whole(g))
+    assert again.nodes == cover.nodes and stats_again == stats

@@ -112,7 +112,9 @@ def test_count_matches_oracle(d):
         end_total = sum(
             c for v, c in counts.p_node.items() if counts.level.get(v) == d
         )
-        assert start_total == end_total == expected.total
+        assert start_total == end_total == sum(
+            c for v, c in expected.node_counts.items() if g.side[v] == "A"
+        )
     assert hits > 0 or d == 5
 
 
