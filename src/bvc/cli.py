@@ -26,7 +26,7 @@ from .clustering import (
 from .errors import BvcError, InvalidParam
 from .graph import BipartiteGraph, Matching, SubgraphView, graph_from_spec, read_graph
 from .konig import koenig_approx_cover, koenig_exact_cover
-from .matching import ceil_ratio, eliminate_short_aug_paths, parse_provider
+from .matching import ceil_ratio, eliminate_short_aug_paths, max_useful_k, parse_provider
 from .primitives import elect_leader_and_bfs
 from .repair import det_cover_low_diameter
 
@@ -136,7 +136,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         record["params"].update({"k": k, "eps": eps})
         forest, stats = elect_leader_and_bfs(graph)
         matching, _, elim_stats = eliminate_short_aug_paths(
-            graph, view, Matching([], view), k, seed=seed, forest=forest
+            graph, view, Matching([], view), min(k, max_useful_k(graph)), seed=seed, forest=forest
         )
         stats.add_sequential(elim_stats)
         cover, cover_stats = koenig_approx_cover(graph, view, matching, k, forest=forest)

@@ -28,7 +28,7 @@ from .graph import (
     build_graph,
 )
 from .konig import koenig_approx_cover
-from .matching import ceil_ratio, eliminate_short_aug_paths, maximal_matching
+from .matching import ceil_ratio, eliminate_short_aug_paths, maximal_matching, max_useful_k
 from .primitives import BfsForest, BfsTree
 from .runtime import (
     Msg,
@@ -380,10 +380,11 @@ def combine_with_clusters(
         ]
         m0 = Matching(m0_edges, sub_view)
         sub_seed = derive_seed(seed, 1000 + idx)
+        k_c = min(k, max_useful_k(sub_graph))
         m1, _, st_i = eliminate_short_aug_paths(
-            sub_graph, sub_view, m0, k, seed=derive_seed(sub_seed, 1), forest=forest
+            sub_graph, sub_view, m0, k_c, seed=derive_seed(sub_seed, 1), forest=forest
         )
-        cover_i, cover_stats = koenig_approx_cover(sub_graph, sub_view, m1, k, forest=forest)
+        cover_i, cover_stats = koenig_approx_cover(sub_graph, sub_view, m1, k_c, forest=forest)
         st_i.add_sequential(cover_stats)
         inner_stats.append(st_i)
         cover_nodes.update(ordered[i] for i in cover_i.nodes)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_A, BipartiteGraph, Matching, SubgraphView, VertexCover
-from .matching import eliminate_short_aug_paths
+from .matching import eliminate_short_aug_paths, max_useful_k
 from .primitives import AlternatingLayering, BfsForest, alternating_bfs, pipelined_aggregate
 from .runtime import RoundStats, id_bits
 
@@ -96,14 +96,10 @@ def koenig_approx_cover(
 
     Phases: the 2k-level partition, pipelined aggregation of the k B-class
     sizes over the caller's BFS `forest` of the graph, and local selection
-    against the componentwise argmin index (ties to the smallest index).
-
-    k is capped at n//2 + 1, which leaves the cover unchanged: a B-node of
-    class j ends an alternating path of 2j nodes, so class n//2 + 1 is
-    empty, the argmin is the first empty class, and no A-node has a class
-    between it and k.
+    against the componentwise argmin index (ties to the smallest index),
+    with k capped at `max_useful_k`.
     """
-    k = min(k, graph.n // 2 + 1)
+    k = min(k, max_useful_k(graph))
     stats = RoundStats()
     partition, part_stats = compute_partition(graph, view, matching, k)
     stats.add_sequential(part_stats)
@@ -148,7 +144,7 @@ def koenig_exact_cover(
     an elimination that ran no check (n <= 15) is followed by a BFS of its
     own. Without a seed the elimination follows the deterministic rule."""
     matching, layering, stats = eliminate_short_aug_paths(
-        graph, view, Matching([], view), graph.n // 2 + 1, seed=seed
+        graph, view, Matching([], view), max_useful_k(graph), seed=seed
     )
     if layering is None:
         layering, bfs_stats = alternating_bfs(

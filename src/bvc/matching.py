@@ -374,15 +374,12 @@ def eliminate_short_aug_paths(
     whose BFS deepens from d only while it grows; the phase jumps to the
     shortest length found and selects on the check's layering, or ends the
     loop when there is none. That last, empty check's layering of the
-    result is returned; it is None when the loop ended without one.
-
-    k is capped at n//2 + 1, where 2k - 1 >= n exceeds every simple path,
-    so a larger k changes nothing but the number of phases."""
+    result is returned; it is None when the loop ended without one."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     matching = m0
     stats = RoundStats()
-    top = 2 * min(k, graph.n // 2 + 1) - 1
+    top = 2 * k - 1
     if top > _UNCHECKED_LENGTH and forest is None:
         forest, elect_stats = elect_leader_and_bfs(graph)
         stats.add_sequential(elect_stats)
@@ -415,6 +412,14 @@ def eliminate_short_aug_paths(
     return matching, None, stats
 
 
+def max_useful_k(graph: BipartiteGraph) -> int:
+    """n//2 + 1, beyond which k changes no result: 2k - 1 >= n exceeds every
+    simple path, so further phases and repair stages find nothing, and a
+    B-class j needs 2j nodes, so the layered cover's argmin is the first
+    empty class, at most n//2 + 1, and no A-node has a class between it and k."""
+    return graph.n // 2 + 1
+
+
 def ceil_ratio(c: float, x: float, name: str) -> int:
     """ceil(c / x) for the parameter `name` = x in (0, 1]. Raises
     InvalidParam outside that range, and where c / x overflows a float."""
@@ -437,7 +442,7 @@ def approx_matching(
     augmenting paths of length <= 2k-1 guarantees a 1 - 1/(k+1) factor, so
     k = max(1, ceil(1/delta) - 1) suffices. `seed` (None for the
     deterministic rule) and `forest` are passed on to the elimination."""
-    k = max(1, ceil_ratio(1.0, delta, "delta") - 1)
+    k = min(max(1, ceil_ratio(1.0, delta, "delta") - 1), max_useful_k(graph))
     matching, _, stats = eliminate_short_aug_paths(
         graph, view, Matching([], view), k, seed=seed, forest=forest
     )
@@ -456,7 +461,7 @@ class ProviderSpec:
             return maximal_matching(graph, view, seed=seed)
         if self.kind == "eliminate":
             matching, _, stats = eliminate_short_aug_paths(
-                graph, view, Matching([], view), self.k, seed=seed
+                graph, view, Matching([], view), min(self.k, max_useful_k(graph)), seed=seed
             )
             return matching, stats
         if self.kind == "approx":

@@ -38,7 +38,7 @@ from .graph import (
     edge_key,
 )
 from .konig import koenig_approx_cover
-from .matching import approx_matching, ceil_ratio
+from .matching import approx_matching, ceil_ratio, max_useful_k
 from .primitives import (
     BfsForest,
     alternating_bfs,
@@ -361,13 +361,12 @@ def repair_matching(
     finds none ends the repair. Because removals always take out whole
     matched pairs, no new free node ever appears, so no shorter path can
     appear and earlier stages stay discharged. The stages stop at
-    k = n//2 + 1, where 2k - 1 >= n exceeds every simple path; the size
-    coefficient keeps the caller's k."""
+    `max_useful_k`; the size coefficient keeps the caller's k."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     stats = RoundStats()
     delta0 = view.max_view_degree()
-    top = 2 * min(k, graph.n // 2 + 1) - 1
+    top = 2 * min(k, max_useful_k(graph)) - 1
 
     s1: set[int] = set()
     per_stage = []
