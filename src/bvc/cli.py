@@ -148,7 +148,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         cover, stats, cluster_set = randomized_pipeline(graph, eps, seed=seed)
         record["cover_size"] = cover.size
         extra["clusters"] = len(cluster_set.clusters())
-        extra["max_tree_height"] = cluster_set.max_tree_height()
+        extra["max_tree_height"] = cluster_set.max_tree_height
         valid = cover.is_valid() and oracle.clusters_separated(graph, cluster_set)
     elif pipeline == "det-low-diam":
         record["params"]["eps"] = eps
@@ -163,7 +163,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         stats.add_sequential(shrink_stats)
         stats.add_sequential(build_cluster_trees(graph, cluster_set))
         extra["clusters"] = len(cluster_set.clusters())
-        extra["max_tree_height"] = cluster_set.max_tree_height()
+        extra["max_tree_height"] = cluster_set.max_tree_height
         valid = oracle.clusters_separated(graph, cluster_set)
     elif pipeline == "matching-only":
         provider = config.get("provider")

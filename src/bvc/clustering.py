@@ -29,7 +29,7 @@ from .graph import (
 )
 from .konig import koenig_approx_cover
 from .matching import ceil_ratio, eliminate_short_aug_paths, maximal_matching, max_useful_k
-from .primitives import BfsForest, BfsTree
+from .primitives import Forest
 from .runtime import (
     Msg,
     NodeProgram,
@@ -42,14 +42,19 @@ from .runtime import (
 
 @dataclass
 class ClusterSet:
-    """Disjoint clusters with optional per-cluster spanning trees.
+    """Disjoint clusters and, once `build_cluster_trees` ran, their
+    spanning trees.
 
     `members` is the post-shrink assignment (None = outside clusters);
-    `origin` the total pre-shrink assignment used for tree regions."""
+    `origin` the total pre-shrink assignment used for tree regions.
+    `forest` holds the tree of every cluster with surviving members, over
+    its origin region, rooted at the origin; `max_tree_height` is the
+    largest depth in it."""
 
     members: dict[int, int | None]
     origin: dict[int, int]
-    trees: dict[int, BfsTree] = field(default_factory=dict)
+    forest: Forest = field(default_factory=dict)
+    max_tree_height: int = 0
 
     def clusters(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -57,9 +62,6 @@ class ClusterSet:
             if c is not None:
                 out.setdefault(c, []).append(v)
         return {c: sorted(vs) for c, vs in out.items()}
-
-    def max_tree_height(self) -> int:
-        return max((d for t in self.trees.values() for d in t.depth.values()), default=0)
 
 
 # Redraws of a shift before it is drawn by inverting the CDF of the
@@ -229,17 +231,13 @@ class TreeBuildProgram(NodeProgram):
         return st, out, False, st["until"]
 
     def output(self, ctx, st):
-        return {
-            "origin": st["origin"],
-            "parent": st["parent"],
-            "depth": st["depth"],
-            "children": tuple(sorted(st["same"])),
-        }
+        return st["depth"], st["parent"], tuple(sorted(st["same"]))
 
 
 def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> RoundStats:
-    """Fill in the spanning trees; every graph edge serves at most one
-    tree because tree regions are the (vertex-disjoint) origin groups.
+    """Fill in `cluster_set.forest` and `max_tree_height`; every graph edge
+    serves at most one tree because tree regions are the (vertex-disjoint)
+    origin groups.
 
     Raises DisconnectedCluster if some surviving member is unreachable
     inside its own origin region (impossible for shifted-distance
@@ -252,22 +250,15 @@ def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> Round
         allow_quiescence=True,
         phase="cluster-trees",
     )
-    trees: dict[int, BfsTree] = {}
-    for v, o in outputs.items():
-        if o["depth"] is None:
+    # Only clusters with surviving members keep their trees.
+    origin, live = cluster_set.origin, set(cluster_set.members.values())
+    for v, (depth, parent, children) in outputs.items():
+        if depth is None:
             if cluster_set.members.get(v) is not None:
-                raise DisconnectedCluster(f"member {v} unreachable from origin {o['origin']}")
-            continue
-        root = o["origin"]
-        tree = trees.get(root)
-        if tree is None:
-            tree = trees[root] = BfsTree(root, {}, {}, {})
-        tree.parent[v] = o["parent"]
-        tree.depth[v] = o["depth"]
-        tree.children[v] = o["children"]
-    # Drop trees of fully-shrunk clusters; keep those with surviving members.
-    live = {c for c, vs in cluster_set.clusters().items() if vs}
-    cluster_set.trees = {c: t for c, t in trees.items() if c in live}
+                raise DisconnectedCluster(f"member {v} unreachable from origin {origin[v]}")
+        elif origin[v] in live:
+            cluster_set.forest[v] = parent, children
+            cluster_set.max_tree_height = max(cluster_set.max_tree_height, depth)
     return stats
 
 
@@ -304,35 +295,31 @@ class ExtendProgram(NodeProgram):
         return st["joined"]
 
 
-def _induced_subproblem(graph, tree, member_nodes, solve_nodes):
-    """Relabel a cluster's tree region densely. Communication uses the
-    induced subgraph over the cluster's own tree, while the solved view
-    holds the one-hop extended cluster and every edge with a member
-    endpoint; a member's neighbors all share its origin, so they lie in
-    the region. Edges between two attached nodes stay outside the solved
-    view (they are covered by matched nodes outside clusters). The
-    sub-graph keeps the parent's bandwidth: it is a part of the same
+def _induced_subproblem(graph, tree, edges, matched, member_nodes, solve_nodes):
+    """Relabel a cluster's tree region densely, given its part of the
+    cluster forest and the graph and matching edges inside the region.
+    Communication uses the induced subgraph over the cluster's own tree,
+    while the solved view holds the one-hop extended cluster and every edge
+    with a member endpoint; a member's neighbors all share its origin, so
+    they lie in the region. Edges between two attached nodes stay outside
+    the solved view (they are covered by matched nodes outside clusters).
+    The sub-graph keeps the parent's bandwidth: it is a part of the same
     network."""
-    ordered = sorted(tree.parent)
+    ordered = sorted(tree)
     to_sub = {v: i for i, v in enumerate(ordered)}
-    edges = [
-        (to_sub[u], to_sub[v]) for u, v in graph.edges if u in to_sub and v in to_sub
-    ]
+    edges = [(to_sub[u], to_sub[v]) for u, v in edges]
     sub_graph = build_graph(edges, extra_nodes=range(len(ordered))).with_bandwidth(graph.bandwidth)
     members = {to_sub[v] for v in member_nodes}
     solve = {to_sub[v] for v in solve_nodes}
     node_in = {i: i in solve for i in sub_graph.node_ids}
     edge_in = {e: e[0] in members or e[1] in members for e in sub_graph.edges}
     sub_view = SubgraphView(sub_graph, node_in, edge_in)
-    root = to_sub[tree.root]
-    sub_tree = BfsTree(
-        root,
-        {to_sub[v]: None if p is None else to_sub[p] for v, p in tree.parent.items()},
-        {to_sub[v]: d for v, d in tree.depth.items()},
-        {to_sub[v]: tuple(to_sub[c] for c in cs) for v, cs in tree.children.items()},
-    )
-    forest = BfsForest({root: sub_tree}, dict.fromkeys(sub_graph.node_ids, root))
-    return sub_graph, sub_view, forest, to_sub, ordered
+    m0 = Matching([(to_sub[u], to_sub[v]) for u, v in matched]).restricted_to(sub_view)
+    forest = {
+        to_sub[v]: (None if p is None else to_sub[p], tuple(to_sub[c] for c in cs))
+        for v, (p, cs) in tree.items()
+    }
+    return sub_graph, sub_view, m0, forest, ordered
 
 
 def combine_with_clusters(
@@ -344,10 +331,12 @@ def combine_with_clusters(
     seed: int = 0,
 ) -> tuple[VertexCover, RoundStats]:
     """Cover = matched nodes outside clusters + per-cluster covers of the
-    one-hop extended cluster graphs, solved concurrently. Each cluster
-    solve runs over the cluster's tree from `build_cluster_trees`,
-    eliminates augmenting paths to length 2k-1 with k = ceil(2 / psi), and
-    takes the layered cover, for a (1 + psi) guarantee."""
+    one-hop extended cluster graphs, solved concurrently. One pass groups
+    the nodes of `cluster_set.forest`, the graph edges and the matching
+    edges by origin; each cluster solve then runs on its own group, over
+    its cluster's tree, eliminates augmenting paths to length 2k-1 with
+    k = ceil(2 / psi), and takes the layered cover, for a (1 + psi)
+    guarantee."""
     k = ceil_ratio(2.0, psi, "psi")
     view = SubgraphView.whole(graph)
     stats = RoundStats()
@@ -366,19 +355,24 @@ def combine_with_clusters(
         if joined is not None:
             extended.setdefault(joined, set()).add(v)
 
+    in_tree, origin = cluster_set.forest, cluster_set.origin
+    trees: dict[int, Forest] = {}
+    for v, entry in in_tree.items():
+        trees.setdefault(origin[v], {})[v] = entry
+    edges: dict[int, list] = {}
+    matched: dict[int, list] = {}
+    for groups, pairs in ((edges, graph.edges), (matched, matching.edges)):
+        for u, v in pairs:
+            if u in in_tree and v in in_tree and origin[u] == origin[v]:
+                groups.setdefault(origin[u], []).append((u, v))
+
     cover_nodes = set(x_nodes)
     inner_stats: list[RoundStats] = []
-    members_by_cluster = cluster_set.clusters()
+    members = cluster_set.clusters()
     for idx, c in enumerate(sorted(extended)):
-        sub_graph, sub_view, forest, to_sub, ordered = _induced_subproblem(
-            graph, cluster_set.trees[c], members_by_cluster[c], extended[c]
+        sub_graph, sub_view, m0, forest, ordered = _induced_subproblem(
+            graph, trees[c], edges.get(c, ()), matched.get(c, ()), members[c], extended[c]
         )
-        m0_edges = [
-            (to_sub[u], to_sub[v])
-            for u, v in matching.edges
-            if u in to_sub and v in to_sub and sub_view.contains_edge(to_sub[u], to_sub[v])
-        ]
-        m0 = Matching(m0_edges, sub_view)
         sub_seed = derive_seed(seed, 1000 + idx)
         k_c = min(k, max_useful_k(sub_graph))
         m1, _, st_i = eliminate_short_aug_paths(
@@ -407,11 +401,14 @@ def randomized_pipeline(
     shrink, per-cluster trees, then cluster-wise covers at psi = eps/2."""
     if not 0.0 < eps <= 1.0:
         raise InvalidParam("eps must be in (0, 1]")
+    lam, psi = eps / 4.0, eps / 2.0
+    # A tiny eps underflows lam to 0 or overflows k = ceil(2 / psi).
+    if lam == 0.0 or 2.0 / psi == math.inf:
+        raise InvalidParam(f"eps = {eps!r} is too small")
     stats = RoundStats()
     matching, m_stats = maximal_matching(graph, seed=derive_seed(seed, 71))
     stats.add_sequential(m_stats)
 
-    lam = eps / 4.0
     assignment, mpx_stats = mpx_partition(graph, lam, seed=derive_seed(seed, 72))
     stats.add_sequential(mpx_stats)
 
@@ -425,7 +422,7 @@ def randomized_pipeline(
         graph,
         matching,
         cluster_set,
-        eps / 2.0,
+        psi,
         seed=derive_seed(seed, 75),
     )
     stats.add_sequential(comb_stats)

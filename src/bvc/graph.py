@@ -338,23 +338,30 @@ def gen_disjoint_edges(m: int) -> BipartiteGraph:
     return build_graph([(2 * i, 2 * i + 1) for i in range(m)])
 
 
+# family -> (generator, its parameters and their types); "random" also takes the seed
+_FAMILIES = {
+    "random": (gen_random, {"na": int, "nb": int, "p": float}),
+    "path": (gen_path, {"n": int}),
+    "even_cycle": (gen_even_cycle, {"n": int}),
+    "complete": (gen_complete, {"na": int, "nb": int}),
+    "disjoint_edges": (gen_disjoint_edges, {"m": int}),
+}
+
+
 def generate(family: str, seed: int = 0, **params) -> BipartiteGraph:
     """Deterministic graph generation; same (family, params, seed) gives
-    the same graph."""
+    the same graph. A key the family does not take is an InvalidParam."""
+    if family not in _FAMILIES:
+        raise InvalidParam(f"unknown graph family {family!r}")
+    gen, types = _FAMILIES[family]
+    unknown = params.keys() - types.keys()
+    if unknown:
+        raise InvalidParam(f"unknown parameter {min(unknown)!r} for family {family!r}")
     try:
-        if family == "random":
-            return gen_random(int(params["na"]), int(params["nb"]), float(params["p"]), seed)
-        if family == "path":
-            return gen_path(int(params["n"]))
-        if family == "even_cycle":
-            return gen_even_cycle(int(params["n"]))
-        if family == "complete":
-            return gen_complete(int(params["na"]), int(params["nb"]))
-        if family == "disjoint_edges":
-            return gen_disjoint_edges(int(params["m"]))
+        args = [cast(params[key]) for key, cast in types.items()]
+        return gen(*args, seed) if family == "random" else gen(*args)
     except (KeyError, ValueError) as exc:
         raise InvalidParam(f"bad parameters for family {family!r}: {exc}") from exc
-    raise InvalidParam(f"unknown graph family {family!r}")
 
 
 def parse_gen_spec(spec: str) -> tuple[str, dict[str, str]]:
@@ -370,9 +377,12 @@ def parse_gen_spec(spec: str) -> tuple[str, dict[str, str]]:
     return family, params
 
 
-def graph_from_spec(spec: str, seed: int = 0) -> BipartiteGraph:
+def graph_from_spec(spec: str) -> BipartiteGraph:
+    """The graph of a 'family:key=value,...' spec, generated with seed 0."""
     family, params = parse_gen_spec(spec)
-    return generate(family, seed, **params)
+    if "seed" in params:
+        raise InvalidParam(f"unknown parameter 'seed' for family {family!r}")
+    return generate(family, **params)
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_A, BipartiteGraph, Matching, SubgraphView, VertexCover
 from .matching import eliminate_short_aug_paths, max_useful_k
-from .primitives import AlternatingLayering, BfsForest, alternating_bfs, pipelined_aggregate
+from .primitives import AlternatingLayering, Forest, alternating_bfs, pipelined_aggregate
 from .runtime import RoundStats, id_bits
 
 INF = math.inf
@@ -89,7 +89,7 @@ def koenig_approx_cover(
     matching: Matching,
     k: int,
     *,
-    forest: BfsForest,
+    forest: Forest,
 ) -> tuple[VertexCover, RoundStats]:
     """Cover of size at most (1 + 1/k) times the matching size, given a
     matching with no augmenting path of length <= 2k - 1.

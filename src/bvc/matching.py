@@ -21,7 +21,7 @@ from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_B, BipartiteGraph, Matching, SubgraphView, edge_key
 from .primitives import (
     AlternatingLayering,
-    BfsForest,
+    Forest,
     alternating_bfs,
     elect_leader_and_bfs,
     level_dag,
@@ -128,7 +128,6 @@ def maximal_matching(
     view: SubgraphView | None = None,
     *,
     seed: int = 0,
-    phase: str = "maximal-matching",
 ) -> tuple[Matching, RoundStats]:
     """Randomized maximal matching; every in-view edge ends with a matched
     endpoint. Las Vegas: the round cap is generous enough that hitting it
@@ -142,7 +141,7 @@ def maximal_matching(
         view,
         seed=seed,
         round_cap=cap,
-        phase=phase,
+        phase="maximal-matching",
     )
     return _matching_from_partner_outputs(view, outputs), stats
 
@@ -360,7 +359,7 @@ def eliminate_short_aug_paths(
     k: int,
     *,
     seed: int | None = 0,
-    forest: BfsForest | None = None,
+    forest: Forest | None = None,
 ) -> tuple[Matching, AlternatingLayering | None, RoundStats]:
     """Phases of increasing odd length d up to 2k-1, each flipping a maximal
     set of disjoint augmenting paths of length d; after phase d none of
@@ -436,7 +435,7 @@ def approx_matching(
     delta: float,
     *,
     seed: int | None = 0,
-    forest: BfsForest | None = None,
+    forest: Forest | None = None,
 ) -> tuple[Matching, RoundStats]:
     """Matching of size at least (1 - delta) times maximum: eliminating all
     augmenting paths of length <= 2k-1 guarantees a 1 - 1/(k+1) factor, so

@@ -8,10 +8,10 @@ termination with an echo whose certificates are keyed to the exact
 non-minimal leader can never complete because the true minimum node never
 adopts a larger id, so the first DONE broadcast is always genuine.
 
-A tree is its root, each node's parent and depth, and each node's
-children, which the nodes themselves learned: aggregation needs only the
-parent and children, so it runs over any spanning tree a protocol built,
-such as the per-cluster trees of the randomized pipeline.
+A forest maps each node to its parent (None at a root) and its children,
+which the nodes themselves learned. That is all aggregation reads, so it
+runs over any spanning forest a protocol built, such as the per-cluster
+trees of the randomized pipeline.
 """
 
 from __future__ import annotations
@@ -30,29 +30,15 @@ _STATUS = 0
 _DONE = 1
 
 
-@dataclass
-class BfsTree:
-    root: int
-    parent: dict[int, int | None]
-    depth: dict[int, int]
-    children: dict[int, tuple[int, ...]]
-
-
-@dataclass
-class BfsForest:
-    """Per-component BFS trees."""
-
-    trees: dict[int, BfsTree]
-    root_of: dict[int, int]
-
-    def tree_of(self, v: int) -> BfsTree:
-        return self.trees[self.root_of[v]]
+# node -> (parent or None, children)
+Forest = dict[int, tuple[int | None, tuple[int, ...]]]
 
 
 class LeaderBfsProgram(NodeProgram):
     """Min-id leader election with BFS tree, echo termination, and a final
     DONE broadcast down the tree. Each node learns its children from the
-    child flag in its neighbors' statuses."""
+    child flag in its neighbors' statuses, and outputs its forest entry
+    (parent or None, children)."""
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
@@ -146,33 +132,17 @@ class LeaderBfsProgram(NodeProgram):
         return st, out, False, None
 
     def output(self, ctx, st):
-        return {
-            "leader": st["lead"],
-            "parent": None if st["parent"] == ctx.node else st["parent"],
-            "depth": st["dist"],
-            "children": st["children"],
-        }
+        return None if st["parent"] == ctx.node else st["parent"], st["children"]
 
 
-def elect_leader_and_bfs(graph: BipartiteGraph) -> tuple[BfsForest, RoundStats]:
-    """Per-component leader (the minimum id) and BFS tree.
+def elect_leader_and_bfs(graph: BipartiteGraph) -> tuple[Forest, RoundStats]:
+    """A BFS forest with one tree per component, rooted at its leader (the
+    minimum id).
 
     The program reads only node ids and graph neighbors and draws no
     randomness, so the forest depends on the graph alone: a pipeline elects
     once and passes the forest to every phase, whatever view it works on."""
-    outputs, stats = run(LeaderBfsProgram(), graph, phase="elect-bfs")
-    trees: dict[int, BfsTree] = {}
-    root_of: dict[int, int] = {}
-    for v, out in outputs.items():
-        root = out["leader"]
-        root_of[v] = root
-        tree = trees.get(root)
-        if tree is None:
-            tree = trees[root] = BfsTree(root, {}, {}, {})
-        tree.parent[v] = out["parent"]
-        tree.depth[v] = out["depth"]
-        tree.children[v] = out["children"]
-    return BfsForest(trees, root_of), stats
+    return run(LeaderBfsProgram(), graph, phase="elect-bfs")
 
 
 # ---------------------------------------------------------------------------
@@ -259,23 +229,19 @@ class AggregateProgram(NodeProgram):
 
 def pipelined_aggregate(
     graph: BipartiteGraph,
-    forest: BfsForest,
+    forest: Forest,
     values: dict[int, tuple],
     *,
-    combine: str = "sum",
-    value_width: int | None = None,
+    combine: str,
+    value_width: int,
     view: SubgraphView | None = None,
-    phase: str = "aggregate",
+    phase: str,
 ) -> tuple[dict[int, tuple], RoundStats]:
-    """Aggregate k values per node over each component's tree in `forest`
-    and broadcast the componentwise results back to every node."""
+    """Aggregate k values per node over each tree of `forest` and broadcast
+    the treewise results back to every node."""
     k = len(next(iter(values.values()), ()))
-    vw = value_width if value_width is not None else 2 * id_bits(graph.n)
-    inputs = {}
-    for v in graph.node_ids:
-        tree = forest.tree_of(v)
-        inputs[v] = (tree.parent[v], tree.children[v], values[v])
-    program = AggregateProgram(k, combine, vw)
+    inputs = {v: forest[v] + (values[v],) for v in graph.node_ids}
+    program = AggregateProgram(k, combine, value_width)
     return run(program, graph, view, inputs=inputs, phase=phase)
 
 
@@ -437,7 +403,7 @@ def witness_check(
     graph: BipartiteGraph,
     view: SubgraphView,
     matching: Matching,
-    forest: BfsForest,
+    forest: Forest,
     d: int,
     depth: int,
 ) -> tuple[int | None, AlternatingLayering, RoundStats]:

@@ -40,7 +40,7 @@ from .graph import (
 from .konig import koenig_approx_cover
 from .matching import approx_matching, ceil_ratio, max_useful_k
 from .primitives import (
-    BfsForest,
+    Forest,
     alternating_bfs,
     elect_leader_and_bfs,
     level_dag,
@@ -163,7 +163,7 @@ class CountSweepProgram(NodeProgram):
 def view_max_degree_aggregate(
     graph: BipartiteGraph,
     view: SubgraphView,
-    forest: BfsForest,
+    forest: Forest,
 ) -> tuple[int, RoundStats]:
     """All nodes learn the maximum in-view degree via a pipelined max."""
     width = id_bits(graph.n) + 1
@@ -260,7 +260,7 @@ def cover_short_paths(
     matching: Matching,
     d: int,
     *,
-    forest: BfsForest,
+    forest: Forest,
 ) -> tuple[set[int], RoundStats]:
     """Remove a small node set that hits every length-d augmenting path;
     every aggregation runs over the caller's BFS `forest` of the graph.
@@ -349,7 +349,7 @@ def repair_matching(
     matching: Matching,
     k: int,
     *,
-    forest: BfsForest,
+    forest: Forest,
 ) -> tuple[RepairResult, Matching, RoundStats]:
     """Delete nodes until the restriction of `matching` to the remaining
     induced subgraph has no augmenting path of length at most 2k - 1.
@@ -418,6 +418,9 @@ def det_cover_low_diameter(
     stats.add_sequential(deg_stats)
     alpha = repair_alpha(k_prime, delta)
     delta_acc = eps / (2.0 * alpha)
+    # A tiny eps overflows alpha, or 1 / delta_acc.
+    if not delta_acc > 0.0 or 1.0 / delta_acc == INF:
+        raise InvalidParam(f"eps = {eps!r} is too small")
 
     m_prime, match_stats = approx_matching(graph, view, delta_acc, seed=None, forest=forest)
     stats.add_sequential(match_stats)

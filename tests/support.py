@@ -26,6 +26,19 @@ def components(graph) -> list[set[int]]:
     return list(nx.connected_components(nx_graph(SubgraphView.whole(graph))))
 
 
+def roots_and_depths(forest) -> tuple[dict[int, int], dict[int, int]]:
+    """Each node's root and depth in a forest (node -> (parent, children)),
+    found by walking parents."""
+    root, depth = {}, {}
+    for v in forest:
+        u, d = v, 0
+        while forest[u][0] is not None:
+            u, d = forest[u][0], d + 1
+            assert d <= len(forest), f"the parents of {v} form a cycle"
+        root[v], depth[v] = u, d
+    return root, depth
+
+
 def matching_size(view: SubgraphView) -> int:
     """networkx's maximum matching size of the view, nu."""
     top = [v for v in view.in_nodes if view.base.side[v] == SIDE_A]

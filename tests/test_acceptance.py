@@ -266,7 +266,7 @@ def _pipeline_workload(instances, seeds, base_seed):
                     "valid": cover.is_valid(),
                     "separated": oracle.clusters_separated(g, cs),
                     "outside": 1.0 - _matching_inside_fraction(g, cs, seed),
-                    "height": cs.max_tree_height(),
+                    "height": cs.max_tree_height,
                     "rounds": stats.rounds,
                     "max_bits": stats.max_message_bits,
                     "total_bits": stats.total_bits,

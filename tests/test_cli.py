@@ -220,6 +220,15 @@ def test_run_with_bad_graph_file_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize("key", ["seed", "foo"])
+def test_generator_spec_with_unknown_key_exits_2(capsys, key):
+    """A gen: spec key the family does not take is an InvalidParam that
+    names it; the graph's seed is not a spec key."""
+    rc = main(["run", "--pipeline", "exact", "--graph", f"gen:random:na=5,nb=5,p=0.3,{key}=2"])
+    assert rc == 2
+    assert f"unknown parameter '{key}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "pipeline, extra",
     [(p, []) for p in PIPELINES] + [("matching-only", ["--provider", "eliminate:k=14"])],
@@ -362,15 +371,24 @@ def test_extreme_parameters_give_valid_records(capsys, pipeline, option, value):
 
 
 @pytest.mark.parametrize(
-    "pipeline, eps", [("diameter1", "1e-320"), ("rand-pipeline", "1e-308"), ("det-low-diam", "1e-79")]
+    "pipeline, eps",
+    [
+        ("diameter1", "1e-320"),
+        ("rand-pipeline", "1e-308"),
+        ("rand-pipeline", "5e-324"),
+        ("det-low-diam", "1e-79"),
+        ("det-low-diam", "1e-300"),
+    ],
 )
 def test_eps_too_small_for_k_exits_2(capsys, pipeline, eps):
-    """An eps whose k = ceil(c / eps) overflows a float is an InvalidParam,
-    not an OverflowError."""
+    """An eps whose k = ceil(c / eps) overflows a float, or whose derived
+    lam or accuracy underflows, is an InvalidParam that names eps, not an
+    OverflowError or a complaint about a parameter the user never set."""
     with time_limit(60):
         rc = main(["run", "--pipeline", pipeline, "--graph", "gen:path:n=6", "--eps", eps])
     assert rc == 2
-    assert "is too small" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "is too small" in err and "eps" in err
 
 
 _JUNK = st.text(alphabet="ax-.e1 ", max_size=4)

@@ -25,7 +25,7 @@ from bvc.graph import (
     gen_random,
 )
 from bvc.matching import maximal_matching
-from support import components
+from support import components, roots_and_depths
 from test_acceptance import inside_fraction
 
 
@@ -172,19 +172,21 @@ def test_tree_build_heights():
     assignment = {v: 0 for v in g.node_ids}
     cs, _ = shrink_partition(g, assignment)
     build_cluster_trees(g, cs)
-    assert max(cs.trees[0].depth.values()) == 4
-    assert cs.max_tree_height() == 4
-    assert cs.trees[0].children == {0: (1,), 1: (2,), 2: (3,), 3: (4,), 4: ()}
+    root, depth = roots_and_depths(cs.forest)
+    assert set(root.values()) == {0}
+    assert max(depth.values()) == 4
+    assert cs.max_tree_height == 4
+    children = {v: kids for v, (_, kids) in cs.forest.items()}
+    assert children == {0: (1,), 1: (2,), 2: (3,), 3: (4,), 4: ()}
 
     g2 = gen_disjoint_edges(2)
     cs2, _ = shrink_partition(g2, {0: 0, 1: 0, 2: 2, 3: 2})
     build_cluster_trees(g2, cs2)
     used = {}
-    for c, t in cs2.trees.items():
-        for v, p in t.parent.items():
-            if p is not None:
-                e = (min(v, p), max(v, p))
-                used[e] = used.get(e, 0) + 1
+    for v, (p, _) in cs2.forest.items():
+        if p is not None:
+            e = (min(v, p), max(v, p))
+            used[e] = used.get(e, 0) + 1
     assert all(count == 1 for count in used.values())
 
 
@@ -194,13 +196,16 @@ def test_tree_spans_members_after_shrink():
         assignment, _ = mpx_partition(g, 0.4, seed=seed)
         cs, _ = shrink_partition(g, assignment)
         build_cluster_trees(g, cs)
+        root, depth = roots_and_depths(cs.forest)
+        # Each tree spans its origin region, rooted at the origin.
+        assert all(root[v] == cs.origin[v] for v in cs.forest)
         for c, members in cs.clusters().items():
-            tree = cs.trees[c]
             for v in members:
-                assert v in tree.depth
-            # The children each node learned are exactly the nodes naming it parent.
-            for v in tree.parent:
-                assert tree.children[v] == tuple(u for u in sorted(tree.parent) if tree.parent[u] == v)
+                assert root[v] == c
+        assert cs.max_tree_height == max(depth.values(), default=0)
+        # The children each node learned are exactly the nodes naming it parent.
+        for v, (_, kids) in cs.forest.items():
+            assert kids == tuple(u for u in sorted(cs.forest) if cs.forest[u][0] == v)
 
 
 def test_combine_single_cluster_reduces_to_inner():
@@ -224,7 +229,9 @@ def test_combine_solves_over_the_cluster_trees(monkeypatch):
     assignment, _ = mpx_partition(g, 0.25, seed=4)
     cs, _ = shrink_partition(g, assignment)
     build_cluster_trees(g, cs)
-    assert len(cs.trees) > 1
+    root, depth = roots_and_depths(cs.forest)
+    origins = sorted(set(root.values()))
+    assert len(origins) > 1
     forests, phases = [], []
     inner, engine = clustering.koenig_approx_cover, primitives.run
 
@@ -242,15 +249,17 @@ def test_combine_solves_over_the_cluster_trees(monkeypatch):
     monkeypatch.undo()
     assert cover.is_valid()
     assert "class-sizes" in phases and "elect-bfs" not in phases
-    assert len(forests) == len(cs.trees)
-    for forest, (c, tree) in zip(forests, sorted(cs.trees.items())):
-        ordered = sorted(tree.parent)
-        (root, sub_tree), = forest.trees.items()
-        assert ordered[root] == c
-        assert set(forest.root_of.values()) == {root}
-        parent = {ordered[v]: p if p is None else ordered[p] for v, p in sub_tree.parent.items()}
-        assert parent == tree.parent
-        assert {ordered[v]: d for v, d in sub_tree.depth.items()} == tree.depth
+    assert len(forests) == len(origins)
+    for forest, c in zip(forests, origins):
+        ordered = sorted(v for v in cs.forest if root[v] == c)
+        sub_root, sub_depth = roots_and_depths(forest)
+        assert {ordered[r] for r in sub_root.values()} == {c}
+        relabelled = {
+            ordered[v]: (None if p is None else ordered[p], tuple(ordered[x] for x in kids))
+            for v, (p, kids) in forest.items()
+        }
+        assert relabelled == {v: cs.forest[v] for v in ordered}
+        assert {ordered[v]: d for v, d in sub_depth.items()} == {v: depth[v] for v in ordered}
 
 
 def test_combine_x_covers_outside_matching():

@@ -208,7 +208,7 @@ def test_read_graph_missing_file_and_trailing_blank_lines(tmp_path):
 def test_graph_from_spec():
     g = graph_from_spec("complete:na=2,nb=3")
     assert g.m == 6
-    g = graph_from_spec("random:na=5,nb=5,p=0.5", seed=3)
+    g = graph_from_spec("random:na=5,nb=5,p=0.5")
     assert g.n == 10
     with pytest.raises(InvalidParam):
         graph_from_spec("random:na=5;nb=5")

@@ -20,15 +20,13 @@ from bvc.graph import (
 )
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import (
-    BfsForest,
-    BfsTree,
     alternating_bfs,
     elect_leader_and_bfs,
     pipelined_aggregate,
     witness_check,
 )
 from bvc.runtime import frame_count, id_bits
-from support import components
+from support import components, roots_and_depths
 
 INF = math.inf
 
@@ -36,36 +34,38 @@ INF = math.inf
 def test_elect_path5():
     g = gen_path(5)
     forest, stats = elect_leader_and_bfs(g)
-    assert set(forest.trees) == {0}
-    tree = forest.trees[0]
-    assert max(tree.depth.values()) == 4
-    assert tree.depth == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
-    assert tree.parent[0] is None
-    assert tree.parent[3] == 2
+    root, depth = roots_and_depths(forest)
+    assert set(root.values()) == {0}
+    assert max(depth.values()) == 4
+    assert depth == {0: 0, 1: 1, 2: 2, 3: 3, 4: 4}
+    assert forest[0][0] is None
+    assert forest[3][0] == 2
 
 
 def test_elect_single_node():
     g = build_graph([], extra_nodes=[0])
     forest, stats = elect_leader_and_bfs(g)
-    assert forest.trees[0].depth == {0: 0}
-    assert forest.trees[0].children == {0: ()}
+    assert roots_and_depths(forest)[1] == {0: 0}
+    assert forest == {0: (None, ())}
     assert stats.rounds <= 2
 
 
 def test_elect_two_components():
     g = gen_disjoint_edges(2)
     forest, _ = elect_leader_and_bfs(g)
-    assert set(forest.trees) == {0, 2}
-    assert forest.root_of == {0: 0, 1: 0, 2: 2, 3: 2}
+    root, _ = roots_and_depths(forest)
+    assert set(root.values()) == {0, 2}
+    assert root == {0: 0, 1: 0, 2: 2, 3: 2}
 
 
 def test_elect_bipartition_matches_graph_sides():
     for g in [gen_path(6), gen_even_cycle(8), gen_complete(3, 4), gen_random(8, 8, 0.3, 5)]:
         forest, _ = elect_leader_and_bfs(g)
+        _, depth = roots_and_depths(forest)
         # Leader is the component minimum, which is also the side-A root used
         # at construction, so depth parity is exactly the graph's side.
         for v in g.node_ids:
-            assert (forest.tree_of(v).depth[v] % 2 == 0) == (g.side[v] == SIDE_A)
+            assert (depth[v] % 2 == 0) == (g.side[v] == SIDE_A)
 
 
 def test_elect_round_bound():
@@ -88,6 +88,7 @@ def test_elect_round_bound():
 def test_elect_depths_are_bfs_distances():
     g = gen_random(10, 10, 0.25, 9)
     forest, _ = elect_leader_and_bfs(g)
+    leader, depth = roots_and_depths(forest)
     for comp in components(g):
         root = min(comp)
         dist = {root: 0}
@@ -100,21 +101,29 @@ def test_elect_depths_are_bfs_distances():
                         dist[y] = dist[x] + 1
                         nxt.append(y)
             frontier = nxt
-        tree = forest.trees[root]
-        assert {v: tree.depth[v] for v in comp} == dist
-        assert max(tree.depth.values()) == max(dist.values())
+        # The leader is the component minimum.
+        assert {leader[v] for v in comp} == {root}
+        assert {v: depth[v] for v in comp} == dist
+        assert max(depth[v] for v in forest if leader[v] == root) == max(dist.values())
         # The children each node learned are exactly the nodes naming it parent.
         for v in comp:
-            assert tree.children[v] == tuple(u for u in comp if tree.parent[u] == v)
+            assert forest[v][1] == tuple(u for u in sorted(comp) if forest[u][0] == v)
+
+
+def aggregate(g, forest, values, combine):
+    """pipelined_aggregate with values 2·id_bits(n) bits wide."""
+    return pipelined_aggregate(
+        g, forest, values, combine=combine, value_width=2 * id_bits(g.n), phase="aggregate"
+    )
 
 
 def test_aggregate_sum_path():
     g = gen_path(5)
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (1,) for v in g.node_ids}
-    results, stats = pipelined_aggregate(g, forest, values, combine="sum")
+    results, stats = aggregate(g, forest, values, "sum")
     assert all(results[v] == (5,) for v in g.node_ids)
-    height = max(forest.trees[0].depth.values())
+    height = max(roots_and_depths(forest)[1].values())
     assert stats.rounds <= 2 * (height + 1) + 8
 
 
@@ -122,7 +131,7 @@ def test_aggregate_star_three_values():
     g = gen_complete(1, 4)  # star with center 0
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (1, 0, 2) if v != 0 else (0, 0, 0) for v in g.node_ids}
-    results, _ = pipelined_aggregate(g, forest, values, combine="sum")
+    results, _ = aggregate(g, forest, values, "sum")
     assert results[0] == (4, 0, 8)
 
 
@@ -130,7 +139,7 @@ def test_aggregate_min_idempotent():
     g = gen_path(6)
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (7, 3) for v in g.node_ids}
-    results, _ = pipelined_aggregate(g, forest, values, combine="min")
+    results, _ = aggregate(g, forest, values, "min")
     assert all(results[v] == (7, 3) for v in g.node_ids)
 
 
@@ -142,7 +151,7 @@ def test_aggregate_matches_sequential_sums():
     forest, _ = elect_leader_and_bfs(g)
     k = 4
     values = {v: tuple(rng.randrange(16) for _ in range(k)) for v in g.node_ids}
-    results, _ = pipelined_aggregate(g, forest, values, combine="sum")
+    results, _ = aggregate(g, forest, values, "sum")
     for comp in components(g):
         expected = tuple(sum(values[v][j] for v in comp) for j in range(k))
         for v in comp:
@@ -153,30 +162,26 @@ def test_aggregate_per_component():
     g = gen_disjoint_edges(3)
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (v,) for v in g.node_ids}
-    results, _ = pipelined_aggregate(g, forest, values, combine="max")
+    results, _ = aggregate(g, forest, values, "max")
     assert results[0] == (1,)
     assert results[4] == (5,)
 
 
 def _forest_by_hand(g, roots):
-    """BFS trees of g from the given roots (one per component), built
+    """The BFS forest of g from the given roots (one per component), built
     without an election."""
-    trees, root_of = {}, {}
+    forest, parent = {}, dict.fromkeys(roots)
     for root in roots:
-        tree = trees[root] = BfsTree(root, {root: None}, {root: 0}, {})
         frontier = [root]
         while frontier:
             nxt = []
             for x in frontier:
-                root_of[x] = root
-                kids = tuple(y for y in g.adjacency[x] if y not in tree.parent)
-                for y in kids:
-                    tree.parent[y] = x
-                    tree.depth[y] = tree.depth[x] + 1
-                tree.children[x] = tuple(sorted(kids))
+                kids = tuple(sorted(y for y in g.adjacency[x] if y not in parent))
+                parent.update(dict.fromkeys(kids, x))
+                forest[x] = (parent[x], kids)
                 nxt.extend(kids)
             frontier = nxt
-    return BfsForest(trees, root_of)
+    return forest
 
 
 @pytest.mark.parametrize("combine", ["sum", "min", "max"])
@@ -194,19 +199,21 @@ def test_aggregate_unbalanced_forest_at_the_floor(k, combine):
     g = g.with_bandwidth(ceil_log2(g.n) + 4)
     assert g.bandwidth == 9
     forest = _forest_by_hand(g, [0, 24, 28])
-    heights = {r: max(t.depth.values()) for r, t in forest.trees.items()}
+    root, depth = roots_and_depths(forest)
+    trees = {r: [v for v in forest if root[v] == r] for r in set(root.values())}
+    heights = {r: max(depth[v] for v in tree) for r, tree in trees.items()}
     assert heights == {0: 13, 24: 3, 28: 0}
 
     rng = random.Random(k)
     values = {v: tuple(rng.randrange(32) for _ in range(k)) for v in g.node_ids}
-    results, stats = pipelined_aggregate(g, forest, values, combine=combine)
+    results, stats = aggregate(g, forest, values, combine)
 
     fold = {"sum": lambda a, b: a + b, "min": min, "max": max}[combine]
-    for root, tree in forest.trees.items():
+    for tree in trees.values():
         expected = tuple(
-            functools.reduce(fold, (values[v][j] for v in tree.depth)) for j in range(k)
+            functools.reduce(fold, (values[v][j] for v in tree)) for j in range(k)
         )
-        assert all(results[v] == expected for v in tree.depth)
+        assert all(results[v] == expected for v in tree)
     p = frame_count(2 * id_bits(g.n), g.bandwidth)
     assert p == 2 and stats.fragmentation_rounds > 0
     assert stats.rounds == (2 * heights[0] + k - 1) * p + 1
@@ -215,7 +222,7 @@ def test_aggregate_unbalanced_forest_at_the_floor(k, combine):
 def test_aggregate_lone_nodes_finish_in_one_round():
     g = build_graph([], extra_nodes=[0, 1])
     forest, _ = elect_leader_and_bfs(g)
-    results, stats = pipelined_aggregate(g, forest, {0: (3, 4), 1: (5, 6)})
+    results, stats = aggregate(g, forest, {0: (3, 4), 1: (5, 6)}, "sum")
     assert results == {0: (3, 4), 1: (5, 6)}
     assert stats.rounds == 1
 
@@ -326,7 +333,7 @@ def test_witness_check_matches_oracle():
     components = []
     for g, view, seed in cases:
         forest, _ = elect_leader_and_bfs(g)
-        components.append(len(forest.trees))
+        components.append(sum(parent is None for parent, _ in forest.values()))
         unchecked, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), 8, seed=seed)
         if g is path:
             assert oracle.shortest_aug_path_len(view, unchecked) == 21
