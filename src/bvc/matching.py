@@ -163,20 +163,20 @@ class PathSelectProgram(NodeProgram):
     A node is alive while it can reach level 0 down the level DAG. Every
     node starts alive: the layering is an alternating BFS, so a node at
     level 1..d took its level from a DAG predecessor one level down, and
-    each node reads its predecessors off the levels its neighbours
-    announced. Aliveness can only be lost, and a node that loses it tells
-    its successors. From round 1, free level-d nodes repeatedly launch
-    tokens that walk down the levels, one hop per slot, choosing a random
-    live predecessor. Same-slot collisions keep the smallest (priority,
-    initiator) token; the winner locks its chain bottom-up, flipping
-    matched and unmatched edges, and locked nodes withdraw from the
-    structure. Iterations repeat on a fixed schedule until no live
-    initiator remains, at which point the run goes quiescent.
+    the BFS gave each node its predecessors and successors. Aliveness can
+    only be lost, and a node that loses it tells its successors. From
+    round 1, free level-d nodes repeatedly launch tokens that walk down
+    the levels, one hop per slot, choosing a random live predecessor.
+    Same-slot collisions keep the smallest (priority, initiator) token;
+    the winner locks its chain bottom-up, flipping matched and unmatched
+    edges, and locked nodes withdraw from the structure. Iterations repeat
+    on a fixed schedule until no live initiator remains, at which point
+    the run goes quiescent.
 
-    Input per node: (partner, level, nbr_levels). Deterministic mode uses
-    the initiator id as the priority and the minimum-id predecessor; its
-    tokens carry no priority field, so the period is sized to the shorter
-    token.
+    Input per node: (partner, level, (preds, succs)). Deterministic mode
+    uses the initiator id as the priority and the minimum-id predecessor;
+    its tokens carry no priority field, so the period is sized to the
+    shorter token.
     """
 
     def __init__(self, d: int, deterministic: bool):
@@ -329,10 +329,10 @@ def select_disjoint_paths(
     """Run one selection phase; returns the flipped matching and the chosen
     paths. Callers must pass the layering of `matching` at depth >= d. The
     phase starts on that layering as it is: every node at level 1..d got
-    its level from a node one level down, a predecessor it can read off its
-    neighbours' announced levels, so every layered node starts able to
-    reach level 0 and tokens launch in round 1. Without a seed the phase
-    follows the deterministic rule."""
+    its level from a node one level down, a predecessor in the DAG the BFS
+    learned, so every layered node starts able to reach level 0 and tokens
+    launch in round 1. Without a seed the phase follows the deterministic
+    rule."""
     outputs, stats = run(
         PathSelectProgram(d, seed is None),
         graph,

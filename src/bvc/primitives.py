@@ -251,13 +251,15 @@ def pipelined_aggregate(
 
 @dataclass
 class AlternatingLayering:
-    """Shortest alternating-path levels from the free in-view A-side nodes.
+    """Shortest alternating-path levels from the free in-view A-side nodes,
+    and the level DAG the BFS learned: `dag` maps each levelled node to its
+    sorted (predecessors, successors) one level down and up.
 
     Nodes absent from `level` were not reached within the depth limit.
     """
 
     level: dict[int, int]
-    neighbor_levels: dict[int, dict[int, int | None]]
+    dag: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
 
     def witnesses(
         self, view: SubgraphView, matching: Matching, below: int | float = INF
@@ -276,111 +278,88 @@ class AlternatingLayering:
                 yield v, lv
 
     def dag_inputs(self, graph: BipartiteGraph, matching: Matching) -> dict[int, tuple]:
-        """Per-node input (partner, level, nbr_levels) of the programs that
-        walk the level DAG; see `level_dag`."""
+        """Per-node input (partner, level, (preds, succs)) of the programs
+        that walk the level DAG; see `level_dag`."""
         return {
-            v: (matching.partner_of(v), self.level.get(v), self.neighbor_levels.get(v, {}))
+            v: (matching.partner_of(v), self.level.get(v), self.dag.get(v, ((), ())))
             for v in graph.node_ids
         }
 
 
 def level_dag(ctx, d: int) -> tuple[list[int], list[int]]:
     """A node's sorted predecessors and successors in the level DAG of an
-    alternating layering, from its (partner, level, nbr_levels) input.
+    alternating layering, from its (partner, level, (preds, succs)) input.
 
     Edges join consecutive levels and alternate: a non-matching edge from
     an even level up to an odd one, the matching edge from an odd level up
     to an even one. Nodes at level d or above get no successors."""
-    partner, level, nbr_levels = ctx.input
-    in_dag = []
-    out_dag = []
-    if level is not None and ctx.in_view:
-        up_via_partner = level % 2 == 1
-        for u in ctx.view_neighbors:
-            lu = nbr_levels.get(u)
-            if lu == level - 1 and (u == partner) != up_via_partner:
-                in_dag.append(u)
-            elif lu == level + 1 and (u == partner) == up_via_partner and level < d:
-                out_dag.append(u)
-    return sorted(in_dag), sorted(out_dag)
+    _, level, (preds, succs) = ctx.input
+    return list(preds), list(succs) if succs and level < d else []
+
+
+_OFFER = Msg((0, 1))
+_ACK = Msg((1, 1))
 
 
 class AltBfsProgram(NodeProgram):
     """Layered exploration of the orientation that alternates non-matching
-    and matching edges, to a fixed depth, followed by one exchange in which
-    every node announces its level to all neighbors.
+    and matching edges, to a fixed depth, that learns its level DAG on the
+    way.
 
-    Input per node: its matching partner (or None; callers pass None when
-    the matching edge is not in the current view). Level 0 is exactly the
-    set of free in-view A-nodes. One BFS hop takes one round: the level
-    message always fits a single frame because its width is at most
-    id_bits(n) + 3 <= bandwidth. Level j settles in round j + 1, so the
-    last offer lands in round limit + 1; every node announces its level in
-    round limit + 2, and the run ends in round limit + 3.
+    Input per node: its matching partner (or None), where the matching lies
+    in the view. Level 0 is exactly the set of free in-view A-nodes; they
+    offer in round 1. A node at level j < limit offers onward in round
+    j + 1: an A-node over its in-view non-matching edges, a B-node over its
+    matching edge. An in-view node without a level that receives offers in
+    round r takes level r - 1. Every level-(r - 2) node offered in round
+    r - 1, so the senders are exactly its DAG predecessors; in the same
+    step it acks each of them, on other edges than its own offers. A node's
+    successors are the nodes that ack it, all in one round. Messages are a
+    1-bit tag (offer or ack): the round gives the level. The last acks land
+    in round limit + 2, when every node halts.
     """
 
     def __init__(self, depth_limit: int):
         self.limit = depth_limit
-        self.lw = id_bits(depth_limit + 3)
 
     def init(self, ctx):
         partner = ctx.input
         level = 0 if ctx.in_view and ctx.side == SIDE_A and partner is None else None
-        return {"partner": partner, "level": level, "nbr_levels": {}, "announced": False}
+        return {"partner": partner, "level": level, "preds": (), "succs": []}
 
     def step(self, ctx, st, inbox, rnd, rng):
-        lw = self.lw
-        announce_round = self.limit + 2
         out = {}
+        if st["level"] is None:
+            # A node without a level gets offers only.
+            if inbox and ctx.in_view:
+                st["level"] = rnd - 1
+                st["preds"] = tuple(inbox)
+                for u in inbox:
+                    out[u] = _ACK
+                self._offer(ctx, st, out)
+        elif rnd == 1:
+            self._offer(ctx, st, out)
+        else:
+            st["succs"] += [u for u, msg in inbox.items() if msg.values == _ACK.values]
+        end = self.limit + 2
+        if rnd >= end:
+            return st, out, True
+        return st, out, False, end
 
-        if rnd >= announce_round:
-            for u, msg in inbox.items():
-                lv = msg.values[1]
-                st["nbr_levels"][u] = None if lv == self.limit + 1 else lv
-            if not st["announced"]:
-                st["announced"] = True
-                lv = st["level"] if st["level"] is not None else self.limit + 1
-                msg = Msg((1, 1), (lv, lw))
-                for u in ctx.neighbors:
-                    out[u] = msg
-                if not ctx.neighbors:
-                    return st, out, True
-                return st, out, False, None
-            if len(st["nbr_levels"]) == len(ctx.neighbors):
-                return st, out, True
-            return st, out, False, None
-
-        for u, msg in inbox.items():
-            if msg.values[0] != 0 or st["level"] is not None or not ctx.in_view:
-                continue
-            sender_level = msg.values[1]
-            if sender_level % 2 == 0:
-                # Offer over a non-matching in-view edge onto a B-node.
-                if ctx.side != SIDE_B or st["partner"] == u or u not in ctx.view_neighbors:
-                    continue
-                st["level"] = sender_level + 1
-                if st["partner"] is not None and st["level"] < self.limit:
-                    out[st["partner"]] = Msg((0, 1), (st["level"], lw))
-            else:
-                # Offer over the matching edge onto this node.
-                if st["partner"] != u:
-                    continue
-                st["level"] = sender_level + 1
-                if st["level"] < self.limit:
-                    msg_out = Msg((0, 1), (st["level"], lw))
-                    for w in ctx.view_neighbors:
-                        if w != st["partner"]:
-                            out[w] = msg_out
-
-        if rnd == 1 and st["level"] == 0 and self.limit > 0:
-            msg_out = Msg((0, 1), (0, lw))
+    def _offer(self, ctx, st, out):
+        if st["level"] >= self.limit:
+            return
+        partner = st["partner"]
+        if ctx.side == SIDE_B:
+            if partner is not None:
+                out[partner] = _OFFER
+        else:
             for w in ctx.view_neighbors:
-                out[w] = msg_out
-
-        return st, out, False, announce_round if rnd < announce_round else None
+                if w != partner:
+                    out[w] = _OFFER
 
     def output(self, ctx, st):
-        return {"level": st["level"], "nbr_levels": dict(st["nbr_levels"])}
+        return st["level"], st["preds"], tuple(st["succs"])
 
 
 def alternating_bfs(
@@ -391,12 +370,17 @@ def alternating_bfs(
     *,
     phase: str = "alt-bfs",
 ) -> tuple[AlternatingLayering, RoundStats]:
-    """Distributed alternating BFS; levels match the sequential oracle."""
+    """Distributed alternating BFS in depth_limit + 2 rounds; levels match
+    the sequential oracle."""
     inputs = {v: matching.partner_of(v) for v in graph.node_ids}
     outputs, stats = run(AltBfsProgram(depth_limit), graph, view, inputs=inputs, phase=phase)
-    level = {v: out["level"] for v, out in outputs.items() if out["level"] is not None}
-    nbr = {v: out["nbr_levels"] for v, out in outputs.items()}
-    return AlternatingLayering(level, nbr), stats
+    level = {}
+    dag = {}
+    for v, (lv, preds, succs) in outputs.items():
+        if lv is not None:
+            level[v] = lv
+            dag[v] = preds, succs
+    return AlternatingLayering(level, dag), stats
 
 
 def witness_check(

@@ -74,10 +74,10 @@ def _ceil_log2_pow(delta: int, d: int) -> int:
 class CountSweepProgram(NodeProgram):
     """Both counting sweeps on a fixed round schedule.
 
-    Input per node: (partner, level, nbr_levels). Config carries d and the
-    degree bound used for the protocol-fixed field width; a count message
-    is sent at that width whatever its value, as real hardware would have
-    to reserve it."""
+    Input per node: (partner, level, (preds, succs)). Config carries d and
+    the degree bound used for the protocol-fixed field width; a count
+    message is sent at that width whatever its value, as real hardware
+    would have to reserve it."""
 
     def __init__(self, d: int, delta: int):
         self.d = d
@@ -196,7 +196,7 @@ def count_paths(
     ShorterPathExists on a witness in the layering); `delta` bounds the
     in-view degree and fixes the count width.
 
-    Round cost: d + 3 rounds of alternating-BFS layering, then
+    Round cost: d + 2 rounds of alternating-BFS layering, then
     d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 rounds of counting sweeps,
     where w = bitlength(delta^d) is the reserved count width and B the
     bandwidth. Since w <= d*ceil(log2 delta) + 1, each of the d levels
@@ -406,8 +406,10 @@ def det_cover_low_diameter(
     """Deterministic cover within (1 + eps) of optimal: an approximation
     matching at accuracy eps / (2 * alpha), node repair up to path length
     2k' - 1 with k' = ceil(2 / eps), and the layered cover on the repaired
-    subgraph; the removed nodes join the cover."""
-    k_prime = ceil_ratio(2.0, eps, "eps")
+    subgraph; the removed nodes join the cover. k' is capped at
+    `max_useful_k` before it sizes alpha, so a tiny eps costs no more than
+    k' = n//2 + 1."""
+    k_prime = min(ceil_ratio(2.0, eps, "eps"), max_useful_k(graph))
     stats = RoundStats()
     if not view.in_edges:
         return VertexCover([], view), stats

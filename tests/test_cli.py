@@ -356,14 +356,17 @@ def test_k_beyond_half_n_changes_nothing():
     [
         ("diameter1", "--k", "100000000"),
         ("det-low-diam", "--eps", "1e-8"),
+        ("det-low-diam", "--eps", "1e-79"),
+        ("det-low-diam", "--eps", "1e-300"),
         ("rand-pipeline", "--eps", "1e-300"),
         ("clustering-only", "--lam", "1e-300"),
     ],
 )
 def test_extreme_parameters_give_valid_records(capsys, pipeline, option, value):
-    """A huge k or a tiny eps needs no more rounds than k = n//2 + 1, and a
-    tiny lam (sigma * n << 1) draws its shifts by the inverse CDF instead
-    of redrawing without end."""
+    """A huge k or a tiny eps needs no more rounds than k = n//2 + 1 (for
+    det-low-diam k' is capped before it sizes alpha), and a tiny lam
+    (sigma * n << 1) draws its shifts by the inverse CDF instead of
+    redrawing without end."""
     with time_limit(60):
         rc = main(["run", "--pipeline", pipeline, "--graph", "gen:path:n=6", option, value])
     record = json.loads(capsys.readouterr().out)
@@ -376,8 +379,7 @@ def test_extreme_parameters_give_valid_records(capsys, pipeline, option, value):
         ("diameter1", "1e-320"),
         ("rand-pipeline", "1e-308"),
         ("rand-pipeline", "5e-324"),
-        ("det-low-diam", "1e-79"),
-        ("det-low-diam", "1e-300"),
+        ("det-low-diam", "5e-324"),
     ],
 )
 def test_eps_too_small_for_k_exits_2(capsys, pipeline, eps):

@@ -1,16 +1,18 @@
 """Each pipeline's guarantee, checked against networkx's maximum matching
 size nu on small drawn graphs: stars, complete bipartite graphs, paths and
 sparse random graphs, alone or two side by side, at the default or the
-floor bandwidth, on the whole graph or an induced sub-view."""
+floor bandwidth, on the whole graph or an induced sub-view; and the level
+DAG of the alternating BFS, against the oracle's levels."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bvc import oracle
 from bvc.clustering import randomized_pipeline
 from bvc.graph import Matching, SubgraphView, ceil_log2
 from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
-from bvc.primitives import elect_leader_and_bfs
+from bvc.primitives import alternating_bfs, elect_leader_and_bfs
 from bvc.repair import det_cover_low_diameter
 from support import disjoint_union, graphs, matching_size
 
@@ -37,6 +39,46 @@ def views(draw):
 
 
 SEEDS = st.none() | st.integers(0, 10_000)
+
+
+@st.composite
+def matched_views(draw):
+    """A network, a view of it, a greedy matching over a drawn prefix of
+    the view's edges in drawn order, and a BFS depth limit."""
+    g, view = draw(views())
+    edges = draw(st.permutations(view.in_edges))
+    used, matched = set(), []
+    for u, v in edges[: draw(st.integers(0, len(edges)))]:
+        if u not in used and v not in used:
+            used |= {u, v}
+            matched.append((u, v))
+    return g, view, Matching(matched, view), draw(st.integers(0, g.n))
+
+
+@SETTINGS
+@given(matched_views())
+def test_alt_bfs_learns_the_level_dag(instance):
+    """Each levelled node's predecessors are its in-view neighbours one
+    level down over the alternating edge type, and its successors those
+    one level up, within the limit. The run takes limit + 2 rounds and
+    one bit per offer and per ack."""
+    g, view, m, limit = instance
+    layering, stats = alternating_bfs(g, view, m, limit)
+    level = oracle.alternating_levels(view, m, limit)
+    assert layering.level == level and layering.dag.keys() == level.keys()
+    offers = 0
+    for v, lv in level.items():
+        partner = m.partner_of(v)
+        nbrs = list(view.view_neighbors(v))
+        # Up from an even level over a non-matching edge, from an odd
+        # level over the matching edge.
+        preds = [u for u in nbrs if level.get(u) == lv - 1 and (u == partner) == (lv % 2 == 0)]
+        succs = [u for u in nbrs if level.get(u) == lv + 1 and (u == partner) == (lv % 2 == 1)]
+        assert layering.dag[v] == (tuple(sorted(preds)), tuple(sorted(succs)))
+        if lv < limit:
+            offers += len([u for u in nbrs if u != partner]) if lv % 2 == 0 else partner is not None
+    assert stats.rounds == limit + 2
+    assert stats.total_bits == offers + sum(len(preds) for preds, _ in layering.dag.values())
 
 
 @SETTINGS

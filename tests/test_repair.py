@@ -313,7 +313,7 @@ def test_alpha_value_small_delta():
 @pytest.mark.parametrize("width", [2, 3, 4])
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
 def test_count_rounds_follow_documented_schedule(d, width):
-    """count_paths costs exactly d + 3 layering rounds and
+    """count_paths costs exactly d + 2 layering rounds and
     d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 sweep rounds, w = bitlength(Delta^d)."""
     g, m_edges = _thick_path(d, width)
     view = whole(g)
@@ -325,6 +325,6 @@ def test_count_rounds_follow_documented_schedule(d, width):
         g_bw = g.with_bandwidth(bw)
         _, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta)
         phases = dict(stats.per_phase)
-        assert phases["layering"] == d + 3
+        assert phases["layering"] == d + 2
         sweeps = d * (math.ceil((2 + w) / bw) + math.ceil((2 + 2 * w) / bw)) + 1
         assert phases["count-sweeps"] == sweeps, (bw, phases)
