@@ -3,15 +3,17 @@
 Nodes draw exponential head starts and join the origin minimizing hop
 distance minus shift; the resulting clusters are connected, and after
 dropping both endpoints of every inter-cluster edge they are 3-hop
-separated. Each surviving cluster keeps a BFS tree rooted at its origin
-inside the original (pre-shrink) region, so trees of different clusters
-stay edge-disjoint even when shrinking disconnects a cluster's survivors.
+separated. The shrink also tells each node its peers, the neighbors of its
+own origin, and every later step reuses them. Each surviving cluster keeps
+a BFS tree rooted at its origin inside the original (pre-shrink) region,
+so trees of different clusters stay edge-disjoint even when shrinking
+disconnects a cluster's survivors. The same run attaches every non-member
+next to a member to that member's cluster: the one-hop extension.
 
 The combination step covers everything outside clusters with matched
-nodes, extends every cluster by one hop, and runs an inner cover solver in
-all extended clusters at once, each over its cluster's tree; with
-edge-disjoint cluster regions the parallel runs cost as many rounds as the
-slowest one.
+nodes and runs an inner cover solver in all extended clusters at once,
+each over its cluster's tree; with edge-disjoint cluster regions the
+parallel runs cost as many rounds as the slowest one.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import DisconnectedCluster, InvalidParam
+from .errors import InvalidParam
 from .graph import (
     BipartiteGraph,
     Matching,
@@ -43,18 +45,22 @@ from .runtime import (
 @dataclass
 class ClusterSet:
     """Disjoint clusters and, once `build_cluster_trees` ran, their
-    spanning trees.
+    spanning trees and one-hop extensions.
 
     `members` is the post-shrink assignment (None = outside clusters);
-    `origin` the total pre-shrink assignment used for tree regions.
+    `origin` the total pre-shrink assignment, whose groups are the tree
+    regions; `peers` each node's sorted neighbors of the same origin.
     `forest` holds the tree of every cluster with surviving members, over
     its origin region, rooted at the origin; `max_tree_height` is the
-    largest depth in it."""
+    largest depth in it. `attached` holds the non-members next to a member:
+    each extends its own origin's cluster by one hop."""
 
     members: dict[int, int | None]
     origin: dict[int, int]
+    peers: dict[int, tuple[int, ...]]
     forest: Forest = field(default_factory=dict)
     max_tree_height: int = 0
+    attached: set[int] = field(default_factory=set)
 
     def clusters(self) -> dict[int, list[int]]:
         out: dict[int, list[int]] = {}
@@ -145,25 +151,26 @@ def mpx_partition(
 
 
 class ShrinkProgram(NodeProgram):
-    """Drop both endpoints of every inter-cluster edge (two rounds)."""
+    """Drop both endpoints of every inter-cluster edge (two rounds). Each
+    node outputs its cluster (None once dropped) and its peers, the
+    neighbors that share its origin."""
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
 
     def init(self, ctx):
-        return {"origin": ctx.input, "kept": True}
+        return {"origin": ctx.input, "peers": ()}
 
     def step(self, ctx, st, inbox, rnd, rng):
         if rnd == 1:
             out = {u: Msg((st["origin"], self.idw)) for u in ctx.neighbors}
             return st, out, not ctx.neighbors
-        for u, msg in inbox.items():
-            if msg.values[0] != st["origin"]:
-                st["kept"] = False
+        st["peers"] = tuple(u for u, msg in inbox.items() if msg.values[0] == st["origin"])
         return st, {}, True
 
     def output(self, ctx, st):
-        return st["origin"] if st["kept"] else None
+        kept = len(st["peers"]) == len(ctx.neighbors)
+        return st["origin"] if kept else None, st["peers"]
 
 
 def shrink_partition(
@@ -173,126 +180,99 @@ def shrink_partition(
     """3-hop separated clusters: survivors kept all their neighbors, so
     nodes of different clusters cannot share a neighbor."""
     outputs, stats = run(ShrinkProgram(), graph, inputs=assignment, phase="shrink")
-    return ClusterSet(members=dict(outputs), origin=dict(assignment)), stats
+    members = {v: c for v, (c, _) in outputs.items()}
+    peers = {v: p for v, (_, p) in outputs.items()}
+    return ClusterSet(members, dict(assignment), peers), stats
+
+
+_GROW, _ACK = 0, 1
 
 
 class TreeBuildProgram(NodeProgram):
-    """BFS trees rooted at each origin, grown only along edges whose both
-    endpoints kept that origin in the pre-shrink assignment.
+    """BFS trees rooted at each origin over the peer edges, which also
+    attach the non-members next to a member to their cluster.
 
-    A node joins in the first round a grow reaches it (the root in round
-    2), takes the smallest (depth, id) sender as its parent and sends grows
-    to its other same-origin neighbors. A grow is one frame and each edge
-    carries one per direction, and a same-origin neighbor is one BFS level
-    away at most, so every one that is not a child has sent this node a
-    grow within two rounds of its own: the node stays up that long, and the
-    neighbors it did not hear from are its children."""
+    Input per node: (origin, member flag, peers). The root grows to its
+    peers in round 1. A node that first hears grows in round r joins at
+    depth r - 1, takes the smallest sender as its parent, and in the same
+    step acks the parent and grows to its other peers. So each peer sends
+    each of its peers exactly one message, a grow or an ack, and the nodes
+    that ack are the children. A message is a 1-bit tag and the sender's
+    1-bit member flag: the round gives the depth. Peers sit on adjacent
+    BFS levels, so a node has heard from every peer at most two rounds
+    after it joined, and halts then: with H >= 1 the largest depth in any
+    origin region, the run takes H + 2 rounds. A node that no grow reaches
+    never halts, and the run ends in RoundCapExceeded.
 
-    def setup(self, n, bandwidth):
-        self.idw = id_bits(n)
+    A non-member that hears a member flag is attached: it joins its own
+    origin's cluster, which is that of every member next to it, since a
+    member's neighbors are all its peers. `init` refuses a member with a
+    neighbor outside its origin region, which could put two clusters next
+    to one node."""
 
     def init(self, ctx):
-        origin = ctx.input
+        origin, member, peers = ctx.input
+        if member and len(peers) != len(ctx.neighbors):
+            raise ValueError(
+                f"member {ctx.node} has a neighbor outside origin {origin}; separation violated"
+            )
         return {
-            "origin": origin,
+            "root": origin == ctx.node,
+            "member": member,
+            "peers": peers,
+            "depth": None,
             "parent": None,
-            "depth": 0 if origin == ctx.node else None,
-            "same": set(),  # same-origin neighbors; after joining, the unheard ones
-            "until": None,  # last round of the wait for grows, once joined
+            "children": [],
+            "heard": 0,
+            "attached": False,
         }
 
     def step(self, ctx, st, inbox, rnd, rng):
-        idw = self.idw
         out = {}
-        if rnd == 1:
-            for u in ctx.neighbors:
-                out[u] = Msg((0, 1), (st["origin"], idw))
-            return st, out, not ctx.neighbors, 2
-        grows = []
-        for u, msg in inbox.items():
-            if msg.values[0] == 0:
-                if msg.values[1] == st["origin"]:
-                    st["same"].add(u)
-            else:
-                grows.append((msg.values[1], u))
-        if st["until"] is None:
-            if grows and st["depth"] is None:
-                st["depth"], st["parent"] = min(grows)
-            elif not (rnd == 2 and st["depth"] == 0):
+        if st["depth"] is None:
+            if not (inbox or st["root"]):
                 return st, out, False, None
-            st["until"] = rnd + 2
-            grow = Msg((1, 1), (st["depth"] + 1, idw + 1))
-            for u in st["same"]:
-                if u != st["parent"]:
-                    out[u] = grow
-        st["same"].difference_update(u for _, u in grows)
-        if not st["same"] or rnd == st["until"]:
-            return st, out, True
-        return st, out, False, st["until"]
+            st["depth"] = rnd - 1
+            st["parent"] = min(inbox, default=None)
+            flag = (int(st["member"]), 1)
+            grow, ack = Msg((_GROW, 1), flag), Msg((_ACK, 1), flag)
+            for u in st["peers"]:
+                out[u] = ack if u == st["parent"] else grow
+        for u, msg in inbox.items():
+            tag, member = msg.values
+            if tag == _ACK:
+                st["children"].append(u)  # all in one round, in sender order
+            if member and not st["member"]:
+                st["attached"] = True
+        st["heard"] += len(inbox)
+        return st, out, st["heard"] == len(st["peers"]), None
 
     def output(self, ctx, st):
-        return st["depth"], st["parent"], tuple(sorted(st["same"]))
+        return st["depth"], st["parent"], tuple(st["children"]), st["attached"]
 
 
 def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> RoundStats:
-    """Fill in `cluster_set.forest` and `max_tree_height`; every graph edge
-    serves at most one tree because tree regions are the (vertex-disjoint)
-    origin groups.
+    """Fill in `cluster_set.forest`, `max_tree_height` and `attached`;
+    every graph edge serves at most one tree because tree regions are the
+    (vertex-disjoint) origin groups.
 
-    Raises DisconnectedCluster if some surviving member is unreachable
-    inside its own origin region (impossible for shifted-distance
-    assignments, whose clusters are connected).
+    Raises ProgramFault ("separation violated") if a member has a neighbor
+    outside its origin region, and RoundCapExceeded if a node is unreachable
+    from the origin inside its region (impossible for shifted-distance
+    assignments, whose origin groups are connected and hold their origin).
     """
-    outputs, stats = run(
-        TreeBuildProgram(),
-        graph,
-        inputs=cluster_set.origin,
-        allow_quiescence=True,
-        phase="cluster-trees",
-    )
+    members, origin, peers = cluster_set.members, cluster_set.origin, cluster_set.peers
+    inputs = {v: (origin[v], members[v] is not None, peers[v]) for v in graph.node_ids}
+    outputs, stats = run(TreeBuildProgram(), graph, inputs=inputs, phase="cluster-trees")
     # Only clusters with surviving members keep their trees.
-    origin, live = cluster_set.origin, set(cluster_set.members.values())
-    for v, (depth, parent, children) in outputs.items():
-        if depth is None:
-            if cluster_set.members.get(v) is not None:
-                raise DisconnectedCluster(f"member {v} unreachable from origin {origin[v]}")
-        elif origin[v] in live:
+    live = set(members.values())
+    for v, (depth, parent, children, attached) in outputs.items():
+        if origin[v] in live:
             cluster_set.forest[v] = parent, children
             cluster_set.max_tree_height = max(cluster_set.max_tree_height, depth)
+        if attached:
+            cluster_set.attached.add(v)
     return stats
-
-
-class ExtendProgram(NodeProgram):
-    """One-hop cluster extension: members announce their cluster; an
-    outside node adjacent to members must see exactly one cluster id (a
-    second one would contradict 3-hop separation)."""
-
-    def setup(self, n, bandwidth):
-        self.idw = id_bits(n)
-
-    def init(self, ctx):
-        return {"member": ctx.input, "joined": ctx.input}
-
-    def step(self, ctx, st, inbox, rnd, rng):
-        if rnd == 1:
-            out = {}
-            if st["member"] is not None:
-                msg = Msg((st["member"], self.idw))
-                for u in ctx.neighbors:
-                    out[u] = msg
-            return st, out, not ctx.neighbors, 2
-        if st["member"] is None:
-            seen = {msg.values[0] for msg in inbox.values()}
-            if len(seen) > 1:
-                raise ValueError(
-                    f"node {ctx.node} borders clusters {sorted(seen)}; separation violated"
-                )
-            if seen:
-                st["joined"] = seen.pop()
-        return st, {}, True
-
-    def output(self, ctx, st):
-        return st["joined"]
 
 
 def _induced_subproblem(graph, tree, edges, matched, member_nodes, solve_nodes):
@@ -331,18 +311,16 @@ def combine_with_clusters(
     seed: int = 0,
 ) -> tuple[VertexCover, RoundStats]:
     """Cover = matched nodes outside clusters + per-cluster covers of the
-    one-hop extended cluster graphs, solved concurrently. One pass groups
-    the nodes of `cluster_set.forest`, the graph edges and the matching
-    edges by origin; each cluster solve then runs on its own group, over
-    its cluster's tree, eliminates augmenting paths to length 2k-1 with
-    k = ceil(2 / psi), and takes the layered cover, for a (1 + psi)
-    guarantee."""
+    one-hop extended cluster graphs, solved concurrently. A cluster's
+    extension is its members and the nodes `build_cluster_trees` attached
+    to it. One pass groups the nodes of `cluster_set.forest`, the graph
+    edges and the matching edges by origin; each cluster solve then runs
+    on its own group, over its cluster's tree, eliminates augmenting paths
+    to length 2k-1 with k = ceil(2 / psi), and takes the layered cover, for
+    a (1 + psi) guarantee."""
     k = ceil_ratio(2.0, psi, "psi")
     view = SubgraphView.whole(graph)
     stats = RoundStats()
-
-    outputs, ext_stats = run(ExtendProgram(), graph, inputs=cluster_set.members, phase="extend")
-    stats.add_sequential(ext_stats)
 
     x_nodes = {
         v
@@ -350,10 +328,10 @@ def combine_with_clusters(
         if cluster_set.members.get(v) is None and matching.is_matched(v)
     }
 
-    extended: dict[int, set[int]] = {}
-    for v, joined in outputs.items():
-        if joined is not None:
-            extended.setdefault(joined, set()).add(v)
+    members = cluster_set.clusters()
+    extended = {c: set(vs) for c, vs in members.items()}
+    for v in cluster_set.attached:
+        extended[cluster_set.origin[v]].add(v)
 
     in_tree, origin = cluster_set.forest, cluster_set.origin
     trees: dict[int, Forest] = {}
@@ -368,7 +346,6 @@ def combine_with_clusters(
 
     cover_nodes = set(x_nodes)
     inner_stats: list[RoundStats] = []
-    members = cluster_set.clusters()
     for idx, c in enumerate(sorted(extended)):
         sub_graph, sub_view, m0, forest, ordered = _induced_subproblem(
             graph, trees[c], edges.get(c, ()), matched.get(c, ()), members[c], extended[c]

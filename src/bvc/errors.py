@@ -27,7 +27,3 @@ class ProgramFault(BvcError):
 
 class ShorterPathExists(BvcError):
     """An augmenting path shorter than the caller assumed exists."""
-
-
-class DisconnectedCluster(BvcError):
-    """A cluster has no connected spanning tree inside its own subgraph."""

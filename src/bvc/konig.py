@@ -117,7 +117,6 @@ def koenig_approx_cover(
         values,
         combine="sum",
         value_width=id_bits(graph.n) + 1,
-        view=view,
         phase="class-sizes",
     )
     stats.add_sequential(agg_stats)

@@ -118,15 +118,20 @@ class LeaderBfsProgram(NodeProgram):
 
         status = (st["lead"], st["dist"], st["parent"], int(complete))
         if status != st["sent"]:
-            st["sent"] = status
+            sent, st["sent"] = st["sent"], status
             # Only the parent needs the certificate bit; the other statuses
             # leave it out, one bit fewer each. They still take
             # 2 + 2·id_bits bits, two frames at the floor bandwidth
             # id_bits + 4 once id_bits > 2.
-            short = Msg((_STATUS, 1), (status[0], idw), (status[1], idw), (0, 1))
             full = Msg(
                 (_STATUS, 1), (status[0], idw), (status[1], idw), (1, 1), (status[3], 1)
             )
+            if sent is not None and sent[:3] == status[:3]:
+                # Only the certificate bit changed: the other neighbors
+                # already hold this exact short status.
+                out[st["parent"]] = full
+                return st, out, False, None
+            short = Msg((_STATUS, 1), (status[0], idw), (status[1], idw), (0, 1))
             for u in ctx.neighbors:
                 out[u] = full if u == st["parent"] else short
         return st, out, False, None
@@ -234,7 +239,6 @@ def pipelined_aggregate(
     *,
     combine: str,
     value_width: int,
-    view: SubgraphView | None = None,
     phase: str,
 ) -> tuple[dict[int, tuple], RoundStats]:
     """Aggregate k values per node over each tree of `forest` and broadcast
@@ -242,7 +246,7 @@ def pipelined_aggregate(
     k = len(next(iter(values.values()), ()))
     inputs = {v: forest[v] + (values[v],) for v in graph.node_ids}
     program = AggregateProgram(k, combine, value_width)
-    return run(program, graph, view, inputs=inputs, phase=phase)
+    return run(program, graph, inputs=inputs, phase=phase)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +432,6 @@ def witness_check(
             values,
             combine="min",
             value_width=width,
-            view=view,
             phase="witness-check",
         )
         stats.add_sequential(agg_stats)

@@ -177,7 +177,6 @@ def view_max_degree_aggregate(
         values,
         combine="max",
         value_width=width,
-        view=view,
         phase="max-degree",
     )
     return max((sums[v][0] for v in graph.node_ids), default=0), stats

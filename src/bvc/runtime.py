@@ -19,7 +19,8 @@ be no-ops, so simulated round counts are unaffected.
 
 Host cost: a view computes its per-node topology (in-view flag and in-view
 neighbors) once, and every run over it builds its contexts from that; the
-whole view of a graph is one shared object. A program fixes its widths
+whole view of a graph is one shared object, and a run given no view reads
+the adjacency directly, so it builds no view. A program fixes its widths
 once per run in `setup`. A round steps only the nodes with mail or a due
 wake, and the engine books traffic once per message, not once per frame.
 """
@@ -234,9 +235,7 @@ def run(
             non-neighbor, sent a non-Msg, asked to wake in the past, or drew
             randomness in a run without a seed.
     """
-    if view is None:
-        view = SubgraphView.whole(graph)
-    elif view.base is not graph:
+    if view is not None and view.base is not graph:
         raise InvalidParam("view is over another graph")
     n = graph.n
     bw = graph.bandwidth
@@ -246,10 +245,16 @@ def run(
     side = graph.side
     adjacency = graph.adjacency
     inputs = {} if inputs is None else inputs
-    ctxs = {
-        v: NodeContext._make((v, n, bw, side[v], in_view, adjacency[v], view_nbrs, inputs.get(v)))
-        for v, (in_view, view_nbrs) in view.topology().items()
-    }
+    if view is None:
+        ctxs = {
+            v: NodeContext._make((v, n, bw, side[v], True, adjacency[v], adjacency[v], inputs.get(v)))
+            for v in graph.node_ids
+        }
+    else:
+        ctxs = {
+            v: NodeContext._make((v, n, bw, side[v], in_view, adjacency[v], view_nbrs, inputs.get(v)))
+            for v, (in_view, view_nbrs) in view.topology().items()
+        }
 
     try:
         program.setup(n, bw)

@@ -1,6 +1,7 @@
-"""Shared test helpers: networkx as the independent oracle, the small graph
-families the property tests draw from, and a time limit for runs that
-must end.
+"""Shared test helpers: networkx as the independent oracle, exact counts
+of shortest augmenting paths (the reference the path-counting sweeps are
+tested against), the small graph families the property tests draw from,
+and a time limit for runs that must end.
 
 networkx serves only the tests. A valid cover whose size equals
 networkx's Hopcroft-Karp matching size is minimum by weak duality.
@@ -8,11 +9,25 @@ networkx's Hopcroft-Karp matching size is minimum by weak duality.
 
 import contextlib
 import signal
+from dataclasses import dataclass, field
 
 import networkx as nx
 from hypothesis import strategies as st
 
-from bvc.graph import SIDE_A, SubgraphView, build_graph, gen_complete, gen_path, gen_random
+from bvc.errors import ShorterPathExists
+from bvc.graph import (
+    SIDE_A,
+    SIDE_B,
+    Edge,
+    Matching,
+    SubgraphView,
+    build_graph,
+    edge_key,
+    gen_complete,
+    gen_path,
+    gen_random,
+)
+from bvc.oracle import alternating_levels, shortest_aug_path_len
 
 
 def nx_graph(view: SubgraphView) -> nx.Graph:
@@ -43,6 +58,80 @@ def matching_size(view: SubgraphView) -> int:
     """networkx's maximum matching size of the view, nu."""
     top = [v for v in view.in_nodes if view.base.side[v] == SIDE_A]
     return len(nx.bipartite.hopcroft_karp_matching(nx_graph(view), top_nodes=top)) // 2
+
+
+@dataclass
+class AugPathCounts:
+    """Exact shortest-augmenting-path counts for one (view, matching, d)."""
+
+    d: int
+    node_counts: dict[int, int] = field(default_factory=dict)
+    edge_counts: dict[Edge, int] = field(default_factory=dict)
+
+
+def enumerate_aug_paths(view: SubgraphView, matching: Matching, d: int) -> AugPathCounts:
+    """Count length-d augmenting paths through every free node and matching
+    edge, by prefix/suffix products over the level structure.
+
+    Requires that no augmenting path shorter than d exists; raises
+    ShorterPathExists otherwise. With that precondition, every length-d
+    augmenting path visits one node per level, so counting over levels is
+    exhaustive.
+    """
+    if d <= 0 or d % 2 == 0:
+        raise ValueError("path length d must be a positive odd integer")
+    shortest = shortest_aug_path_len(view, matching)
+    if shortest < d:
+        raise ShorterPathExists(f"augmenting path of length {shortest} < {d} exists")
+
+    base = view.base
+    level = alternating_levels(view, matching, depth_limit=d)
+    by_level: dict[int, list[int]] = {}
+    for v, lv in level.items():
+        by_level.setdefault(lv, []).append(v)
+
+    # Prefix counts: paths from level 0 down to each node.
+    x: dict[int, int] = {v: 1 for v in by_level.get(0, [])}
+    for lv in range(1, d + 1):
+        for v in by_level.get(lv, []):
+            if lv % 2 == 1:
+                x[v] = sum(
+                    x[u]
+                    for u in view.view_neighbors(v)
+                    if level.get(u) == lv - 1 and matching.partner_of(v) != u
+                )
+            else:
+                x[v] = x[matching.partner_of(v)]
+
+    # Suffix counts: completions from each node to a free node at level d.
+    y: dict[int, int] = {}
+    for lv in range(d, -1, -1):
+        for v in by_level.get(lv, []):
+            if lv == d:
+                y[v] = 1 if base.side[v] == SIDE_B and not matching.is_matched(v) else 0
+            elif lv % 2 == 0:
+                y[v] = sum(
+                    y.get(u, 0)
+                    for u in view.view_neighbors(v)
+                    if level.get(u) == lv + 1 and matching.partner_of(v) != u
+                )
+            else:
+                p = matching.partner_of(v)
+                y[v] = y.get(p, 0) if p is not None and level.get(p) == lv + 1 else 0
+
+    counts = AugPathCounts(d=d)
+    for v in view.in_nodes:
+        if matching.is_matched(v):
+            continue
+        counts.node_counts[v] = x.get(v, 0) * y.get(v, 0)
+    for (u, v) in matching.edges:
+        b, a = (u, v) if base.side[u] == SIDE_B else (v, u)
+        lu = level.get(b)
+        if lu is not None and lu % 2 == 1 and level.get(a) == lu + 1:
+            counts.edge_counts[edge_key(u, v)] = x.get(b, 0) * y.get(a, 0)
+        else:
+            counts.edge_counts[edge_key(u, v)] = 0
+    return counts
 
 
 def graphs():

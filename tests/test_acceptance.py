@@ -38,7 +38,7 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
-from support import components
+from support import components, enumerate_aug_paths
 
 pytestmark = pytest.mark.acceptance
 
@@ -167,7 +167,7 @@ def test_criterion_3_path_count_oracle_equivalence():
     for i, (g, view, m, d) in enumerate(cases):
         counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree())
         track(stats, default_bandwidth(g.n))
-        expected = oracle.enumerate_aug_paths(view, m, d)
+        expected = enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
             assert counts.p_node.get(v, 0) == c, f"case {i}: node {v}"
         for e, c in expected.edge_counts.items():

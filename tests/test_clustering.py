@@ -2,18 +2,18 @@ import math
 import random
 import statistics
 
+import networkx as nx
 import pytest
 
 from bvc import clustering, matching, oracle, primitives, repair
 from bvc.clustering import (
-    ClusterSet,
     build_cluster_trees,
     combine_with_clusters,
     mpx_partition,
     randomized_pipeline,
     shrink_partition,
 )
-from bvc.errors import ProgramFault
+from bvc.errors import ProgramFault, RoundCapExceeded
 from bvc.graph import (
     Matching,
     SubgraphView,
@@ -21,11 +21,12 @@ from bvc.graph import (
     ceil_log2,
     default_bandwidth,
     gen_disjoint_edges,
+    gen_even_cycle,
     gen_path,
     gen_random,
 )
 from bvc.matching import maximal_matching
-from support import components, roots_and_depths
+from support import components, disjoint_union, nx_graph, roots_and_depths
 from test_acceptance import inside_fraction
 
 
@@ -208,6 +209,54 @@ def test_tree_spans_members_after_shrink():
             assert kids == tuple(u for u in sorted(cs.forest) if cs.forest[u][0] == v)
 
 
+def deepest_region_depth(graph, origin):
+    """H: the largest BFS depth from an origin inside its origin region."""
+    g = nx_graph(SubgraphView.whole(graph))
+    regions = {}
+    for v, c in origin.items():
+        regions.setdefault(c, []).append(v)
+    return max(
+        max(nx.single_source_shortest_path_length(g.subgraph(vs), c).values())
+        for c, vs in regions.items()
+    )
+
+
+def _mpx_instance(g, lam, seed):
+    return g, mpx_partition(g, lam, seed=seed)[0]
+
+
+TREE_INSTANCES = [
+    (build_graph([], extra_nodes=[0, 1, 2]), {0: 0, 1: 1, 2: 2}),
+    (gen_path(9), dict.fromkeys(range(9), 0)),
+    (gen_even_cycle(12), dict.fromkeys(range(12), 0)),
+    (gen_even_cycle(12), dict.fromkeys(range(12), 5)),
+    *(_mpx_instance(gen_random(30, 30, 0.06, s), 0.25, s) for s in range(5)),
+    _mpx_instance(disjoint_union(gen_path(5), gen_random(12, 12, 0.15, 2)), 1.0, 3),
+]
+
+
+@pytest.mark.parametrize("g, assignment", TREE_INSTANCES)
+def test_tree_build_takes_h_plus_2_rounds(g, assignment):
+    """The root grows in round 1 and a node at depth d joins in round d + 1;
+    peers sit one level apart in a bipartite region, so the last messages
+    are the acks and grows from depth H to depth H - 1, read in round
+    H + 2. Lone roots (H = 0) halt in round 1."""
+    h = deepest_region_depth(g, assignment)
+    cs, _ = shrink_partition(g, assignment)
+    stats = build_cluster_trees(g, cs)
+    assert stats.rounds == (h + 2 if h else 1)
+    assert stats.max_message_bits == (2 if h else 0) and stats.fragmentation_rounds == 0
+
+
+def test_tree_build_unreachable_region_exceeds_the_round_cap():
+    # Nodes 2 and 3 share origin 0 but no path inside the region reaches it.
+    g = gen_disjoint_edges(2)
+    cs, _ = shrink_partition(g, {v: 0 for v in g.node_ids})
+    assert set(cs.members.values()) == {0}
+    with pytest.raises(RoundCapExceeded, match="2 nodes unhalted"):
+        build_cluster_trees(g, cs)
+
+
 def test_combine_single_cluster_reduces_to_inner():
     g = gen_random(8, 8, 0.3, 4)
     m, _ = maximal_matching(g, seed=4)
@@ -276,12 +325,13 @@ def test_combine_x_covers_outside_matching():
 
 
 def test_combine_rejects_clusters_one_hop_apart():
-    # Node 1 borders clusters 0 and 2: extension must refuse, not guess.
+    # Node 1 borders clusters 0 and 2: the tree build must refuse, not guess.
     g = gen_path(3)
-    m = Matching([], SubgraphView.whole(g))
-    cs = ClusterSet(members={0: 0, 1: None, 2: 2}, origin={0: 0, 1: 0, 2: 2})
+    cs, _ = shrink_partition(g, {0: 0, 1: 0, 2: 2})
+    assert cs.members == {0: 0, 1: None, 2: None}
+    cs.members[2] = 2
     with pytest.raises(ProgramFault, match="separation violated"):
-        combine_with_clusters(g, m, cs, 1.0, seed=1)
+        build_cluster_trees(g, cs)
 
 
 def test_pipeline_edgeless():

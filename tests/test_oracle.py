@@ -19,7 +19,7 @@ from bvc.graph import (
     gen_path,
     gen_random,
 )
-from support import matching_size
+from support import enumerate_aug_paths, matching_size
 
 INF = math.inf
 
@@ -87,7 +87,7 @@ def test_shortest_aug_path_len():
 def test_enumerate_single_free_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
-    counts = oracle.enumerate_aug_paths(view, Matching([]), 1)
+    counts = enumerate_aug_paths(view, Matching([]), 1)
     assert counts.node_counts == {0: 1, 1: 1}
     assert frees(view, counts, "A") == 1
 
@@ -96,7 +96,7 @@ def test_enumerate_p4():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    counts = oracle.enumerate_aug_paths(view, m, 3)
+    counts = enumerate_aug_paths(view, m, 3)
     assert counts.node_counts[0] == 1
     assert counts.node_counts[3] == 1
     assert counts.edge_counts[(1, 2)] == 1
@@ -107,7 +107,7 @@ def test_enumerate_zero_for_maximum():
     g = gen_path(4)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    counts = oracle.enumerate_aug_paths(view, m, 3)
+    counts = enumerate_aug_paths(view, m, 3)
     assert all(c == 0 for c in counts.node_counts.values())
     assert all(c == 0 for c in counts.edge_counts.values())
 
@@ -116,7 +116,7 @@ def test_enumerate_precondition():
     g = gen_path(4)
     view = whole(g)
     with pytest.raises(ShorterPathExists):
-        oracle.enumerate_aug_paths(view, Matching([(1, 2)], view), 5)
+        enumerate_aug_paths(view, Matching([(1, 2)], view), 5)
 
 
 def test_enumerate_shared_middle_edge():
@@ -125,7 +125,7 @@ def test_enumerate_shared_middle_edge():
     g = build_graph([(0, 4), (2, 4), (4, 5), (5, 6)])
     view = whole(g)
     m = Matching([(4, 5)], view)
-    counts = oracle.enumerate_aug_paths(view, m, 3)
+    counts = enumerate_aug_paths(view, m, 3)
     assert counts.edge_counts[(4, 5)] == 2
     assert counts.node_counts[0] == 1
     assert counts.node_counts[2] == 1
@@ -145,7 +145,7 @@ def frees(view, counts, side):
 def aug_path_counts(view: SubgraphView, matching, d: int):
     """(node_counts, edge_counts): the d-edge augmenting paths through every
     free in-view node and every matching edge, keyed as
-    `oracle.enumerate_aug_paths` keys them. networkx counts the simple
+    `enumerate_aug_paths` keys them. networkx counts the simple
     d-edge paths of the directed alternating graph, with non-matching
     edges A -> B and matching edges B -> A, from free A to free B."""
     side = view.base.side
@@ -185,7 +185,7 @@ def test_count_symmetry_and_dfs_agreement():
         d = oracle.shortest_aug_path_len(view, m2)
         if d is INF or d > 7:
             continue
-        fast = oracle.enumerate_aug_paths(view, m2, d)
+        fast = enumerate_aug_paths(view, m2, d)
         assert (fast.node_counts, fast.edge_counts) == aug_path_counts(view, m2, d)
         assert frees(view, fast, "A") == frees(view, fast, "B")
 

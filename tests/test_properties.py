@@ -2,19 +2,21 @@
 size nu on small drawn graphs: stars, complete bipartite graphs, paths and
 sparse random graphs, alone or two side by side, at the default or the
 floor bandwidth, on the whole graph or an induced sub-view; and the level
-DAG of the alternating BFS, against the oracle's levels."""
+DAG of the alternating BFS, against the oracle's levels; and the cluster
+trees with their one-hop extension, against networkx's BFS."""
 
+import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvc import oracle
-from bvc.clustering import randomized_pipeline
+from bvc.clustering import build_cluster_trees, mpx_partition, randomized_pipeline, shrink_partition
 from bvc.graph import Matching, SubgraphView, ceil_log2
 from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import alternating_bfs, elect_leader_and_bfs
 from bvc.repair import det_cover_low_diameter
-from support import disjoint_union, graphs, matching_size
+from support import disjoint_union, graphs, matching_size, nx_graph
 
 SETTINGS = settings(max_examples=75, derandomize=True, deadline=None, database=None)
 
@@ -116,3 +118,42 @@ def test_rand_pipeline_is_valid_and_reproducible(g, eps, seed):
     again, stats_again, _ = randomized_pipeline(g, eps, seed=seed)
     assert cover.is_valid() and cover.size >= matching_size(SubgraphView.whole(g))
     assert again.nodes == cover.nodes and stats_again == stats
+
+
+@SETTINGS
+@given(networks(), st.sampled_from((0.1, 0.25, 0.5, 1.0)), st.integers(0, 10_000), st.data())
+def test_cluster_trees_are_bfs_trees_of_the_origin_regions(g, lam, seed, data):
+    """On an MPX assignment, with some members hand-dropped afterwards:
+    each peer list holds the neighbours of the same origin, and each node
+    sends each peer one 2-bit message; each live cluster's tree is the BFS
+    tree of its origin region rooted at the origin, with parent =
+    min (depth, id) and children = the nodes that name it parent; and the
+    attached nodes are the non-members next to a member."""
+    assignment, _ = mpx_partition(g, lam, seed=seed)
+    cs, _ = shrink_partition(g, assignment)
+    for v in data.draw(st.sets(st.sampled_from(g.node_ids), max_size=g.n // 3)):
+        cs.members[v] = None
+    stats = build_cluster_trees(g, cs)
+    assert stats.total_bits == 2 * sum(len(p) for p in cs.peers.values())
+    origin = cs.origin
+    for v in g.node_ids:
+        assert cs.peers[v] == tuple(u for u in sorted(g.adjacency[v]) if origin[u] == origin[v])
+    whole = nx_graph(SubgraphView.whole(g))
+    parent, depth = {}, {}
+    for c in {c for c in cs.members.values() if c is not None}:
+        region = whole.subgraph(v for v in g.node_ids if origin[v] == c)
+        dist = nx.single_source_shortest_path_length(region, c)
+        assert len(dist) == len(region)
+        for v, d in dist.items():
+            parent[v] = min((u for u in region[v] if dist[u] == d - 1), default=None)
+        depth.update(dist)
+    assert cs.forest == {
+        v: (p, tuple(sorted(u for u, q in parent.items() if q == v))) for v, p in parent.items()
+    }
+    assert cs.max_tree_height == max(depth.values(), default=0)
+    members = cs.members
+    assert cs.attached == {
+        v
+        for v in g.node_ids
+        if members[v] is None and any(members[u] is not None for u in g.adjacency[v])
+    }

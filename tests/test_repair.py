@@ -20,6 +20,7 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
+from support import enumerate_aug_paths
 from test_acceptance import _thick_path
 
 INF = math.inf
@@ -100,7 +101,7 @@ def test_count_matches_oracle(d):
             continue
         hits += 1
         counts, _ = count_paths(g, view, m, d, delta=view.max_view_degree())
-        expected = oracle.enumerate_aug_paths(view, m, d)
+        expected = enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
             assert counts.p_node.get(v, 0) == c, f"node {v}"
         for e, c in expected.edge_counts.items():
