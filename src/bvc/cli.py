@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 import time
 
@@ -24,9 +23,13 @@ from .clustering import (
     shrink_partition,
 )
 from .errors import BvcError, InvalidParam
-from .graph import BipartiteGraph, Matching, SubgraphView, graph_from_spec, read_graph
+from .graph import (
+    BipartiteGraph, Matching, SubgraphView, graph_from_spec, read_graph, read_lines,
+)
 from .konig import koenig_approx_cover, koenig_exact_cover
-from .matching import ceil_ratio, eliminate_short_aug_paths, max_useful_k, parse_provider
+from .matching import (
+    ceil_ratio, eliminate_short_aug_paths, k_for_delta, max_useful_k, parse_provider,
+)
 from .primitives import elect_leader_and_bfs
 from .repair import det_cover_low_diameter
 
@@ -158,9 +161,8 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     elif pipeline == "clustering-only":
         lam = _given(config, "lam", eps / 4.0)
         record["params"]["lam"] = lam
-        assignment, stats = mpx_partition(graph, lam, seed=seed)
-        cluster_set, shrink_stats = shrink_partition(graph, assignment)
-        stats.add_sequential(shrink_stats)
+        assignment, parent, stats = mpx_partition(graph, lam, seed=seed)
+        cluster_set = shrink_partition(graph, assignment, parent)
         stats.add_sequential(build_cluster_trees(graph, cluster_set))
         extra["clusters"] = len(cluster_set.clusters())
         extra["max_tree_height"] = cluster_set.max_tree_height
@@ -180,8 +182,7 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         elif spec.kind == "eliminate":
             valid = oracle.shortest_aug_path_len(view, matching) >= 2 * spec.k + 1
         else:
-            k = max(1, math.ceil(1.0 / spec.delta) - 1)
-            valid = oracle.shortest_aug_path_len(view, matching) >= 2 * k + 1
+            valid = oracle.shortest_aug_path_len(view, matching) >= 2 * k_for_delta(spec.delta) + 1
     else:
         raise InvalidParam(f"unknown pipeline {pipeline!r}")
 
@@ -233,17 +234,28 @@ def run_experiment(config: dict) -> list[dict]:
 
 
 def verify_record(record: dict) -> dict:
-    """Re-run a record's configuration and compare byte-for-byte fields."""
+    """Re-run a record's configuration and compare byte-for-byte fields.
+    A record that is not an object with a pipeline, a graph spec and an
+    integer seed, or whose parameters have the wrong type, raises
+    InvalidParam."""
+    params = record.get("params", {}) if isinstance(record, dict) else None
+    if not (
+        isinstance(params, dict)
+        and {"pipeline", "graph", "seed"} <= record.keys()
+        and isinstance(record["graph"], str)
+        and type(record["seed"]) is int
+    ):
+        raise InvalidParam("a record needs a pipeline, a graph spec and an integer seed")
     config = {
         "pipeline": record["pipeline"],
         "graph": record["graph"],
-        "eps": record.get("params", {}).get("eps"),
-        "k": record.get("params", {}).get("k"),
-        "lam": record.get("params", {}).get("lam"),
-        "provider": record.get("params", {}).get("provider"),
-        "bandwidth": record.get("params", {}).get("bandwidth"),
+        **{key: params.get(key) for key in ("eps", "k", "lam", "provider", "bandwidth")},
         "no_oracle": record.get("opt") is None,
     }
+    for key, kind in _TYPED.items():
+        value = config.get(key)
+        if value is not None and (isinstance(value, bool) or not isinstance(value, (int, kind))):
+            raise InvalidParam(f"record {key} must be {kind.__name__}, got {value!r}")
     graph = load_graph(config["graph"], config["bandwidth"])
     fresh = run_one(config, graph, record["seed"])
     mismatches = {}
@@ -264,16 +276,27 @@ def verify_record(record: dict) -> dict:
 def _read_config_file(path: str) -> dict:
     """Flat key=value lines; '#' starts a comment."""
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, eq, value = line.partition("=")
-            if not eq:
-                raise InvalidParam(f"{path}:{lineno}: expected key=value, got {line!r}")
-            out[key.strip()] = value.strip()
+    for lineno, line in enumerate(read_lines(path, "config"), 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise InvalidParam(f"{path}:{lineno}: expected key=value, got {line!r}")
+        out[key.strip()] = value.strip()
     return out
+
+
+def _read_records(path: str) -> list:
+    """One JSON record per non-blank line."""
+    records = []
+    for lineno, line in enumerate(read_lines(path, "record"), 1):
+        if line.strip():
+            try:
+                records.append(json.loads(line))
+            except ValueError as exc:
+                raise InvalidParam(f"{path}:{lineno}: not a JSON record: {exc}") from exc
+    return records
 
 
 def _merge_config(args) -> dict:
@@ -303,17 +326,20 @@ def _merge_config(args) -> dict:
 
 def _emit(records, out_path, csv_path):
     lines = [json.dumps(r, sort_keys=True) for r in records]
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-    else:
-        for line in lines:
-            print(line)
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write(",".join(CSV_COLUMNS) + "\n")
-            for r in records:
-                fh.write(",".join(str(r.get(c, "")) for c in CSV_COLUMNS) + "\n")
+    try:
+        if out_path:
+            with open(out_path, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        else:
+            for line in lines:
+                print(line)
+        if csv_path:
+            with open(csv_path, "w", encoding="utf-8") as fh:
+                fh.write(",".join(CSV_COLUMNS) + "\n")
+                for r in records:
+                    fh.write(",".join(str(r.get(c, "")) for c in CSV_COLUMNS) + "\n")
+    except OSError as exc:
+        raise InvalidParam(f"cannot write the output: {exc}") from exc
 
 
 def main(argv=None) -> int:
@@ -350,12 +376,7 @@ def main(argv=None) -> int:
             records = run_experiment(config)
             _emit(records, args.out, args.csv)
             return 0 if all(r["valid"] for r in records) else 1
-        reports = []
-        with open(args.record, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    reports.append(verify_record(json.loads(line)))
+        reports = [verify_record(record) for record in _read_records(args.record)]
         for report in reports:
             print(json.dumps(report, sort_keys=True))
         return 0 if all(r["pass"] for r in reports) else 1

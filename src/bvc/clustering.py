@@ -3,12 +3,14 @@
 Nodes draw exponential head starts and join the origin minimizing hop
 distance minus shift; the resulting clusters are connected, and after
 dropping both endpoints of every inter-cluster edge they are 3-hop
-separated. The shrink also tells each node its peers, the neighbors of its
-own origin, and every later step reuses them. Each surviving cluster keeps
-a BFS tree rooted at its origin inside the original (pre-shrink) region,
-so trees of different clusters stay edge-disjoint even when shrinking
-disconnects a cluster's survivors. The same run attaches every non-member
-next to a member to that member's cluster: the one-hop extension.
+separated. The relaxation leaves every node holding each neighbor's final
+candidate, so it also fixes each node's peers (the neighbors of its own
+origin) and its parent one BFS level closer to the origin. After it, one
+message per peer edge tells each node its children and attaches every
+non-member next to a member to that member's cluster: the one-hop
+extension. Each surviving cluster keeps this BFS tree of its original
+(pre-shrink) origin region, so trees of different clusters stay
+edge-disjoint even when shrinking disconnects a cluster's survivors.
 
 The combination step covers everything outside clusters with matched
 nodes and runs an inner cover solver in all extended clusters at once,
@@ -22,24 +24,11 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import InvalidParam
-from .graph import (
-    BipartiteGraph,
-    Matching,
-    SubgraphView,
-    VertexCover,
-    build_graph,
-)
+from .graph import BipartiteGraph, Matching, SubgraphView, VertexCover, build_graph
 from .konig import koenig_approx_cover
 from .matching import ceil_ratio, eliminate_short_aug_paths, maximal_matching, max_useful_k
 from .primitives import Forest
-from .runtime import (
-    Msg,
-    NodeProgram,
-    RoundStats,
-    derive_seed,
-    id_bits,
-    run,
-)
+from .runtime import Msg, NodeProgram, RoundStats, derive_seed, id_bits, run
 
 
 @dataclass
@@ -49,15 +38,18 @@ class ClusterSet:
 
     `members` is the post-shrink assignment (None = outside clusters);
     `origin` the total pre-shrink assignment, whose groups are the tree
-    regions; `peers` each node's sorted neighbors of the same origin.
-    `forest` holds the tree of every cluster with surviving members, over
-    its origin region, rooted at the origin; `max_tree_height` is the
-    largest depth in it. `attached` holds the non-members next to a member:
-    each extends its own origin's cluster by one hop."""
+    regions; `peers` each node's sorted neighbors of the same origin;
+    `parent` each node's smallest-id peer one BFS level closer to its
+    origin, None at the origin. `forest` holds the tree of every cluster
+    with surviving members, over its origin region, rooted at the origin;
+    `max_tree_height` is the largest depth in it. `attached` holds the
+    non-members next to a member: each extends its own origin's cluster by
+    one hop."""
 
     members: dict[int, int | None]
     origin: dict[int, int]
     peers: dict[int, tuple[int, ...]]
+    parent: dict[int, int | None]
     forest: Forest = field(default_factory=dict)
     max_tree_height: int = 0
     attached: set[int] = field(default_factory=set)
@@ -83,6 +75,19 @@ class MpxPartitionProgram(NodeProgram):
     forwards any improvement (key + scale, origin) to its neighbors; ties
     break toward the smaller origin id. The run ends by quiescence once no
     key improves anywhere.
+
+    Each node keeps the last candidate it heard from every neighbor and
+    outputs (origin, parent): the parent is the smallest-id neighbor whose
+    last candidate equals the node's final best, None at an origin (whose
+    neighbors all offer more than its own key). This is the BFS parent in
+    the origin region:
+    - a node sends its best in round 1 and again on every change, so its
+      last message is its final best;
+    - MPX regions contain their shortest paths to the origin: a neighbor u
+      of v one hop closer to v's origin o offers at most v's key, and any
+      better candidate of u would have improved v's;
+    - so the rule picks the smallest id among the nodes of v's region one
+      BFS level closer to o.
     """
 
     def __init__(self, sigma: float, scale: int, cap: int):
@@ -96,7 +101,7 @@ class MpxPartitionProgram(NodeProgram):
         self.idw = id_bits(n)
 
     def init(self, ctx):
-        return {"best": None, "sent": None}
+        return {"best": None, "sent": None, "heard": {}}
 
     def draw_shift(self, rng) -> float:
         """An exponential draw of rate sigma conditioned below the cap."""
@@ -117,6 +122,7 @@ class MpxPartitionProgram(NodeProgram):
             st["best"] = (-int(self.draw_shift(rng) * self.scale), ctx.node)
         for u, msg in inbox.items():
             cand = (msg.values[0] - offset + self.scale, msg.values[1])
+            st["heard"][u] = cand
             if cand < st["best"]:
                 st["best"] = cand
         out = {}
@@ -128,7 +134,8 @@ class MpxPartitionProgram(NodeProgram):
         return st, out, False, None
 
     def output(self, ctx, st):
-        return st["best"][1]
+        best = st["best"]
+        return best[1], min((u for u, c in st["heard"].items() if c == best), default=None)
 
 
 def mpx_partition(
@@ -136,8 +143,10 @@ def mpx_partition(
     lam: float,
     *,
     seed: int = 0,
-) -> tuple[dict[int, int], RoundStats]:
-    """Assign every node to an origin by exponentially shifted distances.
+) -> tuple[dict[int, int], dict[int, int | None], RoundStats]:
+    """Assign every node to an origin by exponentially shifted distances;
+    returns the assignment, each node's parent (see MpxPartitionProgram)
+    and the run's stats.
 
     Shifts use parameter sigma = lam / 4, a fixed-point grid of 1/n, and
     are conditioned below n, so a key takes bitlength(2n^2) bits and a key
@@ -147,62 +156,38 @@ def mpx_partition(
     n = max(graph.n, 2)
     program = MpxPartitionProgram(lam / 4.0, n, n)
     outputs, stats = run(program, graph, seed=seed, allow_quiescence=True, phase="mpx")
-    return dict(outputs), stats
-
-
-class ShrinkProgram(NodeProgram):
-    """Drop both endpoints of every inter-cluster edge (two rounds). Each
-    node outputs its cluster (None once dropped) and its peers, the
-    neighbors that share its origin."""
-
-    def setup(self, n, bandwidth):
-        self.idw = id_bits(n)
-
-    def init(self, ctx):
-        return {"origin": ctx.input, "peers": ()}
-
-    def step(self, ctx, st, inbox, rnd, rng):
-        if rnd == 1:
-            out = {u: Msg((st["origin"], self.idw)) for u in ctx.neighbors}
-            return st, out, not ctx.neighbors
-        st["peers"] = tuple(u for u, msg in inbox.items() if msg.values[0] == st["origin"])
-        return st, {}, True
-
-    def output(self, ctx, st):
-        kept = len(st["peers"]) == len(ctx.neighbors)
-        return st["origin"] if kept else None, st["peers"]
+    assignment = {v: origin for v, (origin, _) in outputs.items()}
+    parent = {v: p for v, (_, p) in outputs.items()}
+    return assignment, parent, stats
 
 
 def shrink_partition(
     graph: BipartiteGraph,
     assignment: dict[int, int],
-) -> tuple[ClusterSet, RoundStats]:
-    """3-hop separated clusters: survivors kept all their neighbors, so
-    nodes of different clusters cannot share a neighbor."""
-    outputs, stats = run(ShrinkProgram(), graph, inputs=assignment, phase="shrink")
-    members = {v: c for v, (c, _) in outputs.items()}
-    peers = {v: p for v, (_, p) in outputs.items()}
-    return ClusterSet(members, dict(assignment), peers), stats
-
-
-_GROW, _ACK = 0, 1
+    parent: dict[int, int | None],
+) -> ClusterSet:
+    """3-hop separated clusters: a node stays a member when all its
+    neighbors are peers (share its origin), so nodes of different clusters
+    cannot share a neighbor. Every node already holds its neighbors'
+    origins from the relaxation, so this sends nothing."""
+    peers = {
+        v: tuple(u for u in graph.adjacency[v] if assignment[u] == assignment[v])
+        for v in graph.node_ids
+    }
+    members = {
+        v: assignment[v] if len(peers[v]) == len(graph.adjacency[v]) else None
+        for v in graph.node_ids
+    }
+    return ClusterSet(members, dict(assignment), peers, dict(parent))
 
 
 class TreeBuildProgram(NodeProgram):
-    """BFS trees rooted at each origin over the peer edges, which also
-    attach the non-members next to a member to their cluster.
-
-    Input per node: (origin, member flag, peers). The root grows to its
-    peers in round 1. A node that first hears grows in round r joins at
-    depth r - 1, takes the smallest sender as its parent, and in the same
-    step acks the parent and grows to its other peers. So each peer sends
-    each of its peers exactly one message, a grow or an ack, and the nodes
-    that ack are the children. A message is a 1-bit tag and the sender's
-    1-bit member flag: the round gives the depth. Peers sit on adjacent
-    BFS levels, so a node has heard from every peer at most two rounds
-    after it joined, and halts then: with H >= 1 the largest depth in any
-    origin region, the run takes H + 2 rounds. A node that no grow reaches
-    never halts, and the run ends in RoundCapExceeded.
+    """One exchange over the peer edges. Input per node: (member flag,
+    parent, peers). In round 1 each node sends each peer one 2-bit message,
+    "you are my parent" and "I am a member"; in round 2 it reads its
+    children, the senders that named it parent, and halts. A node without
+    peers halts in round 1, so the run takes 2 rounds, or 1 when no node
+    has a peer.
 
     A non-member that hears a member flag is attached: it joins its own
     origin's cluster, which is that of every member next to it, since a
@@ -211,44 +196,23 @@ class TreeBuildProgram(NodeProgram):
     to one node."""
 
     def init(self, ctx):
-        origin, member, peers = ctx.input
+        member, _, peers = ctx.input
         if member and len(peers) != len(ctx.neighbors):
             raise ValueError(
-                f"member {ctx.node} has a neighbor outside origin {origin}; separation violated"
+                f"member {ctx.node} has a neighbor of another origin; separation violated"
             )
-        return {
-            "root": origin == ctx.node,
-            "member": member,
-            "peers": peers,
-            "depth": None,
-            "parent": None,
-            "children": [],
-            "heard": 0,
-            "attached": False,
-        }
+        return (), False
 
     def step(self, ctx, st, inbox, rnd, rng):
-        out = {}
-        if st["depth"] is None:
-            if not (inbox or st["root"]):
-                return st, out, False, None
-            st["depth"] = rnd - 1
-            st["parent"] = min(inbox, default=None)
-            flag = (int(st["member"]), 1)
-            grow, ack = Msg((_GROW, 1), flag), Msg((_ACK, 1), flag)
-            for u in st["peers"]:
-                out[u] = ack if u == st["parent"] else grow
-        for u, msg in inbox.items():
-            tag, member = msg.values
-            if tag == _ACK:
-                st["children"].append(u)  # all in one round, in sender order
-            if member and not st["member"]:
-                st["attached"] = True
-        st["heard"] += len(inbox)
-        return st, out, st["heard"] == len(st["peers"]), None
-
-    def output(self, ctx, st):
-        return st["depth"], st["parent"], tuple(st["children"]), st["attached"]
+        member, parent, peers = ctx.input
+        if rnd == 1:
+            flag = (int(member), 1)
+            to_parent, to_other = Msg((1, 1), flag), Msg((0, 1), flag)
+            out = {u: to_parent if u == parent else to_other for u in peers}
+            return st, out, not peers
+        children = tuple(u for u, msg in inbox.items() if msg.values[0])
+        attached = not member and any(msg.values[1] for msg in inbox.values())
+        return (children, attached), {}, True
 
 
 def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> RoundStats:
@@ -257,21 +221,27 @@ def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> Round
     (vertex-disjoint) origin groups.
 
     Raises ProgramFault ("separation violated") if a member has a neighbor
-    outside its origin region, and RoundCapExceeded if a node is unreachable
-    from the origin inside its region (impossible for shifted-distance
-    assignments, whose origin groups are connected and hold their origin).
-    """
-    members, origin, peers = cluster_set.members, cluster_set.origin, cluster_set.peers
-    inputs = {v: (origin[v], members[v] is not None, peers[v]) for v in graph.node_ids}
+    outside its origin region."""
+    members, parent, peers = cluster_set.members, cluster_set.parent, cluster_set.peers
+    inputs = {v: (members[v] is not None, parent[v], peers[v]) for v in graph.node_ids}
     outputs, stats = run(TreeBuildProgram(), graph, inputs=inputs, phase="cluster-trees")
     # Only clusters with surviving members keep their trees.
-    live = set(members.values())
-    for v, (depth, parent, children, attached) in outputs.items():
+    live, origin = set(members.values()), cluster_set.origin
+    forest = cluster_set.forest
+    for v, (children, attached) in outputs.items():
         if origin[v] in live:
-            cluster_set.forest[v] = parent, children
-            cluster_set.max_tree_height = max(cluster_set.max_tree_height, depth)
+            forest[v] = parent[v], children
         if attached:
             cluster_set.attached.add(v)
+    depth = {None: -1}
+    for v in forest:
+        chain = []
+        while v not in depth:
+            chain.append(v)
+            v = parent[v]
+        for u in reversed(chain):
+            depth[u] = depth[parent[u]] + 1
+    cluster_set.max_tree_height = max(0, *depth.values())
     return stats
 
 
@@ -386,12 +356,10 @@ def randomized_pipeline(
     matching, m_stats = maximal_matching(graph, seed=derive_seed(seed, 71))
     stats.add_sequential(m_stats)
 
-    assignment, mpx_stats = mpx_partition(graph, lam, seed=derive_seed(seed, 72))
+    assignment, parent, mpx_stats = mpx_partition(graph, lam, seed=derive_seed(seed, 72))
     stats.add_sequential(mpx_stats)
 
-    cluster_set, shrink_stats = shrink_partition(graph, assignment)
-    stats.add_sequential(shrink_stats)
-
+    cluster_set = shrink_partition(graph, assignment, parent)
     tree_stats = build_cluster_trees(graph, cluster_set)
     stats.add_sequential(tree_stats)
 

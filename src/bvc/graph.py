@@ -50,7 +50,7 @@ class BipartiteGraph:
     """
 
     __slots__ = (
-        "node_ids", "side", "adjacency", "n", "max_degree", "bandwidth", "_edges", "_whole",
+        "node_ids", "side", "adjacency", "n", "max_degree", "bandwidth", "_edges",
         "_neighbor_sets",
     )
 
@@ -62,7 +62,6 @@ class BipartiteGraph:
         self.max_degree: int = max((len(a) for a in adjacency.values()), default=0)
         self.bandwidth: int = default_bandwidth(self.n)
         self._edges: tuple[Edge, ...] = edges
-        self._whole: SubgraphView | None = None
         self._neighbor_sets: dict[int, frozenset[int]] | None = None
 
     def with_bandwidth(self, bandwidth: int) -> "BipartiteGraph":
@@ -171,10 +170,8 @@ class SubgraphView:
 
     @classmethod
     def whole(cls, base: BipartiteGraph) -> "SubgraphView":
-        """The view of everything; the same object for the same graph."""
-        if base._whole is None:
-            base._whole = cls(base, {v: True for v in base.node_ids}, {e: True for e in base.edges})
-        return base._whole
+        """The view of everything."""
+        return cls(base, {v: True for v in base.node_ids}, {e: True for e in base.edges})
 
     @classmethod
     def induced(cls, base: BipartiteGraph, nodes: Iterable[int]) -> "SubgraphView":
@@ -389,15 +386,22 @@ def graph_from_spec(spec: str) -> BipartiteGraph:
 # Text format: first line "n m", then one "u v" line per edge
 # ---------------------------------------------------------------------------
 
+def read_lines(path: str, what: str) -> list[str]:
+    """The lines of a UTF-8 text file, with their line ends; a missing or
+    unreadable file, or one that is not UTF-8, raises InvalidParam naming
+    it as a `what` file."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return list(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise InvalidParam(f"cannot read {what} file {path!r}: {exc}") from exc
+
+
 def read_graph(path: str) -> BipartiteGraph:
     """Read the text format. A missing or unreadable file, a token that is
     not an integer, a short edge list and non-blank lines after the m
     declared edges all raise InvalidParam."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            rows = [line.split() for line in fh]
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidParam(f"cannot read graph file {path!r}: {exc}") from exc
+    rows = [line.split() for line in read_lines(path, "graph")]
     if not rows or len(rows[0]) != 2:
         raise InvalidParam("graph file must start with a line 'n m'")
     try:

@@ -429,6 +429,12 @@ def ceil_ratio(c: float, x: float, name: str) -> int:
     return math.ceil(c / x)
 
 
+def k_for_delta(delta: float) -> int:
+    """max(1, ceil(1/delta) - 1): eliminating all augmenting paths of
+    length <= 2k-1 guarantees a 1 - 1/(k+1) >= 1 - delta factor."""
+    return max(1, ceil_ratio(1.0, delta, "delta") - 1)
+
+
 def approx_matching(
     graph: BipartiteGraph,
     view: SubgraphView,
@@ -437,11 +443,10 @@ def approx_matching(
     seed: int | None = 0,
     forest: Forest | None = None,
 ) -> tuple[Matching, RoundStats]:
-    """Matching of size at least (1 - delta) times maximum: eliminating all
-    augmenting paths of length <= 2k-1 guarantees a 1 - 1/(k+1) factor, so
-    k = max(1, ceil(1/delta) - 1) suffices. `seed` (None for the
+    """Matching of size at least (1 - delta) times maximum, by eliminating
+    augmenting paths up to k = k_for_delta(delta). `seed` (None for the
     deterministic rule) and `forest` are passed on to the elimination."""
-    k = min(max(1, ceil_ratio(1.0, delta, "delta") - 1), max_useful_k(graph))
+    k = min(k_for_delta(delta), max_useful_k(graph))
     matching, _, stats = eliminate_short_aug_paths(
         graph, view, Matching([], view), k, seed=seed, forest=forest
     )

@@ -18,9 +18,8 @@ whenever a message arrives. This only skips steps the program declares to
 be no-ops, so simulated round counts are unaffected.
 
 Host cost: a view computes its per-node topology (in-view flag and in-view
-neighbors) once, and every run over it builds its contexts from that; the
-whole view of a graph is one shared object, and a run given no view reads
-the adjacency directly, so it builds no view. A program fixes its widths
+neighbors) once, and every run over it builds its contexts from that; a
+run given no view reads the adjacency directly, so it builds no view. A program fixes its widths
 once per run in `setup`. A round steps only the nodes with mail or a due
 wake, and the engine books traffic once per message, not once per frame.
 """
@@ -137,15 +136,6 @@ class RoundStats:
     total_bits: int = 0
     fragmentation_rounds: int = 0
     per_phase: list = field(default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "rounds": self.rounds,
-            "max_message_bits": self.max_message_bits,
-            "total_bits": self.total_bits,
-            "fragmentation_rounds": self.fragmentation_rounds,
-            "per_phase": [[label, r] for label, r in self.per_phase],
-        }
 
     def add_sequential(self, other: "RoundStats") -> None:
         """Append a later phase: rounds add up."""

@@ -54,6 +54,25 @@ def roots_and_depths(forest) -> tuple[dict[int, int], dict[int, int]]:
     return root, depth
 
 
+def region_bfs(graph, origin) -> tuple[dict[int, int | None], dict[int, int]]:
+    """networkx BFS of each origin region (the nodes of one origin) from
+    its origin: every node's parent, the smallest-id region neighbour one
+    level closer (None at the origin), and its depth."""
+    whole = nx_graph(SubgraphView.whole(graph))
+    regions = {}
+    for v, c in origin.items():
+        regions.setdefault(c, []).append(v)
+    parent, depth = {}, {}
+    for c, vs in regions.items():
+        region = whole.subgraph(vs)
+        dist = nx.single_source_shortest_path_length(region, c)
+        assert len(dist) == len(region), f"region {c} is not connected"
+        for v, d in dist.items():
+            parent[v] = min((u for u in region[v] if dist[u] == d - 1), default=None)
+        depth.update(dist)
+    return parent, depth
+
+
 def matching_size(view: SubgraphView) -> int:
     """networkx's maximum matching size of the view, nu."""
     top = [v for v in view.in_nodes if view.base.side[v] == SIDE_A]

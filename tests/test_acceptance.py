@@ -511,7 +511,7 @@ def test_criterion_9_bandwidth_and_determinism(big_runs):
         c1, s1 = fn(77)
         c2, s2 = fn(77)
         reruns += 1
-        if c1.nodes != c2.nodes or s1.to_dict() != s2.to_dict():
+        if c1.nodes != c2.nodes or s1 != s2:
             mismatches += 1
 
     ok = not violations and mismatches == 0

@@ -220,6 +220,41 @@ def test_run_with_bad_graph_file_exits_2(tmp_path, capsys, text):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+_GOOD_RECORD = '{"pipeline": "exact", "graph": "gen:path:n=4", "seed": 0}\n'
+
+
+@pytest.mark.parametrize(
+    "command, content",
+    [
+        (["run", "--config", "{file}"], None),
+        (["run", "--config", "{file}"], b"pipeline=exact\ngraph=\xff\n"),
+        (["verify", "--record", "{file}"], None),
+        (["verify", "--record", "{file}"], _GOOD_RECORD.encode() + b"{not json\n"),
+        (["verify", "--record", "{file}"], b'{"pipeline": "exact", "seed": 0}\n'),
+        (["verify", "--record", "{file}"], _GOOD_RECORD.replace("0}", '"x"}').encode()),
+        (["run", "--pipeline", "exact", "--graph", "gen:path:n=4", "--out", "{file}/o.jsonl"], None),
+    ],
+    ids=[
+        "config-missing",
+        "config-not-utf8",
+        "record-missing",
+        "record-not-json",
+        "record-without-graph",
+        "record-text-seed",
+        "out-dir-missing",
+    ],
+)
+def test_bad_cli_files_exit_2(tmp_path, capsys, command, content):
+    """A file the CLI cannot read, parse or write ends in an `error:` line
+    and exit status 2, never a traceback."""
+    path = tmp_path / "file"
+    if content is not None:
+        path.write_bytes(content)
+    rc = main([arg.format(file=path) for arg in command])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 @pytest.mark.parametrize("key", ["seed", "foo"])
 def test_generator_spec_with_unknown_key_exits_2(capsys, key):
     """A gen: spec key the family does not take is an InvalidParam that

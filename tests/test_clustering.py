@@ -2,7 +2,6 @@ import math
 import random
 import statistics
 
-import networkx as nx
 import pytest
 
 from bvc import clustering, matching, oracle, primitives, repair
@@ -13,7 +12,7 @@ from bvc.clustering import (
     randomized_pipeline,
     shrink_partition,
 )
-from bvc.errors import ProgramFault, RoundCapExceeded
+from bvc.errors import ProgramFault
 from bvc.graph import (
     Matching,
     SubgraphView,
@@ -26,7 +25,7 @@ from bvc.graph import (
     gen_random,
 )
 from bvc.matching import maximal_matching
-from support import components, disjoint_union, nx_graph, roots_and_depths
+from support import components, disjoint_union, region_bfs, roots_and_depths
 from test_acceptance import inside_fraction
 
 
@@ -56,15 +55,20 @@ def separation_ok(graph, cluster_set, h=3):
     return True
 
 
+def shrink_by_hand(graph, assignment):
+    """Shrink a hand-made assignment, with networkx's BFS parents."""
+    return shrink_partition(graph, assignment, region_bfs(graph, assignment)[0])
+
+
 def test_mpx_single_node():
     g = build_graph([], extra_nodes=[0])
-    assignment, _ = mpx_partition(g, 0.5, seed=1)
-    assert assignment == {0: 0}
+    assignment, parent, _ = mpx_partition(g, 0.5, seed=1)
+    assert assignment == {0: 0} and parent == {0: None}
 
 
 def test_mpx_components_stay_separate():
     g = gen_disjoint_edges(3)
-    assignment, _ = mpx_partition(g, 0.5, seed=2)
+    assignment, _, _ = mpx_partition(g, 0.5, seed=2)
     for v, origin in assignment.items():
         assert (v < 2) == (origin < 2)
         assert (v in (2, 3)) == (origin in (2, 3))
@@ -72,10 +76,10 @@ def test_mpx_components_stay_separate():
 
 def test_mpx_total_and_deterministic():
     g = gen_random(10, 10, 0.2, 3)
-    a1, s1 = mpx_partition(g, 1.0, seed=7)
-    a2, s2 = mpx_partition(g, 1.0, seed=7)
-    assert a1 == a2
-    assert s1.to_dict() == s2.to_dict()
+    a1, p1, s1 = mpx_partition(g, 1.0, seed=7)
+    a2, p2, s2 = mpx_partition(g, 1.0, seed=7)
+    assert a1 == a2 and p1 == p2
+    assert s1 == s2
     assert set(a1) == set(g.node_ids)
 
 
@@ -84,7 +88,7 @@ def test_mpx_clusters_connected():
 
     for seed in range(5):
         g = gen_random(12, 12, 0.15, seed)
-        assignment, _ = mpx_partition(g, 0.5, seed=seed)
+        assignment, _, _ = mpx_partition(g, 0.5, seed=seed)
         groups = {}
         for v, o in assignment.items():
             groups.setdefault(o, set()).add(v)
@@ -103,15 +107,16 @@ def test_mpx_clusters_connected():
 def test_mpx_messages_fit_one_frame():
     for na in (5, 50, 200, 500):
         g = gen_random(na, na, 2.4 / na, 1)
-        _, stats = mpx_partition(g, 0.125, seed=0)
+        _, _, stats = mpx_partition(g, 0.125, seed=0)
         assert stats.rounds > 1 and stats.fragmentation_rounds == 0
 
 
 def test_mpx_path8_lambda1_snapshot():
     # Frozen regression output for a fixed seed.
     g = gen_path(8)
-    assignment, _ = mpx_partition(g, 1.0, seed=11)
+    assignment, parent, _ = mpx_partition(g, 1.0, seed=11)
     assert assignment == {0: 0, 1: 2, 2: 2, 3: 2, 4: 6, 5: 6, 6: 6, 7: 7}
+    assert parent == {0: None, 1: 2, 2: None, 3: 2, 4: 5, 5: 6, 6: None, 7: None}
 
 
 @pytest.mark.parametrize("max_redraws", [1, clustering._MAX_REDRAWS])
@@ -141,14 +146,14 @@ def test_mpx_shifts_follow_the_exponential_below_the_cap(monkeypatch, max_redraw
 def test_shrink_single_cluster_keeps_all():
     g = gen_path(5)
     assignment = {v: 0 for v in g.node_ids}
-    cs, _ = shrink_partition(g, assignment)
+    cs = shrink_by_hand(g, assignment)
     assert all(c == 0 for c in cs.members.values())
 
 
 def test_shrink_two_adjacent_clusters():
     g = gen_path(4)
     assignment = {0: 0, 1: 0, 2: 2, 3: 2}
-    cs, _ = shrink_partition(g, assignment)
+    cs = shrink_by_hand(g, assignment)
     assert cs.members == {0: 0, 1: None, 2: None, 3: 2}
     assert separation_ok(g, cs)
 
@@ -156,22 +161,20 @@ def test_shrink_two_adjacent_clusters():
 def test_shrink_disjoint_components_untouched():
     g = gen_disjoint_edges(3)
     assignment = {v: (v // 2) * 2 for v in g.node_ids}
-    cs, _ = shrink_partition(g, assignment)
+    cs = shrink_by_hand(g, assignment)
     assert all(c is not None for c in cs.members.values())
 
 
 def test_shrink_separation_random():
     for seed in range(6):
         g = gen_random(14, 14, 0.15, seed)
-        assignment, _ = mpx_partition(g, 0.5, seed=seed)
-        cs, _ = shrink_partition(g, assignment)
+        cs = shrink_partition(g, *mpx_partition(g, 0.5, seed=seed)[:2])
         assert separation_ok(g, cs)
 
 
 def test_tree_build_heights():
     g = gen_path(5)
-    assignment = {v: 0 for v in g.node_ids}
-    cs, _ = shrink_partition(g, assignment)
+    cs = shrink_by_hand(g, {v: 0 for v in g.node_ids})
     build_cluster_trees(g, cs)
     root, depth = roots_and_depths(cs.forest)
     assert set(root.values()) == {0}
@@ -181,7 +184,7 @@ def test_tree_build_heights():
     assert children == {0: (1,), 1: (2,), 2: (3,), 3: (4,), 4: ()}
 
     g2 = gen_disjoint_edges(2)
-    cs2, _ = shrink_partition(g2, {0: 0, 1: 0, 2: 2, 3: 2})
+    cs2 = shrink_by_hand(g2, {0: 0, 1: 0, 2: 2, 3: 2})
     build_cluster_trees(g2, cs2)
     used = {}
     for v, (p, _) in cs2.forest.items():
@@ -194,8 +197,7 @@ def test_tree_build_heights():
 def test_tree_spans_members_after_shrink():
     for seed in range(5):
         g = gen_random(15, 15, 0.12, seed)
-        assignment, _ = mpx_partition(g, 0.4, seed=seed)
-        cs, _ = shrink_partition(g, assignment)
+        cs = shrink_partition(g, *mpx_partition(g, 0.4, seed=seed)[:2])
         build_cluster_trees(g, cs)
         root, depth = roots_and_depths(cs.forest)
         # Each tree spans its origin region, rooted at the origin.
@@ -207,18 +209,6 @@ def test_tree_spans_members_after_shrink():
         # The children each node learned are exactly the nodes naming it parent.
         for v, (_, kids) in cs.forest.items():
             assert kids == tuple(u for u in sorted(cs.forest) if cs.forest[u][0] == v)
-
-
-def deepest_region_depth(graph, origin):
-    """H: the largest BFS depth from an origin inside its origin region."""
-    g = nx_graph(SubgraphView.whole(graph))
-    regions = {}
-    for v, c in origin.items():
-        regions.setdefault(c, []).append(v)
-    return max(
-        max(nx.single_source_shortest_path_length(g.subgraph(vs), c).values())
-        for c, vs in regions.items()
-    )
 
 
 def _mpx_instance(g, lam, seed):
@@ -237,31 +227,23 @@ TREE_INSTANCES = [
 
 @pytest.mark.parametrize("g, assignment", TREE_INSTANCES)
 def test_tree_build_takes_h_plus_2_rounds(g, assignment):
-    """The root grows in round 1 and a node at depth d joins in round d + 1;
-    peers sit one level apart in a bipartite region, so the last messages
-    are the acks and grows from depth H to depth H - 1, read in round
-    H + 2. Lone roots (H = 0) halt in round 1."""
-    h = deepest_region_depth(g, assignment)
-    cs, _ = shrink_partition(g, assignment)
+    """Named for the BFS build it replaced, which took H + 2 rounds for the
+    deepest region depth H: with the parents known, the build is one
+    exchange, 2 rounds whatever H is, 1 when no node has a peer, and one
+    2-bit message each way over every peer edge."""
+    cs = shrink_by_hand(g, assignment)
     stats = build_cluster_trees(g, cs)
-    assert stats.rounds == (h + 2 if h else 1)
-    assert stats.max_message_bits == (2 if h else 0) and stats.fragmentation_rounds == 0
-
-
-def test_tree_build_unreachable_region_exceeds_the_round_cap():
-    # Nodes 2 and 3 share origin 0 but no path inside the region reaches it.
-    g = gen_disjoint_edges(2)
-    cs, _ = shrink_partition(g, {v: 0 for v in g.node_ids})
-    assert set(cs.members.values()) == {0}
-    with pytest.raises(RoundCapExceeded, match="2 nodes unhalted"):
-        build_cluster_trees(g, cs)
+    peer_edges = sum(len(p) for p in cs.peers.values())
+    assert stats.rounds == (2 if peer_edges else 1)
+    assert stats.total_bits == 2 * peer_edges
+    assert stats.max_message_bits == (2 if peer_edges else 0) and stats.fragmentation_rounds == 0
 
 
 def test_combine_single_cluster_reduces_to_inner():
     g = gen_random(8, 8, 0.3, 4)
     m, _ = maximal_matching(g, seed=4)
     comp_root = {v: min(comp) for comp in components(g) for v in comp}
-    cs, _ = shrink_partition(g, comp_root)
+    cs = shrink_by_hand(g, comp_root)
     build_cluster_trees(g, cs)
     cover, _ = combine_with_clusters(g, m, cs, 1.0, seed=4)
     assert cover.is_valid()
@@ -275,8 +257,7 @@ def test_combine_solves_over_the_cluster_trees(monkeypatch):
     sub-graph and rooted at the cluster's origin, and elects nothing."""
     g = gen_random(30, 30, 0.06, 3)
     m, _ = maximal_matching(g, seed=3)
-    assignment, _ = mpx_partition(g, 0.25, seed=4)
-    cs, _ = shrink_partition(g, assignment)
+    cs = shrink_partition(g, *mpx_partition(g, 0.25, seed=4)[:2])
     build_cluster_trees(g, cs)
     root, depth = roots_and_depths(cs.forest)
     origins = sorted(set(root.values()))
@@ -315,7 +296,7 @@ def test_combine_x_covers_outside_matching():
     # Two matched edges, the clusters exclude nodes 2,3 entirely.
     g = gen_disjoint_edges(2)
     m = Matching([(0, 1), (2, 3)], SubgraphView.whole(g))
-    cs, _ = shrink_partition(g, {0: 0, 1: 0, 2: 2, 3: 2})
+    cs = shrink_by_hand(g, {0: 0, 1: 0, 2: 2, 3: 2})
     cs.members[2] = None
     cs.members[3] = None
     build_cluster_trees(g, cs)
@@ -327,7 +308,7 @@ def test_combine_x_covers_outside_matching():
 def test_combine_rejects_clusters_one_hop_apart():
     # Node 1 borders clusters 0 and 2: the tree build must refuse, not guess.
     g = gen_path(3)
-    cs, _ = shrink_partition(g, {0: 0, 1: 0, 2: 2})
+    cs = shrink_by_hand(g, {0: 0, 1: 0, 2: 2})
     assert cs.members == {0: 0, 1: None, 2: None}
     cs.members[2] = 2
     with pytest.raises(ProgramFault, match="separation violated"):
@@ -338,6 +319,18 @@ def test_pipeline_edgeless():
     g = build_graph([], extra_nodes=[0, 1, 2])
     cover, _, _ = randomized_pipeline(g, 0.5, seed=1)
     assert cover.size == 0
+
+
+def test_pipeline_phases_end_with_a_2_round_tree_exchange():
+    """The shrink sends nothing and has no phase; the cluster trees take
+    one 2-round exchange, right after MPX."""
+    g = gen_random(30, 30, 0.06, 3)
+    _, stats, cs = randomized_pipeline(g, 0.5, seed=2)
+    labels = [label for label, _ in stats.per_phase]
+    assert any(cs.peers.values())
+    assert "shrink" not in labels
+    assert labels[labels.index("mpx") + 1] == "cluster-trees"
+    assert dict(stats.per_phase)["cluster-trees"] == 2
 
 
 def test_pipeline_disjoint_edges():
@@ -413,8 +406,7 @@ def test_cluster_optima_are_disjoint_lower_bounds():
     for seed in range(4):
         g = gen_random(12, 12, 0.15, seed)
         view = SubgraphView.whole(g)
-        assignment, _ = mpx_partition(g, 0.5, seed=seed)
-        cs, _ = shrink_partition(g, assignment)
+        cs = shrink_partition(g, *mpx_partition(g, 0.5, seed=seed)[:2])
         members = cs.members
         sum_opt = 0
         for c, vs in cs.clusters().items():
@@ -445,8 +437,7 @@ def test_pipeline_density_statistics():
     for seed in range(30):
         m, _ = maximal_matching(g, seed=seed)
         lam = 0.25
-        assignment, _ = mpx_partition(g, lam, seed=seed + 1000)
-        cs, _ = shrink_partition(g, assignment)
+        cs = shrink_partition(g, *mpx_partition(g, lam, seed=seed + 1000)[:2])
         fractions.append(1.0 - inside_fraction(cs, m))
     mean_outside = statistics.mean(fractions)
     stderr = statistics.pstdev(fractions) / max(1, len(fractions)) ** 0.5

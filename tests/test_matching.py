@@ -82,7 +82,7 @@ def test_maximal_determinism():
     m1, s1 = maximal_matching(g, seed=9)
     m2, s2 = maximal_matching(g, seed=9)
     assert m1.edges == m2.edges
-    assert s1.to_dict() == s2.to_dict()
+    assert s1 == s2
 
 
 def test_find_paths_single_free_edge():

@@ -5,7 +5,6 @@ floor bandwidth, on the whole graph or an induced sub-view; and the level
 DAG of the alternating BFS, against the oracle's levels; and the cluster
 trees with their one-hop extension, against networkx's BFS."""
 
-import networkx as nx
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -16,7 +15,7 @@ from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import alternating_bfs, elect_leader_and_bfs
 from bvc.repair import det_cover_low_diameter
-from support import disjoint_union, graphs, matching_size, nx_graph
+from support import disjoint_union, graphs, matching_size, region_bfs
 
 SETTINGS = settings(max_examples=75, derandomize=True, deadline=None, database=None)
 
@@ -124,33 +123,32 @@ def test_rand_pipeline_is_valid_and_reproducible(g, eps, seed):
 @given(networks(), st.sampled_from((0.1, 0.25, 0.5, 1.0)), st.integers(0, 10_000), st.data())
 def test_cluster_trees_are_bfs_trees_of_the_origin_regions(g, lam, seed, data):
     """On an MPX assignment, with some members hand-dropped afterwards:
-    each peer list holds the neighbours of the same origin, and each node
-    sends each peer one 2-bit message; each live cluster's tree is the BFS
-    tree of its origin region rooted at the origin, with parent =
-    min (depth, id) and children = the nodes that name it parent; and the
-    attached nodes are the non-members next to a member."""
-    assignment, _ = mpx_partition(g, lam, seed=seed)
-    cs, _ = shrink_partition(g, assignment)
+    each node's MPX parent is its networkx BFS parent in its origin region,
+    min (depth, id); each peer list holds the neighbours of the same
+    origin; the tree build takes 2 rounds (1 without peer edges), in which
+    each node sends each peer one 2-bit message; each live cluster's tree
+    is the BFS tree of its origin region rooted at the origin, with
+    children = the nodes that name it parent; and the attached nodes are
+    the non-members next to a member."""
+    assignment, mpx_parent, _ = mpx_partition(g, lam, seed=seed)
+    parent, depth = region_bfs(g, assignment)
+    assert mpx_parent == parent
+    cs = shrink_partition(g, assignment, mpx_parent)
     for v in data.draw(st.sets(st.sampled_from(g.node_ids), max_size=g.n // 3)):
         cs.members[v] = None
     stats = build_cluster_trees(g, cs)
-    assert stats.total_bits == 2 * sum(len(p) for p in cs.peers.values())
-    origin = cs.origin
+    peer_edges = sum(len(p) for p in cs.peers.values())
+    assert stats.rounds == (2 if peer_edges else 1)
+    assert stats.total_bits == 2 * peer_edges
     for v in g.node_ids:
-        assert cs.peers[v] == tuple(u for u in sorted(g.adjacency[v]) if origin[u] == origin[v])
-    whole = nx_graph(SubgraphView.whole(g))
-    parent, depth = {}, {}
-    for c in {c for c in cs.members.values() if c is not None}:
-        region = whole.subgraph(v for v in g.node_ids if origin[v] == c)
-        dist = nx.single_source_shortest_path_length(region, c)
-        assert len(dist) == len(region)
-        for v, d in dist.items():
-            parent[v] = min((u for u in region[v] if dist[u] == d - 1), default=None)
-        depth.update(dist)
+        same_origin = (u for u in sorted(g.adjacency[v]) if assignment[u] == assignment[v])
+        assert cs.peers[v] == tuple(same_origin)
+    live_origins = set(cs.members.values())
+    live = {v for v in g.node_ids if assignment[v] in live_origins}
     assert cs.forest == {
-        v: (p, tuple(sorted(u for u, q in parent.items() if q == v))) for v, p in parent.items()
+        v: (parent[v], tuple(sorted(u for u in live if parent[u] == v))) for v in live
     }
-    assert cs.max_tree_height == max(depth.values(), default=0)
+    assert cs.max_tree_height == max((depth[v] for v in live), default=0)
     members = cs.members
     assert cs.attached == {
         v

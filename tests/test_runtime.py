@@ -1,5 +1,6 @@
 import heapq
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -16,6 +17,7 @@ from bvc.runtime import (
     Msg,
     NodeContext,
     NodeProgram,
+    RoundStats,
     derive_seed,
     frame_count,
     id_bits,
@@ -161,7 +163,7 @@ def test_determinism_same_seed():
     out2, st2 = run(RandomReporter(), g, seed=42)
     out3, _ = run(RandomReporter(), g, seed=43)
     assert out1 == out2
-    assert st1.to_dict() == st2.to_dict()
+    assert st1 == st2
     assert out1 != out3
 
 
@@ -220,7 +222,7 @@ def test_bandwidth_floor_enforced():
 def test_stats_json_fields():
     g = build_graph([(0, 1)])
     _, stats = run(EchoOnce(), g, seed=0, phase="echo")
-    d = stats.to_dict()
+    d = asdict(stats)
     assert set(d) == {
         "rounds",
         "max_message_bits",
@@ -228,7 +230,7 @@ def test_stats_json_fields():
         "fragmentation_rounds",
         "per_phase",
     }
-    assert d["per_phase"] == [["echo", 1]]
+    assert d["per_phase"] == [("echo", 1)]
 
 
 def test_derive_seed_order_sensitivity():
@@ -350,13 +352,9 @@ def test_frames_after_the_last_halt_are_not_sent():
     g = build_graph([(0, 1)]).with_bandwidth(bw)
     _, stats = run(SendsAndHalts(3 * bw), g, seed=0)
     # Everyone halted in round 1: only the first frame on each edge moved.
-    assert stats.to_dict() == {
-        "rounds": 1,
-        "max_message_bits": bw,
-        "total_bits": 2 * bw,
-        "fragmentation_rounds": 0,
-        "per_phase": [["main", 1]],
-    }
+    assert stats == RoundStats(
+        rounds=1, max_message_bits=bw, total_bits=2 * bw, per_phase=[("main", 1)]
+    )
 
 
 def test_run_rejects_view_of_another_graph():
@@ -398,7 +396,7 @@ def test_view_reused_across_runs_matches_fresh_view():
             ReportsContext(), g, SubgraphView.induced(g, keep), seed=5, inputs=inputs
         )
         assert out == fresh_out
-        assert stats.to_dict() == fresh_stats.to_dict()
+        assert stats == fresh_stats
     assert first[0] != second[0]
 
 
@@ -566,7 +564,7 @@ def test_engine_matches_per_frame_reference():
         state = rng.getstate()
         try:
             outputs, stats = run(program(), g, view, **kwargs)
-            got = (outputs, {k: v for k, v in stats.to_dict().items() if k != "per_phase"})
+            got = (outputs, {k: v for k, v in asdict(stats).items() if k != "per_phase"})
         except RoundCapExceeded:
             got = RoundCapExceeded
         rng.setstate(state)
