@@ -138,11 +138,13 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
             k = ceil_ratio(1.0, eps, "eps")
         record["params"].update({"k": k, "eps": eps})
         forest, stats = elect_leader_and_bfs(graph)
-        matching, _, elim_stats = eliminate_short_aug_paths(
+        matching, layering, elim_stats = eliminate_short_aug_paths(
             graph, view, Matching([], view), min(k, max_useful_k(graph)), seed=seed, forest=forest
         )
         stats.add_sequential(elim_stats)
-        cover, cover_stats = koenig_approx_cover(graph, view, matching, k, forest=forest)
+        cover, cover_stats = koenig_approx_cover(
+            graph, view, matching, k, forest=forest, layering=layering
+        )
         stats.add_sequential(cover_stats)
         record["cover_size"] = cover.size
         valid = cover.is_valid() and k * cover.size <= (k + 1) * matching.size

@@ -286,8 +286,9 @@ def combine_with_clusters(
     to it. One pass groups the nodes of `cluster_set.forest`, the graph
     edges and the matching edges by origin; each cluster solve then runs
     on its own group, over its cluster's tree, eliminates augmenting paths
-    to length 2k-1 with k = ceil(2 / psi), and takes the layered cover, for
-    a (1 + psi) guarantee."""
+    to length 2k-1 with k = ceil(2 / psi), and takes the layered cover,
+    read off the elimination's last, empty check when it ran one, for a
+    (1 + psi) guarantee."""
     k = ceil_ratio(2.0, psi, "psi")
     view = SubgraphView.whole(graph)
     stats = RoundStats()
@@ -322,10 +323,12 @@ def combine_with_clusters(
         )
         sub_seed = derive_seed(seed, 1000 + idx)
         k_c = min(k, max_useful_k(sub_graph))
-        m1, _, st_i = eliminate_short_aug_paths(
+        m1, layering, st_i = eliminate_short_aug_paths(
             sub_graph, sub_view, m0, k_c, seed=derive_seed(sub_seed, 1), forest=forest
         )
-        cover_i, cover_stats = koenig_approx_cover(sub_graph, sub_view, m1, k_c, forest=forest)
+        cover_i, cover_stats = koenig_approx_cover(
+            sub_graph, sub_view, m1, k_c, forest=forest, layering=layering
+        )
         st_i.add_sequential(cover_stats)
         inner_stats.append(st_i)
         cover_nodes.update(ordered[i] for i in cover_i.nodes)

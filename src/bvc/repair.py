@@ -40,6 +40,7 @@ from .graph import (
 from .konig import koenig_approx_cover
 from .matching import approx_matching, ceil_ratio, max_useful_k
 from .primitives import (
+    AlternatingLayering,
     Forest,
     alternating_bfs,
     elect_leader_and_bfs,
@@ -189,13 +190,16 @@ def count_paths(
     d: int,
     *,
     delta: int,
+    layering: AlternatingLayering | None,
 ) -> tuple[PathCounts, RoundStats]:
     """Count length-d augmenting paths through free nodes and matching
     edges. Requires that no shorter augmenting path exists (raises
     ShorterPathExists on a witness in the layering); `delta` bounds the
-    in-view degree and fixes the count width.
+    in-view degree and fixes the count width. `layering` is the caller's
+    layering of this matching and view to depth exactly d (the sweeps
+    schedule every levelled node), or None to run the BFS here.
 
-    Round cost: d + 2 rounds of alternating-BFS layering, then
+    Round cost: d + 2 rounds of alternating-BFS layering unless given, then
     d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 rounds of counting sweeps,
     where w = bitlength(delta^d) is the reserved count width and B the
     bandwidth. Since w <= d*ceil(log2 delta) + 1, each of the d levels
@@ -204,8 +208,9 @@ def count_paths(
     if d <= 0 or d % 2 == 0:
         raise InvalidParam("d must be a positive odd integer")
     stats = RoundStats()
-    layering, bfs_stats = alternating_bfs(graph, view, matching, d, phase="layering")
-    stats.add_sequential(bfs_stats)
+    if layering is None:
+        layering, bfs_stats = alternating_bfs(graph, view, matching, d, phase="layering")
+        stats.add_sequential(bfs_stats)
     for v, lv in layering.witnesses(view, matching, below=d):
         raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
 
@@ -260,7 +265,7 @@ def cover_short_paths(
     d: int,
     *,
     forest: Forest,
-) -> tuple[set[int], RoundStats]:
+) -> tuple[set[int], AlternatingLayering | None, RoundStats]:
     """Remove a small node set that hits every length-d augmenting path;
     every aggregation runs over the caller's BFS `forest` of the graph.
 
@@ -270,14 +275,17 @@ def cover_short_paths(
     parallel selections on one position cover disjoint path sets. After
     each phase a `witness_check` to depth d tells every node whether a
     length-d path remains; the first phase with none left ends the loop,
-    so a residual without such paths costs one phase that picks nothing.
-    Matched nodes are always removed together with their partners.
+    so a residual without such paths costs one phase that picks nothing,
+    and its layering is returned (None on an edgeless view). The next
+    phase's first count reads any other check's layering: same residual,
+    same depth. Matched nodes are always removed together with their
+    partners.
     """
     stats = RoundStats()
     delta, deg_stats = view_max_degree_aggregate(graph, view, forest)
     stats.add_sequential(deg_stats)
     if delta == 0:
-        return set(), stats
+        return set(), None, stats
 
     removed: set[int] = set()
     residual = view
@@ -286,11 +294,15 @@ def cover_short_paths(
     phases = _ceil_log2_pow(delta, d) + 1
     positions = [0] + list(range(1, d - 1, 2)) + [d]
     base = view.base
+    layering = None
 
     for i in range(1, phases + 1):
         for pos in positions:
-            counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
+            counts, c_stats = count_paths(
+                graph, residual, m_bar, d, delta=delta, layering=layering
+            )
             stats.add_sequential(c_stats)
+            layering = None
             for p in list(counts.p_node.values()) + list(counts.p_edge.values()):
                 if p * (1 << (i - 1)) > threshold_num:
                     raise ProgramFault(
@@ -319,14 +331,14 @@ def cover_short_paths(
                 residual = residual.without_nodes(batch)
                 m_bar = m_bar.restricted_to(residual)
 
-        remaining, _, check_stats = witness_check(graph, residual, m_bar, forest, d, d)
+        remaining, layering, check_stats = witness_check(graph, residual, m_bar, forest, d, d)
         stats.add_sequential(check_stats)
         if remaining is None:
             break
     else:
         raise ProgramFault("threshold phases ended with paths remaining")
 
-    return removed, stats
+    return removed, layering, stats
 
 
 @dataclass
@@ -334,6 +346,7 @@ class RepairResult:
     s1: set[int]
     per_stage: list[tuple[int, set[int]]]
     alpha: float
+    layering: AlternatingLayering | None  # the last check's, which found no path
 
 
 def repair_alpha(k: int, delta_deg: int) -> float:
@@ -357,10 +370,11 @@ def repair_matching(
     `witness_check` over the caller's BFS `forest`, a single BFS to depth
     2k - 1, finds the shortest remaining length l: the stages below l are
     recorded empty, stage l covers all length-l paths, and a check that
-    finds none ends the repair. Because removals always take out whole
-    matched pairs, no new free node ever appears, so no shorter path can
-    appear and earlier stages stay discharged. The stages stop at
-    `max_useful_k`; the size coefficient keeps the caller's k."""
+    finds none, or stage 2k - 1's closing one, ends the repair; the result
+    keeps its layering. Because removals always take out whole matched
+    pairs, no new free node ever appears, so no shorter path can appear and
+    earlier stages stay discharged. The stages stop at `max_useful_k`; the
+    size coefficient keeps the caller's k."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     stats = RoundStats()
@@ -373,7 +387,7 @@ def repair_matching(
     m_bar = matching
     d = 1
     while d <= top:
-        shortest, _, check_stats = witness_check(graph, residual, m_bar, forest, top, top)
+        shortest, layering, check_stats = witness_check(graph, residual, m_bar, forest, top, top)
         stats.add_sequential(check_stats)
         shortest = top + 2 if shortest is None else shortest
         if shortest < d:
@@ -382,7 +396,7 @@ def repair_matching(
         d = shortest
         if d > top:
             break
-        f_i, c_stats = cover_short_paths(graph, residual, m_bar, d, forest=forest)
+        f_i, layering, c_stats = cover_short_paths(graph, residual, m_bar, d, forest=forest)
         stats.add_sequential(c_stats)
         residual = residual.without_nodes(f_i)
         m_bar = m_bar.restricted_to(residual)
@@ -394,7 +408,7 @@ def repair_matching(
                 raise ProgramFault(f"matched node {v} removed without partner {p}")
         d += 2
 
-    return RepairResult(s1, per_stage, repair_alpha(k, delta0)), m_bar, stats
+    return RepairResult(s1, per_stage, repair_alpha(k, delta0), layering), m_bar, stats
 
 
 def det_cover_low_diameter(
@@ -405,9 +419,9 @@ def det_cover_low_diameter(
     """Deterministic cover within (1 + eps) of optimal: an approximation
     matching at accuracy eps / (2 * alpha), node repair up to path length
     2k' - 1 with k' = ceil(2 / eps), and the layered cover on the repaired
-    subgraph; the removed nodes join the cover. k' is capped at
-    `max_useful_k` before it sizes alpha, so a tiny eps costs no more than
-    k' = n//2 + 1."""
+    subgraph, read off the repair's last check; the removed nodes join the
+    cover. k' is capped at `max_useful_k` before it sizes alpha, so a tiny
+    eps costs no more than k' = n//2 + 1."""
     k_prime = min(ceil_ratio(2.0, eps, "eps"), max_useful_k(graph))
     stats = RoundStats()
     if not view.in_edges:
@@ -430,7 +444,9 @@ def det_cover_low_diameter(
     stats.add_sequential(repair_stats)
 
     residual = view.without_nodes(repair.s1)
-    cover2, cover_stats = koenig_approx_cover(graph, residual, m_bar, k_prime, forest=forest)
+    cover2, cover_stats = koenig_approx_cover(
+        graph, residual, m_bar, k_prime, forest=forest, layering=repair.layering
+    )
     stats.add_sequential(cover_stats)
 
     cover = VertexCover(repair.s1 | cover2.nodes, view)

@@ -1,5 +1,7 @@
 """Shared test helpers: networkx as the independent oracle, exact counts
 of shortest augmenting paths (the reference the path-counting sweeps are
+tested against), the layer classes of an alternating layering and the
+class rule of the layered cover (the reference the cover's König rule is
 tested against), the small graph families the property tests draw from,
 and a time limit for runs that must end.
 
@@ -71,6 +73,52 @@ def region_bfs(graph, origin) -> tuple[dict[int, int | None], dict[int, int]]:
             parent[v] = min((u for u in region[v] if dist[u] == d - 1), default=None)
         depth.update(dist)
     return parent, depth
+
+
+UNREACHED = "unreached"
+
+
+def layer_classes(view: SubgraphView, level) -> tuple[dict, dict]:
+    """The class of each in-view node under an alternating layering's
+    levels: an A-node at level l is in A-class l // 2 (class 0 holds the
+    free A-nodes), a B-node in B-class (l + 1) // 2, and a node without a
+    level is UNREACHED."""
+    a_class, b_class = {}, {}
+    for v in view.in_nodes:
+        lv = level.get(v)
+        c = UNREACHED if lv is None else (lv + 1) // 2
+        (a_class if view.base.side[v] == SIDE_A else b_class)[v] = c
+    return a_class, b_class
+
+
+def b_classes(view: SubgraphView, level, k: int) -> list[set[int]]:
+    """B-classes 1..k of a layering (B-class j, at index j - 1, holds the
+    B-nodes at level 2j - 1)."""
+    _, b_class = layer_classes(view, level)
+    return [{v for v, c in b_class.items() if c == j} for j in range(1, k + 1)]
+
+
+def candidate(view: SubgraphView, level, k: int, s: int) -> set[int]:
+    """The s-th candidate cover by the class rule: A-classes s..k and the
+    unreached A-nodes, plus B-classes 1..s."""
+    a_class, b_class = layer_classes(view, level)
+    return {v for v, c in a_class.items() if c == UNREACHED or s <= c <= k} | {
+        v for v, c in b_class.items() if c != UNREACHED and c <= s
+    }
+
+
+def class_rule_cover(graph, view: SubgraphView, matching: Matching, k: int) -> set[int]:
+    """The layered cover by the class rule on the oracle's depth-2k BFS, with
+    k capped at n//2 + 1: in each component of the graph, the candidate at
+    the argmin of that component's B-class sizes, ties to the smallest."""
+    k = min(k, graph.n // 2 + 1)
+    level = alternating_levels(view, matching, depth_limit=2 * k)
+    classes = b_classes(view, level, k)
+    cover = set()
+    for comp in components(graph):
+        sizes = [len(c & comp) for c in classes]
+        cover |= candidate(view, level, k, sizes.index(min(sizes)) + 1) & comp
+    return cover
 
 
 def matching_size(view: SubgraphView) -> int:

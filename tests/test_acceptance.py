@@ -38,7 +38,7 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
-from support import components, enumerate_aug_paths
+from support import b_classes, components, enumerate_aug_paths
 
 pytestmark = pytest.mark.acceptance
 
@@ -113,18 +113,16 @@ def test_criterion_2_layered_cover_bound():
         track(m_stats, default_bandwidth(g.n))
         forest, e_stats = elect_leader_and_bfs(g)
         track(e_stats, default_bandwidth(g.n))
-        cover, stats = koenig_approx_cover(g, view, m, k, forest=forest)
+        cover, stats = koenig_approx_cover(g, view, m, k, forest=forest, layering=None)
         track(stats, default_bandwidth(g.n))
         assert cover.is_valid(), f"instance {i}: invalid cover"
         assert k * cover.size <= (k + 1) * m.size, f"instance {i}: bound failed"
         # Size identity |C| = |M| + |B'(i*)|, componentwise stars summed.
-        partition, _ = compute_partition(g, view, m, k)
+        layering, _ = compute_partition(g, view, m, k)
+        classes = b_classes(view, layering.level, k)
         expected = m.size
         for comp_set in components(g):
-            sizes = [
-                sum(1 for v, c in partition.b_class.items() if c == j and v in comp_set)
-                for j in range(1, k + 1)
-            ]
+            sizes = [len(c & comp_set) for c in classes]
             expected += min(sizes)
         assert cover.size == expected, f"instance {i}: identity failed"
         checked += 1
@@ -165,7 +163,7 @@ def test_criterion_3_path_count_oracle_equivalence():
         collected[d] += 1
     per_d = {1: 0, 3: 0, 5: 0}
     for i, (g, view, m, d) in enumerate(cases):
-        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree())
+        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree(), layering=None)
         track(stats, default_bandwidth(g.n))
         expected = enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
@@ -382,7 +380,7 @@ def test_criterion_8a_cover_rounds_linear_in_diameter():
         view = whole(g)
         m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=7)
         forest, stats = elect_leader_and_bfs(g)
-        cover, cover_stats = koenig_approx_cover(g, view, m, k, forest=forest)
+        cover, cover_stats = koenig_approx_cover(g, view, m, k, forest=forest, layering=None)
         stats.add_sequential(cover_stats)
         track(stats, default_bandwidth(g.n))
         bound = 8 * (d_target + k) + 20
@@ -453,7 +451,9 @@ def test_criterion_8c_count_rounds_quadratic():
         assert oracle.shortest_aug_path_len(view, m) == d
         bw = (g.n - 1).bit_length() + 4  # smallest bandwidth a graph allows
         g_bw = g.with_bandwidth(bw)
-        counts, stats = count_paths(g_bw, whole(g_bw), m, d, delta=view.max_view_degree())
+        counts, stats = count_paths(
+            g_bw, whole(g_bw), m, d, delta=view.max_view_degree(), layering=None
+        )
         track(stats, bw)
         rows.append((d, stats.rounds, dict(stats.per_phase)))
     floor = rows[0][1]

@@ -370,6 +370,38 @@ def test_pipelines_elect_once(monkeypatch):
     assert own_stats.total_bits - given_stats.total_bits == elect_stats.total_bits
 
 
+def test_layered_covers_run_a_bfs_only_without_a_check(monkeypatch):
+    """The layered cover reads the layering of the check that certified its
+    matching: `det-low-diam` (its repair's check) and `diameter1` at k = 9
+    (the elimination's empty check at d = 17) run no `partition` BFS.
+    `diameter1` at k <= 8 runs no check, so its cover runs exactly one."""
+    phases = []
+    engine = primitives.run
+
+    def recording_run(*args, **kwargs):
+        phases.append(kwargs.get("phase"))
+        return engine(*args, **kwargs)
+
+    monkeypatch.setattr(primitives, "run", recording_run)
+    for spec in ("gen:random:na=12,nb=12,p=0.2", "gen:random:na=20,nb=20,p=0.1"):
+        g = load_graph(spec)
+        for seed in (0, 1):
+            for config, partitions in (
+                ({"eps": 0.5, "pipeline": "det-low-diam"}, 0),
+                ({"eps": 0.1, "pipeline": "det-low-diam"}, 0),
+                ({"k": 9, "pipeline": "diameter1"}, 0),
+                ({"k": 1, "pipeline": "diameter1"}, 1),
+                ({"k": 8, "pipeline": "diameter1"}, 1),
+            ):
+                phases.clear()
+                record = run_one(dict(config, graph=spec), g, seed)
+                assert record["valid"]
+                assert phases.count("partition") == partitions, (spec, seed, config)
+                if config.get("k") == 9:
+                    assert "witness-check" in phases and "select[d=17]" not in phases
+    monkeypatch.undo()
+
+
 def test_k_beyond_half_n_changes_nothing():
     """k is capped at n//2 + 1 wherever it is used: beyond it no augmenting
     path or layer class is left, so a larger k, or a smaller eps, gives the

@@ -226,11 +226,10 @@ TREE_INSTANCES = [
 
 
 @pytest.mark.parametrize("g, assignment", TREE_INSTANCES)
-def test_tree_build_takes_h_plus_2_rounds(g, assignment):
-    """Named for the BFS build it replaced, which took H + 2 rounds for the
-    deepest region depth H: with the parents known, the build is one
-    exchange, 2 rounds whatever H is, 1 when no node has a peer, and one
-    2-bit message each way over every peer edge."""
+def test_tree_build_takes_2_rounds(g, assignment):
+    """With the parents known, the build is one exchange: 2 rounds whatever
+    the deepest region depth is, 1 when no node has a peer, and one 2-bit
+    message each way over every peer edge."""
     cs = shrink_by_hand(g, assignment)
     stats = build_cluster_trees(g, cs)
     peer_edges = sum(len(p) for p in cs.peers.values())
@@ -265,9 +264,9 @@ def test_combine_solves_over_the_cluster_trees(monkeypatch):
     forests, phases = [], []
     inner, engine = clustering.koenig_approx_cover, primitives.run
 
-    def recording_cover(graph, view, matching, k, *, forest):
+    def recording_cover(graph, view, matching, k, *, forest, layering):
         forests.append(forest)
-        return inner(graph, view, matching, k, forest=forest)
+        return inner(graph, view, matching, k, forest=forest, layering=layering)
 
     def recording_run(*args, **kwargs):
         phases.append(kwargs.get("phase"))

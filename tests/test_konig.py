@@ -1,5 +1,3 @@
-import math
-
 import pytest
 
 from bvc import oracle
@@ -18,9 +16,7 @@ from bvc.graph import (
 from bvc.konig import compute_partition, koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import elect_leader_and_bfs
-from support import components
-
-INF = math.inf
+from support import UNREACHED, b_classes, candidate, components, layer_classes
 
 
 def whole(g):
@@ -31,36 +27,50 @@ def forest(g):
     return elect_leader_and_bfs(g)[0]
 
 
-def candidate_cover(view, partition, s):
+def candidate_cover(view, layering, k, s):
     """The s-th candidate cover, checked to be a vertex cover."""
-    cover = VertexCover([v for v in view.in_nodes if partition.in_candidate(v, s)], view)
+    cover = VertexCover(candidate(view, layering.level, k, s), view)
     assert cover.is_valid()
     return cover
 
 
-def b_class_sizes(partition):
-    return [
-        sum(1 for c in partition.b_class.values() if c == i)
-        for i in range(1, partition.k + 1)
-    ]
+def b_class_sizes(view, layering, k):
+    return [len(c) for c in b_classes(view, layering.level, k)]
 
 
 def test_partition_p4_k1():
+    """The BFS stops at level 2k - 1, so node 2 at level 2 = 2k is
+    unreached, which puts it in every candidate as its A-class k did."""
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    partition, _ = compute_partition(g, view, m, 1)
-    assert partition.a_class == {0: 0, 2: 1}
-    assert partition.b_class == {1: 1, 3: INF}
+    layering, _ = compute_partition(g, view, m, 1)
+    a_class, b_class = layer_classes(view, layering.level)
+    assert a_class == {0: 0, 2: UNREACHED}
+    assert b_class == {1: 1, 3: UNREACHED}
 
 
 def test_partition_p4_maximum_k2():
     g = gen_path(4)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    partition, _ = compute_partition(g, view, m, 2)
-    assert all(c == INF for c in partition.a_class.values())
-    assert all(c == INF for c in partition.b_class.values())
+    layering, _ = compute_partition(g, view, m, 2)
+    a_class, b_class = layer_classes(view, layering.level)
+    assert all(c == UNREACHED for c in a_class.values())
+    assert all(c == UNREACHED for c in b_class.values())
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_partition_bfs_stops_at_2k_minus_1(k):
+    """On a path whose matching leaves both ends free, the levels run along
+    the path: the BFS reaches exactly levels 0..2k - 1, in 2k + 1 rounds."""
+    g = gen_path(2 * k + 4)
+    view = whole(g)
+    m = Matching([(i, i + 1) for i in range(1, 2 * k + 2, 2)], view)
+    layering, stats = compute_partition(g, view, m, k)
+    assert layering.level == {v: v for v in range(2 * k)}
+    assert stats.rounds == 2 * k + 1
+    assert [label for label, _ in stats.per_phase] == ["partition"]
 
 
 def test_partition_witness_raises():
@@ -75,18 +85,18 @@ def test_candidate_cover_p4():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    partition, _ = compute_partition(g, view, m, 1)
-    cover = candidate_cover(view, partition, 1)
+    layering, _ = compute_partition(g, view, m, 1)
+    cover = candidate_cover(view, layering, 1, 1)
     assert cover.nodes == {1, 2}
-    assert cover.size == m.size + b_class_sizes(partition)[0]
+    assert cover.size == m.size + b_class_sizes(view, layering, 1)[0]
 
 
 def test_candidate_cover_single_matched_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
     m = Matching([(0, 1)], view)
-    partition, _ = compute_partition(g, view, m, 1)
-    cover = candidate_cover(view, partition, 1)
+    layering, _ = compute_partition(g, view, m, 1)
+    cover = candidate_cover(view, layering, 1, 1)
     assert cover.nodes == {0}
 
 
@@ -94,8 +104,8 @@ def test_candidate_cover_k23_maximum():
     g = gen_complete(2, 3)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    partition, _ = compute_partition(g, view, m, 1)
-    cover = candidate_cover(view, partition, 1)
+    layering, _ = compute_partition(g, view, m, 1)
+    cover = candidate_cover(view, layering, 1, 1)
     assert cover.nodes == {0, 1}
 
 
@@ -105,24 +115,29 @@ def test_all_candidates_are_covers():
         view = whole(g)
         for k in (1, 2, 3):
             m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
-            partition, _ = compute_partition(g, view, m, k)
+            layering, _ = compute_partition(g, view, m, k)
             for s in range(1, k + 1):
-                candidate_cover(view, partition, s)  # validates internally
+                candidate_cover(view, layering, k, s)  # validates internally
             # All B-classes 1..k hold matched nodes only.
-            for v, c in partition.b_class.items():
-                if c != INF:
-                    assert m.is_matched(v)
-            sizes = b_class_sizes(partition)
-            i_star = partition.i_star(sizes)
-            assert i_star - 1 == sizes.index(min(sizes))  # argmin, ties to the smallest index
+            for v in set().union(*b_classes(view, layering.level, k)):
+                assert m.is_matched(v)
+            sizes = b_class_sizes(view, layering, k)
+            i_star = sizes.index(min(sizes)) + 1
             assert sizes[i_star - 1] * k <= m.size
+            # In each component the cover is the candidate at the argmin of
+            # that component's class sizes, ties to the smallest index.
+            cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g), layering=None)
+            for comp in components(g):
+                comp_sizes = [len(c & comp) for c in b_classes(view, layering.level, k)]
+                s = comp_sizes.index(min(comp_sizes)) + 1
+                assert cover.nodes & comp == candidate(view, layering.level, k, s) & comp
 
 
 def test_approx_cover_p4_k1():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    cover, _ = koenig_approx_cover(g, view, m, 1, forest=forest(g))
+    cover, _ = koenig_approx_cover(g, view, m, 1, forest=forest(g), layering=None)
     assert cover.is_valid()
     assert cover.size <= 2 * m.size
 
@@ -133,22 +148,14 @@ def test_approx_cover_bound_and_identity():
         view = whole(g)
         for k in (1, 2, 3):
             m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
-            cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g))
+            cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g), layering=None)
             assert cover.is_valid()
             assert k * cover.size <= (k + 1) * m.size
             # Size identity, componentwise stars summed.
-            partition, _ = compute_partition(g, view, m, k)
+            layering, _ = compute_partition(g, view, m, k)
             total = m.size
             for comp_set in components(g):
-                sizes = [
-                    sum(
-                        1
-                        for v, c in partition.b_class.items()
-                        if c == i and v in comp_set
-                    )
-                    for i in range(1, k + 1)
-                ]
-                total += min(sizes)
+                total += min(len(c & comp_set) for c in b_classes(view, layering.level, k))
             assert cover.size == total
 
 
@@ -158,14 +165,14 @@ def test_approx_cover_with_maximum_matching_is_optimal():
         view = whole(g)
         m = oracle.max_matching_oracle(view)
         k = max(1, m.size)
-        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g))
+        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest(g), layering=None)
         assert cover.size == m.size
 
 
 def test_approx_cover_empty_view():
     g = build_graph([], extra_nodes=[0, 1, 2])
     view = whole(g)
-    cover, _ = koenig_approx_cover(g, view, Matching([], view), 2, forest=forest(g))
+    cover, _ = koenig_approx_cover(g, view, Matching([], view), 2, forest=forest(g), layering=None)
     assert cover.size == 0
 
 
@@ -240,6 +247,6 @@ def test_approx_cover_round_bound():
         m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=3)
         d = oracle.diameter(g)
         f, stats = elect_leader_and_bfs(g)
-        _, cover_stats = koenig_approx_cover(g, view, m, k, forest=f)
+        _, cover_stats = koenig_approx_cover(g, view, m, k, forest=f, layering=None)
         stats.add_sequential(cover_stats)
         assert stats.rounds <= 8 * (d + k) + 20

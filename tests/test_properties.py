@@ -2,8 +2,9 @@
 size nu on small drawn graphs: stars, complete bipartite graphs, paths and
 sparse random graphs, alone or two side by side, at the default or the
 floor bandwidth, on the whole graph or an induced sub-view; and the level
-DAG of the alternating BFS, against the oracle's levels; and the cluster
-trees with their one-hop extension, against networkx's BFS."""
+DAG of the alternating BFS, against the oracle's levels; the layered cover
+read off a caller's layering, against a fresh BFS and the class rule; and
+the cluster trees with their one-hop extension, against networkx's BFS."""
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +15,8 @@ from bvc.graph import Matching, SubgraphView, ceil_log2
 from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import alternating_bfs, elect_leader_and_bfs
-from bvc.repair import det_cover_low_diameter
-from support import disjoint_union, graphs, matching_size, region_bfs
+from bvc.repair import det_cover_low_diameter, repair_matching
+from support import class_rule_cover, disjoint_union, graphs, matching_size, region_bfs
 
 SETTINGS = settings(max_examples=75, derandomize=True, deadline=None, database=None)
 
@@ -106,8 +107,34 @@ def test_diameter1_within_1_plus_1_over_k_of_nu(instance, k, seed):
     matching, _, _ = eliminate_short_aug_paths(
         g, view, Matching([], view), k, seed=seed, forest=forest
     )
-    cover, _ = koenig_approx_cover(g, view, matching, k, forest=forest)
+    cover, _ = koenig_approx_cover(g, view, matching, k, forest=forest, layering=None)
     assert cover.is_valid() and k * cover.size <= (k + 1) * matching_size(view)
+
+
+@SETTINGS
+@given(matched_views(), st.sampled_from((1, 2, 3, 9)), SEEDS)
+def test_layered_cover_reads_the_callers_layering(instance, k, seed):
+    """The layered cover is the same node set whether it reads its caller's
+    layering or runs its own BFS, and it is the class rule's cover on a
+    depth-2k BFS. The callers' layerings are those of `diameter1` (the last,
+    empty check of an elimination at k, if it ran one) and of `det-low-diam`
+    (the last check of a repair, here of a drawn greedy matching at
+    k <= 3, over its residual)."""
+    g, view, m, _ = instance
+    forest, _ = elect_leader_and_bfs(g)
+    matching, layering, _ = eliminate_short_aug_paths(
+        g, view, Matching([], view), k, seed=seed, forest=forest
+    )
+    result, m_bar, _ = repair_matching(g, view, m, min(k, 3), forest=forest)
+    residual = view.without_nodes(result.s1)
+    for view, matching, k, layering in (
+        (view, matching, k, layering),
+        (residual, m_bar, min(k, 3), result.layering),
+    ):
+        cover, stats = koenig_approx_cover(g, view, matching, k, forest=forest, layering=layering)
+        fresh, _ = koenig_approx_cover(g, view, matching, k, forest=forest, layering=None)
+        assert cover.nodes == fresh.nodes == class_rule_cover(g, view, matching, k)
+        assert ("partition" in dict(stats.per_phase)) == (layering is None)
 
 
 @SETTINGS

@@ -12,7 +12,8 @@ from bvc.graph import (
     gen_path,
     gen_random,
 )
-from bvc.primitives import elect_leader_and_bfs
+from bvc.konig import koenig_approx_cover
+from bvc.primitives import alternating_bfs, elect_leader_and_bfs
 from bvc.repair import (
     cover_short_paths,
     count_paths,
@@ -20,7 +21,7 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
-from support import enumerate_aug_paths
+from support import b_classes, components, enumerate_aug_paths
 from test_acceptance import _thick_path
 
 INF = math.inf
@@ -49,7 +50,8 @@ def weakened(view, drop):
 def test_count_single_free_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
-    counts, _ = count_paths(g, view, Matching([], view), 1, delta=view.max_view_degree())
+    m = Matching([], view)
+    counts, _ = count_paths(g, view, m, 1, delta=view.max_view_degree(), layering=None)
     assert counts.p_node == {0: 1, 1: 1}
     assert sum(p for v, p in counts.p_node.items() if counts.level[v] == 0) == 1
 
@@ -58,7 +60,7 @@ def test_count_p4():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree())
+    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree(), layering=None)
     assert counts.p_node[0] == 1
     assert counts.p_node[3] == 1
     assert counts.p_edge[(1, 2)] == 1
@@ -68,7 +70,7 @@ def test_count_shared_middle_edge():
     g = build_graph([(0, 4), (2, 4), (4, 5), (5, 6)])
     view = whole(g)
     m = Matching([(4, 5)], view)
-    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree())
+    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree(), layering=None)
     assert counts.p_edge[(4, 5)] == 2
     assert counts.p_node[0] == 1
     assert counts.p_node[2] == 1
@@ -79,7 +81,9 @@ def test_count_precondition():
     g = gen_path(4)
     view = whole(g)
     with pytest.raises(ShorterPathExists):
-        count_paths(g, view, Matching([(1, 2)], view), 5, delta=view.max_view_degree())
+        count_paths(
+            g, view, Matching([(1, 2)], view), 5, delta=view.max_view_degree(), layering=None
+        )
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -100,7 +104,11 @@ def test_count_matches_oracle(d):
         if oracle.shortest_aug_path_len(view, m) != d:
             continue
         hits += 1
-        counts, _ = count_paths(g, view, m, d, delta=view.max_view_degree())
+        counts, _ = count_paths(g, view, m, d, delta=view.max_view_degree(), layering=None)
+        # Given the caller's layering to depth d, the count runs no BFS.
+        layering, _ = alternating_bfs(g, view, m, d)
+        given, stats = count_paths(g, view, m, d, delta=view.max_view_degree(), layering=layering)
+        assert given == counts and "layering" not in dict(stats.per_phase)
         expected = enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
             assert counts.p_node.get(v, 0) == c, f"node {v}"
@@ -122,7 +130,7 @@ def test_count_matches_oracle(d):
 def test_cover_single_edge_d1():
     g = build_graph([(0, 1)])
     view = whole(g)
-    s_h, _ = cover_short_paths(g, view, Matching([], view), 1, forest=forest(g))
+    s_h, _, _ = cover_short_paths(g, view, Matching([], view), 1, forest=forest(g))
     assert len(s_h) == 1
     residual = view.without_nodes(s_h)
     assert oracle.shortest_aug_path_len(residual, Matching([], residual)) == INF
@@ -132,7 +140,7 @@ def test_cover_no_paths():
     g = gen_path(4)
     view = whole(g)
     m = oracle.max_matching_oracle(view)
-    s_h, _ = cover_short_paths(g, view, m, 3, forest=forest(g))
+    s_h, _, _ = cover_short_paths(g, view, m, 3, forest=forest(g))
     assert s_h == set()
 
 
@@ -140,7 +148,7 @@ def test_cover_p4_d3():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    s_h, _ = cover_short_paths(g, view, m, 3, forest=forest(g))
+    s_h, _, _ = cover_short_paths(g, view, m, 3, forest=forest(g))
     assert s_h in ({0}, {3}, {1, 2})
     residual = view.without_nodes(s_h)
     m_bar = m.restricted_to(residual)
@@ -155,7 +163,7 @@ def test_cover_pairs_and_bound():
         d = oracle.shortest_aug_path_len(view, m)
         if d is INF or d > 5:
             continue
-        s_h, _ = cover_short_paths(g, view, m, d, forest=forest(g))
+        s_h, _, _ = cover_short_paths(g, view, m, d, forest=forest(g))
         residual = view.without_nodes(s_h)
         m_bar = m.restricted_to(residual)
         assert oracle.shortest_aug_path_len(residual, m_bar) > d
@@ -168,6 +176,28 @@ def test_cover_pairs_and_bound():
         delta_true = 1.0 - m.size / best if best else 0.0
         opt = best
         assert len(s_h) <= stage_alpha(d, view.max_view_degree()) * delta_true * opt + 1e-9
+
+
+def test_threshold_phases_count_on_the_closing_checks_layering():
+    """A check that finds paths left hands its layering, to the same depth
+    d over the same residual, to the next phase's first count, so no count
+    BFS follows a check; the last, empty check's layering is returned."""
+    multi = 0
+    for seed in range(10):
+        g = gen_random(10, 10, 0.3, seed)
+        view = whole(g)
+        m, _ = weakened(view, 2)
+        d = oracle.shortest_aug_path_len(view, m)
+        if d is INF or d > 5:
+            continue
+        s_h, layering, stats = cover_short_paths(g, view, m, d, forest=forest(g))
+        labels = [label for label, _ in stats.per_phase]
+        multi += labels.count("witness-check") >= 2
+        assert ("witness-check", "layering") not in zip(labels, labels[1:]), labels
+        residual = view.without_nodes(s_h)
+        m_bar = m.restricted_to(residual)
+        assert layering.level == oracle.alternating_levels(residual, m_bar, depth_limit=d)
+    assert multi >= 5
 
 
 def test_repair_maximum_matching_no_removal():
@@ -189,6 +219,8 @@ def test_repair_p4_k2():
     stages = dict(result.per_stage)
     assert stages[1] == set()
     assert stages[3]
+    # Stage 3 = 2k - 1 ends the repair: its closing check's layering is kept.
+    assert result.layering.level == oracle.alternating_levels(residual, m_bar, depth_limit=3)
 
 
 def test_repair_counts_only_the_stages_a_check_leaves(monkeypatch):
@@ -210,6 +242,32 @@ def test_repair_counts_only_the_stages_a_check_leaves(monkeypatch):
     assert counted and set(counted) == {3}
     assert result.per_stage[0] == (1, set())
     assert [d for d, _ in result.per_stage] == [1, 3]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_repair_keeps_the_layering_the_cover_reads(k):
+    """The result's layering is that of the last check, which found no
+    augmenting path of length <= 2k - 1 over the final residual: the
+    oracle's levels there. The layered cover read off it is the one a fresh
+    BFS gives, |M| plus the componentwise smallest B-class."""
+    for seed in range(6):
+        g = gen_random(11, 11, 0.3, seed)
+        view = whole(g)
+        m, _ = weakened(view, 2)
+        f = forest(g)
+        result, m_bar, _ = repair_matching(g, view, m, k, forest=f)
+        residual = view.without_nodes(result.s1)
+        level = oracle.alternating_levels(residual, m_bar, depth_limit=2 * k - 1)
+        assert result.layering.level == level
+        cover, stats = koenig_approx_cover(
+            g, residual, m_bar, k, forest=f, layering=result.layering
+        )
+        fresh, _ = koenig_approx_cover(g, residual, m_bar, k, forest=f, layering=None)
+        assert cover.nodes == fresh.nodes and "partition" not in dict(stats.per_phase)
+        classes = b_classes(residual, level, k)
+        assert cover.size == m_bar.size + sum(
+            min(len(c & comp) for c in classes) for comp in components(g)
+        )
 
 
 def test_repair_k1_on_maximal_matching():
@@ -282,6 +340,8 @@ def test_det_cover_runs_no_count_after_a_certified_elimination():
     cover, stats = det_cover_low_diameter(g, view, 0.5)
     labels = [label for label, _ in stats.per_phase]
     assert "count-sweeps" not in labels and "layering" not in labels
+    # The layered cover reads the repair check's layering: no BFS of its own.
+    assert "partition" not in labels
     assert labels.count("max-degree") == 1
     assert cover.is_valid()
     assert cover.size <= 1.5 * oracle.min_vc_oracle(view).size
@@ -324,7 +384,7 @@ def test_count_rounds_follow_documented_schedule(d, width):
     floor = (g.n - 1).bit_length() + 4
     for bw in (floor, floor + 7, 64):
         g_bw = g.with_bandwidth(bw)
-        _, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta)
+        _, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta, layering=None)
         phases = dict(stats.per_phase)
         assert phases["layering"] == d + 2
         sweeps = d * (math.ceil((2 + w) / bw) + math.ceil((2 + 2 * w) / bw)) + 1

@@ -9,6 +9,7 @@ from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths, maximal_matching
 from bvc.primitives import elect_leader_and_bfs
 from bvc.repair import det_cover_low_diameter
+from support import b_classes, components
 
 
 def random_subview(g, seed, keep=0.7):
@@ -35,9 +36,14 @@ def test_layered_cover_on_subview():
         m, _, _ = eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)
         assert oracle.shortest_aug_path_len(view, m) >= 2 * k + 1
         forest, _ = elect_leader_and_bfs(g)
-        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest)
+        cover, _ = koenig_approx_cover(g, view, m, k, forest=forest, layering=None)
         assert cover.is_valid()
         assert k * cover.size <= (k + 1) * m.size
+        # Size identity over the in-view B-classes, componentwise.
+        classes = b_classes(view, oracle.alternating_levels(view, m, 2 * k - 1), k)
+        assert cover.size == m.size + sum(
+            min(len(c & comp) for c in classes) for comp in components(g)
+        )
 
 
 def test_maximal_matching_on_subview():
