@@ -288,7 +288,7 @@ def combine_with_clusters(
     on its own group, over its cluster's tree, eliminates augmenting paths
     to length 2k-1 with k = ceil(2 / psi), and takes the layered cover,
     read off the elimination's last, empty check when it ran one, for a
-    (1 + psi) guarantee."""
+    (1 + psi) guarantee. A cluster whose region has no edge runs no solve."""
     k = ceil_ratio(2.0, psi, "psi")
     view = SubgraphView.whole(graph)
     stats = RoundStats()
@@ -318,8 +318,12 @@ def combine_with_clusters(
     cover_nodes = set(x_nodes)
     inner_stats: list[RoundStats] = []
     for idx, c in enumerate(sorted(extended)):
+        if c not in edges:
+            # A region without an edge is a lone node, with nothing to
+            # cover; `idx` still counts it, so the other seeds stay put.
+            continue
         sub_graph, sub_view, m0, forest, ordered = _induced_subproblem(
-            graph, trees[c], edges.get(c, ()), matched.get(c, ()), members[c], extended[c]
+            graph, trees[c], edges[c], matched.get(c, ()), members[c], extended[c]
         )
         sub_seed = derive_seed(seed, 1000 + idx)
         k_c = min(k, max_useful_k(sub_graph))

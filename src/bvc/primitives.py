@@ -301,6 +301,15 @@ def level_dag(ctx, d: int) -> tuple[list[int], list[int]]:
     return list(preds), list(succs) if succs and level < d else []
 
 
+def alternating_offers(ctx, partner: int | None) -> list[int]:
+    """The neighbors a levelled in-view node below the depth limit offers
+    to in an alternating BFS: an A-node its in-view non-matching
+    neighbors, a B-node its matching partner."""
+    if ctx.side == SIDE_B:
+        return [] if partner is None else [partner]
+    return [w for w in ctx.view_neighbors if w != partner]
+
+
 _OFFER = Msg((0, 1))
 _ACK = Msg((1, 1))
 
@@ -313,14 +322,14 @@ class AltBfsProgram(NodeProgram):
     Input per node: its matching partner (or None), where the matching lies
     in the view. Level 0 is exactly the set of free in-view A-nodes; they
     offer in round 1. A node at level j < limit offers onward in round
-    j + 1: an A-node over its in-view non-matching edges, a B-node over its
-    matching edge. An in-view node without a level that receives offers in
-    round r takes level r - 1. Every level-(r - 2) node offered in round
-    r - 1, so the senders are exactly its DAG predecessors; in the same
-    step it acks each of them, on other edges than its own offers. A node's
-    successors are the nodes that ack it, all in one round. Messages are a
-    1-bit tag (offer or ack): the round gives the level. The last acks land
-    in round limit + 2, when every node halts.
+    j + 1, to its `alternating_offers`. An in-view node without a level
+    that receives offers in round r takes level r - 1. Every level-(r - 2)
+    node offered in round r - 1, so the senders are exactly its DAG
+    predecessors; in the same step it acks each of them, on other edges
+    than its own offers. A node's successors are the nodes that ack it, all
+    in one round. Messages are a 1-bit tag (offer or ack): the round gives
+    the level. The last acks land in round limit + 2, when every node
+    halts.
     """
 
     def __init__(self, depth_limit: int):
@@ -351,16 +360,9 @@ class AltBfsProgram(NodeProgram):
         return st, out, False, end
 
     def _offer(self, ctx, st, out):
-        if st["level"] >= self.limit:
-            return
-        partner = st["partner"]
-        if ctx.side == SIDE_B:
-            if partner is not None:
-                out[partner] = _OFFER
-        else:
-            for w in ctx.view_neighbors:
-                if w != partner:
-                    out[w] = _OFFER
+        if st["level"] < self.limit:
+            for w in alternating_offers(ctx, st["partner"]):
+                out[w] = _OFFER
 
     def output(self, ctx, st):
         return st["level"], st["preds"], tuple(st["succs"])

@@ -1,12 +1,14 @@
 """Counting and covering short augmenting paths.
 
 Given a matching whose shortest augmenting path has odd length d, the
-number of such paths through every free endpoint and matching edge can be
-computed by two fixed-schedule sweeps over the alternating-BFS levels: a
-top-down pass for prefix counts x and a bottom-up pass applying
-p_u = sum_i p_{v_i} * x_u / x_{v_i} over the successors. Counts are exact
-big integers, messages carry them at the protocol width d*ceil(log2 Delta)
-and fragment accordingly, and the divisions are checked to be integral.
+number of such paths through a node u is x_u * s_u: x_u counts the
+alternating paths from a free A-node down to u, s_u those from u on to a
+free B-node at level d (the prefix-times-suffix identity of shortest-path
+counting). Two fixed-schedule sweeps compute them: a top-down pass that is
+itself the alternating BFS and sums x over the predecessors, and a
+bottom-up pass that sums s over the successors. Counts are exact big
+integers, and messages carry them at the protocol width
+bitlength(Delta^d) and fragment accordingly.
 
 Thresholded selection then removes heavy endpoints and matching edges in
 halving phases, which realizes a factor-2-relaxed greedy set cover over
@@ -24,7 +26,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 from .errors import InvalidParam, ProgramFault, ShorterPathExists
 from .graph import (
@@ -35,6 +36,7 @@ from .graph import (
     Matching,
     SubgraphView,
     VertexCover,
+    ceil_log2,
     edge_key,
 )
 from .konig import koenig_approx_cover
@@ -42,9 +44,8 @@ from .matching import approx_matching, ceil_ratio, max_useful_k
 from .primitives import (
     AlternatingLayering,
     Forest,
-    alternating_bfs,
+    alternating_offers,
     elect_leader_and_bfs,
-    level_dag,
     pipelined_aggregate,
     witness_check,
 )
@@ -63,102 +64,80 @@ class PathCounts:
     level: dict[int, int] = field(default_factory=dict)
 
 
-def _ceil_log2_pow(delta: int, d: int) -> int:
-    """Smallest i with 2**i >= delta**d."""
-    if delta <= 1:
-        return 0
-    value = delta**d
-    i = value.bit_length() - 1
-    return i if (1 << i) >= value else i + 1
+_PREFIX = 0
+_SUFFIX = 1
 
 
 class CountSweepProgram(NodeProgram):
-    """Both counting sweeps on a fixed round schedule.
+    """The prefix and suffix sweeps on a fixed schedule of slots of
+    f = frame_count(2 + w, B) rounds; the prefix sweep is the alternating
+    BFS to depth d.
 
-    Input per node: (partner, level, (preds, succs)). Config carries d and
-    the degree bound used for the protocol-fixed field width; a count
-    message is sent at that width whatever its value, as real hardware
-    would have to reserve it."""
+    Input per node: its matching partner (or None), where the matching
+    lies in the view. Prefix: level 0 is the free in-view A-nodes, with
+    x = 1. A node at level j < d sends x in round j*f + 1 to its
+    `alternating_offers`. An in-view node without a level that receives
+    x-messages in round r takes level (r - 1)/f, sums them into its x and
+    keeps the senders as its predecessors. Suffix: a level-d node starts
+    with s = 1 if it is free, else 0; a node at level j >= 1 sends s to its
+    predecessors in round d*f + 1 + (d - j)*f, and a node's s is the sum of
+    what it receives, all in its own send round. Every node halts in round
+    2*d*f + 1 and outputs (level or None, x*s).
+
+    A message is a 2-bit sweep tag and a count, sent at the reserved width
+    w = bitlength(delta^d) whatever its value, as real hardware would have
+    to reserve it: x, s and x*s count alternating paths of length <= d,
+    each at most delta^d."""
 
     def __init__(self, d: int, delta: int):
         self.d = d
-        self.delta = delta
-        # Counts lie in [0, delta^d]; the field is reserved at that width.
-        self.xw = max(1, (delta**d).bit_length()) if delta > 1 else 1
+        self.xw = max(1, (delta**d).bit_length())
 
     def setup(self, n, bandwidth):
-        self.fx = frame_count(2 + self.xw, bandwidth)
-        self.fp = frame_count(2 + 2 * self.xw, bandwidth)
+        self.f = frame_count(2 + self.xw, bandwidth)
 
     def init(self, ctx):
-        partner, level, _ = ctx.input
-        in_dag, out_dag = level_dag(ctx, self.d)
-        return {
-            "partner": partner,
-            "level": level,
-            "free": partner is None,
-            "in_dag": in_dag,
-            "out_dag": out_dag,
-            "x": 1 if level == 0 else 0,
-            "p": None,
-            "recv_p": [],
-        }
+        partner = ctx.input
+        level = 0 if ctx.in_view and ctx.side == SIDE_A and partner is None else None
+        return {"partner": partner, "level": level, "x": int(level == 0), "s": 0, "preds": ()}
 
     def step(self, ctx, st, inbox, rnd, rng):
+        d, f = self.d, self.f
+        end = 2 * d * f + 1
         lvl = st["level"]
-        if lvl is None or not ctx.in_view:
-            return st, {}, True
-        d, fx, fp = self.d, self.fx, self.fp
-        x_send = lvl * fx + 1 if lvl < d else None
-        p_base = d * fx + 1
-        p_send = p_base + (d - lvl) * fp if lvl > 0 else None
-        end_round = p_base + d * fp
-
-        for u, msg in inbox.items():
-            if msg.values[0] == 0:
-                st["x"] += msg.values[1]
-            else:
-                st["recv_p"].append((msg.values[1], msg.values[2]))
+        if lvl is None:
+            # A node without a level gets x-messages only.
+            if not inbox:
+                return st, {}, rnd >= end, end
+            lvl = st["level"] = (rnd - 1) // f
+            st["x"] = sum(msg.values[1] for msg in inbox.values())
+            st["preds"] = tuple(inbox)
+            if lvl == d:
+                # Level d is odd: the node is a B-node.
+                st["s"] = int(st["partner"] is None)
+        else:
+            for msg in inbox.values():
+                if msg.values[0] == _SUFFIX:
+                    st["s"] += msg.values[1]
 
         out = {}
-        if x_send is not None and rnd == x_send:
-            msg = Msg((0, 2), (st["x"], self.xw))
-            for u in st["out_dag"]:
+        prefix_at = lvl * f + 1 if lvl < d else None
+        suffix_at = (2 * d - lvl) * f + 1 if lvl > 0 else None
+        if rnd == prefix_at:
+            msg = Msg((_PREFIX, 2), (st["x"], self.xw))
+            for u in alternating_offers(ctx, st["partner"]):
                 out[u] = msg
-            return st, out, False, p_send if p_send is not None else end_round
-
-        if p_send is not None and rnd == p_send:
-            if lvl == d:
-                st["p"] = st["x"] if st["free"] and ctx.side == SIDE_B else 0
-            else:
-                st["p"] = self._combine(st)
-            msg = Msg((1, 2), (st["p"], self.xw), (st["x"], self.xw))
-            for u in st["in_dag"]:
+        elif rnd == suffix_at:
+            msg = Msg((_SUFFIX, 2), (st["s"], self.xw))
+            for u in st["preds"]:
                 out[u] = msg
-            return st, out, False, end_round if rnd < end_round else None
-
-        if rnd >= end_round:
-            if lvl == 0:
-                st["p"] = self._combine(st)
-            if st["p"] is None:
-                st["p"] = 0
+        if rnd >= end:
             return st, out, True
-
-        wake = min(r for r in (x_send, p_send, end_round) if r is not None and r > rnd)
+        wake = min(r for r in (prefix_at, suffix_at, end) if r is not None and r > rnd)
         return st, out, False, wake
 
-    def _combine(self, st):
-        total = Fraction(0)
-        for p_v, x_v in st["recv_p"]:
-            if x_v == 0:
-                raise InvalidParam("successor reported a zero prefix count")
-            total += Fraction(p_v * st["x"], x_v)
-        if total.denominator != 1:
-            raise InvalidParam(f"non-integral path count {total}")
-        return int(total)
-
     def output(self, ctx, st):
-        return st["p"]
+        return st["level"], st["x"] * st["s"]
 
 
 def view_max_degree_aggregate(
@@ -190,51 +169,37 @@ def count_paths(
     d: int,
     *,
     delta: int,
-    layering: AlternatingLayering | None,
 ) -> tuple[PathCounts, RoundStats]:
     """Count length-d augmenting paths through free nodes and matching
-    edges. Requires that no shorter augmenting path exists (raises
-    ShorterPathExists on a witness in the layering); `delta` bounds the
-    in-view degree and fixes the count width. `layering` is the caller's
-    layering of this matching and view to depth exactly d (the sweeps
-    schedule every levelled node), or None to run the BFS here.
+    edges in one run of `CountSweepProgram`. Requires that no shorter
+    augmenting path exists (raises ShorterPathExists on a free B-node the
+    prefix sweep levels below d); `delta` bounds the in-view degree and
+    fixes the count width.
 
-    Round cost: d + 2 rounds of alternating-BFS layering unless given, then
-    d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 rounds of counting sweeps,
-    where w = bitlength(delta^d) is the reserved count width and B the
-    bandwidth. Since w <= d*ceil(log2 delta) + 1, each of the d levels
-    costs O(d) frames at B = Theta(log n), so counting takes O(d^2)
-    rounds."""
+    Round cost: 2*d*ceil((2+w)/B) + 1, where w = bitlength(delta^d) is the
+    reserved count width and B the bandwidth. Since
+    w <= d*ceil(log2 delta) + 1, each of the 2d slots costs O(d) frames at
+    B = Theta(log n), so counting takes O(d^2) rounds."""
     if d <= 0 or d % 2 == 0:
         raise InvalidParam("d must be a positive odd integer")
-    stats = RoundStats()
-    if layering is None:
-        layering, bfs_stats = alternating_bfs(graph, view, matching, d, phase="layering")
-        stats.add_sequential(bfs_stats)
-    for v, lv in layering.witnesses(view, matching, below=d):
-        raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
-
-    outputs, sweep_stats = run(
-        CountSweepProgram(d, delta),
-        graph,
-        view,
-        inputs=layering.dag_inputs(graph, matching),
-        phase="count-sweeps",
+    inputs = {v: matching.partner_of(v) for v in graph.node_ids}
+    outputs, stats = run(
+        CountSweepProgram(d, delta), graph, view, inputs=inputs, phase="count-sweeps"
     )
-    stats.add_sequential(sweep_stats)
-
-    counts = PathCounts(d=d, level=dict(layering.level))
+    level = {v: lv for v, (lv, _) in outputs.items() if lv is not None}
+    side = graph.side
+    for v, lv in level.items():
+        # Levelled nodes are in view, and B-nodes sit at odd levels.
+        if lv < d and side[v] == SIDE_B and not matching.is_matched(v):
+            raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
+    counts = PathCounts(d=d, level=level)
     for v in view.in_nodes:
         if not matching.is_matched(v):
-            counts.p_node[v] = outputs[v] or 0
-    base = view.base
+            counts.p_node[v] = outputs[v][1]
     for u, v in matching.edges:
-        b, a = (u, v) if base.side[u] == SIDE_B else (v, u)
-        la = layering.level.get(a)
-        if la is not None and la % 2 == 0 and layering.level.get(b) == la - 1:
-            counts.p_edge[edge_key(u, v)] = outputs[a] or 0
-        else:
-            counts.p_edge[edge_key(u, v)] = 0
+        # Paths reach a matched A-node only over its matching edge.
+        a = u if side[u] == SIDE_A else v
+        counts.p_edge[edge_key(u, v)] = outputs[a][1]
     return counts, stats
 
 
@@ -276,10 +241,10 @@ def cover_short_paths(
     each phase a `witness_check` to depth d tells every node whether a
     length-d path remains; the first phase with none left ends the loop,
     so a residual without such paths costs one phase that picks nothing,
-    and its layering is returned (None on an edgeless view). The next
-    phase's first count reads any other check's layering: same residual,
-    same depth. Matched nodes are always removed together with their
-    partners.
+    and its layering is returned (None on an edgeless view). Every position
+    ends in a removal round, also when its batch is empty: no node can see
+    that a batch was empty elsewhere. Matched nodes are always removed
+    together with their partners.
     """
     stats = RoundStats()
     delta, deg_stats = view_max_degree_aggregate(graph, view, forest)
@@ -291,18 +256,14 @@ def cover_short_paths(
     residual = view
     m_bar = matching
     threshold_num = delta**d
-    phases = _ceil_log2_pow(delta, d) + 1
+    phases = ceil_log2(threshold_num) + 1
     positions = [0] + list(range(1, d - 1, 2)) + [d]
     base = view.base
-    layering = None
 
     for i in range(1, phases + 1):
         for pos in positions:
-            counts, c_stats = count_paths(
-                graph, residual, m_bar, d, delta=delta, layering=layering
-            )
+            counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
             stats.add_sequential(c_stats)
-            layering = None
             for p in list(counts.p_node.values()) + list(counts.p_edge.values()):
                 if p * (1 << (i - 1)) > threshold_num:
                     raise ProgramFault(
@@ -325,8 +286,8 @@ def cover_short_paths(
                     if counts.level.get(b) == pos and p * (1 << i) >= threshold_num:
                         batch.add(u)
                         batch.add(v)
+            stats.add_sequential(_announce_removals(graph, residual, batch))
             if batch:
-                stats.add_sequential(_announce_removals(graph, residual, batch))
                 removed |= batch
                 residual = residual.without_nodes(batch)
                 m_bar = m_bar.restricted_to(residual)

@@ -163,7 +163,7 @@ def test_criterion_3_path_count_oracle_equivalence():
         collected[d] += 1
     per_d = {1: 0, 3: 0, 5: 0}
     for i, (g, view, m, d) in enumerate(cases):
-        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree(), layering=None)
+        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree())
         track(stats, default_bandwidth(g.n))
         expected = enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
@@ -438,9 +438,8 @@ def _thick_path(d, w):
 def test_criterion_8c_count_rounds_quadratic():
     """Counting rounds grow as c*d^2 above the d=1 floor.
 
-    The layering (d + O(1) rounds) and at least one frame per sweep level
-    are linear terms that make up the whole d=1 cost, so the factor-2 band
-    is applied to (rounds(d) - rounds(1)) / (d^2 - 1) for d = 3, 5, 7. A
+    At least one frame per sweep slot is a linear term that makes up the
+    whole d=1 cost, so the factor-2 band is applied to (rounds(d) - rounds(1)) / (d^2 - 1) for d = 3, 5, 7. A
     cubic profile d^3 + 8 spreads these by 2.19; a purely linear profile
     sits exactly at 2."""
     rows = []
@@ -451,9 +450,7 @@ def test_criterion_8c_count_rounds_quadratic():
         assert oracle.shortest_aug_path_len(view, m) == d
         bw = (g.n - 1).bit_length() + 4  # smallest bandwidth a graph allows
         g_bw = g.with_bandwidth(bw)
-        counts, stats = count_paths(
-            g_bw, whole(g_bw), m, d, delta=view.max_view_degree(), layering=None
-        )
+        counts, stats = count_paths(g_bw, whole(g_bw), m, d, delta=view.max_view_degree())
         track(stats, bw)
         rows.append((d, stats.rounds, dict(stats.per_phase)))
     floor = rows[0][1]
@@ -463,11 +460,8 @@ def test_criterion_8c_count_rounds_quadratic():
     report(
         "8c",
         ok,
-        "rounds (layering+count-sweeps, rounds/d^2): "
-        + ", ".join(
-            f"d={d}: {r} ({ph['layering']}+{ph['count-sweeps']}, {r / d**2:.2f})"
-            for d, r, ph in rows
-        )
+        "rounds (count-sweeps, rounds/d^2): "
+        + ", ".join(f"d={d}: {ph['count-sweeps']} ({r / d**2:.2f})" for d, r, ph in rows)
         + f"; (rounds-{floor})/(d^2-1) for d=3,5,7: "
         + ", ".join(f"{c:.2f}" for c in coeffs)
         + f"; spread x{spread:.2f} (<= 2 required)",

@@ -1,6 +1,7 @@
 import math
 import random
 import statistics
+from collections import Counter
 
 import pytest
 
@@ -253,7 +254,8 @@ def test_combine_single_cluster_reduces_to_inner():
 
 def test_combine_solves_over_the_cluster_trees(monkeypatch):
     """Each cluster solve runs over its cluster's tree, relabelled into the
-    sub-graph and rooted at the cluster's origin, and elects nothing."""
+    sub-graph and rooted at the cluster's origin, and elects nothing. A
+    cluster whose region is a lone node, with no edge, runs no solve."""
     g = gen_random(30, 30, 0.06, 3)
     m, _ = maximal_matching(g, seed=3)
     cs = shrink_partition(g, *mpx_partition(g, 0.25, seed=4)[:2])
@@ -278,8 +280,10 @@ def test_combine_solves_over_the_cluster_trees(monkeypatch):
     monkeypatch.undo()
     assert cover.is_valid()
     assert "class-sizes" in phases and "elect-bfs" not in phases
-    assert len(forests) == len(origins)
-    for forest, c in zip(forests, origins):
+    sizes = Counter(root.values())
+    solved = [c for c in origins if sizes[c] > 1]
+    assert len(solved) < len(origins) and len(forests) == len(solved)
+    for forest, c in zip(forests, solved):
         ordered = sorted(v for v in cs.forest if root[v] == c)
         sub_root, sub_depth = roots_and_depths(forest)
         assert {ordered[r] for r in sub_root.values()} == {c}

@@ -2,11 +2,14 @@
 size nu on small drawn graphs: stars, complete bipartite graphs, paths and
 sparse random graphs, alone or two side by side, at the default or the
 floor bandwidth, on the whole graph or an induced sub-view; and the level
-DAG of the alternating BFS, against the oracle's levels; the layered cover
+DAG of the alternating BFS, against the oracle's levels; the counts of
+shortest augmenting paths, against the tests' reference; the layered cover
 read off a caller's layering, against a fresh BFS and the class rule; and
 the cluster trees with their one-hop extension, against networkx's BFS."""
 
-from hypothesis import given, settings
+import math
+
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bvc import oracle
@@ -15,8 +18,16 @@ from bvc.graph import Matching, SubgraphView, ceil_log2
 from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import alternating_bfs, elect_leader_and_bfs
-from bvc.repair import det_cover_low_diameter, repair_matching
-from support import class_rule_cover, disjoint_union, graphs, matching_size, region_bfs
+from bvc.repair import count_paths, det_cover_low_diameter, repair_matching
+from bvc.runtime import frame_count
+from support import (
+    class_rule_cover,
+    disjoint_union,
+    enumerate_aug_paths,
+    graphs,
+    matching_size,
+    region_bfs,
+)
 
 SETTINGS = settings(max_examples=75, derandomize=True, deadline=None, database=None)
 
@@ -81,6 +92,32 @@ def test_alt_bfs_learns_the_level_dag(instance):
             offers += len([u for u in nbrs if u != partner]) if lv % 2 == 0 else partner is not None
     assert stats.rounds == limit + 2
     assert stats.total_bits == offers + sum(len(preds) for preds, _ in layering.dag.values())
+
+
+@SETTINGS
+@given(matched_views(), st.integers(0, 3))
+def test_count_paths_matches_the_oracle(instance, k):
+    """On a drawn matching, or at k >= 1 on the residual a repair leaves
+    of it, the counts of shortest augmenting paths through every free node
+    and matching edge and the levels are the oracle's. The count takes
+    2d*ceil((2+w)/B) + 1 rounds with messages of at most min(B, 2 + w)
+    bits, w = bitlength(Delta^d)."""
+    g, view, m, _ = instance
+    if k:
+        forest, _ = elect_leader_and_bfs(g)
+        result, m, _ = repair_matching(g, view, m, k, forest=forest)
+        view = view.without_nodes(result.s1)
+    d = oracle.shortest_aug_path_len(view, m)
+    assume(d < math.inf)
+    delta = view.max_view_degree()
+    counts, stats = count_paths(g, view, m, d, delta=delta)
+    expected = enumerate_aug_paths(view, m, d)
+    assert counts.p_node == expected.node_counts
+    assert counts.p_edge == expected.edge_counts
+    assert counts.level == oracle.alternating_levels(view, m, depth_limit=d)
+    w = (delta**d).bit_length()
+    assert stats.rounds == 2 * d * frame_count(2 + w, g.bandwidth) + 1
+    assert stats.max_message_bits <= min(g.bandwidth, 2 + w)
 
 
 @SETTINGS

@@ -13,7 +13,7 @@ from bvc.graph import (
     gen_random,
 )
 from bvc.konig import koenig_approx_cover
-from bvc.primitives import alternating_bfs, elect_leader_and_bfs
+from bvc.primitives import elect_leader_and_bfs
 from bvc.repair import (
     cover_short_paths,
     count_paths,
@@ -51,7 +51,7 @@ def test_count_single_free_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
     m = Matching([], view)
-    counts, _ = count_paths(g, view, m, 1, delta=view.max_view_degree(), layering=None)
+    counts, _ = count_paths(g, view, m, 1, delta=view.max_view_degree())
     assert counts.p_node == {0: 1, 1: 1}
     assert sum(p for v, p in counts.p_node.items() if counts.level[v] == 0) == 1
 
@@ -60,7 +60,7 @@ def test_count_p4():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree(), layering=None)
+    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree())
     assert counts.p_node[0] == 1
     assert counts.p_node[3] == 1
     assert counts.p_edge[(1, 2)] == 1
@@ -70,7 +70,7 @@ def test_count_shared_middle_edge():
     g = build_graph([(0, 4), (2, 4), (4, 5), (5, 6)])
     view = whole(g)
     m = Matching([(4, 5)], view)
-    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree(), layering=None)
+    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree())
     assert counts.p_edge[(4, 5)] == 2
     assert counts.p_node[0] == 1
     assert counts.p_node[2] == 1
@@ -81,9 +81,7 @@ def test_count_precondition():
     g = gen_path(4)
     view = whole(g)
     with pytest.raises(ShorterPathExists):
-        count_paths(
-            g, view, Matching([(1, 2)], view), 5, delta=view.max_view_degree(), layering=None
-        )
+        count_paths(g, view, Matching([(1, 2)], view), 5, delta=view.max_view_degree())
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -104,11 +102,10 @@ def test_count_matches_oracle(d):
         if oracle.shortest_aug_path_len(view, m) != d:
             continue
         hits += 1
-        counts, _ = count_paths(g, view, m, d, delta=view.max_view_degree(), layering=None)
-        # Given the caller's layering to depth d, the count runs no BFS.
-        layering, _ = alternating_bfs(g, view, m, d)
-        given, stats = count_paths(g, view, m, d, delta=view.max_view_degree(), layering=layering)
-        assert given == counts and "layering" not in dict(stats.per_phase)
+        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree())
+        # One engine run: the prefix sweep is the BFS.
+        assert [label for label, _ in stats.per_phase] == ["count-sweeps"]
+        assert counts.level == oracle.alternating_levels(view, m, depth_limit=d)
         expected = enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
             assert counts.p_node.get(v, 0) == c, f"node {v}"
@@ -178,10 +175,10 @@ def test_cover_pairs_and_bound():
         assert len(s_h) <= stage_alpha(d, view.max_view_degree()) * delta_true * opt + 1e-9
 
 
-def test_threshold_phases_count_on_the_closing_checks_layering():
-    """A check that finds paths left hands its layering, to the same depth
-    d over the same residual, to the next phase's first count, so no count
-    BFS follows a check; the last, empty check's layering is returned."""
+def test_repair_runs_no_bfs_inside_a_count():
+    """Every alternating BFS of a repair is a check's: the counts level the
+    nodes in their own prefix sweep. The threshold phases return the last,
+    empty check's layering."""
     multi = 0
     for seed in range(10):
         g = gen_random(10, 10, 0.3, seed)
@@ -190,14 +187,36 @@ def test_threshold_phases_count_on_the_closing_checks_layering():
         d = oracle.shortest_aug_path_len(view, m)
         if d is INF or d > 5:
             continue
-        s_h, layering, stats = cover_short_paths(g, view, m, d, forest=forest(g))
+        f = forest(g)
+        s_h, layering, stats = cover_short_paths(g, view, m, d, forest=f)
         labels = [label for label, _ in stats.per_phase]
         multi += labels.count("witness-check") >= 2
-        assert ("witness-check", "layering") not in zip(labels, labels[1:]), labels
         residual = view.without_nodes(s_h)
         m_bar = m.restricted_to(residual)
         assert layering.level == oracle.alternating_levels(residual, m_bar, depth_limit=d)
+        _, _, stats = repair_matching(g, view, m, 3, forest=f)
+        assert {label for label, _ in stats.per_phase} == {
+            "reachability",
+            "witness-check",
+            "max-degree",
+            "count-sweeps",
+            "remove",
+        }
     assert multi >= 5
+
+
+def test_every_position_ends_in_a_removal_round():
+    """A position whose batch is empty still runs its removal round: no node
+    can see that the batch was empty elsewhere. On P4 every count is 1 and
+    phase i picks counts >= Delta^3 / 2^i = 8 / 2^i, so the three positions
+    of each of the first two phases remove nothing."""
+    g = gen_path(4)
+    view = whole(g)
+    s_h, _, stats = cover_short_paths(g, view, Matching([(1, 2)], view), 3, forest=forest(g))
+    phases = stats.per_phase
+    counts = [i for i, (label, _) in enumerate(phases) if label == "count-sweeps"]
+    assert len(counts) >= 7 and s_h
+    assert all(phases[i + 1] == ("remove", 1) for i in counts)
 
 
 def test_repair_maximum_matching_no_removal():
@@ -374,18 +393,20 @@ def test_alpha_value_small_delta():
 @pytest.mark.parametrize("width", [2, 3, 4])
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
 def test_count_rounds_follow_documented_schedule(d, width):
-    """count_paths costs exactly d + 2 layering rounds and
-    d*(ceil((2+w)/B) + ceil((2+2w)/B)) + 1 sweep rounds, w = bitlength(Delta^d)."""
+    """count_paths is one `count-sweeps` run of exactly
+    2d*ceil((2+w)/B) + 1 rounds, w = bitlength(Delta^d), whose levels and
+    counts do not depend on B."""
     g, m_edges = _thick_path(d, width)
     view = whole(g)
     m = Matching(m_edges, view)
     delta = view.max_view_degree()
     w = (delta**d).bit_length()
     floor = (g.n - 1).bit_length() + 4
+    expected = enumerate_aug_paths(view, m, d)
+    level = oracle.alternating_levels(view, m, depth_limit=d)
     for bw in (floor, floor + 7, 64):
         g_bw = g.with_bandwidth(bw)
-        _, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta, layering=None)
-        phases = dict(stats.per_phase)
-        assert phases["layering"] == d + 2
-        sweeps = d * (math.ceil((2 + w) / bw) + math.ceil((2 + 2 * w) / bw)) + 1
-        assert phases["count-sweeps"] == sweeps, (bw, phases)
+        counts, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta)
+        assert stats.per_phase == [("count-sweeps", 2 * d * math.ceil((2 + w) / bw) + 1)]
+        assert counts.level == level
+        assert (counts.p_node, counts.p_edge) == (expected.node_counts, expected.edge_counts)
