@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import InvalidParam, ShorterPathExists
+from .errors import InvalidParam
 from .graph import SIDE_A, BipartiteGraph, Matching, SubgraphView, VertexCover
 from .matching import eliminate_short_aug_paths, max_useful_k
 from .primitives import AlternatingLayering, Forest, alternating_bfs, pipelined_aggregate
@@ -26,18 +26,13 @@ def _in_cover(view, layering, v, s) -> bool:
     return (layering.level.get(v, INF) >= 2 * s) == (view.base.side[v] == SIDE_A)
 
 
-def _require_no_short_path(view, matching, layering, k) -> None:
-    for _, lv in layering.witnesses(view, matching, below=2 * k):
-        raise ShorterPathExists(f"free B-node at level {lv} <= {2 * k - 1}")
-
-
 def compute_partition(
     graph: BipartiteGraph,
     view: SubgraphView,
     matching: Matching,
     k: int,
 ) -> tuple[AlternatingLayering, RoundStats]:
-    """The alternating BFS to depth 2k - 1, in 2k + 1 rounds: every level
+    """The alternating BFS to depth 2k - 1, in 2k rounds: every level
     the layered cover reads.
 
     Raises ShorterPathExists if a free B-node shows up at an odd level
@@ -46,7 +41,7 @@ def compute_partition(
     if k < 1:
         raise InvalidParam("k must be >= 1")
     layering, stats = alternating_bfs(graph, view, matching, 2 * k - 1, phase="partition")
-    _require_no_short_path(view, matching, layering, k)
+    layering.require_no_witness_below(view, matching, 2 * k)
     return layering, stats
 
 
@@ -76,7 +71,7 @@ def koenig_approx_cover(
         layering, part_stats = compute_partition(graph, view, matching, k)
         stats.add_sequential(part_stats)
     else:
-        _require_no_short_path(view, matching, layering, k)
+        layering.require_no_witness_below(view, matching, 2 * k)
 
     rows = {v: [0] * k for v in graph.node_ids}
     for v, lv in layering.level.items():

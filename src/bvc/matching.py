@@ -17,14 +17,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParam, ShorterPathExists
+from .errors import InvalidParam
 from .graph import SIDE_B, BipartiteGraph, Matching, SubgraphView, edge_key
 from .primitives import (
     AlternatingLayering,
     Forest,
     alternating_bfs,
+    alternating_offers,
     elect_leader_and_bfs,
-    level_dag,
     witness_check,
 )
 from .runtime import Msg, NodeProgram, RoundStats, derive_seed, frame_count, id_bits, run
@@ -150,33 +150,35 @@ def maximal_matching(
 # Disjoint shortest augmenting paths of one fixed length
 # ---------------------------------------------------------------------------
 
-_T_DEAD = 0
+_T_GONE = 0
 _T_TOKEN = 1
 _T_LOCK = 2
-_T_CONSUMED = 3
 
 
 class PathSelectProgram(NodeProgram):
     """Select a maximal set of vertex-disjoint augmenting paths of length
     exactly d in the level structure and flip them.
 
-    A node is alive while it can reach level 0 down the level DAG. Every
+    A node is alive while it can reach level 0 down the levels. Every
     node starts alive: the layering is an alternating BFS, so a node at
-    level 1..d took its level from a DAG predecessor one level down, and
-    the BFS gave each node its predecessors and successors. Aliveness can
-    only be lost, and a node that loses it tells its successors. From
-    round 1, free level-d nodes repeatedly launch tokens that walk down
-    the levels, one hop per slot, choosing a random live predecessor.
-    Same-slot collisions keep the smallest (priority, initiator) token;
-    the winner locks its chain bottom-up, flipping matched and unmatched
-    edges, and locked nodes withdraw from the structure. Iterations repeat
-    on a fixed schedule until no live initiator remains, at which point
-    the run goes quiescent.
+    level 1..d took its level from a predecessor one level down, and the
+    BFS gave each node its predecessors. Aliveness can only be lost. A
+    node below level d that loses it sends "gone" along the BFS's offer
+    rule, `alternating_offers`, which reaches every node that took its
+    level from it; a locked node sends "gone" to every neighbor. A
+    receiver drops the sender from its live predecessors and from its own
+    offer targets. From round 1, free level-d nodes repeatedly launch
+    tokens that walk down the levels, one hop per slot, choosing a random
+    live predecessor. Same-slot collisions keep the smallest (priority,
+    initiator) token; the winner locks its chain bottom-up, flipping
+    matched and unmatched edges, and locked nodes withdraw from the
+    structure. Iterations repeat on a fixed schedule until no live
+    initiator remains, at which point the run goes quiescent.
 
-    Input per node: (partner, level, (preds, succs)). Deterministic mode
-    uses the initiator id as the priority and the minimum-id predecessor;
-    its tokens carry no priority field, so the period is sized to the
-    shorter token.
+    Input per node: (partner, level, preds). Messages carry a 2-bit tag
+    (gone, token or lock). Deterministic mode uses the initiator id as the
+    priority and the minimum-id predecessor; its tokens carry no priority
+    field, so the period is sized to the shorter token.
     """
 
     def __init__(self, d: int, deterministic: bool):
@@ -186,14 +188,14 @@ class PathSelectProgram(NodeProgram):
         self.det = deterministic
 
     def init(self, ctx):
-        partner, level, _ = ctx.input
-        in_dag, out_dag = level_dag(ctx, self.d)
+        partner, level, preds = ctx.input
+        below_d = level is not None and level < self.d
         return {
             "level": level,
             "initiator": level == self.d and partner is None and ctx.side == SIDE_B and ctx.in_view,
-            "in_alive": set(in_dag),
-            "out_dag": out_dag,
-            "alive": level == 0 and ctx.in_view or bool(in_dag),
+            "in_alive": set(preds),
+            "offers": set(alternating_offers(ctx, partner)) if below_d else set(),
+            "alive": level == 0 and ctx.in_view or bool(preds),
             "consumed": False,
             "chain_up": None,
             "chain_down": None,
@@ -204,7 +206,7 @@ class PathSelectProgram(NodeProgram):
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
         self.pw = 0 if self.det else 2 * self.idw
-        f = frame_count(3 + self.pw + self.idw, bandwidth)  # token: tag, priority, initiator
+        f = frame_count(2 + self.pw + self.idw, bandwidth)  # token: tag, priority, initiator
         self.period = (3 * self.d + 8) * f
 
     def _next_hop(self, st, rng):
@@ -230,17 +232,14 @@ class PathSelectProgram(NodeProgram):
                 locked = True
             else:
                 st["in_alive"].discard(u)
-                if tag == _T_CONSUMED and not st["consumed"]:
-                    # A consumed successor can no longer be claimed.
-                    if u in st["out_dag"]:
-                        st["out_dag"].remove(u)
+                st["offers"].discard(u)
 
         # A node above level 0 dies with its last live predecessor; the
         # death propagates up the levels as events.
         if st["alive"] and st["level"] > 0 and not st["in_alive"]:
             st["alive"] = False
-            for u in st["out_dag"]:
-                out[u] = Msg((_T_DEAD, 3))
+            for u in st["offers"]:
+                out[u] = Msg((_T_GONE, 2))
 
         iter_no = (rnd - 1) // self.period
 
@@ -252,11 +251,11 @@ class PathSelectProgram(NodeProgram):
             else:
                 st["new_partner"] = st["chain_down"]
             if st["level"] < self.d and st["chain_up"] is not None:
-                out[st["chain_up"]] = Msg((_T_LOCK, 3))
-            consumed = Msg((_T_CONSUMED, 3))
+                out[st["chain_up"]] = Msg((_T_LOCK, 2))
+            gone = Msg((_T_GONE, 2))
             for u in ctx.neighbors:
                 if u not in out:
-                    out[u] = consumed
+                    out[u] = gone
             return st, out, False, None
 
         if tokens and not st["consumed"] and st["accepted_iter"] != iter_no:
@@ -268,15 +267,15 @@ class PathSelectProgram(NodeProgram):
                 st["consumed"] = True
                 st["alive"] = False
                 st["new_partner"] = sender
-                out[sender] = Msg((_T_LOCK, 3))
-                consumed = Msg((_T_CONSUMED, 3))
+                out[sender] = Msg((_T_LOCK, 2))
+                gone = Msg((_T_GONE, 2))
                 for u in ctx.neighbors:
                     if u != sender:
-                        out[u] = consumed
+                        out[u] = gone
             else:
                 nxt = self._next_hop(st, rng)
                 if nxt is not None:
-                    out[nxt] = Msg((_T_TOKEN, 3), (prio, self.pw), (init, idw))
+                    out[nxt] = Msg((_T_TOKEN, 2), (prio, self.pw), (init, idw))
                 # No live predecessor: the token dies silently; the
                 # initiator retries on the next launch slot.
 
@@ -288,7 +287,7 @@ class PathSelectProgram(NodeProgram):
             if offset == 0:
                 nxt = self._next_hop(st, rng)
                 prio = 0 if self.det else rng.getrandbits(self.pw)
-                out[nxt] = Msg((_T_TOKEN, 3), (prio, self.pw), (ctx.node, idw))
+                out[nxt] = Msg((_T_TOKEN, 2), (prio, self.pw), (ctx.node, idw))
             next_launch = rnd + self.period - offset
 
         return st, out, False, next_launch
@@ -329,10 +328,11 @@ def select_disjoint_paths(
     """Run one selection phase; returns the flipped matching and the chosen
     paths. Callers must pass the layering of `matching` at depth >= d. The
     phase starts on that layering as it is: every node at level 1..d got
-    its level from a node one level down, a predecessor in the DAG the BFS
-    learned, so every layered node starts able to reach level 0 and tokens
-    launch in round 1. Without a seed the phase follows the deterministic
-    rule."""
+    its level from a node one level down, a predecessor the BFS learned,
+    so every layered node starts able to reach level 0 and tokens launch
+    in round 1. Withdrawals follow the BFS's offer rule, so the phase
+    needs no successor lists. Without a seed the phase follows the
+    deterministic rule."""
     outputs, stats = run(
         PathSelectProgram(d, seed is None),
         graph,
@@ -388,14 +388,13 @@ def eliminate_short_aug_paths(
         if d <= _UNCHECKED_LENGTH:
             layering, bfs_stats = alternating_bfs(graph, view, matching, d, phase=f"bfs[d={d}]")
             stats.add_sequential(bfs_stats)
-            shortest = min((lv for _, lv in layering.witnesses(view, matching)), default=d)
+            shortest = d
         else:
             shortest, layering, check_stats = witness_check(graph, view, matching, forest, d, top)
             stats.add_sequential(check_stats)
             if shortest is None:
                 return matching, layering, stats
-        if shortest < d:
-            raise ShorterPathExists(f"augmenting path of length {shortest} < {d}")
+        layering.require_no_witness_below(view, matching, d)
         d = shortest
         matching, _, sel_stats = select_disjoint_paths(
             graph,

@@ -16,15 +16,12 @@ trees of the randomized pipeline.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import InvalidParam
+from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_A, SIDE_B, BipartiteGraph, Matching, SubgraphView
 from .runtime import Msg, NodeProgram, RoundStats, id_bits, run
-
-INF = math.inf
 
 _STATUS = 0
 _DONE = 1
@@ -256,80 +253,77 @@ def pipelined_aggregate(
 @dataclass
 class AlternatingLayering:
     """Shortest alternating-path levels from the free in-view A-side nodes,
-    and the level DAG the BFS learned: `dag` maps each levelled node to its
-    sorted (predecessors, successors) one level down and up.
+    and the predecessors the BFS learned: `preds` maps each levelled node
+    to the sorted nodes one level down that offered to it.
 
     Nodes absent from `level` were not reached within the depth limit.
     """
 
     level: dict[int, int]
-    dag: dict[int, tuple[tuple[int, ...], tuple[int, ...]]]
+    preds: dict[int, tuple[int, ...]]
 
-    def witnesses(
-        self, view: SubgraphView, matching: Matching, below: int | float = INF
-    ) -> Iterator[tuple[int, int]]:
-        """(node, level) for each free in-view B-node at an odd level below
-        `below`: each ends an augmenting path of exactly that length."""
+    @classmethod
+    def from_outputs(cls, outputs: dict[int, tuple]) -> "AlternatingLayering":
+        """The layering held by program outputs that start with (level or
+        None, predecessors)."""
+        level = {v: o[0] for v, o in outputs.items() if o[0] is not None}
+        return cls(level, {v: outputs[v][1] for v in level})
+
+    def witnesses(self, view: SubgraphView, matching: Matching) -> Iterator[tuple[int, int]]:
+        """(node, level) for each free in-view B-node at an odd level: each
+        ends an augmenting path of exactly that length."""
         side = view.base.side
         for v, lv in self.level.items():
             if (
                 lv % 2 == 1
-                and lv < below
                 and side[v] == SIDE_B
                 and not matching.is_matched(v)
                 and view.contains_node(v)
             ):
                 yield v, lv
 
+    def require_no_witness_below(self, view: SubgraphView, matching: Matching, d: int) -> None:
+        """Raise ShorterPathExists on a witness at a level below `d`: an
+        augmenting path shorter than the caller assumed."""
+        for v, lv in self.witnesses(view, matching):
+            if lv < d:
+                raise ShorterPathExists(f"free B-node {v} at level {lv} < {d}")
+
     def dag_inputs(self, graph: BipartiteGraph, matching: Matching) -> dict[int, tuple]:
-        """Per-node input (partner, level, (preds, succs)) of the programs
-        that walk the level DAG; see `level_dag`."""
+        """Per-node input (partner, level, preds) of the programs that walk
+        the levels down."""
         return {
-            v: (matching.partner_of(v), self.level.get(v), self.dag.get(v, ((), ())))
+            v: (matching.partner_of(v), self.level.get(v), self.preds.get(v, ()))
             for v in graph.node_ids
         }
-
-
-def level_dag(ctx, d: int) -> tuple[list[int], list[int]]:
-    """A node's sorted predecessors and successors in the level DAG of an
-    alternating layering, from its (partner, level, (preds, succs)) input.
-
-    Edges join consecutive levels and alternate: a non-matching edge from
-    an even level up to an odd one, the matching edge from an odd level up
-    to an even one. Nodes at level d or above get no successors."""
-    _, level, (preds, succs) = ctx.input
-    return list(preds), list(succs) if succs and level < d else []
 
 
 def alternating_offers(ctx, partner: int | None) -> list[int]:
     """The neighbors a levelled in-view node below the depth limit offers
     to in an alternating BFS: an A-node its in-view non-matching
-    neighbors, a B-node its matching partner."""
+    neighbors, a B-node its matching partner. They include every node that
+    took its level from this one; the others sit at lower levels or stay
+    unlevelled."""
     if ctx.side == SIDE_B:
         return [] if partner is None else [partner]
     return [w for w in ctx.view_neighbors if w != partner]
 
 
 _OFFER = Msg((0, 1))
-_ACK = Msg((1, 1))
 
 
 class AltBfsProgram(NodeProgram):
     """Layered exploration of the orientation that alternates non-matching
-    and matching edges, to a fixed depth, that learns its level DAG on the
-    way.
+    and matching edges, to a fixed depth.
 
     Input per node: its matching partner (or None), where the matching lies
     in the view. Level 0 is exactly the set of free in-view A-nodes; they
     offer in round 1. A node at level j < limit offers onward in round
     j + 1, to its `alternating_offers`. An in-view node without a level
     that receives offers in round r takes level r - 1. Every level-(r - 2)
-    node offered in round r - 1, so the senders are exactly its DAG
-    predecessors; in the same step it acks each of them, on other edges
-    than its own offers. A node's successors are the nodes that ack it, all
-    in one round. Messages are a 1-bit tag (offer or ack): the round gives
-    the level. The last acks land in round limit + 2, when every node
-    halts.
+    node offered in round r - 1, so the senders are exactly its
+    predecessors. Messages are a 1-bit offer: the round gives the level.
+    The last offers land in round limit + 1, when every node halts.
     """
 
     def __init__(self, depth_limit: int):
@@ -338,23 +332,18 @@ class AltBfsProgram(NodeProgram):
     def init(self, ctx):
         partner = ctx.input
         level = 0 if ctx.in_view and ctx.side == SIDE_A and partner is None else None
-        return {"partner": partner, "level": level, "preds": (), "succs": []}
+        return {"partner": partner, "level": level, "preds": ()}
 
     def step(self, ctx, st, inbox, rnd, rng):
         out = {}
         if st["level"] is None:
-            # A node without a level gets offers only.
             if inbox and ctx.in_view:
                 st["level"] = rnd - 1
                 st["preds"] = tuple(inbox)
-                for u in inbox:
-                    out[u] = _ACK
                 self._offer(ctx, st, out)
         elif rnd == 1:
             self._offer(ctx, st, out)
-        else:
-            st["succs"] += [u for u, msg in inbox.items() if msg.values == _ACK.values]
-        end = self.limit + 2
+        end = self.limit + 1
         if rnd >= end:
             return st, out, True
         return st, out, False, end
@@ -365,7 +354,7 @@ class AltBfsProgram(NodeProgram):
                 out[w] = _OFFER
 
     def output(self, ctx, st):
-        return st["level"], st["preds"], tuple(st["succs"])
+        return st["level"], st["preds"]
 
 
 def alternating_bfs(
@@ -376,17 +365,11 @@ def alternating_bfs(
     *,
     phase: str = "alt-bfs",
 ) -> tuple[AlternatingLayering, RoundStats]:
-    """Distributed alternating BFS in depth_limit + 2 rounds; levels match
+    """Distributed alternating BFS in depth_limit + 1 rounds; levels match
     the sequential oracle."""
     inputs = {v: matching.partner_of(v) for v in graph.node_ids}
     outputs, stats = run(AltBfsProgram(depth_limit), graph, view, inputs=inputs, phase=phase)
-    level = {}
-    dag = {}
-    for v, (lv, preds, succs) in outputs.items():
-        if lv is not None:
-            level[v] = lv
-            dag[v] = preds, succs
-    return AlternatingLayering(level, dag), stats
+    return AlternatingLayering.from_outputs(outputs), stats
 
 
 def witness_check(

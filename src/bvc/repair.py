@@ -7,8 +7,9 @@ free B-node at level d (the prefix-times-suffix identity of shortest-path
 counting). Two fixed-schedule sweeps compute them: a top-down pass that is
 itself the alternating BFS and sums x over the predecessors, and a
 bottom-up pass that sums s over the successors. Counts are exact big
-integers, and messages carry them at the protocol width
-bitlength(Delta^d) and fragment accordingly.
+integers, and messages carry them alone at the protocol width
+bitlength(Delta^d) and fragment accordingly: the round tells a node which
+sweep a message belongs to.
 
 Thresholded selection then removes heavy endpoints and matching edges in
 halving phases, which realizes a factor-2-relaxed greedy set cover over
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import InvalidParam, ProgramFault, ShorterPathExists
+from .errors import InvalidParam, ProgramFault
 from .graph import (
     SIDE_A,
     SIDE_B,
@@ -64,14 +65,10 @@ class PathCounts:
     level: dict[int, int] = field(default_factory=dict)
 
 
-_PREFIX = 0
-_SUFFIX = 1
-
-
 class CountSweepProgram(NodeProgram):
     """The prefix and suffix sweeps on a fixed schedule of slots of
-    f = frame_count(2 + w, B) rounds; the prefix sweep is the alternating
-    BFS to depth d.
+    f = frame_count(w, B) rounds; the prefix sweep is the alternating BFS
+    to depth d.
 
     Input per node: its matching partner (or None), where the matching
     lies in the view. Prefix: level 0 is the free in-view A-nodes, with
@@ -81,10 +78,13 @@ class CountSweepProgram(NodeProgram):
     keeps the senders as its predecessors. Suffix: a level-d node starts
     with s = 1 if it is free, else 0; a node at level j >= 1 sends s to its
     predecessors in round d*f + 1 + (d - j)*f, and a node's s is the sum of
-    what it receives, all in its own send round. Every node halts in round
-    2*d*f + 1 and outputs (level or None, x*s).
+    what it receives, all in its own send round. Every prefix message
+    arrives by round d*f + 1 and every suffix message after it, so the
+    round tells a levelled node which sweep a message belongs to. Every
+    node halts in round 2*d*f + 1 and outputs (level or None, predecessors,
+    x*s).
 
-    A message is a 2-bit sweep tag and a count, sent at the reserved width
+    A message is the count alone, sent at the reserved width
     w = bitlength(delta^d) whatever its value, as real hardware would have
     to reserve it: x, s and x*s count alternating paths of length <= d,
     each at most delta^d."""
@@ -94,7 +94,7 @@ class CountSweepProgram(NodeProgram):
         self.xw = max(1, (delta**d).bit_length())
 
     def setup(self, n, bandwidth):
-        self.f = frame_count(2 + self.xw, bandwidth)
+        self.f = frame_count(self.xw, bandwidth)
 
     def init(self, ctx):
         partner = ctx.input
@@ -110,25 +110,23 @@ class CountSweepProgram(NodeProgram):
             if not inbox:
                 return st, {}, rnd >= end, end
             lvl = st["level"] = (rnd - 1) // f
-            st["x"] = sum(msg.values[1] for msg in inbox.values())
+            st["x"] = sum(msg.values[0] for msg in inbox.values())
             st["preds"] = tuple(inbox)
             if lvl == d:
                 # Level d is odd: the node is a B-node.
                 st["s"] = int(st["partner"] is None)
-        else:
-            for msg in inbox.values():
-                if msg.values[0] == _SUFFIX:
-                    st["s"] += msg.values[1]
+        elif rnd > d * f + 1:
+            st["s"] += sum(msg.values[0] for msg in inbox.values())
 
         out = {}
         prefix_at = lvl * f + 1 if lvl < d else None
         suffix_at = (2 * d - lvl) * f + 1 if lvl > 0 else None
         if rnd == prefix_at:
-            msg = Msg((_PREFIX, 2), (st["x"], self.xw))
+            msg = Msg((st["x"], self.xw))
             for u in alternating_offers(ctx, st["partner"]):
                 out[u] = msg
         elif rnd == suffix_at:
-            msg = Msg((_SUFFIX, 2), (st["s"], self.xw))
+            msg = Msg((st["s"], self.xw))
             for u in st["preds"]:
                 out[u] = msg
         if rnd >= end:
@@ -137,7 +135,7 @@ class CountSweepProgram(NodeProgram):
         return st, out, False, wake
 
     def output(self, ctx, st):
-        return st["level"], st["x"] * st["s"]
+        return st["level"], st["preds"], st["x"] * st["s"]
 
 
 def view_max_degree_aggregate(
@@ -172,11 +170,11 @@ def count_paths(
 ) -> tuple[PathCounts, RoundStats]:
     """Count length-d augmenting paths through free nodes and matching
     edges in one run of `CountSweepProgram`. Requires that no shorter
-    augmenting path exists (raises ShorterPathExists on a free B-node the
-    prefix sweep levels below d); `delta` bounds the in-view degree and
-    fixes the count width.
+    augmenting path exists: the prefix sweep's layering raises
+    ShorterPathExists on a witness below d, as every caller's layering
+    does. `delta` bounds the in-view degree and fixes the count width.
 
-    Round cost: 2*d*ceil((2+w)/B) + 1, where w = bitlength(delta^d) is the
+    Round cost: 2*d*ceil(w/B) + 1, where w = bitlength(delta^d) is the
     reserved count width and B the bandwidth. Since
     w <= d*ceil(log2 delta) + 1, each of the 2d slots costs O(d) frames at
     B = Theta(log n), so counting takes O(d^2) rounds."""
@@ -186,20 +184,17 @@ def count_paths(
     outputs, stats = run(
         CountSweepProgram(d, delta), graph, view, inputs=inputs, phase="count-sweeps"
     )
-    level = {v: lv for v, (lv, _) in outputs.items() if lv is not None}
-    side = graph.side
-    for v, lv in level.items():
-        # Levelled nodes are in view, and B-nodes sit at odd levels.
-        if lv < d and side[v] == SIDE_B and not matching.is_matched(v):
-            raise ShorterPathExists(f"free node {v} at level {lv} < {d}")
-    counts = PathCounts(d=d, level=level)
+    layering = AlternatingLayering.from_outputs(outputs)
+    layering.require_no_witness_below(view, matching, d)
+    counts = PathCounts(d=d, level=layering.level)
     for v in view.in_nodes:
         if not matching.is_matched(v):
-            counts.p_node[v] = outputs[v][1]
+            counts.p_node[v] = outputs[v][2]
+    side = graph.side
     for u, v in matching.edges:
         # Paths reach a matched A-node only over its matching edge.
         a = u if side[u] == SIDE_A else v
-        counts.p_edge[edge_key(u, v)] = outputs[a][1]
+        counts.p_edge[edge_key(u, v)] = outputs[a][2]
     return counts, stats
 
 

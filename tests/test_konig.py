@@ -63,13 +63,13 @@ def test_partition_p4_maximum_k2():
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
 def test_partition_bfs_stops_at_2k_minus_1(k):
     """On a path whose matching leaves both ends free, the levels run along
-    the path: the BFS reaches exactly levels 0..2k - 1, in 2k + 1 rounds."""
+    the path: the BFS reaches exactly levels 0..2k - 1, in 2k rounds."""
     g = gen_path(2 * k + 4)
     view = whole(g)
     m = Matching([(i, i + 1) for i in range(1, 2 * k + 2, 2)], view)
     layering, stats = compute_partition(g, view, m, k)
     assert layering.level == {v: v for v in range(2 * k)}
-    assert stats.rounds == 2 * k + 1
+    assert stats.rounds == 2 * k
     assert [label for label, _ in stats.per_phase] == ["partition"]
 
 

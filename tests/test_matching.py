@@ -23,8 +23,8 @@ from bvc.matching import (
     parse_provider,
     select_disjoint_paths,
 )
-from bvc.primitives import alternating_bfs, elect_leader_and_bfs, level_dag, witness_check
-from bvc.runtime import NodeContext, derive_seed, id_bits
+from bvc.primitives import alternating_bfs, elect_leader_and_bfs, witness_check
+from bvc.runtime import derive_seed, id_bits
 from support import disjoint_union, graphs
 
 INF = math.inf
@@ -38,7 +38,7 @@ def find_disjoint_aug_paths(g, view, m, d, *, seed=0):
     """A maximal set of vertex-disjoint length-d augmenting paths: one
     layering to depth d, checked free of shorter paths, then one selection."""
     layering, _ = alternating_bfs(g, view, m, d)
-    assert not list(layering.witnesses(view, m, below=d))
+    layering.require_no_witness_below(view, m, d)
     _, paths, _ = select_disjoint_paths(g, view, m, d, layering, seed=derive_seed(seed, 2))
     return paths
 
@@ -194,8 +194,8 @@ def _greedy_maximal(view):
 def test_layered_nodes_start_alive_and_selection_clears_length_d(instance):
     """PathSelectProgram starts with every layered node alive, which holds
     because every node above level 0 of an alternating BFS, from
-    `alternating_bfs` or from `witness_check`, has a predecessor in the
-    level DAG. On that start, a selection at the shortest length d leaves
+    `alternating_bfs` or from `witness_check`, has a predecessor one level
+    down. On that start, a selection at the shortest length d leaves
     no augmenting path of length <= d, in both modes, at the default and
     at the floor bandwidth.
 
@@ -215,14 +215,9 @@ def test_layered_nodes_start_alive_and_selection_clears_length_d(instance):
             forest, _ = elect_leader_and_bfs(g)
             shortest, layering, _ = witness_check(g, view, m, forest, 2 * k + 1, g.n + 1)
             assert shortest == (None if d == INF else d)
-        topology, inputs = view.topology(), layering.dag_inputs(g, m)
         for v, lv in layering.level.items():
             if lv > 0:
-                in_view, view_nbrs = topology[v]
-                ctx = NodeContext(
-                    v, g.n, g.bandwidth, g.side[v], in_view, g.adjacency[v], view_nbrs, inputs[v]
-                )
-                assert level_dag(ctx, lv)[0], f"node {v} at level {lv} has no predecessor"
+                assert layering.preds[v], f"node {v} at level {lv} has no predecessor"
         if d == INF:
             continue
         for select_seed in (None, derive_seed(k, d, g.bandwidth)):
@@ -234,7 +229,7 @@ def test_layered_nodes_start_alive_and_selection_clears_length_d(instance):
 @pytest.mark.parametrize("d", [5, 7, 9])
 def test_select_on_one_alternating_path_takes_2d_plus_2_rounds(d):
     """One token walks d hops down, the lock climbs d hops back, and the
-    last CONSUMED notices land a round later: 2d + 2 rounds at the default
+    last "gone" notices land a round later: 2d + 2 rounds at the default
     bandwidth, where every token is one frame, in both modes."""
     g = gen_path(d + 1)
     view = whole(g)
@@ -248,7 +243,7 @@ def test_select_on_one_alternating_path_takes_2d_plus_2_rounds(d):
 
 def test_deterministic_select_fits_one_frame_at_the_floor():
     """At the floor bandwidth ceil(log2 n) + 4, the deterministic token of
-    3 + id_bits(n) bits is the widest message and fits one frame, so a
+    2 + id_bits(n) bits is the widest message and fits one frame, so a
     selection fragments nothing."""
     for g0, edges, d in (
         (gen_path(40), [(v, v + 1) for v in range(1, 39, 2)], 39),
@@ -261,7 +256,7 @@ def test_deterministic_select_fits_one_frame_at_the_floor():
         _, paths, stats = select_disjoint_paths(g, view, m, d, layering, seed=None)
         assert paths
         assert stats.fragmentation_rounds == 0
-        assert stats.max_message_bits == 3 + id_bits(g.n) <= g.bandwidth
+        assert stats.max_message_bits == 2 + id_bits(g.n) <= g.bandwidth
 
 
 def test_eliminate_k1_is_maximal():

@@ -275,23 +275,20 @@ def test_alt_bfs_matches_oracle_levels():
         assert layering.level == expected
 
 
-def test_alt_bfs_costs_offers_and_acks_in_depth_plus_2_rounds():
+def test_alt_bfs_costs_one_offer_per_edge_in_depth_plus_1_rounds():
     """On a 10-node path matched as (1,2), ..., (7,8), a BFS to depth L
-    levels nodes 0..L in L + 2 rounds: one 1-bit offer up and one 1-bit
-    ack down per DAG edge, and each node learns its DAG neighbours."""
+    levels nodes 0..L in L + 1 rounds: one 1-bit offer up per edge, and
+    each node learns its predecessor."""
     g = gen_path(10)
     view = whole(g)
     m = Matching([(1, 2), (3, 4), (5, 6), (7, 8)], view)
     for depth in range(10):
         layering, stats = alternating_bfs(g, view, m, depth)
         assert layering.level == {v: v for v in range(depth + 1)}
-        assert stats.rounds == depth + 2
-        assert stats.total_bits == 2 * depth
+        assert stats.rounds == depth + 1
+        assert stats.total_bits == depth
         assert stats.max_message_bits == (1 if depth else 0)
-        for v in range(depth + 1):
-            preds = (v - 1,) if v else ()
-            succs = (v + 1,) if v < depth else ()
-            assert layering.dag[v] == (preds, succs)
+        assert layering.preds == {v: (v - 1,) if v else () for v in range(depth + 1)}
 
 
 def test_witness_check_is_bounded_by_depth():

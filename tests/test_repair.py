@@ -394,7 +394,7 @@ def test_alpha_value_small_delta():
 @pytest.mark.parametrize("d", [1, 3, 5, 7, 9])
 def test_count_rounds_follow_documented_schedule(d, width):
     """count_paths is one `count-sweeps` run of exactly
-    2d*ceil((2+w)/B) + 1 rounds, w = bitlength(Delta^d), whose levels and
+    2d*ceil(w/B) + 1 rounds, w = bitlength(Delta^d), whose levels and
     counts do not depend on B."""
     g, m_edges = _thick_path(d, width)
     view = whole(g)
@@ -407,6 +407,6 @@ def test_count_rounds_follow_documented_schedule(d, width):
     for bw in (floor, floor + 7, 64):
         g_bw = g.with_bandwidth(bw)
         counts, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta)
-        assert stats.per_phase == [("count-sweeps", 2 * d * math.ceil((2 + w) / bw) + 1)]
+        assert stats.per_phase == [("count-sweeps", 2 * d * math.ceil(w / bw) + 1)]
         assert counts.level == level
         assert (counts.p_node, counts.p_edge) == (expected.node_counts, expected.edge_counts)
