@@ -178,7 +178,32 @@ class PathSelectProgram(NodeProgram):
     Input per node: (partner, level, preds). Messages carry a 2-bit tag
     (gone, token or lock). Deterministic mode uses the initiator id as the
     priority and the minimum-id predecessor; its tokens carry no priority
-    field, so the period is sized to the shorter token.
+    field.
+
+    The period is P = d·(f + 1) rounds, with f the frames of a token.
+    Iteration i launches in round r. A token hop takes f rounds, so a
+    token reaches level 0 in round r + d·f; the 2-bit lock then climbs
+    one level per round and reaches level l in round r + d·f + l. The
+    next iteration's token reaches level l in round r + P + (d - l)·f,
+    and a node must not accept it before its lock has arrived, or it
+    would overwrite `chain_up` and `chain_down`. A lock and a token that
+    land in the same round are safe, since `step` handles the lock first
+    and returns. So P >= l·(f + 1) for every l <= d, and P = d·(f + 1).
+    Three facts keep that count exact:
+
+    * No hop waits. Tokens are the only multi-frame messages, and a node
+      sends them only to its predecessors, at most one per iteration, so
+      P >= f rounds apart. A dying node's "gone" goes to its offer
+      targets, never to a predecessor, and a node locked at level l sent
+      its last token l·(f + 1) > f rounds before. So every token hop
+      takes f rounds and every lock or "gone" hop one.
+    * Deaths settle by the next launch. Nodes are consumed at offsets
+      d·f + l, and a death climbs one level per round, so the last
+      "gone" reaches level d by offset d·f + d = P. An initiator whose
+      last predecessor died hears it no later than in its launch round,
+      and `step` handles the death before the launch.
+    * Iteration ids cannot mix. A token of iteration i is last seen at
+      offset d·f < P, so `accepted_iter` tells the iterations apart.
     """
 
     def __init__(self, d: int, deterministic: bool):
@@ -207,15 +232,18 @@ class PathSelectProgram(NodeProgram):
         self.idw = id_bits(n)
         self.pw = 0 if self.det else 2 * self.idw
         f = frame_count(2 + self.pw + self.idw, bandwidth)  # token: tag, priority, initiator
-        self.period = (3 * self.d + 8) * f
+        self.period = self.d * (f + 1)
 
     def _next_hop(self, st, rng):
         """A live predecessor for a token, the smallest in deterministic
         mode, recorded as the chain's next node; None when none is left."""
-        choices = sorted(st["in_alive"])
-        if not choices:
+        if not st["in_alive"]:
             return None
-        nxt = choices[0] if self.det else choices[rng.randrange(len(choices))]
+        if self.det:
+            nxt = min(st["in_alive"])
+        else:
+            choices = sorted(st["in_alive"])
+            nxt = choices[rng.randrange(len(choices))]
         st["chain_down"] = nxt
         return nxt
 

@@ -11,12 +11,14 @@ from bvc.graph import (
     SubgraphView,
     build_graph,
     ceil_log2,
+    default_bandwidth,
     gen_complete,
     gen_disjoint_edges,
     gen_path,
     gen_random,
 )
 from bvc.matching import (
+    PathSelectProgram,
     approx_matching,
     eliminate_short_aug_paths,
     maximal_matching,
@@ -24,7 +26,7 @@ from bvc.matching import (
     select_disjoint_paths,
 )
 from bvc.primitives import alternating_bfs, elect_leader_and_bfs, witness_check
-from bvc.runtime import derive_seed, id_bits
+from bvc.runtime import derive_seed, frame_count, id_bits
 from support import disjoint_union, graphs
 
 INF = math.inf
@@ -239,6 +241,44 @@ def test_select_on_one_alternating_path_takes_2d_plus_2_rounds(d):
         _, paths, stats = select_disjoint_paths(g, view, m, d, layering, seed=seed)
         assert paths == [tuple(range(d + 1))]
         assert stats.rounds == 2 * d + 2
+
+
+@pytest.mark.parametrize("n", [40, 300, 1000])
+@pytest.mark.parametrize("d", [1, 3, 9])
+def test_select_period_is_d_times_token_frames_plus_one(n, d):
+    """An iteration lasts d·(f + 1) rounds, f the frames of a token: d
+    token hops of f rounds down, then d one-round lock hops back up. A
+    token is 2 + id_bits(n) bits in deterministic mode and carries a
+    2·id_bits(n)-bit priority besides in randomized mode: one frame in
+    both modes at the default bandwidth, at least two in randomized mode
+    at the floor ceil(log2 n) + 4."""
+    floor = ceil_log2(n) + 4
+    for det, bandwidth, frames in (
+        (True, default_bandwidth(n), 1),
+        (False, default_bandwidth(n), 1),
+        (False, floor, None),
+    ):
+        token_bits = 2 + id_bits(n) if det else 2 + 3 * id_bits(n)
+        f = frame_count(token_bits, bandwidth)
+        assert (f == frames) if frames else (f >= 2)
+        program = PathSelectProgram(d, det)
+        program.setup(n, bandwidth)
+        assert program.period == d * (f + 1)
+
+
+@pytest.mark.parametrize("a", [10, 25, 50])
+def test_deterministic_select_on_complete_graph_takes_2a_plus_2_rounds(a):
+    """On K_{a,a} with the empty matching, every free B-node launches
+    towards the smallest A-node, so a deterministic iteration selects one
+    edge, and a of them run d·(f + 1) = 2 rounds apart. The last lock lands
+    in round 2a + 1, its "gone" notices a round later."""
+    g = gen_complete(a, a)
+    view = whole(g)
+    m = Matching([], view)
+    layering, _ = alternating_bfs(g, view, m, 1)
+    flipped, paths, stats = select_disjoint_paths(g, view, m, 1, layering, seed=None)
+    assert len(paths) == flipped.size == a
+    assert stats.rounds == 2 * a + 2
 
 
 def test_deterministic_select_fits_one_frame_at_the_floor():
