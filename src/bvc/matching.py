@@ -1,15 +1,13 @@
 """Distributed matching providers.
 
-Three layers:
+Two layers:
 
-* a randomized maximal matching (propose/accept with coin flips, the
-  classic logarithmic-round scheme);
 * phase machinery that finds a maximal set of vertex-disjoint shortest
   augmenting paths of a given odd length d and flips them, implemented as
   priority token walks down the level structure of an alternating BFS;
 * iterated elimination of augmenting paths up to length 2k-1, which yields
   matchings within a (1 - 1/(k+1)) factor of maximum, exposed behind a
-  provider-string interface.
+  provider-string interface. Its d = 1 phase alone is a maximal matching.
 """
 
 from __future__ import annotations
@@ -17,7 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidParam
+from .errors import InvalidParam, ProgramFault
 from .graph import SIDE_B, BipartiteGraph, Matching, SubgraphView, edge_key
 from .primitives import (
     AlternatingLayering,
@@ -30,120 +28,6 @@ from .primitives import (
 from .runtime import Msg, NodeProgram, RoundStats, derive_seed, frame_count, id_bits, run
 
 INF = math.inf
-
-_PROPOSE = 0
-_ACCEPT = 1
-_MATCHED = 2
-
-
-class MaximalMatchingProgram(NodeProgram):
-    """Unmatched nodes flip a coin; heads propose to a uniformly random
-    unmatched neighbor, tails listen and accept the smallest-id proposer.
-    Mutual proposals also marry. New couples announce themselves so
-    neighbors can prune their candidate lists."""
-
-    def init(self, ctx):
-        return {
-            "partner": None,
-            "open": set(ctx.view_neighbors) if ctx.in_view else set(),
-            "proposed_to": None,
-            "announced": False,
-        }
-
-    def step(self, ctx, st, inbox, rnd, rng):
-        out = {}
-        proposals = []
-        accepts = []
-        for u, msg in inbox.items():
-            tag = msg.values[0]
-            if tag == _MATCHED:
-                st["open"].discard(u)
-            elif tag == _PROPOSE:
-                proposals.append(u)
-            elif tag == _ACCEPT:
-                accepts.append(u)
-
-        phase = (rnd - 1) % 3
-        next_round_zero = rnd + 3 - phase
-
-        def announce(exclude=None):
-            st["announced"] = True
-            for w in ctx.view_neighbors:
-                if w != exclude:
-                    out[w] = Msg((_MATCHED, 2))
-
-        if st["partner"] is not None:
-            # Married earlier; stray mail needs no reaction.
-            return st, out, True
-
-        if phase == 0:
-            st["proposed_to"] = None
-            if not st["open"]:
-                return st, out, True
-            if rng.random() < 0.5:
-                target = sorted(st["open"])[rng.randrange(len(st["open"]))]
-                st["proposed_to"] = target
-                out[target] = Msg((_PROPOSE, 2))
-            return st, out, False, next_round_zero
-
-        if phase == 1:
-            if proposals:
-                if st["proposed_to"] is not None:
-                    if st["proposed_to"] in proposals:
-                        st["partner"] = st["proposed_to"]
-                        announce()
-                        return st, out, True
-                else:
-                    chosen = min(proposals)
-                    st["partner"] = chosen
-                    out[chosen] = Msg((_ACCEPT, 2))
-                    announce(exclude=chosen)
-                    return st, out, True
-            return st, out, False, next_round_zero
-
-        # phase == 2: proposers learn the outcome.
-        if st["proposed_to"] is not None and st["proposed_to"] in accepts:
-            st["partner"] = st["proposed_to"]
-            announce()
-            return st, out, True
-        st["proposed_to"] = None
-        return st, out, False, next_round_zero
-
-    def output(self, ctx, st):
-        return st["partner"]
-
-
-def _matching_from_partner_outputs(view: SubgraphView, partner: dict) -> Matching:
-    edges = []
-    for v, p in partner.items():
-        if p is not None and v < p:
-            if partner.get(p) != v:
-                raise InvalidParam(f"inconsistent partner outputs at ({v},{p})")
-            edges.append(edge_key(v, p))
-    return Matching(edges, view)
-
-
-def maximal_matching(
-    graph: BipartiteGraph,
-    view: SubgraphView | None = None,
-    *,
-    seed: int = 0,
-) -> tuple[Matching, RoundStats]:
-    """Randomized maximal matching; every in-view edge ends with a matched
-    endpoint. Las Vegas: the round cap is generous enough that hitting it
-    has negligible probability."""
-    if view is None:
-        view = SubgraphView.whole(graph)
-    cap = max(600, 300 * id_bits(graph.n))
-    outputs, stats = run(
-        MaximalMatchingProgram(),
-        graph,
-        view,
-        seed=seed,
-        round_cap=cap,
-        phase="maximal-matching",
-    )
-    return _matching_from_partner_outputs(view, outputs), stats
 
 
 # ---------------------------------------------------------------------------
@@ -370,9 +254,16 @@ def select_disjoint_paths(
         allow_quiescence=True,
         phase=phase,
     )
-    partner = {v: o["partner"] for v, o in outputs.items()}
-    flipped = _matching_from_partner_outputs(view, partner)
-    return flipped, _reconstruct_paths(outputs, d), stats
+    edges = []
+    for v, o in outputs.items():
+        p = o["partner"]
+        if p is None:
+            continue
+        if outputs[p]["partner"] != v:
+            raise ProgramFault(f"inconsistent partner outputs at ({v},{p})")
+        if v < p:
+            edges.append(edge_key(v, p))
+    return Matching(edges, view), _reconstruct_paths(outputs, d), stats
 
 
 # Phases up to this length run unchecked: each costs a BFS to depth d and a
@@ -436,6 +327,25 @@ def eliminate_short_aug_paths(
         stats.add_sequential(sel_stats)
         d += 2
     return matching, None, stats
+
+
+def maximal_matching(
+    graph: BipartiteGraph,
+    view: SubgraphView | None = None,
+    *,
+    seed: int = 0,
+) -> tuple[Matching, RoundStats]:
+    """A maximal matching: every in-view edge ends with a matched endpoint.
+    It is a maximal set of disjoint augmenting paths of length 1, so it is
+    the elimination's d = 1 phase from the empty matching: an alternating
+    BFS to depth 1, then one randomized selection. The phase always ends:
+    while a live free B-node remains, its token reaches a free A-node in
+    the same iteration, and an A-node that receives tokens locks an edge
+    with one of them, so every iteration matches at least one edge."""
+    if view is None:
+        view = SubgraphView.whole(graph)
+    matching, _, stats = eliminate_short_aug_paths(graph, view, Matching([], view), 1, seed=seed)
+    return matching, stats
 
 
 def max_useful_k(graph: BipartiteGraph) -> int:

@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bvc import oracle
-from bvc.errors import InvalidParam
+from bvc.errors import InvalidParam, ProgramFault
 from bvc.graph import (
     Matching,
     SubgraphView,
@@ -26,7 +26,7 @@ from bvc.matching import (
     select_disjoint_paths,
 )
 from bvc.primitives import alternating_bfs, elect_leader_and_bfs, witness_check
-from bvc.runtime import derive_seed, frame_count, id_bits
+from bvc.runtime import RoundStats, derive_seed, frame_count, id_bits
 from support import disjoint_union, graphs
 
 INF = math.inf
@@ -85,6 +85,38 @@ def test_maximal_determinism():
     m2, s2 = maximal_matching(g, seed=9)
     assert m1.edges == m2.edges
     assert s1 == s2
+
+
+@pytest.mark.parametrize("m", [1, 5, 50])
+def test_maximal_matching_is_the_d1_elimination_phase(m):
+    """The maximal matching is one alternating BFS to depth 1 (limit + 1 = 2
+    rounds) and one selection at d = 1. Every token is one frame at the
+    default bandwidth, so the period is d·(f + 1) = 2 and, on disjoint
+    edges, the selection takes 2d + 2 = 4 rounds: each B-node launches
+    towards its A-node in round 1, the token lands in round 2 and the
+    A-node locks, the lock lands in round 3 and the B-node tells its
+    neighbor "gone", and that notice lands in round 4."""
+    g = gen_disjoint_edges(m)
+    for seed in range(8):
+        matching, stats = maximal_matching(g, seed=seed)
+        assert matching.size == m
+        assert stats.rounds == 6
+        assert stats.per_phase == [("bfs[d=1]", 2), ("select[d=1]", 4)]
+
+
+@pytest.mark.parametrize("partners", [(1, None), (None, 0)])
+def test_inconsistent_partner_outputs_are_a_program_fault(monkeypatch, partners):
+    """Node programs that disagree about a partner are a protocol fault,
+    not a parameter out of range, whichever end of the edge claims it."""
+    import bvc.matching
+
+    g = build_graph([(0, 1)])
+    view = whole(g)
+    layering, _ = alternating_bfs(g, view, Matching([], view), 1)
+    forged = {v: {"partner": p} for v, p in enumerate(partners)}
+    monkeypatch.setattr(bvc.matching, "run", lambda *args, **kwargs: (forged, RoundStats()))
+    with pytest.raises(ProgramFault, match="inconsistent partner outputs"):
+        select_disjoint_paths(g, view, Matching([], view), 1, layering, seed=1)
 
 
 def test_find_paths_single_free_edge():
