@@ -22,7 +22,7 @@ from .clustering import (
     randomized_pipeline,
     shrink_partition,
 )
-from .errors import BvcError, InvalidParam
+from .errors import BvcError, InvalidParam, ProgramFault
 from .graph import (
     BipartiteGraph, Matching, SubgraphView, graph_from_spec, read_graph, read_lines,
 )
@@ -384,7 +384,8 @@ def main(argv=None) -> int:
         return 0 if all(r["pass"] for r in reports) else 1
     except BvcError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        # A fault in a node program is a bug in bvc, not in the user's input.
+        return 3 if isinstance(exc, ProgramFault) else 2
 
 
 if __name__ == "__main__":

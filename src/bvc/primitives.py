@@ -2,7 +2,8 @@
 tree aggregation, and parallel alternating-path BFS.
 
 All of these are node programs for the round-synchronous engine. The leader
-election floods the minimum id together with hop distances and detects
+election floods the minimum id, each node reading a neighbor's hop distance
+off the round that neighbor's new leader arrived in, and detects
 termination with an echo whose certificates are keyed to the exact
 (leader, distance, parent) a node currently holds: a certificate for a
 non-minimal leader can never complete because the true minimum node never
@@ -35,7 +36,24 @@ class LeaderBfsProgram(NodeProgram):
     """Min-id leader election with BFS tree, echo termination, and a final
     DONE broadcast down the tree. Each node learns its children from the
     child flag in its neighbors' statuses, and outputs its forest entry
-    (parent or None, children)."""
+    (parent or None, children).
+
+    A status is (tag, leader, child flag), plus the certificate bit to the
+    parent only: id_bits + 2 or + 3 bits, one frame at every B >= the
+    floor ceil(log2 n) + 4, since id_bits(n) <= ceil(log2 n) + 1. It
+    carries no distance, because the round tells it. Every message is one
+    frame and an edge carries at most one per round, so a message sent in
+    round r arrives in round r + 1; and a node sends its status in the
+    round it adopts a leader. Hence a node that adopts leader L in round r
+    holds distance r - 1 to it: L itself sends in round 1 at distance 0,
+    and a node that first hears of L in round r hears it from neighbors
+    that adopted L in round r - 1, at distance r - 2 (had one adopted it
+    earlier, the node would have heard earlier, and leaders only fall).
+    So a status from u that names a leader other than the last one heard
+    from u, arriving in round r, puts u at distance r - 2. Later statuses
+    naming the same leader come from nodes that adopted it no earlier, so
+    no node ever improves its distance under an unchanged leader, and
+    those statuses change only the child flag or the certificate bit."""
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
@@ -93,7 +111,10 @@ class LeaderBfsProgram(NodeProgram):
         for u, msg in inbox.items():
             vals = msg.values
             if vals[0] == _STATUS:
-                nbr[u] = vals[1:] if len(vals) == 5 else vals[1:] + (0,)
+                lu = vals[1]
+                old = nbr.get(u)
+                du = old[1] if old is not None and old[0] == lu else rnd - 2
+                nbr[u] = (lu, du, vals[2], vals[3] if len(vals) == 4 else 0)
                 senders.append(u)
             else:
                 done_received = True
@@ -113,22 +134,20 @@ class LeaderBfsProgram(NodeProgram):
                 out[c] = done
             return st, out, True
 
-        status = (st["lead"], st["dist"], st["parent"], int(complete))
+        # The parent changes only with the leader, and the distance never
+        # changes without it.
+        status = (st["lead"], st["parent"], int(complete))
         if status != st["sent"]:
             sent, st["sent"] = st["sent"], status
             # Only the parent needs the certificate bit; the other statuses
-            # leave it out, one bit fewer each. They still take
-            # 2 + 2·id_bits bits, two frames at the floor bandwidth
-            # id_bits + 4 once id_bits > 2.
-            full = Msg(
-                (_STATUS, 1), (status[0], idw), (status[1], idw), (1, 1), (status[3], 1)
-            )
-            if sent is not None and sent[:3] == status[:3]:
+            # leave it out, one bit fewer each.
+            full = Msg((_STATUS, 1), (status[0], idw), (1, 1), (status[2], 1))
+            if sent is not None and sent[:2] == status[:2]:
                 # Only the certificate bit changed: the other neighbors
                 # already hold this exact short status.
                 out[st["parent"]] = full
                 return st, out, False, None
-            short = Msg((_STATUS, 1), (status[0], idw), (status[1], idw), (0, 1))
+            short = Msg((_STATUS, 1), (status[0], idw), (0, 1))
             for u in ctx.neighbors:
                 out[u] = full if u == st["parent"] else short
         return st, out, False, None

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from bvc import oracle, primitives
 from bvc.cli import PIPELINES, load_graph, main, run_experiment, run_one, verify_record
-from bvc.errors import InvalidParam
+from bvc.errors import InvalidParam, RoundCapExceeded
 from bvc.graph import Matching, SubgraphView, gen_path, gen_random, write_graph
 from bvc.konig import koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
@@ -253,6 +253,40 @@ def test_bad_cli_files_exit_2(tmp_path, capsys, command, content):
     rc = main([arg.format(file=path) for arg in command])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_program_fault_exits_3(monkeypatch, capsys):
+    """Node programs that disagree about a partner are a fault in bvc, not
+    in the user's input: `bvc run` exits 3, not 2."""
+    import bvc.matching
+
+    real = bvc.matching.run
+
+    def forged(program, *args, **kwargs):
+        outputs, stats = real(program, *args, **kwargs)
+        if isinstance(program, bvc.matching.PathSelectProgram):
+            v = next(v for v, o in outputs.items() if o["partner"] is not None)
+            outputs[v] = {**outputs[v], "partner": None}
+        return outputs, stats
+
+    monkeypatch.setattr(bvc.matching, "run", forged)
+    rc = main(["run", "--pipeline", "matching-only", "--graph", "gen:path:n=4"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("error: inconsistent partner outputs")
+
+
+def test_round_cap_exits_2(monkeypatch, capsys):
+    """Of the package errors only a program fault exits 3; a round cap,
+    like bad input, exits 2."""
+    import bvc.cli
+
+    def capped(config):
+        raise RoundCapExceeded("round cap 7 exceeded")
+
+    monkeypatch.setattr(bvc.cli, "run_experiment", capped)
+    rc = main(["run", "--pipeline", "exact", "--graph", "gen:path:n=4"])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: round cap 7 exceeded\n"
 
 
 @pytest.mark.parametrize("key", ["seed", "foo"])

@@ -5,8 +5,8 @@ floor bandwidth, on the whole graph or an induced sub-view; and the levels
 and predecessors of the alternating BFS, against the oracle's levels; the
 counts of shortest augmenting paths, against the tests' reference; the
 layered cover read off a caller's layering, against a fresh BFS and the
-class rule; and the cluster trees with their one-hop extension, against
-networkx's BFS."""
+class rule; and the election's forest and the cluster trees with their
+one-hop extension, against networkx's BFS."""
 
 import math
 
@@ -20,9 +20,10 @@ from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import alternating_bfs, elect_leader_and_bfs
 from bvc.repair import count_paths, det_cover_low_diameter, repair_matching
-from bvc.runtime import frame_count
+from bvc.runtime import frame_count, id_bits
 from support import (
     class_rule_cover,
+    components,
     disjoint_union,
     enumerate_aug_paths,
     graphs,
@@ -34,10 +35,17 @@ SETTINGS = settings(max_examples=75, derandomize=True, deadline=None, database=N
 
 
 @st.composite
-def networks(draw):
+def unions(draw):
+    """A drawn graph, alone or beside a second one."""
     g = draw(graphs())
     if draw(st.booleans()):
         g = disjoint_union(g, draw(graphs()))
+    return g
+
+
+@st.composite
+def networks(draw):
+    g = draw(unions())
     if draw(st.booleans()):
         g = g.with_bandwidth(ceil_log2(g.n) + 4)
     return g
@@ -67,6 +75,28 @@ def matched_views(draw):
             used |= {u, v}
             matched.append((u, v))
     return g, view, Matching(matched, view), draw(st.integers(0, g.n))
+
+
+@SETTINGS
+@given(unions())
+def test_election_builds_the_min_id_bfs_forest_in_one_frame(g):
+    """At the default and the floor bandwidth, the forest is the BFS forest
+    from each component's minimum id, each parent the smallest-id
+    neighbour one level closer and the children exactly the nodes naming
+    that parent. Every message fits one frame, so the floor costs no
+    round: at most id_bits + 3 bits, no fragmentation round, and the same
+    rounds at both bandwidths."""
+    root = {v: min(comp) for comp in components(g) for v in comp}
+    parent, _ = region_bfs(g, root)
+    expected = {
+        v: (parent[v], tuple(u for u in g.node_ids if parent[u] == v)) for v in g.node_ids
+    }
+    runs = [elect_leader_and_bfs(h) for h in (g, g.with_bandwidth(ceil_log2(g.n) + 4))]
+    for forest, stats in runs:
+        assert forest == expected
+        assert stats.fragmentation_rounds == 0
+        assert stats.max_message_bits <= id_bits(g.n) + 3
+    assert runs[0][1].rounds == runs[1][1].rounds
 
 
 @SETTINGS
