@@ -22,7 +22,7 @@ from typing import Iterator
 
 from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_A, SIDE_B, BipartiteGraph, Matching, SubgraphView
-from .runtime import Msg, NodeProgram, RoundStats, id_bits, run
+from .runtime import Msg, NodeProgram, RoundStats, frame_count, id_bits, run
 
 _STATUS = 0
 _DONE = 1
@@ -328,49 +328,60 @@ def alternating_offers(ctx, partner: int | None) -> list[int]:
     return [w for w in ctx.view_neighbors if w != partner]
 
 
-_OFFER = Msg((0, 1))
-
-
 class AltBfsProgram(NodeProgram):
     """Layered exploration of the orientation that alternates non-matching
-    and matching edges, to a fixed depth.
+    and matching edges, to a fixed depth, in slots of f = frame_count(w, B)
+    rounds; an offer carries the sender's count x of alternating paths from
+    level 0, capped at 2^w - 1. The BFS's w = 1 makes an offer one bit that
+    means only "reached", and f = 1.
 
     Input per node: its matching partner (or None), where the matching lies
-    in the view. Level 0 is exactly the set of free in-view A-nodes; they
-    offer in round 1. A node at level j < limit offers onward in round
-    j + 1, to its `alternating_offers`. An in-view node without a level
-    that receives offers in round r takes level r - 1. Every level-(r - 2)
-    node offered in round r - 1, so the senders are exactly its
-    predecessors. Messages are a 1-bit offer: the round gives the level.
-    The last offers land in round limit + 1, when every node halts.
+    in the view. Level 0 is exactly the set of free in-view A-nodes, with
+    x = 1; they offer in round 1. An in-view node without a level that
+    receives offers in round r takes level (r - 1) // f, sums them into its
+    x, keeps the senders as its predecessors and, below the depth limit,
+    offers onward to its `alternating_offers` in that round. Every
+    level-(j - 1) node offered in round (j - 1)·f + 1, so the offers of a
+    level-j node land together in round j·f + 1 and the senders are
+    exactly its predecessors. The last offers land in round limit·f + 1,
+    when every node halts.
     """
+
+    width = 1
 
     def __init__(self, depth_limit: int):
         self.limit = depth_limit
 
+    def setup(self, n, bandwidth):
+        self.f = frame_count(self.width, bandwidth)
+        self.end = self.limit * self.f + 1
+        self.cap = (1 << self.width) - 1
+        # The BFS's every offer: built once, not once per offering node.
+        self.capped = Msg((self.cap, self.width))
+
     def init(self, ctx):
         partner = ctx.input
         level = 0 if ctx.in_view and ctx.side == SIDE_A and partner is None else None
-        return {"partner": partner, "level": level, "preds": ()}
+        return {"partner": partner, "level": level, "x": int(level == 0), "preds": ()}
 
     def step(self, ctx, st, inbox, rnd, rng):
         out = {}
         if st["level"] is None:
             if inbox and ctx.in_view:
-                st["level"] = rnd - 1
+                st["level"] = (rnd - 1) // self.f
+                st["x"] = sum(msg.values[0] for msg in inbox.values())
                 st["preds"] = tuple(inbox)
                 self._offer(ctx, st, out)
         elif rnd == 1:
             self._offer(ctx, st, out)
-        end = self.limit + 1
-        if rnd >= end:
-            return st, out, True
-        return st, out, False, end
+        return st, out, rnd >= self.end, self.end
 
     def _offer(self, ctx, st, out):
         if st["level"] < self.limit:
+            x = st["x"]
+            msg = self.capped if x >= self.cap else Msg((x, self.width))
             for w in alternating_offers(ctx, st["partner"]):
-                out[w] = _OFFER
+                out[w] = msg
 
     def output(self, ctx, st):
         return st["level"], st["preds"]

@@ -4,9 +4,10 @@ Given a matching whose shortest augmenting path has odd length d, the
 number of such paths through a node u is x_u * s_u: x_u counts the
 alternating paths from a free A-node down to u, s_u those from u on to a
 free B-node at level d (the prefix-times-suffix identity of shortest-path
-counting). Two fixed-schedule sweeps compute them: a top-down pass that is
-itself the alternating BFS and sums x over the predecessors, and a
-bottom-up pass that sums s over the successors. Counts are exact big
+counting). Two fixed-schedule sweeps compute them: the prefix sweep is the
+shared alternating BFS (`AltBfsProgram`) run at the count's width, whose
+offers carry x and whose receivers sum it over their predecessors, and a
+bottom-up suffix sweep sums s over the successors. Counts are exact big
 integers, and messages carry them alone at the protocol width
 bitlength(Delta^d) and fragment accordingly: the round tells a node which
 sweep a message belongs to.
@@ -44,13 +45,13 @@ from .konig import koenig_approx_cover
 from .matching import approx_matching, ceil_ratio, max_useful_k
 from .primitives import (
     AlternatingLayering,
+    AltBfsProgram,
     Forest,
-    alternating_offers,
     elect_leader_and_bfs,
     pipelined_aggregate,
     witness_check,
 )
-from .runtime import Msg, NodeProgram, RoundStats, frame_count, id_bits, run
+from .runtime import Msg, NodeProgram, RoundStats, id_bits, run
 
 INF = math.inf
 
@@ -65,74 +66,46 @@ class PathCounts:
     level: dict[int, int] = field(default_factory=dict)
 
 
-class CountSweepProgram(NodeProgram):
-    """The prefix and suffix sweeps on a fixed schedule of slots of
-    f = frame_count(w, B) rounds; the prefix sweep is the alternating BFS
-    to depth d.
+class CountSweepProgram(AltBfsProgram):
+    """The prefix sweep, which is the alternating BFS to depth d at the
+    count width w = bitlength(delta^d), then the suffix sweep on the same
+    slots of f = frame_count(w, B) rounds.
 
-    Input per node: its matching partner (or None), where the matching
-    lies in the view. Prefix: level 0 is the free in-view A-nodes, with
-    x = 1. A node at level j < d sends x in round j*f + 1 to its
-    `alternating_offers`. An in-view node without a level that receives
-    x-messages in round r takes level (r - 1)/f, sums them into its x and
-    keeps the senders as its predecessors. Suffix: a level-d node starts
-    with s = 1 if it is free, else 0; a node at level j >= 1 sends s to its
-    predecessors in round d*f + 1 + (d - j)*f, and a node's s is the sum of
-    what it receives, all in its own send round. Every prefix message
-    arrives by round d*f + 1 and every suffix message after it, so the
-    round tells a levelled node which sweep a message belongs to. Every
-    node halts in round 2*d*f + 1 and outputs (level or None, predecessors,
-    x*s).
+    Prefix: every node takes its level, its predecessors and x as
+    `AltBfsProgram` does, and every prefix message arrives by round
+    d*f + 1. The cap 2^w - 1 never binds: x, s and x*s count alternating
+    paths of length <= d, each at most delta^d. Suffix: a level-d node
+    starts with s = 1 if it is free, else 0; a node at level j >= 1 sends
+    s to its predecessors in round (2d - j)*f + 1, and a node's s is the
+    sum of what it receives, all by its own send round. Every suffix
+    message arrives after round d*f + 1, so the round tells a levelled
+    node which sweep a message belongs to. Every node halts in round
+    2*d*f + 1 and outputs (level or None, predecessors, x*s).
 
-    A message is the count alone, sent at the reserved width
-    w = bitlength(delta^d) whatever its value, as real hardware would have
-    to reserve it: x, s and x*s count alternating paths of length <= d,
-    each at most delta^d."""
+    A message is the count alone, sent at the reserved width w whatever
+    its value, as real hardware would have to reserve it."""
 
     def __init__(self, d: int, delta: int):
-        self.d = d
-        self.xw = max(1, (delta**d).bit_length())
-
-    def setup(self, n, bandwidth):
-        self.f = frame_count(self.xw, bandwidth)
-
-    def init(self, ctx):
-        partner = ctx.input
-        level = 0 if ctx.in_view and ctx.side == SIDE_A and partner is None else None
-        return {"partner": partner, "level": level, "x": int(level == 0), "s": 0, "preds": ()}
+        super().__init__(d)
+        self.width = max(1, (delta**d).bit_length())
 
     def step(self, ctx, st, inbox, rnd, rng):
-        d, f = self.d, self.f
+        d, f = self.limit, self.f
         end = 2 * d * f + 1
-        lvl = st["level"]
-        if lvl is None:
-            # A node without a level gets x-messages only.
-            if not inbox:
-                return st, {}, rnd >= end, end
-            lvl = st["level"] = (rnd - 1) // f
-            st["x"] = sum(msg.values[0] for msg in inbox.values())
-            st["preds"] = tuple(inbox)
-            if lvl == d:
-                # Level d is odd: the node is a B-node.
-                st["s"] = int(st["partner"] is None)
-        elif rnd > d * f + 1:
+        if rnd <= d * f + 1:
+            out = super().step(ctx, st, inbox, rnd, rng)[1]
+            # Level d is odd: a level-d node is a B-node.
+            st["s"] = int(st["level"] == d and st["partner"] is None)
+        else:
+            out = {}
             st["s"] += sum(msg.values[0] for msg in inbox.values())
-
-        out = {}
-        prefix_at = lvl * f + 1 if lvl < d else None
-        suffix_at = (2 * d - lvl) * f + 1 if lvl > 0 else None
-        if rnd == prefix_at:
-            msg = Msg((st["x"], self.xw))
-            for u in alternating_offers(ctx, st["partner"]):
-                out[u] = msg
-        elif rnd == suffix_at:
-            msg = Msg((st["s"], self.xw))
+        lvl = st["level"]
+        suffix_at = end if lvl is None else (2 * d - lvl) * f + 1
+        if rnd == suffix_at and st["preds"]:
+            msg = Msg((st["s"], self.width))
             for u in st["preds"]:
                 out[u] = msg
-        if rnd >= end:
-            return st, out, True
-        wake = min(r for r in (prefix_at, suffix_at, end) if r is not None and r > rnd)
-        return st, out, False, wake
+        return st, out, rnd >= end, suffix_at if suffix_at > rnd else end
 
     def output(self, ctx, st):
         return st["level"], st["preds"], st["x"] * st["s"]

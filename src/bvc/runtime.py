@@ -37,6 +37,9 @@ from .graph import BipartiteGraph, SubgraphView, ceil_log2
 
 _M64 = (1 << 64) - 1
 
+# No run steps beyond this round.
+ROUND_CAP = 1_000_000
+
 # The inbox of every step without mail: one shared, read-only mapping.
 _NO_MAIL = types.MappingProxyType({})
 
@@ -204,7 +207,6 @@ def run(
     view: SubgraphView | None = None,
     *,
     seed: int | None = None,
-    round_cap: int = 1_000_000,
     inputs: dict | None = None,
     phase: str = "main",
     allow_quiescence: bool = False,
@@ -215,12 +217,11 @@ def run(
     Returns (outputs, RoundStats) where outputs maps node -> program output.
 
     Raises:
-        InvalidParam: the round cap is not positive, or the view is over
-            another graph.
-        RoundCapExceeded: the cap was hit, or no node can ever act again
-            while some are unhalted (unless allow_quiescence, which then
-            force-halts everyone; used by algorithms that converge without
-            an explicit termination signal).
+        InvalidParam: the view is over another graph.
+        RoundCapExceeded: a round beyond ROUND_CAP was due, or no node can
+            ever act again while some are unhalted (unless allow_quiescence,
+            which then force-halts everyone; used by algorithms that
+            converge without an explicit termination signal).
         ProgramFault: a node's init/step/output raised, or a step sent to a
             non-neighbor, sent a non-Msg, asked to wake in the past, or drew
             randomness in a run without a seed.
@@ -229,8 +230,6 @@ def run(
         raise InvalidParam("view is over another graph")
     n = graph.n
     bw = graph.bandwidth
-    if round_cap <= 0:
-        raise InvalidParam("round_cap must be positive")
 
     side = graph.side
     adjacency = graph.adjacency
@@ -294,8 +293,8 @@ def run(
                     f"quiescent at round {rnd} with {n - len(halted)} nodes unhalted"
                 )
             nxt = wake_heap[0][0]
-        if nxt > round_cap:
-            raise RoundCapExceeded(f"round cap {round_cap} exceeded")
+        if nxt > ROUND_CAP:
+            raise RoundCapExceeded(f"round cap {ROUND_CAP} exceeded")
         rnd = nxt
 
         inbox_now, inbox_next = inbox_next, {}

@@ -130,7 +130,8 @@ def test_count_paths_matches_the_oracle(instance, k):
     of it, the counts of shortest augmenting paths through every free node
     and matching edge and the levels are the oracle's. The count takes
     2d*ceil(w/B) + 1 rounds with messages of at most min(B, w) bits,
-    w = bitlength(Delta^d)."""
+    w = bitlength(Delta^d), and sends w bits per offer of the alternating
+    BFS to depth d and per predecessor edge, no more."""
     g, view, m, _ = instance
     if k:
         forest, _ = elect_leader_and_bfs(g)
@@ -147,6 +148,9 @@ def test_count_paths_matches_the_oracle(instance, k):
     w = (delta**d).bit_length()
     assert stats.rounds == 2 * d * frame_count(w, g.bandwidth) + 1
     assert stats.max_message_bits <= min(g.bandwidth, w)
+    layering, bfs_stats = alternating_bfs(g, view, m, d)
+    pred_edges = sum(len(layering.preds[v]) for v, lv in layering.level.items() if lv >= 1)
+    assert stats.total_bits == w * (bfs_stats.total_bits + pred_edges)
 
 
 @SETTINGS

@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
+import bvc.runtime
 from bvc.errors import InvalidParam, ProgramFault, RoundCapExceeded
 from bvc.graph import (
     SubgraphView,
@@ -175,10 +176,11 @@ def test_unseeded_draw_faults():
     assert all(len(draws) == 3 for draws in outputs.values())
 
 
-def test_round_cap():
+def test_round_cap(monkeypatch):
+    monkeypatch.setattr(bvc.runtime, "ROUND_CAP", 10)
     g = build_graph([(0, 1)])
     with pytest.raises(RoundCapExceeded):
-        run(NeverHalts(), g, seed=0, round_cap=10)
+        run(NeverHalts(), g, seed=0)
 
 
 def test_quiescence_detection():
@@ -543,7 +545,7 @@ class RandomTraffic(NodeProgram):
         return state, out, False, None if r < 0.6 else rnd + rng.randrange(1, 6)
 
 
-def test_engine_matches_per_frame_reference():
+def test_engine_matches_per_frame_reference(monkeypatch):
     for case in range(150):
         rng = random.Random(case)
         g = gen_random(rng.randrange(1, 7), rng.randrange(1, 7), rng.choice([0.2, 0.5, 0.9]), case)
@@ -555,8 +557,9 @@ def test_engine_matches_per_frame_reference():
             seed=case,
             inputs={v: 3 * v for v in g.node_ids} if case % 2 else None,
             allow_quiescence=case % 3 == 0,
-            round_cap=rng.choice([10, 1000]),
         )
+        round_cap = rng.choice([10, 1000])
+        monkeypatch.setattr(bvc.runtime, "ROUND_CAP", round_cap)
 
         def program():
             return RandomTraffic(rng.choice([0.05, 0.4]), rng.choice([bw, 4 * bw]), case % 4 > 0)
@@ -569,7 +572,7 @@ def test_engine_matches_per_frame_reference():
             got = RoundCapExceeded
         rng.setstate(state)
         try:
-            want = reference_run(program(), g, view, **kwargs)
+            want = reference_run(program(), g, view, round_cap=round_cap, **kwargs)
         except RoundCapExceeded:
             want = RoundCapExceeded
         assert got == want, case
