@@ -173,13 +173,6 @@ class SubgraphView:
         """The view of everything."""
         return cls(base, {v: True for v in base.node_ids}, {e: True for e in base.edges})
 
-    @classmethod
-    def induced(cls, base: BipartiteGraph, nodes: Iterable[int]) -> "SubgraphView":
-        keep = set(nodes)
-        node_in = {v: v in keep for v in base.node_ids}
-        edge_in = {e: e[0] in keep and e[1] in keep for e in base.edges}
-        return cls(base, node_in, edge_in)
-
     def without_nodes(self, removed: Iterable[int]) -> "SubgraphView":
         gone = set(removed)
         node_in = {v: self.node_in.get(v, False) and v not in gone for v in self.base.node_ids}
@@ -227,9 +220,6 @@ class SubgraphView:
 
     def view_degree(self, v: int) -> int:
         return sum(1 for _ in self.view_neighbors(v))
-
-    def max_view_degree(self) -> int:
-        return max((self.view_degree(v) for v in self._in_nodes), default=0)
 
 
 class Matching:

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import InvalidParam, ProgramFault
-from .graph import SIDE_B, BipartiteGraph, Matching, SubgraphView, edge_key
+from .graph import SIDE_A, BipartiteGraph, Matching, SubgraphView, edge_key
 from .primitives import (
     AlternatingLayering,
     Forest,
@@ -37,6 +37,8 @@ INF = math.inf
 _T_GONE = 0
 _T_TOKEN = 1
 _T_LOCK = 2
+_GONE = Msg((_T_GONE, 2))
+_LOCK = Msg((_T_LOCK, 2))
 
 
 class PathSelectProgram(NodeProgram):
@@ -47,22 +49,24 @@ class PathSelectProgram(NodeProgram):
     node starts alive: the layering is an alternating BFS, so a node at
     level 1..d took its level from a predecessor one level down, and the
     BFS gave each node its predecessors. Aliveness can only be lost. A
-    node below level d that loses it sends "gone" along the BFS's offer
-    rule, `alternating_offers`, which reaches every node that took its
-    level from it; a locked node sends "gone" to every neighbor. A
-    receiver drops the sender from its live predecessors and from its own
-    offer targets. From round 1, free level-d nodes repeatedly launch
-    tokens that walk down the levels, one hop per slot, choosing a random
-    live predecessor. Same-slot collisions keep the smallest (priority,
-    initiator) token; the winner locks its chain bottom-up, flipping
-    matched and unmatched edges, and locked nodes withdraw from the
-    structure. Iterations repeat on a fixed schedule until no live
-    initiator remains, at which point the run goes quiescent.
+    node leaves the structure when it loses its last live predecessor or
+    is locked, and then sends "gone" along the BFS's offer rule,
+    `alternating_offers`, whose targets include every node that holds it
+    as a predecessor. A receiver drops the sender from its live
+    predecessors. From round 1, the initiators (the free B-nodes at level
+    d) repeatedly launch tokens that walk down the levels, one hop per
+    slot, choosing a random live predecessor. Same-slot collisions keep
+    the smallest (priority, initiator) token; the winner locks its chain
+    bottom-up, and each locked node leaves the structure. Iterations
+    repeat on a fixed schedule until no live initiator remains, at which
+    point the run goes quiescent.
 
-    Input per node: (partner, level, preds). Messages carry a 2-bit tag
-    (gone, token or lock). Deterministic mode uses the initiator id as the
-    priority and the minimum-id predecessor; its tokens carry no priority
-    field.
+    Input per node: (partner, level, preds, initiator flag). Output: the
+    node's partner after the flip, `chain_up` for a locked node at an even
+    level, `chain_down` at an odd one, the input partner otherwise.
+    Messages carry a 2-bit tag (gone, token or lock). Deterministic mode
+    uses the initiator id as the priority and the minimum-id predecessor;
+    its tokens carry no priority field.
 
     The period is P = d·(f + 1) rounds, with f the frames of a token.
     Iteration i launches in round r. A token hop takes f rounds, so a
@@ -77,10 +81,9 @@ class PathSelectProgram(NodeProgram):
 
     * No hop waits. Tokens are the only multi-frame messages, and a node
       sends them only to its predecessors, at most one per iteration, so
-      P >= f rounds apart. A dying node's "gone" goes to its offer
-      targets, never to a predecessor, and a node locked at level l sent
-      its last token l·(f + 1) > f rounds before. So every token hop
-      takes f rounds and every lock or "gone" hop one.
+      P >= f rounds apart. Every other message goes along the offer rule,
+      which never names a predecessor. So every token hop takes f rounds
+      and every lock or "gone" hop one.
     * Deaths settle by the next launch. Nodes are consumed at offsets
       d·f + l, and a death climbs one level per round, so the last
       "gone" reaches level d by offset d·f + d = P. An initiator whose
@@ -97,19 +100,18 @@ class PathSelectProgram(NodeProgram):
         self.det = deterministic
 
     def init(self, ctx):
-        partner, level, preds = ctx.input
+        partner, level, preds, initiator = ctx.input
         below_d = level is not None and level < self.d
         return {
             "level": level,
-            "initiator": level == self.d and partner is None and ctx.side == SIDE_B and ctx.in_view,
+            "initiator": initiator,
             "in_alive": set(preds),
-            "offers": set(alternating_offers(ctx, partner)) if below_d else set(),
+            "offers": alternating_offers(ctx, partner) if below_d else (),
             "alive": level == 0 and ctx.in_view or bool(preds),
             "consumed": False,
             "chain_up": None,
             "chain_down": None,
             "accepted_iter": None,
-            "new_partner": partner,
         }
 
     def setup(self, n, bandwidth):
@@ -131,6 +133,22 @@ class PathSelectProgram(NodeProgram):
         st["chain_down"] = nxt
         return nxt
 
+    @staticmethod
+    def _leave(st, out):
+        """Leave the structure: "gone" to every offer target not already
+        sent a message this step."""
+        st["alive"] = False
+        for u in st["offers"]:
+            out.setdefault(u, _GONE)
+
+    def _lock(self, st, out):
+        """Consume this node, pass the lock up the chain below level d, and
+        leave the structure."""
+        st["consumed"] = True
+        if st["level"] < self.d:
+            out[st["chain_up"]] = _LOCK
+        self._leave(st, out)
+
     def step(self, ctx, st, inbox, rnd, rng):
         idw = self.idw
         out = {}
@@ -144,46 +162,24 @@ class PathSelectProgram(NodeProgram):
                 locked = True
             else:
                 st["in_alive"].discard(u)
-                st["offers"].discard(u)
 
         # A node above level 0 dies with its last live predecessor; the
         # death propagates up the levels as events.
         if st["alive"] and st["level"] > 0 and not st["in_alive"]:
-            st["alive"] = False
-            for u in st["offers"]:
-                out[u] = Msg((_T_GONE, 2))
-
-        iter_no = (rnd - 1) // self.period
+            self._leave(st, out)
 
         if locked and not st["consumed"]:
-            st["consumed"] = True
-            st["alive"] = False
-            if st["level"] % 2 == 0:
-                st["new_partner"] = st["chain_up"]
-            else:
-                st["new_partner"] = st["chain_down"]
-            if st["level"] < self.d and st["chain_up"] is not None:
-                out[st["chain_up"]] = Msg((_T_LOCK, 2))
-            gone = Msg((_T_GONE, 2))
-            for u in ctx.neighbors:
-                if u not in out:
-                    out[u] = gone
+            self._lock(st, out)
             return st, out, False, None
 
+        iter_no = (rnd - 1) // self.period
         if tokens and not st["consumed"] and st["accepted_iter"] != iter_no:
             prio, init, sender = min(tokens)
             st["accepted_iter"] = iter_no
             st["chain_up"] = sender
             if st["level"] == 0:
-                # Path complete: lock bottom-up and marry the level-1 node.
-                st["consumed"] = True
-                st["alive"] = False
-                st["new_partner"] = sender
-                out[sender] = Msg((_T_LOCK, 2))
-                gone = Msg((_T_GONE, 2))
-                for u in ctx.neighbors:
-                    if u != sender:
-                        out[u] = gone
+                # Path complete: lock bottom-up.
+                self._lock(st, out)
             else:
                 nxt = self._next_hop(st, rng)
                 if nxt is not None:
@@ -205,26 +201,9 @@ class PathSelectProgram(NodeProgram):
         return st, out, False, next_launch
 
     def output(self, ctx, st):
-        return {
-            "partner": st["new_partner"],
-            "consumed": st["consumed"],
-            "level": st["level"],
-            "chain_up": st["chain_up"] if st["consumed"] else None,
-            "chain_down": st["chain_down"] if st["consumed"] else None,
-        }
-
-
-def _reconstruct_paths(outputs, d: int) -> list[tuple[int, ...]]:
-    paths = []
-    for v, o in sorted(outputs.items()):
-        if o["consumed"] and o["level"] == 0:
-            path = [v]
-            cur = o["chain_up"]
-            while cur is not None and len(path) <= d:
-                path.append(cur)
-                cur = outputs[cur]["chain_up"]
-            paths.append(tuple(path))
-    return paths
+        if not st["consumed"]:
+            return ctx.input[0]
+        return st["chain_up"] if st["level"] % 2 == 0 else st["chain_down"]
 
 
 def select_disjoint_paths(
@@ -239,31 +218,48 @@ def select_disjoint_paths(
 ) -> tuple[Matching, list[tuple[int, ...]], RoundStats]:
     """Run one selection phase; returns the flipped matching and the chosen
     paths. Callers must pass the layering of `matching` at depth >= d. The
+    initiators are its witnesses at level d; without one, no node can
+    launch, so the phase runs no engine call and takes 0 rounds. The
     phase starts on that layering as it is: every node at level 1..d got
     its level from a node one level down, a predecessor the BFS learned,
     so every layered node starts able to reach level 0 and tokens launch
     in round 1. Withdrawals follow the BFS's offer rule, so the phase
-    needs no successor lists. Without a seed the phase follows the
-    deterministic rule."""
+    needs no successor lists. The paths are read off the flip: from each
+    A-node it matched, alternately new and old partners. Without a seed
+    the phase follows the deterministic rule."""
+    initiators = {v for v, lv in layering.witnesses(view, matching) if lv == d}
+    if not initiators:
+        return matching, [], RoundStats(per_phase=[(phase, 0)])
+    level, preds = layering.level, layering.preds
     outputs, stats = run(
         PathSelectProgram(d, seed is None),
         graph,
         view,
         seed=seed,
-        inputs=layering.dag_inputs(graph, matching),
+        inputs={
+            v: (matching.partner_of(v), level.get(v), preds.get(v, ()), v in initiators)
+            for v in graph.node_ids
+        },
         allow_quiescence=True,
         phase=phase,
     )
     edges = []
-    for v, o in outputs.items():
-        p = o["partner"]
+    for v, p in outputs.items():
         if p is None:
             continue
-        if outputs[p]["partner"] != v:
+        if outputs[p] != v:
             raise ProgramFault(f"inconsistent partner outputs at ({v},{p})")
         if v < p:
             edges.append(edge_key(v, p))
-    return Matching(edges, view), _reconstruct_paths(outputs, d), stats
+    flipped = Matching(edges, view)
+    paths = []
+    for v in graph.node_ids:
+        if graph.side[v] == SIDE_A and flipped.is_matched(v) and not matching.is_matched(v):
+            path = [v]
+            while len(path) <= d:
+                path.append((flipped if len(path) % 2 else matching).partner_of(path[-1]))
+            paths.append(tuple(path))
+    return flipped, paths, stats
 
 
 # Phases up to this length run unchecked: each costs a BFS to depth d and a

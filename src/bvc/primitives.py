@@ -308,14 +308,6 @@ class AlternatingLayering:
             if lv < d:
                 raise ShorterPathExists(f"free B-node {v} at level {lv} < {d}")
 
-    def dag_inputs(self, graph: BipartiteGraph, matching: Matching) -> dict[int, tuple]:
-        """Per-node input (partner, level, preds) of the programs that walk
-        the levels down."""
-        return {
-            v: (matching.partner_of(v), self.level.get(v), self.preds.get(v, ()))
-            for v in graph.node_ids
-        }
-
 
 def alternating_offers(ctx, partner: int | None) -> list[int]:
     """The neighbors a levelled in-view node below the depth limit offers

@@ -274,7 +274,6 @@ def cover_short_paths(
 class RepairResult:
     s1: set[int]
     per_stage: list[tuple[int, set[int]]]
-    alpha: float
     layering: AlternatingLayering | None  # the last check's, which found no path
 
 
@@ -303,11 +302,11 @@ def repair_matching(
     keeps its layering. Because removals always take out whole matched
     pairs, no new free node ever appears, so no shorter path can appear and
     earlier stages stay discharged. The stages stop at `max_useful_k`; the
-    size coefficient keeps the caller's k."""
+    removed set's size bound, `repair_alpha(k, Δ)` times δ·OPT for a
+    matching within 1 - δ of maximum, keeps the caller's k."""
     if k < 1:
         raise InvalidParam("k must be >= 1")
     stats = RoundStats()
-    delta0 = view.max_view_degree()
     top = 2 * min(k, max_useful_k(graph)) - 1
 
     s1: set[int] = set()
@@ -337,7 +336,7 @@ def repair_matching(
                 raise ProgramFault(f"matched node {v} removed without partner {p}")
         d += 2
 
-    return RepairResult(s1, per_stage, repair_alpha(k, delta0), layering), m_bar, stats
+    return RepairResult(s1, per_stage, layering), m_bar, stats
 
 
 def det_cover_low_diameter(

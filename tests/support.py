@@ -39,6 +39,21 @@ def nx_graph(view: SubgraphView) -> nx.Graph:
     return g
 
 
+def induced(base, nodes) -> SubgraphView:
+    """The view of `base` induced by `nodes`: those nodes and every edge
+    between two of them."""
+    keep = set(nodes)
+    node_in = {v: v in keep for v in base.node_ids}
+    edge_in = {e: e[0] in keep and e[1] in keep for e in base.edges}
+    return SubgraphView(base, node_in, edge_in)
+
+
+def max_view_degree(view: SubgraphView) -> int:
+    """The view's maximum degree Δ, read centrally; in a run, the nodes
+    learn it by `view_max_degree_aggregate`."""
+    return max((view.view_degree(v) for v in view.in_nodes), default=0)
+
+
 def components(graph) -> list[set[int]]:
     return list(nx.connected_components(nx_graph(SubgraphView.whole(graph))))
 

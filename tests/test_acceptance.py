@@ -38,7 +38,7 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
-from support import b_classes, components, enumerate_aug_paths
+from support import b_classes, components, enumerate_aug_paths, max_view_degree
 
 pytestmark = pytest.mark.acceptance
 
@@ -163,7 +163,7 @@ def test_criterion_3_path_count_oracle_equivalence():
         collected[d] += 1
     per_d = {1: 0, 3: 0, 5: 0}
     for i, (g, view, m, d) in enumerate(cases):
-        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree())
+        counts, stats = count_paths(g, view, m, d, delta=max_view_degree(view))
         track(stats, default_bandwidth(g.n))
         expected = enumerate_aug_paths(view, m, d)
         for v, c in expected.node_counts.items():
@@ -202,7 +202,7 @@ def test_criterion_4_repair_bounds():
         residual = view.without_nodes(result.s1)
         shortest = oracle.shortest_aug_path_len(residual, m_bar)
         assert shortest >= 2 * k + 1, f"instance {i}: shortest {shortest}"
-        bound = repair_alpha(k, view.max_view_degree()) * delta_true * opt
+        bound = repair_alpha(k, max_view_degree(view)) * delta_true * opt
         assert len(result.s1) <= bound + 1e-9, f"instance {i}: |S1|={len(result.s1)} > {bound:.2f}"
         checked += 1
     ok = checked >= 35
@@ -450,7 +450,7 @@ def test_criterion_8c_count_rounds_quadratic():
         assert oracle.shortest_aug_path_len(view, m) == d
         bw = (g.n - 1).bit_length() + 4  # smallest bandwidth a graph allows
         g_bw = g.with_bandwidth(bw)
-        counts, stats = count_paths(g_bw, whole(g_bw), m, d, delta=view.max_view_degree())
+        counts, stats = count_paths(g_bw, whole(g_bw), m, d, delta=max_view_degree(view))
         track(stats, bw)
         rows.append((d, stats.rounds, dict(stats.per_phase)))
     floor = rows[0][1]

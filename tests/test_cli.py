@@ -265,8 +265,8 @@ def test_program_fault_exits_3(monkeypatch, capsys):
     def forged(program, *args, **kwargs):
         outputs, stats = real(program, *args, **kwargs)
         if isinstance(program, bvc.matching.PathSelectProgram):
-            v = next(v for v, o in outputs.items() if o["partner"] is not None)
-            outputs[v] = {**outputs[v], "partner": None}
+            v = next(v for v, p in outputs.items() if p is not None)
+            outputs[v] = None
         return outputs, stats
 
     monkeypatch.setattr(bvc.matching, "run", forged)

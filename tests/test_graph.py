@@ -16,7 +16,7 @@ from bvc.graph import (
     read_graph,
     write_graph,
 )
-from support import components
+from support import components, induced, max_view_degree
 
 
 def test_single_edge_sides():
@@ -116,7 +116,7 @@ def test_is_vertex_cover_empty_graph():
 
 def test_cover_nodes_must_be_in_view():
     g = gen_path(4)
-    view = SubgraphView.induced(g, {0, 1})
+    view = induced(g, {0, 1})
     with pytest.raises(InvalidParam):
         is_vertex_cover(view, {3})
 
@@ -141,12 +141,12 @@ def test_view_restriction():
     assert not sub.contains_edge(1, 2)
     assert sub.contains_edge(3, 4)
     assert sub.view_degree(1) == 1
-    assert sub.max_view_degree() == 1
+    assert max_view_degree(sub) == 1
 
 
 def test_whole_view_is_shared_and_topology_matches_view():
     g = gen_random(6, 6, 0.4, 2)
-    for view in (SubgraphView.whole(g), SubgraphView.induced(g, range(10)).without_nodes([3])):
+    for view in (SubgraphView.whole(g), induced(g, range(10)).without_nodes([3])):
         topo = view.topology()
         assert topo is view.topology()
         assert list(topo) == list(g.node_ids)
@@ -158,7 +158,7 @@ def test_whole_view_is_shared_and_topology_matches_view():
 def test_matching_restricted_to_view():
     g = gen_path(4)
     m = Matching([(0, 1), (2, 3)], SubgraphView.whole(g))
-    sub = SubgraphView.induced(g, {0, 1, 2})
+    sub = induced(g, {0, 1, 2})
     assert m.restricted_to(sub).edges == frozenset({(0, 1)})
 
 

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -25,9 +26,14 @@ from bvc.matching import (
     parse_provider,
     select_disjoint_paths,
 )
-from bvc.primitives import alternating_bfs, elect_leader_and_bfs, witness_check
+from bvc.primitives import (
+    alternating_bfs,
+    alternating_offers,
+    elect_leader_and_bfs,
+    witness_check,
+)
 from bvc.runtime import RoundStats, derive_seed, frame_count, id_bits
-from support import disjoint_union, graphs
+from support import disjoint_union, graphs, induced
 
 INF = math.inf
 
@@ -92,16 +98,16 @@ def test_maximal_matching_is_the_d1_elimination_phase(m):
     """The maximal matching is one alternating BFS to depth 1 (limit + 1 = 2
     rounds) and one selection at d = 1. Every token is one frame at the
     default bandwidth, so the period is d·(f + 1) = 2 and, on disjoint
-    edges, the selection takes 2d + 2 = 4 rounds: each B-node launches
+    edges, the selection takes 2d + 1 = 3 rounds: each B-node launches
     towards its A-node in round 1, the token lands in round 2 and the
-    A-node locks, the lock lands in round 3 and the B-node tells its
-    neighbor "gone", and that notice lands in round 4."""
+    A-node locks, and the lock lands in round 3. A locked node tells only
+    its offer targets "gone", and a B-node at level d has none."""
     g = gen_disjoint_edges(m)
     for seed in range(8):
         matching, stats = maximal_matching(g, seed=seed)
         assert matching.size == m
-        assert stats.rounds == 6
-        assert stats.per_phase == [("bfs[d=1]", 2), ("select[d=1]", 4)]
+        assert stats.rounds == 5
+        assert stats.per_phase == [("bfs[d=1]", 2), ("select[d=1]", 3)]
 
 
 @pytest.mark.parametrize("partners", [(1, None), (None, 0)])
@@ -113,7 +119,7 @@ def test_inconsistent_partner_outputs_are_a_program_fault(monkeypatch, partners)
     g = build_graph([(0, 1)])
     view = whole(g)
     layering, _ = alternating_bfs(g, view, Matching([], view), 1)
-    forged = {v: {"partner": p} for v, p in enumerate(partners)}
+    forged = dict(enumerate(partners))
     monkeypatch.setattr(bvc.matching, "run", lambda *args, **kwargs: (forged, RoundStats()))
     with pytest.raises(ProgramFault, match="inconsistent partner outputs"):
         select_disjoint_paths(g, view, Matching([], view), 1, layering, seed=1)
@@ -223,22 +229,17 @@ def _greedy_maximal(view):
     return Matching(edges, view)
 
 
-@settings(max_examples=150, derandomize=True, deadline=None, database=None)
-@given(_layered_instances())
-def test_layered_nodes_start_alive_and_selection_clears_length_d(instance):
-    """PathSelectProgram starts with every layered node alive, which holds
-    because every node above level 0 of an alternating BFS, from
-    `alternating_bfs` or from `witness_check`, has a predecessor one level
-    down. On that start, a selection at the shortest length d leaves
-    no augmenting path of length <= d, in both modes, at the default and
-    at the floor bandwidth.
-
-    The matchings are the empty one, a greedy maximal one, and what the
-    elimination phases d <= 2k - 1 leave of either; k <= 8, so every phase
-    runs unchecked, and unseeded phases follow the deterministic rule."""
+def _selections(instance):
+    """(graph, view, matching, d, layering) for an instance at the default
+    and at the floor bandwidth: d is the matching's shortest augmenting
+    path length (INF when none remains) and the layering reaches at least
+    depth d. The matchings are the empty one, a greedy maximal one, and
+    what the elimination phases d <= 2k - 1 leave of either; k <= 8, so
+    every phase runs unchecked, and unseeded phases follow the
+    deterministic rule."""
     g0, keep, start, k, seed, source = instance
     for g in (g0, g0.with_bandwidth(ceil_log2(g0.n) + 4)):
-        view = whole(g) if keep is None else SubgraphView.induced(g, keep)
+        view = whole(g) if keep is None else induced(g, keep)
         m = Matching([], view) if start == "empty" else _greedy_maximal(view)
         if k:
             m, _, _ = eliminate_short_aug_paths(g, view, m, k, seed=seed)
@@ -249,22 +250,99 @@ def test_layered_nodes_start_alive_and_selection_clears_length_d(instance):
             forest, _ = elect_leader_and_bfs(g)
             shortest, layering, _ = witness_check(g, view, m, forest, 2 * k + 1, g.n + 1)
             assert shortest == (None if d == INF else d)
+        yield g, view, m, d, layering
+
+
+def _select_seeds(instance, d, g):
+    """Both modes: the deterministic rule, and one seed per instance."""
+    return (None, derive_seed(instance[3], d, g.bandwidth))
+
+
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_layered_instances())
+def test_layered_nodes_start_alive_and_selection_clears_length_d(instance):
+    """PathSelectProgram starts with every layered node alive, which holds
+    because every node above level 0 of an alternating BFS, from
+    `alternating_bfs` or from `witness_check`, has a predecessor one level
+    down. On that start, a selection at the shortest length d leaves
+    no augmenting path of length <= d, in both modes, at the default and
+    at the floor bandwidth."""
+    for g, view, m, d, layering in _selections(instance):
         for v, lv in layering.level.items():
             if lv > 0:
                 assert layering.preds[v], f"node {v} at level {lv} has no predecessor"
         if d == INF:
             continue
-        for select_seed in (None, derive_seed(k, d, g.bandwidth)):
+        for select_seed in _select_seeds(instance, d, g):
             flipped, paths, _ = select_disjoint_paths(g, view, m, d, layering, seed=select_seed)
             assert paths and flipped.size == m.size + len(paths)
             assert oracle.shortest_aug_path_len(view, flipped) > d
 
 
+@settings(max_examples=150, derandomize=True, deadline=None, database=None)
+@given(_layered_instances())
+def test_tokens_go_to_predecessors_and_every_other_message_along_offers(instance):
+    """A selection sends a token only to one of the sender's predecessors,
+    and a "gone" or a lock only to one of the sender's
+    `alternating_offers`, which never name a predecessor. So no token
+    queues behind another message on its edge, as the period assumes, in
+    both modes, at the default and at the floor bandwidth."""
+    real = PathSelectProgram.step
+
+    def step(self, ctx, st, inbox, rnd, rng):
+        result = real(self, ctx, st, inbox, rnd, rng)
+        partner, _, preds = ctx.input[:3]
+        offers = alternating_offers(ctx, partner)
+        for u, msg in result[1].items():
+            # A token has three fields (tag, priority, initiator); a "gone"
+            # or a lock has the tag alone.
+            targets = preds if len(msg.values) == 3 else offers
+            assert u in targets, f"{msg.values} from {ctx.node} to {u} in round {rnd}"
+        return result
+
+    with mock.patch.object(PathSelectProgram, "step", step):
+        for g, view, m, d, layering in _selections(instance):
+            if d == INF:
+                continue
+            for select_seed in _select_seeds(instance, d, g):
+                select_disjoint_paths(g, view, m, d, layering, seed=select_seed)
+
+
+def test_phase_without_a_witness_at_level_d_runs_no_engine(monkeypatch):
+    """With no free B-node at level d there is no initiator, so the
+    selection makes no engine run and records its phase at 0 rounds,
+    called directly or by the elimination."""
+    import bvc.matching
+
+    def no_run(program, *args, **kwargs):
+        raise AssertionError(f"select[d={program.d}] ran the engine")
+
+    monkeypatch.setattr(bvc.matching, "run", no_run)
+    # P4 with its middle edge matched: a witness at level 3, none at 1.
+    g = gen_path(4)
+    view = whole(g)
+    m = Matching([(1, 2)], view)
+    layering, _ = alternating_bfs(g, view, m, 3)
+    assert dict(layering.witnesses(view, m)) == {3: 3}
+    flipped, paths, stats = select_disjoint_paths(g, view, m, 1, layering, phase="select[d=1]")
+    assert (flipped, paths, stats.rounds) == (m, [], 0)
+    assert stats.per_phase == [("select[d=1]", 0)]
+
+    # A perfect matching leaves no free node: phases d = 3 and 5 select
+    # on layerings without any level.
+    g = gen_disjoint_edges(3)
+    view = whole(g)
+    m = Matching([(0, 1), (2, 3), (4, 5)], view)
+    _, _, stats = eliminate_short_aug_paths(g, view, m, 3, seed=1)
+    assert stats.per_phase[1::2] == [("select[d=1]", 0), ("select[d=3]", 0), ("select[d=5]", 0)]
+
+
 @pytest.mark.parametrize("d", [5, 7, 9])
 def test_select_on_one_alternating_path_takes_2d_plus_2_rounds(d):
-    """One token walks d hops down, the lock climbs d hops back, and the
-    last "gone" notices land a round later: 2d + 2 rounds at the default
-    bandwidth, where every token is one frame, in both modes."""
+    """One token walks d hops down and the lock climbs d hops back: 2d + 1
+    rounds at the default bandwidth, where every token is one frame, in
+    both modes. The initiator, locked last, has no offer targets to tell
+    "gone". (The test keeps the name it had when the count was 2d + 2.)"""
     g = gen_path(d + 1)
     view = whole(g)
     m = Matching([(v, v + 1) for v in range(1, d, 2)], view)
@@ -272,7 +350,7 @@ def test_select_on_one_alternating_path_takes_2d_plus_2_rounds(d):
     for seed in (None, 1):
         _, paths, stats = select_disjoint_paths(g, view, m, d, layering, seed=seed)
         assert paths == [tuple(range(d + 1))]
-        assert stats.rounds == 2 * d + 2
+        assert stats.rounds == 2 * d + 1
 
 
 @pytest.mark.parametrize("n", [40, 300, 1000])
@@ -303,14 +381,15 @@ def test_deterministic_select_on_complete_graph_takes_2a_plus_2_rounds(a):
     """On K_{a,a} with the empty matching, every free B-node launches
     towards the smallest A-node, so a deterministic iteration selects one
     edge, and a of them run d·(f + 1) = 2 rounds apart. The last lock lands
-    in round 2a + 1, its "gone" notices a round later."""
+    in round 2a + 1 at an initiator, which sends nothing more. (The test
+    keeps the name it had when the count was 2a + 2.)"""
     g = gen_complete(a, a)
     view = whole(g)
     m = Matching([], view)
     layering, _ = alternating_bfs(g, view, m, 1)
     flipped, paths, stats = select_disjoint_paths(g, view, m, 1, layering, seed=None)
     assert len(paths) == flipped.size == a
-    assert stats.rounds == 2 * a + 2
+    assert stats.rounds == 2 * a + 1
 
 
 def test_deterministic_select_fits_one_frame_at_the_floor():

@@ -27,7 +27,9 @@ from support import (
     disjoint_union,
     enumerate_aug_paths,
     graphs,
+    induced,
     matching_size,
+    max_view_degree,
     region_bfs,
 )
 
@@ -57,7 +59,7 @@ def views(draw):
     to a quarter of its nodes."""
     g = draw(networks())
     dropped = draw(st.sets(st.sampled_from(g.node_ids), max_size=g.n // 4))
-    return g, SubgraphView.induced(g, set(g.node_ids) - dropped)
+    return g, induced(g, set(g.node_ids) - dropped)
 
 
 SEEDS = st.none() | st.integers(0, 10_000)
@@ -139,7 +141,7 @@ def test_count_paths_matches_the_oracle(instance, k):
         view = view.without_nodes(result.s1)
     d = oracle.shortest_aug_path_len(view, m)
     assume(d < math.inf)
-    delta = view.max_view_degree()
+    delta = max_view_degree(view)
     counts, stats = count_paths(g, view, m, d, delta=delta)
     expected = enumerate_aug_paths(view, m, d)
     assert counts.p_node == expected.node_counts

@@ -21,7 +21,7 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
-from support import b_classes, components, enumerate_aug_paths
+from support import b_classes, components, enumerate_aug_paths, max_view_degree
 from test_acceptance import _thick_path
 
 INF = math.inf
@@ -51,7 +51,7 @@ def test_count_single_free_edge():
     g = build_graph([(0, 1)])
     view = whole(g)
     m = Matching([], view)
-    counts, _ = count_paths(g, view, m, 1, delta=view.max_view_degree())
+    counts, _ = count_paths(g, view, m, 1, delta=max_view_degree(view))
     assert counts.p_node == {0: 1, 1: 1}
     assert sum(p for v, p in counts.p_node.items() if counts.level[v] == 0) == 1
 
@@ -60,7 +60,7 @@ def test_count_p4():
     g = gen_path(4)
     view = whole(g)
     m = Matching([(1, 2)], view)
-    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree())
+    counts, _ = count_paths(g, view, m, 3, delta=max_view_degree(view))
     assert counts.p_node[0] == 1
     assert counts.p_node[3] == 1
     assert counts.p_edge[(1, 2)] == 1
@@ -70,7 +70,7 @@ def test_count_shared_middle_edge():
     g = build_graph([(0, 4), (2, 4), (4, 5), (5, 6)])
     view = whole(g)
     m = Matching([(4, 5)], view)
-    counts, _ = count_paths(g, view, m, 3, delta=view.max_view_degree())
+    counts, _ = count_paths(g, view, m, 3, delta=max_view_degree(view))
     assert counts.p_edge[(4, 5)] == 2
     assert counts.p_node[0] == 1
     assert counts.p_node[2] == 1
@@ -81,7 +81,7 @@ def test_count_precondition():
     g = gen_path(4)
     view = whole(g)
     with pytest.raises(ShorterPathExists):
-        count_paths(g, view, Matching([(1, 2)], view), 5, delta=view.max_view_degree())
+        count_paths(g, view, Matching([(1, 2)], view), 5, delta=max_view_degree(view))
 
 
 @pytest.mark.parametrize("d", [1, 3, 5])
@@ -102,7 +102,7 @@ def test_count_matches_oracle(d):
         if oracle.shortest_aug_path_len(view, m) != d:
             continue
         hits += 1
-        counts, stats = count_paths(g, view, m, d, delta=view.max_view_degree())
+        counts, stats = count_paths(g, view, m, d, delta=max_view_degree(view))
         # One engine run: the prefix sweep is the BFS.
         assert [label for label, _ in stats.per_phase] == ["count-sweeps"]
         assert counts.level == oracle.alternating_levels(view, m, depth_limit=d)
@@ -172,7 +172,7 @@ def test_cover_pairs_and_bound():
         # Set size within the stage coefficient.
         delta_true = 1.0 - m.size / best if best else 0.0
         opt = best
-        assert len(s_h) <= stage_alpha(d, view.max_view_degree()) * delta_true * opt + 1e-9
+        assert len(s_h) <= stage_alpha(d, max_view_degree(view)) * delta_true * opt + 1e-9
 
 
 def test_repair_runs_no_bfs_inside_a_count():
@@ -317,7 +317,7 @@ def test_repair_bounds(k):
                     assert v in result.s1 or m.partner_of(v) not in result.s1
         delta_true = 1.0 - m.size / best if best else 0.0
         opt = best
-        assert len(result.s1) <= result.alpha * delta_true * opt + 1e-9
+        assert len(result.s1) <= repair_alpha(k, max_view_degree(view)) * delta_true * opt + 1e-9
 
 
 def test_unmatched_preservation_direct():
@@ -399,7 +399,7 @@ def test_count_rounds_follow_documented_schedule(d, width):
     g, m_edges = _thick_path(d, width)
     view = whole(g)
     m = Matching(m_edges, view)
-    delta = view.max_view_degree()
+    delta = max_view_degree(view)
     w = (delta**d).bit_length()
     floor = (g.n - 1).bit_length() + 4
     expected = enumerate_aug_paths(view, m, d)

@@ -24,6 +24,7 @@ from bvc.runtime import (
     id_bits,
     run,
 )
+from support import induced
 
 
 class EchoOnce(NodeProgram):
@@ -388,14 +389,14 @@ class ReportsContext(NodeProgram):
 def test_view_reused_across_runs_matches_fresh_view():
     g = gen_random(7, 7, 0.4, 3)
     keep = [v for v in g.node_ids if v % 3]
-    view = SubgraphView.induced(g, keep)
+    view = induced(g, keep)
     first = run(ReportsContext(), g, view, seed=5, inputs={v: v for v in g.node_ids})
     run(EchoOnce(), g, view, seed=1)
     second = run(ReportsContext(), g, view, seed=5, inputs={v: 2 * v for v in g.node_ids})
     for inputs, (out, stats) in (({v: v for v in g.node_ids}, first),
                                  ({v: 2 * v for v in g.node_ids}, second)):
         fresh_out, fresh_stats = run(
-            ReportsContext(), g, SubgraphView.induced(g, keep), seed=5, inputs=inputs
+            ReportsContext(), g, induced(g, keep), seed=5, inputs=inputs
         )
         assert out == fresh_out
         assert stats == fresh_stats
@@ -404,7 +405,7 @@ def test_view_reused_across_runs_matches_fresh_view():
 
 def test_contexts_under_a_proper_sub_view():
     g = gen_path(5)
-    view = SubgraphView.induced(g, [0, 1, 2, 4])
+    view = induced(g, [0, 1, 2, 4])
     outputs, _ = run(ReportsContext(), g, view, seed=0)
     ctx = {v: out[0] for v, out in outputs.items()}
     assert ctx[3]["in_view"] is False and ctx[3]["view_neighbors"] == ()
@@ -552,7 +553,7 @@ def test_engine_matches_per_frame_reference(monkeypatch):
         kept = [v for v in g.node_ids if rng.random() < 0.8]
         bw = default_bandwidth(g.n) + rng.choice([0, 3])
         g = g.with_bandwidth(bw)
-        view = SubgraphView.induced(g, kept)
+        view = induced(g, kept)
         kwargs = dict(
             seed=case,
             inputs={v: 3 * v for v in g.node_ids} if case % 2 else None,

@@ -4,18 +4,18 @@ edge, but covers and matchings are only about the in-view part."""
 import random
 
 from bvc import oracle
-from bvc.graph import Matching, SubgraphView, gen_random
+from bvc.graph import Matching, gen_random
 from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths, maximal_matching
 from bvc.primitives import elect_leader_and_bfs
 from bvc.repair import det_cover_low_diameter
-from support import b_classes, components
+from support import b_classes, components, induced
 
 
 def random_subview(g, seed, keep=0.7):
     rng = random.Random(seed)
     nodes = [v for v in g.node_ids if rng.random() < keep]
-    return SubgraphView.induced(g, nodes)
+    return induced(g, nodes)
 
 
 def test_exact_cover_on_subview():
