@@ -28,7 +28,7 @@ from .graph import (
 )
 from .konig import koenig_approx_cover, koenig_exact_cover
 from .matching import (
-    ceil_ratio, eliminate_short_aug_paths, k_for_delta, max_useful_k, parse_provider,
+    ceil_ratio, eliminate_short_aug_paths, max_useful_k, parse_provider,
 )
 from .primitives import elect_leader_and_bfs
 from .repair import det_cover_low_diameter
@@ -177,14 +177,8 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
         spec = parse_provider(provider)
         matching, stats = spec.run(graph, view, seed=seed)
         record["cover_size"] = matching.size
-        if spec.kind == "maximal":
-            valid = all(
-                matching.is_matched(u) or matching.is_matched(v) for u, v in view.in_edges
-            )
-        elif spec.kind == "eliminate":
-            valid = oracle.shortest_aug_path_len(view, matching) >= 2 * spec.k + 1
-        else:
-            valid = oracle.shortest_aug_path_len(view, matching) >= 2 * k_for_delta(spec.delta) + 1
+        # No augmenting path of length <= 2k - 1; k = 1 is maximality.
+        valid = oracle.shortest_aug_path_len(view, matching) >= 2 * spec.k + 1
     else:
         raise InvalidParam(f"unknown pipeline {pipeline!r}")
 
@@ -196,9 +190,8 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     if use_oracle:
         if pipeline == "matching-only":
             record["opt"] = oracle.max_matching_oracle(view).size
-            if record["params"].get("provider", "").startswith(("approx", "det-approx")):
-                delta = parse_provider(record["params"]["provider"]).delta
-                valid = valid and record["cover_size"] >= (1 - delta) * record["opt"] - 1e-9
+            if spec.delta is not None:
+                valid = valid and record["cover_size"] >= (1 - spec.delta) * record["opt"] - 1e-9
         elif pipeline != "clustering-only":
             record["opt"] = oracle.min_vc_oracle(view).size
             if pipeline == "exact":

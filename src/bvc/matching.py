@@ -388,39 +388,38 @@ def approx_matching(
 
 @dataclass(frozen=True)
 class ProviderSpec:
-    kind: str
-    k: int = 0
-    delta: float = 0.0
+    """A provider is one elimination to length 2k - 1, seeded or by the
+    deterministic rule; `delta` is the accuracy an approx provider promises."""
+
+    k: int
+    seeded: bool = True
+    delta: float | None = None
 
     def run(self, graph, view, *, seed=0):
-        """The provider's matching; det-approx runs unseeded."""
-        if self.kind == "maximal":
-            return maximal_matching(graph, view, seed=seed)
-        if self.kind == "eliminate":
-            matching, _, stats = eliminate_short_aug_paths(
-                graph, view, Matching([], view), min(self.k, max_useful_k(graph)), seed=seed
-            )
-            return matching, stats
-        if self.kind == "approx":
-            return approx_matching(graph, view, self.delta, seed=seed)
-        return approx_matching(graph, view, self.delta, seed=None)
+        matching, _, stats = eliminate_short_aug_paths(
+            graph,
+            view,
+            Matching([], view),
+            min(self.k, max_useful_k(graph)),
+            seed=seed if self.seeded else None,
+        )
+        return matching, stats
 
 
 def parse_provider(spec: str) -> ProviderSpec:
-    """Provider strings: maximal | eliminate:k=<int> | approx:delta=<float>
-    | det-approx:delta=<float>."""
+    """Provider strings: maximal (k = 1) | eliminate:k=<int> |
+    approx:delta=<float> | det-approx:delta=<float> (k = k_for_delta(delta),
+    det-approx unseeded)."""
     name, _, rest = spec.partition(":")
+    key, _, value = rest.partition("=")
     try:
         if name == "maximal" and not rest:
-            return ProviderSpec("maximal")
-        if name == "eliminate":
-            key, _, value = rest.partition("=")
-            if key == "k":
-                return ProviderSpec("eliminate", k=int(value))
-        if name in ("approx", "det-approx"):
-            key, _, value = rest.partition("=")
-            if key == "delta":
-                return ProviderSpec(name, delta=float(value))
+            return ProviderSpec(1)
+        if name == "eliminate" and key == "k":
+            return ProviderSpec(int(value))
+        if name in ("approx", "det-approx") and key == "delta":
+            delta = float(value)
+            return ProviderSpec(k_for_delta(delta), seeded=name == "approx", delta=delta)
     except ValueError as exc:
         raise InvalidParam(f"bad provider spec {spec!r}") from exc
     raise InvalidParam(f"bad provider spec {spec!r}")

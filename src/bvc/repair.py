@@ -4,15 +4,16 @@ Given a matching whose shortest augmenting path has odd length d, the
 number of such paths through a node u is x_u * s_u: x_u counts the
 alternating paths from a free A-node down to u, s_u those from u on to a
 free B-node at level d (the prefix-times-suffix identity of shortest-path
-counting). Two fixed-schedule sweeps compute them: the prefix sweep is the
-shared alternating BFS (`AltBfsProgram`) run at the count's width, whose
-offers carry x and whose receivers sum it over their predecessors, and a
-bottom-up suffix sweep sums s over the successors. Counts are exact big
-integers, and messages carry them alone at the protocol width
-bitlength(Delta^d) and fragment accordingly: the round tells a node which
-sweep a message belongs to.
+counting). A matching edge needs no count of its own: every path through
+one end crosses the edge, so both ends hold its count. Two fixed-schedule
+sweeps compute them: the prefix sweep is the shared alternating BFS
+(`AltBfsProgram`) run at the count's width, whose offers carry x and whose
+receivers sum it over their predecessors, and a bottom-up suffix sweep
+sums s over the successors. Counts are exact big integers, and messages
+carry them alone at the protocol width bitlength(Delta^d) and fragment
+accordingly: the round tells a node which sweep a message belongs to.
 
-Thresholded selection then removes heavy endpoints and matching edges in
+Thresholded selection then removes heavy nodes, each with its partner, in
 halving phases, which realizes a factor-2-relaxed greedy set cover over
 the paths; iterating over d = 1, 3, ..., 2k-1 leaves no augmenting path of
 length at most 2k-1 in the remaining induced subgraph. Whether a path
@@ -27,20 +28,10 @@ approximation-provider matching and the layered cover construction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import InvalidParam, ProgramFault
-from .graph import (
-    SIDE_A,
-    SIDE_B,
-    BipartiteGraph,
-    Edge,
-    Matching,
-    SubgraphView,
-    VertexCover,
-    ceil_log2,
-    edge_key,
-)
+from .graph import BipartiteGraph, Matching, SubgraphView, VertexCover, ceil_log2
 from .konig import koenig_approx_cover
 from .matching import approx_matching, ceil_ratio, max_useful_k
 from .primitives import (
@@ -58,12 +49,13 @@ INF = math.inf
 
 @dataclass
 class PathCounts:
-    """Exact counts of shortest (length-d) augmenting paths."""
+    """Exact counts of shortest (length-d) augmenting paths: `count[v]`
+    paths run through each node v of the layering, at `level[v]`. Both ends
+    of a matching edge hold the edge's count, since a matched A-node's only
+    predecessor and a matched B-node's only successor is its partner."""
 
-    d: int
-    p_node: dict[int, int] = field(default_factory=dict)
-    p_edge: dict[Edge, int] = field(default_factory=dict)
-    level: dict[int, int] = field(default_factory=dict)
+    level: dict[int, int]
+    count: dict[int, int]
 
 
 class CountSweepProgram(AltBfsProgram):
@@ -141,9 +133,9 @@ def count_paths(
     *,
     delta: int,
 ) -> tuple[PathCounts, RoundStats]:
-    """Count length-d augmenting paths through free nodes and matching
-    edges in one run of `CountSweepProgram`. Requires that no shorter
-    augmenting path exists: the prefix sweep's layering raises
+    """Count the length-d augmenting paths through every node the layering
+    reaches, x*s, in one run of `CountSweepProgram`. Requires that no
+    shorter augmenting path exists: the prefix sweep's layering raises
     ShorterPathExists on a witness below d, as every caller's layering
     does. `delta` bounds the in-view degree and fixes the count width.
 
@@ -159,16 +151,7 @@ def count_paths(
     )
     layering = AlternatingLayering.from_outputs(outputs)
     layering.require_no_witness_below(view, matching, d)
-    counts = PathCounts(d=d, level=layering.level)
-    for v in view.in_nodes:
-        if not matching.is_matched(v):
-            counts.p_node[v] = outputs[v][2]
-    side = graph.side
-    for u, v in matching.edges:
-        # Paths reach a matched A-node only over its matching edge.
-        a = u if side[u] == SIDE_A else v
-        counts.p_edge[edge_key(u, v)] = outputs[a][2]
-    return counts, stats
+    return PathCounts(layering.level, {v: outputs[v][2] for v in layering.level}), stats
 
 
 class AnnounceRemovalProgram(NodeProgram):
@@ -202,17 +185,19 @@ def cover_short_paths(
     """Remove a small node set that hits every length-d augmenting path;
     every aggregation runs over the caller's BFS `forest` of the graph.
 
-    Selection runs in halving-threshold phases; within a phase the sweep
-    visits the endpoint position 0, the matching-edge positions 1, 3, ...,
-    d-2, and the endpoint position d, recounting paths before each pick so
-    parallel selections on one position cover disjoint path sets. After
+    Selection runs in halving-threshold phases. Phase i visits the
+    positions 0, 1, 3, ..., d, recounting paths before each; at a position
+    it removes the nodes at that level whose count reaches delta^d / 2^i,
+    with their partners, so parallel selections on one position cover
+    disjoint path sets. Level 0 holds the free A-nodes, an odd level below
+    d only matched B-nodes (a free one is a shorter path, which the count
+    rejects), and a matched B-node at level d completes no path. After
     each phase a `witness_check` to depth d tells every node whether a
     length-d path remains; the first phase with none left ends the loop,
     so a residual without such paths costs one phase that picks nothing,
     and its layering is returned (None on an edgeless view). Every position
     ends in a removal round, also when its batch is empty: no node can see
-    that a batch was empty elsewhere. Matched nodes are always removed
-    together with their partners.
+    that a batch was empty elsewhere.
     """
     stats = RoundStats()
     delta, deg_stats = view_max_degree_aggregate(graph, view, forest)
@@ -225,35 +210,24 @@ def cover_short_paths(
     m_bar = matching
     threshold_num = delta**d
     phases = ceil_log2(threshold_num) + 1
-    positions = [0] + list(range(1, d - 1, 2)) + [d]
-    base = view.base
+    positions = [0] + list(range(1, d + 1, 2))
 
     for i in range(1, phases + 1):
         for pos in positions:
             counts, c_stats = count_paths(graph, residual, m_bar, d, delta=delta)
             stats.add_sequential(c_stats)
-            for p in list(counts.p_node.values()) + list(counts.p_edge.values()):
-                if p * (1 << (i - 1)) > threshold_num:
-                    raise ProgramFault(
-                        f"count {p} exceeds the phase-{i} invariant delta^d / 2^({i - 1})"
-                    )
+            top = max(counts.count.values(), default=0)
+            if top << (i - 1) > threshold_num:
+                raise ProgramFault(
+                    f"count {top} exceeds the phase-{i} invariant delta^d / 2^({i - 1})"
+                )
 
-            batch: set[int] = set()
-            if pos in (0, d):
-                side = SIDE_A if pos == 0 else SIDE_B
-                for v, p in counts.p_node.items():
-                    if (
-                        counts.level.get(v) == pos
-                        and base.side[v] == side
-                        and p * (1 << i) >= threshold_num
-                    ):
-                        batch.add(v)
-            else:
-                for (u, v), p in counts.p_edge.items():
-                    b, a = (u, v) if base.side[u] == SIDE_B else (v, u)
-                    if counts.level.get(b) == pos and p * (1 << i) >= threshold_num:
-                        batch.add(u)
-                        batch.add(v)
+            batch = {
+                v
+                for v, p in counts.count.items()
+                if counts.level[v] == pos and p << i >= threshold_num
+            }
+            batch |= {m_bar.partner_of(v) for v in batch if m_bar.is_matched(v)}
             stats.add_sequential(_announce_removals(graph, residual, batch))
             if batch:
                 removed |= batch

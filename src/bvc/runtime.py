@@ -120,11 +120,10 @@ class Msg:
 
 
 class NodeContext(NamedTuple):
-    """Everything a node is allowed to know a priori. Immutable."""
+    """What a node knows a priori besides n and B, which the program
+    receives in `setup`. Immutable."""
 
     node: int
-    n: int
-    bandwidth: int
     side: str
     in_view: bool
     neighbors: tuple[int, ...]
@@ -236,12 +235,12 @@ def run(
     inputs = {} if inputs is None else inputs
     if view is None:
         ctxs = {
-            v: NodeContext._make((v, n, bw, side[v], True, adjacency[v], adjacency[v], inputs.get(v)))
+            v: NodeContext._make((v, side[v], True, adjacency[v], adjacency[v], inputs.get(v)))
             for v in graph.node_ids
         }
     else:
         ctxs = {
-            v: NodeContext._make((v, n, bw, side[v], in_view, adjacency[v], view_nbrs, inputs.get(v)))
+            v: NodeContext._make((v, side[v], in_view, adjacency[v], view_nbrs, inputs.get(v)))
             for v, (in_view, view_nbrs) in view.topology().items()
         }
 

@@ -1,6 +1,7 @@
 """Shared test helpers: networkx as the independent oracle, exact counts
 of shortest augmenting paths (the reference the path-counting sweeps are
-tested against), the layer classes of an alternating layering and the
+tested against) and the halving cover read off them (the reference of the
+threshold sweep), the layer classes of an alternating layering and the
 class rule of the layered cover (the reference the cover's König rule is
 tested against), the small graph families the property tests draw from,
 and a time limit for runs that must end.
@@ -24,6 +25,7 @@ from bvc.graph import (
     Matching,
     SubgraphView,
     build_graph,
+    ceil_log2,
     edge_key,
     gen_complete,
     gen_path,
@@ -214,6 +216,54 @@ def enumerate_aug_paths(view: SubgraphView, matching: Matching, d: int) -> AugPa
         else:
             counts.edge_counts[edge_key(u, v)] = 0
     return counts
+
+
+def per_node_counts(counts: AugPathCounts) -> dict[int, int]:
+    """The reference counts per node: a free node's own count, and at both
+    ends of a matching edge the count of that edge."""
+    per_node = dict(counts.node_counts)
+    for (u, v), c in counts.edge_counts.items():
+        per_node[u] = per_node[v] = c
+    return per_node
+
+
+def halving_cover(view: SubgraphView, matching: Matching, d: int) -> set[int]:
+    """The threshold sweep of `cover_short_paths`, run sequentially on the
+    counts of `enumerate_aug_paths`: phase i = 1, 2, ... visits the free
+    A-nodes at level 0, the matching edges whose B-end is at level 1, 3,
+    ..., d - 2, and the free B-nodes at level d, in that order, recounting
+    before each, and removes every endpoint or edge whose count reaches
+    Delta^d / 2^i, with Delta the view's maximum degree. It stops after the
+    first phase that leaves no augmenting path of length d, and runs at
+    most ceil(log2 Delta^d) + 1 phases, as the sweep does."""
+    delta = max_view_degree(view)
+    if delta == 0:
+        return set()
+    threshold = delta**d
+    side = view.base.side
+    removed: set[int] = set()
+    residual, m_bar = view, matching
+    for i in range(1, ceil_log2(threshold) + 2):
+        for pos in [0] + list(range(1, d - 1, 2)) + [d]:
+            counts = enumerate_aug_paths(residual, m_bar, d)
+            level = alternating_levels(residual, m_bar, depth_limit=d)
+            batch = set()
+            if pos in (0, d):
+                end = SIDE_A if pos == 0 else SIDE_B
+                for v, p in counts.node_counts.items():
+                    if level.get(v) == pos and side[v] == end and p * 2**i >= threshold:
+                        batch.add(v)
+            else:
+                for (u, v), p in counts.edge_counts.items():
+                    b = u if side[u] == SIDE_B else v
+                    if level.get(b) == pos and p * 2**i >= threshold:
+                        batch |= {u, v}
+            removed |= batch
+            residual = residual.without_nodes(batch)
+            m_bar = m_bar.restricted_to(residual)
+        if shortest_aug_path_len(residual, m_bar) > d:
+            return removed
+    raise AssertionError(f"paths of length {d} remain after every phase")
 
 
 def graphs():

@@ -20,6 +20,7 @@ from bvc.graph import (
 )
 from bvc.matching import (
     PathSelectProgram,
+    ProviderSpec,
     approx_matching,
     eliminate_short_aug_paths,
     maximal_matching,
@@ -338,7 +339,7 @@ def test_phase_without_a_witness_at_level_d_runs_no_engine(monkeypatch):
 
 
 @pytest.mark.parametrize("d", [5, 7, 9])
-def test_select_on_one_alternating_path_takes_2d_plus_2_rounds(d):
+def test_select_on_one_alternating_path_takes_2d_plus_1_rounds(d):
     """One token walks d hops down and the lock climbs d hops back: 2d + 1
     rounds at the default bandwidth, where every token is one frame, in
     both modes. The initiator, locked last, has no offer targets to tell
@@ -377,7 +378,7 @@ def test_select_period_is_d_times_token_frames_plus_one(n, d):
 
 
 @pytest.mark.parametrize("a", [10, 25, 50])
-def test_deterministic_select_on_complete_graph_takes_2a_plus_2_rounds(a):
+def test_deterministic_select_on_complete_graph_takes_2a_plus_1_rounds(a):
     """On K_{a,a} with the empty matching, every free B-node launches
     towards the smallest A-node, so a deterministic iteration selects one
     edge, and a of them run d·(f + 1) = 2 rounds apart. The last lock lands
@@ -489,11 +490,11 @@ def test_approx_matching_bounds():
 
 
 def test_provider_parsing():
-    assert parse_provider("maximal").kind == "maximal"
-    assert parse_provider("eliminate:k=3").k == 3
-    assert parse_provider("approx:delta=0.25").delta == 0.25
-    assert parse_provider("det-approx:delta=0.5").kind == "det-approx"
-    for bad in ("nope", "eliminate:j=3", "approx:delta=x", "maximal:k=2"):
+    assert parse_provider("maximal") == ProviderSpec(1)
+    assert parse_provider("eliminate:k=3") == ProviderSpec(3)
+    assert parse_provider("approx:delta=0.25") == ProviderSpec(3, delta=0.25)
+    assert parse_provider("det-approx:delta=0.5") == ProviderSpec(1, seeded=False, delta=0.5)
+    for bad in ("nope", "eliminate:j=3", "approx:delta=x", "maximal:k=2", "approx:delta=0"):
         with pytest.raises(InvalidParam):
             parse_provider(bad)
 

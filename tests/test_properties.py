@@ -6,9 +6,14 @@ and predecessors of the alternating BFS, against the oracle's levels; the
 counts of shortest augmenting paths, against the tests' reference; the
 layered cover read off a caller's layering, against a fresh BFS and the
 class rule; and the election's forest and the cluster trees with their
-one-hop extension, against networkx's BFS."""
+one-hop extension, against networkx's BFS. A last test checks that a
+failing property test leaves the rest of the session running."""
 
 import math
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -30,6 +35,7 @@ from support import (
     induced,
     matching_size,
     max_view_degree,
+    per_node_counts,
     region_bfs,
 )
 
@@ -129,11 +135,11 @@ def test_alt_bfs_learns_levels_and_predecessors(instance):
 @given(matched_views(), st.integers(0, 3))
 def test_count_paths_matches_the_oracle(instance, k):
     """On a drawn matching, or at k >= 1 on the residual a repair leaves
-    of it, the counts of shortest augmenting paths through every free node
-    and matching edge and the levels are the oracle's. The count takes
-    2d*ceil(w/B) + 1 rounds with messages of at most min(B, w) bits,
-    w = bitlength(Delta^d), and sends w bits per offer of the alternating
-    BFS to depth d and per predecessor edge, no more."""
+    of it, the counts of shortest augmenting paths through every node, a
+    matching edge's at both its ends, and the levels are the oracle's. The
+    count takes 2d*ceil(w/B) + 1 rounds with messages of at most min(B, w)
+    bits, w = bitlength(Delta^d), and sends w bits per offer of the
+    alternating BFS to depth d and per predecessor edge, no more."""
     g, view, m, _ = instance
     if k:
         forest, _ = elect_leader_and_bfs(g)
@@ -144,8 +150,7 @@ def test_count_paths_matches_the_oracle(instance, k):
     delta = max_view_degree(view)
     counts, stats = count_paths(g, view, m, d, delta=delta)
     expected = enumerate_aug_paths(view, m, d)
-    assert counts.p_node == expected.node_counts
-    assert counts.p_edge == expected.edge_counts
+    assert {v: counts.count.get(v, 0) for v in view.in_nodes} == per_node_counts(expected)
     assert counts.level == oracle.alternating_levels(view, m, depth_limit=d)
     w = (delta**d).bit_length()
     assert stats.rounds == 2 * d * frame_count(w, g.bandwidth) + 1
@@ -254,3 +259,38 @@ def test_cluster_trees_are_bfs_trees_of_the_origin_regions(g, lam, seed, data):
         for v in g.node_ids
         if members[v] is None and any(members[u] is not None for u in g.adjacency[v])
     }
+
+
+TWO_TESTS = """
+from hypothesis import given, strategies as st
+
+
+@given(st.integers())
+def test_fails(x):
+    assert x < 10
+
+
+def test_passes():
+    pass
+"""
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    """Under pyproject's `filterwarnings = ["error"]`, a failing `@given`
+    test reports its falsifying example and the tests after it still run.
+    Without conftest.py, the import in hypothesis' failure report warns,
+    pytest stops with INTERNALERROR, and the second test never runs."""
+    shutil.copy(Path(__file__).with_name("conftest.py"), tmp_path)
+    (tmp_path / "pytest.ini").write_text("[pytest]\nfilterwarnings = error\n")
+    (tmp_path / "test_two.py").write_text(TWO_TESTS)
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "test_two.py"],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert "1 failed, 1 passed" in run.stdout
+    assert "Falsifying example" in run.stdout
+    assert run.returncode == 1

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 
@@ -13,6 +14,7 @@ from bvc.graph import (
     gen_random,
 )
 from bvc.konig import koenig_approx_cover
+from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import elect_leader_and_bfs
 from bvc.repair import (
     cover_short_paths,
@@ -21,7 +23,14 @@ from bvc.repair import (
     repair_alpha,
     repair_matching,
 )
-from support import b_classes, components, enumerate_aug_paths, max_view_degree
+from support import (
+    b_classes,
+    components,
+    enumerate_aug_paths,
+    halving_cover,
+    max_view_degree,
+    per_node_counts,
+)
 from test_acceptance import _thick_path
 
 INF = math.inf
@@ -52,8 +61,8 @@ def test_count_single_free_edge():
     view = whole(g)
     m = Matching([], view)
     counts, _ = count_paths(g, view, m, 1, delta=max_view_degree(view))
-    assert counts.p_node == {0: 1, 1: 1}
-    assert sum(p for v, p in counts.p_node.items() if counts.level[v] == 0) == 1
+    assert counts.count == {0: 1, 1: 1}
+    assert counts.level == {0: 0, 1: 1}
 
 
 def test_count_p4():
@@ -61,9 +70,7 @@ def test_count_p4():
     view = whole(g)
     m = Matching([(1, 2)], view)
     counts, _ = count_paths(g, view, m, 3, delta=max_view_degree(view))
-    assert counts.p_node[0] == 1
-    assert counts.p_node[3] == 1
-    assert counts.p_edge[(1, 2)] == 1
+    assert counts.count == {0: 1, 1: 1, 2: 1, 3: 1}
 
 
 def test_count_shared_middle_edge():
@@ -71,10 +78,8 @@ def test_count_shared_middle_edge():
     view = whole(g)
     m = Matching([(4, 5)], view)
     counts, _ = count_paths(g, view, m, 3, delta=max_view_degree(view))
-    assert counts.p_edge[(4, 5)] == 2
-    assert counts.p_node[0] == 1
-    assert counts.p_node[2] == 1
-    assert counts.p_node[6] == 2
+    # Both ends of the matching edge (4, 5) hold its count.
+    assert counts.count == {0: 1, 2: 1, 4: 2, 5: 2, 6: 2}
 
 
 def test_count_precondition():
@@ -84,11 +89,10 @@ def test_count_precondition():
         count_paths(g, view, Matching([(1, 2)], view), 5, delta=max_view_degree(view))
 
 
-@pytest.mark.parametrize("d", [1, 3, 5])
-def test_count_matches_oracle(d):
-    from bvc.matching import eliminate_short_aug_paths
-
-    hits = 0
+def shortest_at(d):
+    """(g, view, m) for each seed of gen_random(9, 9, 0.3, 0..13) whose
+    matching's shortest augmenting path has length d: the maximum matching
+    less two edges at d = 1, else the elimination to length d - 2."""
     for seed in range(14):
         g = gen_random(9, 9, 0.3, seed)
         view = whole(g)
@@ -99,25 +103,24 @@ def test_count_matches_oracle(d):
             m, _, _ = eliminate_short_aug_paths(
                 g, view, Matching([], view), (d - 1) // 2, seed=seed
             )
-        if oracle.shortest_aug_path_len(view, m) != d:
-            continue
+        if oracle.shortest_aug_path_len(view, m) == d:
+            yield g, view, m
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_count_matches_oracle(d):
+    hits = 0
+    for g, view, m in shortest_at(d):
         hits += 1
         counts, stats = count_paths(g, view, m, d, delta=max_view_degree(view))
         # One engine run: the prefix sweep is the BFS.
         assert [label for label, _ in stats.per_phase] == ["count-sweeps"]
         assert counts.level == oracle.alternating_levels(view, m, depth_limit=d)
         expected = enumerate_aug_paths(view, m, d)
-        for v, c in expected.node_counts.items():
-            assert counts.p_node.get(v, 0) == c, f"node {v}"
-        for e, c in expected.edge_counts.items():
-            assert counts.p_edge.get(e, 0) == c, f"edge {e}"
+        assert {v: counts.count.get(v, 0) for v in view.in_nodes} == per_node_counts(expected)
         # Conservation across the levels.
-        start_total = sum(
-            c for v, c in counts.p_node.items() if counts.level.get(v) == 0
-        )
-        end_total = sum(
-            c for v, c in counts.p_node.items() if counts.level.get(v) == d
-        )
+        start_total = sum(c for v, c in counts.count.items() if counts.level[v] == 0)
+        end_total = sum(c for v, c in counts.count.items() if counts.level[v] == d)
         assert start_total == end_total == sum(
             c for v, c in expected.node_counts.items() if g.side[v] == "A"
         )
@@ -173,6 +176,57 @@ def test_cover_pairs_and_bound():
         delta_true = 1.0 - m.size / best if best else 0.0
         opt = best
         assert len(s_h) <= stage_alpha(d, max_view_degree(view)) * delta_true * opt + 1e-9
+
+
+@pytest.mark.parametrize("d", [1, 3, 5])
+def test_cover_matches_the_sequential_halving_cover(d):
+    """The threshold sweep removes exactly the nodes of the sequential
+    halving loop."""
+    hits = 0
+    for g, view, m in shortest_at(d):
+        hits += 1
+        s_h, _, _ = cover_short_paths(g, view, m, d, forest=forest(g))
+        assert s_h == halving_cover(view, m, d)
+    assert hits > 0 or d == 5
+
+
+def test_cover_takes_the_counts_that_reach_the_threshold():
+    """On the path 0-1-2 without a matching, Delta^1 = 2 and phase 1 takes
+    every count c with 2c >= 2: the free A-nodes 0 and 2, whose position
+    comes first, and not the B-node 1 that both paths share."""
+    g = gen_path(3)
+    view = whole(g)
+    s_h, _, _ = cover_short_paths(g, view, Matching([], view), 1, forest=forest(g))
+    assert s_h == halving_cover(view, Matching([], view), 1) == {0, 2}
+
+
+def test_repair_stages_match_the_sequential_halving_cover():
+    """On criterion 4's deficient matchings, every stage of the repair
+    removes exactly the nodes of the sequential halving loop on the
+    residual it starts from, and a stage below the shortest remaining
+    length removes none."""
+    rng = random.Random(44)
+    covered = 0
+    for i in range(40):
+        k = (2, 3)[i % 2]
+        na = rng.randint(6, 20)
+        g = gen_random(na, rng.randint(6, 20), rng.uniform(0.15, 0.35), rng.randrange(1 << 30))
+        view = whole(g)
+        best_edges = sorted(oracle.max_matching_oracle(view).edges)
+        if len(best_edges) < 2:
+            continue
+        m = Matching(best_edges[1 + (i % 3 == 0):], view)
+        result, _, _ = repair_matching(g, view, m, k, forest=forest(g))
+        residual = view
+        for d, removed in result.per_stage:
+            m_bar = m.restricted_to(residual)
+            if oracle.shortest_aug_path_len(residual, m_bar) == d:
+                assert removed == halving_cover(residual, m_bar, d), f"instance {i}, d = {d}"
+                covered += 1
+            else:
+                assert removed == set()
+            residual = residual.without_nodes(removed)
+    assert covered >= 35
 
 
 def test_repair_runs_no_bfs_inside_a_count():
@@ -409,4 +463,4 @@ def test_count_rounds_follow_documented_schedule(d, width):
         counts, stats = count_paths(g_bw, whole(g_bw), m, d, delta=delta)
         assert stats.per_phase == [("count-sweeps", 2 * d * math.ceil(w / bw) + 1)]
         assert counts.level == level
-        assert (counts.p_node, counts.p_edge) == (expected.node_counts, expected.edge_counts)
+        assert {v: counts.count.get(v, 0) for v in view.in_nodes} == per_node_counts(expected)

@@ -411,8 +411,7 @@ def test_contexts_under_a_proper_sub_view():
     assert ctx[3]["in_view"] is False and ctx[3]["view_neighbors"] == ()
     assert ctx[3]["neighbors"] == (2, 4)
     assert ctx[2] == dict(
-        node=2, n=5, bandwidth=default_bandwidth(5), side="A", in_view=True,
-        neighbors=(1, 3), view_neighbors=(1,), input=None,
+        node=2, side="A", in_view=True, neighbors=(1, 3), view_neighbors=(1,), input=None
     )
     assert ctx[4]["in_view"] is True and ctx[4]["view_neighbors"] == ()
     for v in g.node_ids:
@@ -421,9 +420,7 @@ def test_contexts_under_a_proper_sub_view():
 
 
 def test_node_context_is_immutable_and_keyword_built():
-    ctx = NodeContext(
-        node=0, n=1, bandwidth=4, side="A", in_view=True, neighbors=(), view_neighbors=()
-    )
+    ctx = NodeContext(node=0, side="A", in_view=True, neighbors=(), view_neighbors=())
     assert ctx.input is None
     with pytest.raises(AttributeError):
         ctx.node = 1
@@ -443,8 +440,6 @@ def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round
     ctxs = {
         v: NodeContext(
             node=v,
-            n=n,
-            bandwidth=bw,
             side=graph.side[v],
             in_view=view.contains_node(v),
             neighbors=graph.adjacency[v],
