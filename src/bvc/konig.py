@@ -61,9 +61,10 @@ def koenig_approx_cover(
     `layering` is the caller's layering of this matching and view, to depth
     2k - 1 or deeper (nothing reads a deeper level), or None to run
     `compute_partition`; either way a free B-node at a level <= 2k - 1
-    raises ShorterPathExists. The k B-class sizes are summed over the
-    caller's BFS `forest`, and each node applies the rule at its
-    component's argmin s, ties to the smallest.
+    raises ShorterPathExists. The k B-class sizes, at most n - 1 each (a
+    levelled B-node has an A-node predecessor in its tree), are summed in
+    id_bits(n) bits over the caller's BFS `forest`, whose roots broadcast the
+    rule's s - 1, the argmin, ties to the smallest, in bitlength(k - 1) bits.
     """
     k = min(k, max_useful_k(graph))
     stats = RoundStats()
@@ -77,19 +78,19 @@ def koenig_approx_cover(
     for v, lv in layering.level.items():
         if lv % 2 == 1 and lv < 2 * k:
             rows[v][lv // 2] = 1
-    sums, agg_stats = pipelined_aggregate(
+    s, agg_stats = pipelined_aggregate(
         graph,
         forest,
         {v: tuple(row) for v, row in rows.items()},
         combine="sum",
-        value_width=id_bits(graph.n) + 1,
+        value_width=id_bits(graph.n),
         phase="class-sizes",
+        answer=lambda sizes: sizes.index(min(sizes)),
+        answer_width=max(1, (k - 1).bit_length()),
     )
     stats.add_sequential(agg_stats)
 
-    # Selection is local once every node knows its component's class sizes.
-    s = {v: sums[v].index(min(sums[v])) + 1 for v in view.in_nodes}
-    cover = VertexCover([v for v in view.in_nodes if _in_cover(view, layering, v, s[v])], view)
+    cover = VertexCover([v for v in view.in_nodes if _in_cover(view, layering, v, s[v] + 1)], view)
     if not cover.is_valid():
         raise AssertionError("layered cover failed validation")
     return cover, stats

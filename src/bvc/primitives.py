@@ -18,7 +18,7 @@ trees of the randomized pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import InvalidParam, ShorterPathExists
 from .graph import SIDE_A, SIDE_B, BipartiteGraph, Matching, SubgraphView
@@ -178,28 +178,34 @@ _COMBINERS = {
 
 
 class AggregateProgram(NodeProgram):
-    """Convergecast of k values with pipelining, then pipelined broadcast.
+    """Convergecast of k values with pipelining, then a broadcast of one
+    answer computed from the k totals.
 
     Input per node: (parent, children, values). A node sends value j to its
     parent, combined with its subtree's, once every child has sent its
-    value j, at most one value per step; the root broadcasts each result as
-    soon as it is final, and every node forwards the results it receives.
-    An edge delivers messages in the order they were sent, so a message
-    holds only the value: its index is the count of values before it.
+    value j, at most one value per step. An edge delivers messages in the
+    order they were sent, so a message holds only the value: its index is
+    the count of values before it. The root applies `answer` to its totals
+    (by default, at k = 1, it is the total) and sends it down the tree.
 
-    Schedule: a message takes P = frame_count(value_width, B) rounds on an
-    edge (a leaf sends one value per step; later ones queue behind the
-    first). A node whose subtree has height s delivers value j to its
-    parent in round (s + j + 1)·P + 1, so for k >= 1 a tree of height
-    H >= 1 finishes in (2H + k - 1)·P + 1 rounds and a lone node in one.
+    Schedule: a value takes P = frame_count(value_width, B) rounds on an
+    edge, the answer Q = frame_count(answer_width, B). A node whose
+    subtree has height s delivers value j to its parent in round
+    (s + j + 1)·P + 1, so a tree of height H >= 1 finishes in
+    (H + k - 1)·P + H·Q + 1 rounds, a lone node in one, and each of its
+    edges carries k·value_width + answer_width bits.
     """
 
-    def __init__(self, k: int, combine: str, value_width: int):
+    def __init__(self, k: int, combine: str, value_width: int, answer=None, answer_width=None):
         if combine not in _COMBINERS:
             raise ValueError(f"unknown combine {combine!r}")
+        if answer is None and k > 1:
+            raise InvalidParam("an aggregate of k > 1 values needs an answer")
         self.k = k
         self.fn = _COMBINERS[combine]
         self.vw = value_width
+        self.answer = answer or (lambda totals: totals[0])
+        self.aw = value_width if answer_width is None else answer_width
 
     def init(self, ctx):
         parent, children, values = ctx.input
@@ -210,42 +216,33 @@ class AggregateProgram(NodeProgram):
             "children": children,
             "partial": list(values),
             "heard": dict.fromkeys(children, 0),  # values received per child
-            "sent": 0,  # values sent up, or at the root broadcast
-            # A lone root holds every result at once.
-            "results": list(values) if parent is None and not children else [],
+            "sent": 0,  # values sent up
         }
 
     def step(self, ctx, st, inbox, rnd, rng):
-        parent, partial, heard, results = st["parent"], st["partial"], st["heard"], st["results"]
-        out = {}
-        for u, msg in inbox.items():
-            if u == parent:
-                results.append(msg.values[0])
-                for c in st["children"]:
-                    out[c] = msg
-            else:
+        parent, partial, heard = st["parent"], st["partial"], st["heard"]
+        msg = inbox.get(parent)  # a parent sends only the answer
+        if msg is None:
+            for u, value in inbox.items():
                 j = heard[u]
                 heard[u] = j + 1
-                partial[j] = self.fn(partial[j], msg.values[0])
-
-        ready = min(heard.values(), default=self.k)
-        j = st["sent"]
-        if j < ready and len(results) < self.k:
-            st["sent"] = j + 1
-            msg = Msg((partial[j], self.vw))
+                partial[j] = self.fn(partial[j], value.values[0])
+            ready = min(heard.values(), default=self.k)
             if parent is not None:
-                out[parent] = msg
-            else:
-                results.append(partial[j])
-                for c in st["children"]:
-                    out[c] = msg
-        if len(results) == self.k:
-            return st, out, True
-        # A value already complete goes out next step; otherwise wait for mail.
-        return st, out, False, rnd + 1 if st["sent"] < ready else None
+                j, out = st["sent"], {}
+                if j < ready:
+                    out[parent] = Msg((partial[j], self.vw))
+                    st["sent"] = j = j + 1
+                # A value already complete goes out next step; otherwise wait for mail.
+                return st, out, False, rnd + 1 if j < ready else None
+            if ready < self.k:
+                return st, {}, False, None
+            msg = Msg((self.answer(partial), self.aw))
+        st["answer"] = msg.values[0]
+        return st, dict.fromkeys(st["children"], msg), True
 
     def output(self, ctx, st):
-        return tuple(st["results"])
+        return st["answer"]
 
 
 def pipelined_aggregate(
@@ -256,12 +253,16 @@ def pipelined_aggregate(
     combine: str,
     value_width: int,
     phase: str,
-) -> tuple[dict[int, tuple], RoundStats]:
-    """Aggregate k values per node over each tree of `forest` and broadcast
-    the treewise results back to every node."""
+    answer: Callable[[list[int]], int] | None = None,
+    answer_width: int | None = None,
+) -> tuple[dict[int, int], RoundStats]:
+    """Aggregate k values per node over each tree of `forest`; every node
+    learns `answer` of its tree's totals, at `answer_width` bits (at k = 1 by
+    default the total, at `value_width`). Every caller in `bvc` needs at most
+    ceil(log2 n) + 3 bits for either, so P = Q = 1 at every B >= the floor."""
     k = len(next(iter(values.values()), ()))
     inputs = {v: forest[v] + (values[v],) for v in graph.node_ids}
-    program = AggregateProgram(k, combine, value_width)
+    program = AggregateProgram(k, combine, value_width, answer, answer_width)
     return run(program, graph, inputs=inputs, phase=phase)
 
 
@@ -412,21 +413,23 @@ def witness_check(
     free in-view B-node at an odd level <= t sends its level, every other
     node at level t (the live frontier) sends t + 1 and the rest a
     sentinel. A min below t + 1 is the answer; t + 1 doubles t below
-    `depth`; the sentinel, or t + 1 at `depth`, is None. Levels <= t do not
-    depend on the depth limit, so the returned layering (the last
-    attempt's) agrees with one to `depth` up to its own depth. A None
-    check that ended on the sentinel left no node at level t, hence none
-    deeper: its layering is the full alternating reachability, and so is
-    that of any check to depth >= n - 1."""
+    `depth`; the sentinel, or t + 1 at `depth`, is None. Every node knows
+    t, so values take w = bitlength(t + 2) bits and the sentinel is
+    2^w - 1 > t + 1; pipelines cap `depth` at n + 1, so w <= ceil(log2 n) + 3
+    and P = Q = 1 at the floor. Levels <= t do not depend on the depth
+    limit, so the returned layering (the last attempt's) agrees with one to
+    `depth` up to its own depth. A None check that ended on the sentinel
+    left no node at level t, hence none deeper: its layering is the full
+    alternating reachability, and so is that of any check to depth >= n - 1."""
     if d < 1:
         raise InvalidParam("d must be >= 1")  # t = 0 would never double
     stats = RoundStats()
-    width = id_bits(graph.n) + 2
-    sentinel = (1 << width) - 1
     t = min(d, depth)
     while True:
         layering, bfs_stats = alternating_bfs(graph, view, matching, t, phase="reachability")
         stats.add_sequential(bfs_stats)
+        width = (t + 2).bit_length()
+        sentinel = (1 << width) - 1
         values = {v: (sentinel,) for v in graph.node_ids}
         for v, lv in layering.level.items():
             if lv == t:
@@ -442,13 +445,9 @@ def witness_check(
             phase="witness-check",
         )
         stats.add_sequential(agg_stats)
-        shortest = min((mins[v][0] for v in graph.node_ids), default=sentinel)
-        # A frontier at level t has t + 1 <= n below the sentinel, but t
-        # itself may exceed it on a tiny graph: test the sentinel first.
-        if shortest == sentinel:
-            return None, layering, stats
+        shortest = min(mins.values(), default=sentinel)
         if shortest <= t:
             return shortest, layering, stats
-        if t == depth:
+        if shortest == sentinel or t == depth:
             return None, layering, stats
         t = min(2 * t, depth)

@@ -108,21 +108,21 @@ def view_max_degree_aggregate(
     view: SubgraphView,
     forest: Forest,
 ) -> tuple[int, RoundStats]:
-    """All nodes learn the maximum in-view degree via a pipelined max."""
-    width = id_bits(graph.n) + 1
+    """All nodes learn the maximum in-view degree via a pipelined max. A
+    degree is at most n - 1, so it fits in id_bits(n) bits."""
     values = {
         v: (view.view_degree(v) if view.contains_node(v) else 0,)
         for v in graph.node_ids
     }
-    sums, stats = pipelined_aggregate(
+    maxes, stats = pipelined_aggregate(
         graph,
         forest,
         values,
         combine="max",
-        value_width=width,
+        value_width=id_bits(graph.n),
         phase="max-degree",
     )
-    return max((sums[v][0] for v in graph.node_ids), default=0), stats
+    return max(maxes.values(), default=0), stats
 
 
 def count_paths(

@@ -110,21 +110,36 @@ def test_elect_depths_are_bfs_distances():
             assert forest[v][1] == tuple(u for u in sorted(comp) if forest[u][0] == v)
 
 
+def pack(totals, vw):
+    """The totals as one integer, vw bits each, the first lowest."""
+    return sum(t << (vw * j) for j, t in enumerate(totals))
+
+
 def aggregate(g, forest, values, combine):
-    """pipelined_aggregate with values 2·id_bits(n) bits wide."""
-    return pipelined_aggregate(
-        g, forest, values, combine=combine, value_width=2 * id_bits(g.n), phase="aggregate"
+    """pipelined_aggregate with values vw = 2·id_bits(n) bits wide, read as
+    each node's tuple of its tree's k totals: at k = 1 the answer is the
+    total, and at k > 1 an answer that packs all k into k·vw bits."""
+    vw = 2 * id_bits(g.n)
+    k = len(next(iter(values.values())))
+    packed = {} if k == 1 else {"answer": functools.partial(pack, vw=vw), "answer_width": k * vw}
+    results, stats = pipelined_aggregate(
+        g, forest, values, combine=combine, value_width=vw, phase="aggregate", **packed
     )
+    mask = (1 << vw) - 1
+    return {v: tuple(a >> (vw * j) & mask for j in range(k)) for v, a in results.items()}, stats
 
 
 def test_aggregate_sum_path():
+    """A 5-path rooted at an end (H = 4) at the default bandwidth, where a
+    value and the answer take one frame each: (H + k - 1) + H + 1 rounds."""
     g = gen_path(5)
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (1,) for v in g.node_ids}
     results, stats = aggregate(g, forest, values, "sum")
     assert all(results[v] == (5,) for v in g.node_ids)
     height = max(roots_and_depths(forest)[1].values())
-    assert stats.rounds <= 2 * (height + 1) + 8
+    assert height == 4 and frame_count(2 * id_bits(g.n), g.bandwidth) == 1
+    assert stats.rounds == 2 * height + 1
 
 
 def test_aggregate_star_three_values():
@@ -132,7 +147,10 @@ def test_aggregate_star_three_values():
     forest, _ = elect_leader_and_bfs(g)
     values = {v: (1, 0, 2) if v != 0 else (0, 0, 0) for v in g.node_ids}
     results, _ = aggregate(g, forest, values, "sum")
-    assert results[0] == (4, 0, 8)
+    assert all(results[v] == (4, 0, 8) for v in g.node_ids)
+    # Beyond one value, the caller must name what the nodes learn.
+    with pytest.raises(InvalidParam, match="needs an answer"):
+        pipelined_aggregate(g, forest, values, combine="sum", value_width=4, phase="aggregate")
 
 
 def test_aggregate_min_idempotent():
@@ -184,14 +202,11 @@ def _forest_by_hand(g, roots):
     return forest
 
 
-@pytest.mark.parametrize("combine", ["sum", "min", "max"])
-@pytest.mark.parametrize("k", [1, 5])
-def test_aggregate_unbalanced_forest_at_the_floor(k, combine):
+def _unbalanced_forest():
     """A wide star with a long path hanging off one leaf (rooted at the
-    star's centre), a short path rooted off-centre and a lone node. At the
-    9-bit floor every value takes two frames, so leaves queue their values
-    on the edge; results match a sequential fold and the round count the
-    closed form (2H + k - 1)·P + 1 of the highest tree."""
+    star's centre), a short path rooted off-centre and a lone node, at the
+    9-bit floor: the graph, its forest, and each tree's nodes and height
+    by root."""
     star = [(0, leaf) for leaf in range(1, 11)]
     hanging = [(1, 11)] + [(v, v + 1) for v in range(11, 22)]
     short = [(v, v + 1) for v in range(23, 27)]
@@ -203,27 +218,83 @@ def test_aggregate_unbalanced_forest_at_the_floor(k, combine):
     trees = {r: [v for v in forest if root[v] == r] for r in set(root.values())}
     heights = {r: max(depth[v] for v in tree) for r, tree in trees.items()}
     assert heights == {0: 13, 24: 3, 28: 0}
+    return g, forest, trees, heights
 
+
+def argmin(totals):
+    return totals.index(min(totals))
+
+
+@pytest.mark.parametrize("combine", ["sum", "min", "max"])
+@pytest.mark.parametrize("k", [1, 5])
+def test_aggregate_unbalanced_forest_at_the_floor(k, combine):
+    """On the unbalanced forest every value takes P = 2 frames, so leaves
+    queue their values on the edge. At k = 1 the answer is the total, at
+    Q = P; at k = 5 it is once the argmin (3 bits, Q = 1) and once all
+    five totals packed (50 bits, Q = 6). Answers match a sequential fold,
+    and the round count the closed form (H + k - 1)·P + H·Q + 1 of the
+    highest tree: 53 rounds at k = 1, 48 and 113 at k = 5."""
+    g, forest, trees, heights = _unbalanced_forest()
+    vw = 2 * id_bits(g.n)
     rng = random.Random(k)
     values = {v: tuple(rng.randrange(32) for _ in range(k)) for v in g.node_ids}
-    results, stats = aggregate(g, forest, values, combine)
-
     fold = {"sum": lambda a, b: a + b, "min": min, "max": max}[combine]
-    for tree in trees.values():
-        expected = tuple(
-            functools.reduce(fold, (values[v][j] for v in tree)) for j in range(k)
+    totals = {
+        r: [functools.reduce(fold, (values[v][j] for v in tree)) for j in range(k)]
+        for r, tree in trees.items()
+    }
+    p = frame_count(vw, g.bandwidth)
+    assert p == 2
+    cases = [(None, None)] if k == 1 else [(argmin, 3), (functools.partial(pack, vw=vw), k * vw)]
+    for answer, aw in cases:
+        results, stats = pipelined_aggregate(
+            g,
+            forest,
+            values,
+            combine=combine,
+            value_width=vw,
+            phase="aggregate",
+            answer=answer,
+            answer_width=aw,
         )
-        assert all(results[v] == expected for v in tree)
-    p = frame_count(2 * id_bits(g.n), g.bandwidth)
-    assert p == 2 and stats.fragmentation_rounds > 0
-    assert stats.rounds == (2 * heights[0] + k - 1) * p + 1
+        expect = answer or (lambda t: t[0])
+        for r, tree in trees.items():
+            assert all(results[v] == expect(totals[r]) for v in tree)
+        q = frame_count(aw or vw, g.bandwidth)
+        assert stats.fragmentation_rounds > 0
+        assert stats.rounds == (heights[0] + k - 1) * p + heights[0] * q + 1
+
+
+def test_aggregate_sends_k_values_and_one_answer_per_tree_edge():
+    """Each edge of a tree carries k values up and one answer down: on a
+    tree of n_t nodes, (n_t - 1)·(k·vw + aw) bits. On the unbalanced
+    forest, 26 tree edges, that is 520 bits for a lone total (aw = vw =
+    10) and 1,378 for the argmin of five (aw = 3)."""
+    g, forest, trees, _ = _unbalanced_forest()
+    vw = 2 * id_bits(g.n)
+    edges = sum(len(tree) - 1 for tree in trees.values())
+    for k, answer, aw, bits in ((1, None, vw, 520), (5, argmin, 3, 1378)):
+        values = {v: (v % 7,) * k for v in g.node_ids}
+        _, stats = pipelined_aggregate(
+            g,
+            forest,
+            values,
+            combine="sum",
+            value_width=vw,
+            phase="aggregate",
+            answer=answer,
+            answer_width=aw,
+        )
+        assert stats.total_bits == edges * (k * vw + aw) == bits
 
 
 def test_aggregate_lone_nodes_finish_in_one_round():
+    """Values fit the helper's 2·id_bits(2) = 2 bits: a lone root sends
+    nothing, but still builds its answer as a message of declared width."""
     g = build_graph([], extra_nodes=[0, 1])
     forest, _ = elect_leader_and_bfs(g)
-    results, stats = aggregate(g, forest, {0: (3, 4), 1: (5, 6)}, "sum")
-    assert results == {0: (3, 4), 1: (5, 6)}
+    results, stats = aggregate(g, forest, {0: (3, 0), 1: (1, 2)}, "sum")
+    assert results == {0: (3, 0), 1: (1, 2)}
     assert stats.rounds == 1
 
 

@@ -4,12 +4,13 @@ import random
 import pytest
 
 from bvc import oracle
-from bvc.errors import ShorterPathExists
+from bvc.errors import ProgramFault, ShorterPathExists
 from bvc.graph import (
     Matching,
     SubgraphView,
     build_graph,
     gen_complete,
+    gen_even_cycle,
     gen_path,
     gen_random,
 )
@@ -124,7 +125,7 @@ def test_count_matches_oracle(d):
         assert start_total == end_total == sum(
             c for v, c in expected.node_counts.items() if g.side[v] == "A"
         )
-    assert hits > 0 or d == 5
+    assert hits > 0
 
 
 def test_cover_single_edge_d1():
@@ -187,7 +188,27 @@ def test_cover_matches_the_sequential_halving_cover(d):
         hits += 1
         s_h, _, _ = cover_short_paths(g, view, m, d, forest=forest(g))
         assert s_h == halving_cover(view, m, d)
-    assert hits > 0 or d == 5
+    assert hits > 0
+
+
+def test_cover_rejects_a_count_above_the_phase_invariant(monkeypatch):
+    """Phase i can only meet counts of at most Delta^d / 2^(i - 1): a count
+    above Delta^d in phase 1 is a fault, not a node to remove. On P4 with
+    M = {(1, 2)}, Delta^3 = 8, and one inflated count of 9 raises."""
+    import bvc.repair
+
+    real = bvc.repair.count_paths
+
+    def inflated(graph, view, matching, d, **kwargs):
+        counts, stats = real(graph, view, matching, d, **kwargs)
+        counts.count[0] = 9
+        return counts, stats
+
+    monkeypatch.setattr(bvc.repair, "count_paths", inflated)
+    g = gen_path(4)
+    view = whole(g)
+    with pytest.raises(ProgramFault, match="phase-1 invariant"):
+        cover_short_paths(g, view, Matching([(1, 2)], view), 3, forest=forest(g))
 
 
 def test_cover_takes_the_counts_that_reach_the_threshold():
@@ -200,33 +221,53 @@ def test_cover_takes_the_counts_that_reach_the_threshold():
     assert s_h == halving_cover(view, Matching([], view), 1) == {0, 2}
 
 
-def test_repair_stages_match_the_sequential_halving_cover():
-    """On criterion 4's deficient matchings, every stage of the repair
-    removes exactly the nodes of the sequential halving loop on the
-    residual it starts from, and a stage below the shortest remaining
-    length removes none."""
+def _repair_instances():
+    """(g, matching, k) for the repair's halving reference. First criterion
+    4's deficient matchings, a maximum matching less one or two edges,
+    which leave almost every stage at d = 1. Then deeper ones, repaired at
+    k = 4: a maximal matching (k = 1) or an elimination at k = 2 on sparse
+    random graphs, and a maximal matching on paths and even cycles, whose
+    shortest augmenting paths run to length 3, 5 and 7."""
     rng = random.Random(44)
-    covered = 0
     for i in range(40):
         k = (2, 3)[i % 2]
         na = rng.randint(6, 20)
         g = gen_random(na, rng.randint(6, 20), rng.uniform(0.15, 0.35), rng.randrange(1 << 30))
         view = whole(g)
         best_edges = sorted(oracle.max_matching_oracle(view).edges)
-        if len(best_edges) < 2:
-            continue
-        m = Matching(best_edges[1 + (i % 3 == 0):], view)
+        if len(best_edges) >= 2:
+            yield g, Matching(best_edges[1 + (i % 3 == 0):], view), k
+    deep = [
+        (gen_random(8 + s, 8 + s, 1.6 / (8 + s), s), k, s) for k in (1, 2) for s in range(12)
+    ]
+    for gen in (gen_path, gen_even_cycle):
+        deep += [(gen(n), 1, s) for n in (14, 18, 22) for s in range(3)]
+    for g, k, seed in deep:
+        view = whole(g)
+        yield g, eliminate_short_aug_paths(g, view, Matching([], view), k, seed=seed)[0], 4
+
+
+def test_repair_stages_match_the_sequential_halving_cover():
+    """Every stage of the repair removes exactly the nodes of the
+    sequential halving loop on the residual it starts from, and a stage
+    below the shortest remaining length removes none."""
+    compared = []
+    for i, (g, m, k) in enumerate(_repair_instances()):
+        view = whole(g)
         result, _, _ = repair_matching(g, view, m, k, forest=forest(g))
         residual = view
         for d, removed in result.per_stage:
             m_bar = m.restricted_to(residual)
             if oracle.shortest_aug_path_len(residual, m_bar) == d:
                 assert removed == halving_cover(residual, m_bar, d), f"instance {i}, d = {d}"
-                covered += 1
+                compared.append(d)
             else:
                 assert removed == set()
             residual = residual.without_nodes(removed)
-    assert covered >= 35
+    # 75 compared stages: 35 at d >= 3, 12 of them at d = 5 or 7.
+    assert len(compared) >= 70
+    assert sum(d >= 3 for d in compared) >= 30
+    assert sum(d >= 5 for d in compared) >= 10
 
 
 def test_repair_runs_no_bfs_inside_a_count():
