@@ -163,8 +163,8 @@ def run_one(config: dict, graph: BipartiteGraph, seed: int) -> dict:
     elif pipeline == "clustering-only":
         lam = _given(config, "lam", eps / 4.0)
         record["params"]["lam"] = lam
-        assignment, parent, stats = mpx_partition(graph, lam, seed=seed)
-        cluster_set = shrink_partition(graph, assignment, parent)
+        assignment, parent, stale, stats = mpx_partition(graph, lam, seed=seed)
+        cluster_set = shrink_partition(graph, assignment, parent, stale)
         stats.add_sequential(build_cluster_trees(graph, cluster_set))
         extra["clusters"] = len(cluster_set.clusters())
         extra["max_tree_height"] = cluster_set.max_tree_height

@@ -3,13 +3,14 @@
 Nodes draw exponential head starts and join the origin minimizing hop
 distance minus shift; the resulting clusters are connected, and after
 dropping both endpoints of every inter-cluster edge they are 3-hop
-separated. The relaxation leaves every node holding each neighbor's final
-candidate, so it also fixes each node's peers (the neighbors of its own
-origin) and its parent one BFS level closer to the origin. After it, one
-message per peer edge tells each node its children and attaches every
-non-member next to a member to that member's cluster: the one-hop
-extension. Each surviving cluster keeps this BFS tree of its original
-(pre-shrink) origin region, so trees of different clusters stay
+separated. The relaxation sends a candidate only where it can change the
+receiver, and still fixes each node's parent one BFS level closer to the
+origin. A node's neighbors may hold an old origin of it, so a 3-round
+exchange follows: it gives every node its neighbors' origins, hence its
+peers (the neighbors of its own origin), tells each node its children and
+attaches every non-member next to a member to that member's cluster: the
+one-hop extension. Each surviving cluster keeps this BFS tree of its
+original (pre-shrink) origin region, so trees of different clusters stay
 edge-disjoint even when shrinking disconnects a cluster's survivors.
 
 The combination step covers everything outside clusters with matched
@@ -40,16 +41,18 @@ class ClusterSet:
     `origin` the total pre-shrink assignment, whose groups are the tree
     regions; `peers` each node's sorted neighbors of the same origin;
     `parent` each node's smallest-id peer one BFS level closer to its
-    origin, None at the origin. `forest` holds the tree of every cluster
-    with surviving members, over its origin region, rooted at the origin;
-    `max_tree_height` is the largest depth in it. `attached` holds the
-    non-members next to a member: each extends its own origin's cluster by
-    one hop."""
+    origin, None at the origin; `stale` each node's neighbors, other than
+    its parent, that do not yet hold its origin. `forest` holds the tree of
+    every cluster with surviving members, over its origin region, rooted at
+    the origin; `max_tree_height` is the largest depth in it. `attached`
+    holds the non-members next to a member: each extends its own origin's
+    cluster by one hop."""
 
     members: dict[int, int | None]
     origin: dict[int, int]
     peers: dict[int, tuple[int, ...]]
     parent: dict[int, int | None]
+    stale: dict[int, tuple[int, ...]]
     forest: Forest = field(default_factory=dict)
     max_tree_height: int = 0
     attached: set[int] = field(default_factory=set)
@@ -76,18 +79,33 @@ class MpxPartitionProgram(NodeProgram):
     break toward the smaller origin id. The run ends by quiescence once no
     key improves anywhere.
 
+    A node sends only what can change its receiver. It sends its best in
+    round 1, and a new best b to a neighbor u only while it has not heard
+    from u or (b.key + scale, b.origin) is at most the last candidate u
+    sent it: u's best never exceeds what u last sent, so any other
+    message could neither improve u nor tie it. A last candidate that u
+    has since improved on is larger than u's best, which only makes the
+    node send more.
+
     Each node keeps the last candidate it heard from every neighbor and
-    outputs (origin, parent): the parent is the smallest-id neighbor whose
-    last candidate equals the node's final best, None at an origin (whose
-    neighbors all offer more than its own key). This is the BFS parent in
-    the origin region:
-    - a node sends its best in round 1 and again on every change, so its
-      last message is its final best;
+    outputs (origin, parent, stale): the parent is the smallest-id neighbor
+    whose last candidate equals the node's final best, None at an origin
+    (whose neighbors all offer more than its own key). This is the BFS
+    parent in the origin region:
+    - every neighbor u whose final best b_u gives b_u + scale <= v's final
+      best, a tie at most, sent v that b_u, since it could tie v; so the
+      last candidate v heard from u equals v's final best exactly when
+      b_u + scale does;
     - MPX regions contain their shortest paths to the origin: a neighbor u
       of v one hop closer to v's origin o offers at most v's key, and any
       better candidate of u would have improved v's;
     - so the rule picks the smallest id among the nodes of v's region one
       BFS level closer to o.
+
+    A neighbor that could not be improved may hold an old origin of the
+    node: `stale` lists the neighbors, other than the parent, whose last
+    candidate from the node named another origin. `TreeBuildProgram` tells
+    them the final one.
     """
 
     def __init__(self, sigma: float, scale: int, cap: int):
@@ -101,7 +119,8 @@ class MpxPartitionProgram(NodeProgram):
         self.idw = id_bits(n)
 
     def init(self, ctx):
-        return {"best": None, "sent": None, "heard": {}}
+        # told: the origin last sent to each neighbor
+        return {"best": None, "sent": None, "heard": {}, "told": {}}
 
     def draw_shift(self, rng) -> float:
         """An exponential draw of rate sigma conditioned below the cap."""
@@ -126,16 +145,26 @@ class MpxPartitionProgram(NodeProgram):
             if cand < st["best"]:
                 st["best"] = cand
         out = {}
-        if st["best"] != st["sent"]:
-            st["sent"] = st["best"]
-            msg = Msg((st["best"][0] + offset, kw), (st["best"][1], idw))
+        best = st["best"]
+        if best != st["sent"]:
+            st["sent"] = best
+            msg = Msg((best[0] + offset, kw), (best[1], idw))
+            # u's best is at most what it last sent, heard[u] - scale, so
+            # best + scale can improve or tie u only if it is no larger.
+            reach = (best[0] + 2 * self.scale, best[1])
+            heard, told = st["heard"], st["told"]
             for u in ctx.neighbors:
-                out[u] = msg
+                last = heard.get(u)
+                if last is None or reach <= last:
+                    out[u] = msg
+                    told[u] = best[1]
         return st, out, False, None
 
     def output(self, ctx, st):
         best = st["best"]
-        return best[1], min((u for u, c in st["heard"].items() if c == best), default=None)
+        parent = min((u for u, c in st["heard"].items() if c == best), default=None)
+        stale = tuple(u for u, o in st["told"].items() if o != best[1] and u != parent)
+        return best[1], parent, stale
 
 
 def mpx_partition(
@@ -143,10 +172,10 @@ def mpx_partition(
     lam: float,
     *,
     seed: int = 0,
-) -> tuple[dict[int, int], dict[int, int | None], RoundStats]:
+) -> tuple[dict[int, int], dict[int, int | None], dict[int, tuple[int, ...]], RoundStats]:
     """Assign every node to an origin by exponentially shifted distances;
-    returns the assignment, each node's parent (see MpxPartitionProgram)
-    and the run's stats.
+    returns the assignment, each node's parent and stale neighbors (see
+    MpxPartitionProgram) and the run's stats.
 
     Shifts use parameter sigma = lam / 4, a fixed-point grid of 1/n, and
     are conditioned below n, so a key takes bitlength(2n^2) bits and a key
@@ -156,20 +185,23 @@ def mpx_partition(
     n = max(graph.n, 2)
     program = MpxPartitionProgram(lam / 4.0, n, n)
     outputs, stats = run(program, graph, seed=seed, allow_quiescence=True, phase="mpx")
-    assignment = {v: origin for v, (origin, _) in outputs.items()}
-    parent = {v: p for v, (_, p) in outputs.items()}
-    return assignment, parent, stats
+    assignment = {v: origin for v, (origin, _, _) in outputs.items()}
+    parent = {v: p for v, (_, p, _) in outputs.items()}
+    stale = {v: s for v, (_, _, s) in outputs.items()}
+    return assignment, parent, stale, stats
 
 
 def shrink_partition(
     graph: BipartiteGraph,
     assignment: dict[int, int],
     parent: dict[int, int | None],
+    stale: dict[int, tuple[int, ...]],
 ) -> ClusterSet:
     """3-hop separated clusters: a node stays a member when all its
     neighbors are peers (share its origin), so nodes of different clusters
-    cannot share a neighbor. Every node already holds its neighbors'
-    origins from the relaxation, so this sends nothing."""
+    cannot share a neighbor. Each node learns its neighbors' origins in the
+    first round of `build_cluster_trees`, which sends its origin to the
+    neighbors in its `stale` list, so this sends nothing."""
     peers = {
         v: tuple(u for u in graph.adjacency[v] if assignment[u] == assignment[v])
         for v in graph.node_ids
@@ -178,25 +210,38 @@ def shrink_partition(
         v: assignment[v] if len(peers[v]) == len(graph.adjacency[v]) else None
         for v in graph.node_ids
     }
-    return ClusterSet(members, dict(assignment), peers, dict(parent))
+    return ClusterSet(members, dict(assignment), peers, dict(parent), dict(stale))
+
+
+_CHILD = 0
+_ORIGIN = 1
 
 
 class TreeBuildProgram(NodeProgram):
-    """One exchange over the peer edges. Input per node: (member flag,
-    parent, peers). In round 1 each node sends each peer one 2-bit message,
-    "you are my parent" and "I am a member"; in round 2 it reads its
-    children, the senders that named it parent, and halts. A node without
-    peers halts in round 1, so the run takes 2 rounds, or 1 when no node
-    has a peer.
+    """The exchange that completes each node's view of its neighbors'
+    origins, then builds the trees and the one-hop extension. Input per
+    node: (member flag, parent, peers, origin, stale).
+    - Round 1: a node sends its parent a 1-bit "child" tag, which also
+      names its origin (a child shares its parent's), and each stale
+      neighbor a tag and its origin, id_bits + 1 bits. Every other neighbor
+      already holds its origin from the relaxation.
+    - Round 2: a node reads its children, the senders of "child". It now
+      holds every neighbor's origin, hence its peers and whether it is a
+      member; a member sends each neighbor, all of them peers, a 1-bit
+      member flag.
+    - Round 3: a non-member that heard a member flag is attached: it joins
+      its own origin's cluster, which is that of every member next to it.
+      Every node halts.
+    A node without neighbors halts in round 1, so the run takes 3 rounds,
+    or 1 on an edgeless graph. `init` refuses a member with a neighbor
+    outside its origin region, which could put two clusters next to one
+    node."""
 
-    A non-member that hears a member flag is attached: it joins its own
-    origin's cluster, which is that of every member next to it, since a
-    member's neighbors are all its peers. `init` refuses a member with a
-    neighbor outside its origin region, which could put two clusters next
-    to one node."""
+    def setup(self, n, bandwidth):
+        self.idw = id_bits(n)
 
     def init(self, ctx):
-        member, _, peers = ctx.input
+        member, _, peers, _, _ = ctx.input
         if member and len(peers) != len(ctx.neighbors):
             raise ValueError(
                 f"member {ctx.node} has a neighbor of another origin; separation violated"
@@ -204,15 +249,17 @@ class TreeBuildProgram(NodeProgram):
         return (), False
 
     def step(self, ctx, st, inbox, rnd, rng):
-        member, parent, peers = ctx.input
+        member, parent, _, origin, stale = ctx.input
         if rnd == 1:
-            flag = (int(member), 1)
-            to_parent, to_other = Msg((1, 1), flag), Msg((0, 1), flag)
-            out = {u: to_parent if u == parent else to_other for u in peers}
-            return st, out, not peers
-        children = tuple(u for u, msg in inbox.items() if msg.values[0])
-        attached = not member and any(msg.values[1] for msg in inbox.values())
-        return (children, attached), {}, True
+            out = dict.fromkeys(stale, Msg((_ORIGIN, 1), (origin, self.idw)))
+            if parent is not None:
+                out[parent] = Msg((_CHILD, 1))
+            return st, out, not ctx.neighbors
+        if rnd == 2:
+            children = tuple(u for u, msg in inbox.items() if msg.values[0] == _CHILD)
+            out = dict.fromkeys(ctx.neighbors, Msg((1, 1))) if member else {}
+            return (children, False), out, False
+        return (st[0], not member and bool(inbox)), {}, True
 
 
 def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> RoundStats:
@@ -223,10 +270,14 @@ def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> Round
     Raises ProgramFault ("separation violated") if a member has a neighbor
     outside its origin region."""
     members, parent, peers = cluster_set.members, cluster_set.parent, cluster_set.peers
-    inputs = {v: (members[v] is not None, parent[v], peers[v]) for v in graph.node_ids}
+    origin, stale = cluster_set.origin, cluster_set.stale
+    inputs = {
+        v: (members[v] is not None, parent[v], peers[v], origin[v], stale[v])
+        for v in graph.node_ids
+    }
     outputs, stats = run(TreeBuildProgram(), graph, inputs=inputs, phase="cluster-trees")
     # Only clusters with surviving members keep their trees.
-    live, origin = set(members.values()), cluster_set.origin
+    live = set(members.values())
     forest = cluster_set.forest
     for v, (children, attached) in outputs.items():
         if origin[v] in live:
@@ -363,10 +414,10 @@ def randomized_pipeline(
     matching, m_stats = maximal_matching(graph, seed=derive_seed(seed, 71))
     stats.add_sequential(m_stats)
 
-    assignment, parent, mpx_stats = mpx_partition(graph, lam, seed=derive_seed(seed, 72))
+    assignment, parent, stale, mpx_stats = mpx_partition(graph, lam, seed=derive_seed(seed, 72))
     stats.add_sequential(mpx_stats)
 
-    cluster_set = shrink_partition(graph, assignment, parent)
+    cluster_set = shrink_partition(graph, assignment, parent, stale)
     tree_stats = build_cluster_trees(graph, cluster_set)
     stats.add_sequential(tree_stats)
 

@@ -7,7 +7,12 @@ off the round that neighbor's new leader arrived in, and detects
 termination with an echo whose certificates are keyed to the exact
 (leader, distance, parent) a node currently holds: a certificate for a
 non-minimal leader can never complete because the true minimum node never
-adopts a larger id, so the first DONE broadcast is always genuine.
+adopts a larger id, so the first DONE broadcast is always genuine. Only the
+local minima, the nodes without a smaller-id neighbor, start a flood: every
+node knows its neighbors' ids before round 1 (the KT1 model), and any other
+node can never lead. On a path whose ids run in path order that leaves one
+flood and O(n log n) bits instead of Theta(n^2); local minima whose ids fall
+along a long path still cost Theta(n) leader changes per node.
 
 A forest maps each node to its parent (None at a root) and its children,
 which the nodes themselves learned. That is all aggregation reads, so it
@@ -38,6 +43,17 @@ class LeaderBfsProgram(NodeProgram):
     child flag in its neighbors' statuses, and outputs its forest entry
     (parent or None, children).
 
+    A node with a smaller-id neighbor never announces itself: it cannot be
+    its component's minimum, so it cannot lead, and it sleeps until it
+    adopts a leader from a neighbor. Only the local minima flood, each from
+    round 1 at distance 0, so what follows holds for every leader a node
+    can hear of. The component minimum is a local minimum, and its flood,
+    the echo and the DONE wave are those of an election in which every
+    node starts a flood: the forest and the round count do not depend on
+    the silent start. It saves the floods of every node that is not a
+    local minimum; the id orders that stay expensive are those whose local
+    minima fall along a long path, with Theta(n) leader changes per node.
+
     A status is (tag, leader, child flag), plus the certificate bit to the
     parent only: id_bits + 2 or + 3 bits, one frame at every B >= the
     floor ceil(log2 n) + 4, since id_bits(n) <= ceil(log2 n) + 1. It
@@ -59,6 +75,11 @@ class LeaderBfsProgram(NodeProgram):
         self.idw = id_bits(n)
 
     def init(self, ctx):
+        # A node with a smaller-id neighbor can never lead, so it never
+        # announces itself: it holds that status as already sent. Its
+        # certificate stays incomplete while it leads itself, since that
+        # neighbor never reports it.
+        silent = min(ctx.neighbors, default=ctx.node) < ctx.node
         return {
             "lead": ctx.node,
             "dist": 0,
@@ -66,7 +87,7 @@ class LeaderBfsProgram(NodeProgram):
             "nbr": {},
             # The neighbors that keep this node's certificate incomplete.
             "blocking": set(ctx.neighbors),
-            "sent": None,
+            "sent": (ctx.node, ctx.node, 0) if silent else None,
             "children": (),
         }
 

@@ -121,7 +121,9 @@ class Msg:
 
 class NodeContext(NamedTuple):
     """What a node knows a priori besides n and B, which the program
-    receives in `setup`. Immutable."""
+    receives in `setup`. Immutable. A node knows its neighbors' ids before
+    round 1, the KT1 model of CONGEST, which the leader election's silent
+    start reads."""
 
     node: int
     side: str

@@ -1,4 +1,5 @@
-"""Shared test helpers: networkx as the independent oracle, exact counts
+"""Shared test helpers: networkx as the independent oracle, a sequential
+MPX by shifted hop distances, the cluster-tree build's traffic, exact counts
 of shortest augmenting paths (the reference the path-counting sweeps are
 tested against) and the halving cover read off them (the reference of the
 threshold sweep), the layer classes of an alternating layering and the
@@ -32,6 +33,7 @@ from bvc.graph import (
     gen_random,
 )
 from bvc.oracle import alternating_levels, shortest_aug_path_len
+from bvc.runtime import id_bits
 
 
 def nx_graph(view: SubgraphView) -> nx.Graph:
@@ -90,6 +92,41 @@ def region_bfs(graph, origin) -> tuple[dict[int, int | None], dict[int, int]]:
             parent[v] = min((u for u in region[v] if dist[u] == d - 1), default=None)
         depth.update(dist)
     return parent, depth
+
+
+def mpx_reference(graph, shifts, scale) -> tuple[dict[int, int], dict[int, int | None]]:
+    """MPX by shifted hop distances, sequentially: given each node's drawn
+    shift, node v joins the origin o with the smallest
+    (dist(o, v)·scale - int(shift_o·scale), o), ties to the smaller
+    origin; its parent is the smallest-id neighbour u whose best key +
+    scale, with u's origin, gives v's best, None at an origin."""
+    whole = nx_graph(SubgraphView.whole(graph))
+    best = {}
+    for o in graph.node_ids:
+        key = -int(shifts[o] * scale)
+        for v, d in nx.single_source_shortest_path_length(whole, o).items():
+            candidate = (key + d * scale, o)
+            if v not in best or candidate < best[v]:
+                best[v] = candidate
+    parent = {
+        v: min(
+            (u for u in graph.adjacency[v] if (best[u][0] + scale, best[u][1]) == best[v]),
+            default=None,
+        )
+        for v in graph.node_ids
+    }
+    return {v: b[1] for v, b in best.items()}, parent
+
+
+def tree_build_bits(graph, cluster_set) -> int:
+    """The cluster-tree build's traffic: a 1-bit "child" tag to every
+    parent, a tag and the origin to every stale neighbour, and a 1-bit flag
+    from every member to each of its neighbours."""
+    return (
+        sum(p is not None for p in cluster_set.parent.values())
+        + (id_bits(graph.n) + 1) * sum(len(s) for s in cluster_set.stale.values())
+        + sum(len(graph.adjacency[v]) for v, c in cluster_set.members.items() if c is not None)
+    )
 
 
 UNREACHED = "unreached"

@@ -26,7 +26,8 @@ from bvc.graph import (
     gen_random,
 )
 from bvc.matching import maximal_matching
-from support import components, disjoint_union, region_bfs, roots_and_depths
+from bvc.runtime import id_bits
+from support import components, disjoint_union, region_bfs, roots_and_depths, tree_build_bits
 from test_acceptance import inside_fraction
 
 
@@ -57,19 +58,22 @@ def separation_ok(graph, cluster_set, h=3):
 
 
 def shrink_by_hand(graph, assignment):
-    """Shrink a hand-made assignment, with networkx's BFS parents."""
-    return shrink_partition(graph, assignment, region_bfs(graph, assignment)[0])
+    """Shrink a hand-made assignment, with networkx's BFS parents. No
+    relaxation ran, so every neighbour but the parent is owed the origin."""
+    parent = region_bfs(graph, assignment)[0]
+    stale = {v: tuple(u for u in graph.adjacency[v] if u != parent[v]) for v in graph.node_ids}
+    return shrink_partition(graph, assignment, parent, stale)
 
 
 def test_mpx_single_node():
     g = build_graph([], extra_nodes=[0])
-    assignment, parent, _ = mpx_partition(g, 0.5, seed=1)
+    assignment, parent, _, _ = mpx_partition(g, 0.5, seed=1)
     assert assignment == {0: 0} and parent == {0: None}
 
 
 def test_mpx_components_stay_separate():
     g = gen_disjoint_edges(3)
-    assignment, _, _ = mpx_partition(g, 0.5, seed=2)
+    assignment, _, _, _ = mpx_partition(g, 0.5, seed=2)
     for v, origin in assignment.items():
         assert (v < 2) == (origin < 2)
         assert (v in (2, 3)) == (origin in (2, 3))
@@ -77,11 +81,9 @@ def test_mpx_components_stay_separate():
 
 def test_mpx_total_and_deterministic():
     g = gen_random(10, 10, 0.2, 3)
-    a1, p1, s1 = mpx_partition(g, 1.0, seed=7)
-    a2, p2, s2 = mpx_partition(g, 1.0, seed=7)
-    assert a1 == a2 and p1 == p2
-    assert s1 == s2
-    assert set(a1) == set(g.node_ids)
+    first = mpx_partition(g, 1.0, seed=7)
+    assert mpx_partition(g, 1.0, seed=7) == first
+    assert set(first[0]) == set(g.node_ids)
 
 
 def test_mpx_clusters_connected():
@@ -89,7 +91,7 @@ def test_mpx_clusters_connected():
 
     for seed in range(5):
         g = gen_random(12, 12, 0.15, seed)
-        assignment, _, _ = mpx_partition(g, 0.5, seed=seed)
+        assignment = mpx_partition(g, 0.5, seed=seed)[0]
         groups = {}
         for v, o in assignment.items():
             groups.setdefault(o, set()).add(v)
@@ -108,14 +110,14 @@ def test_mpx_clusters_connected():
 def test_mpx_messages_fit_one_frame():
     for na in (5, 50, 200, 500):
         g = gen_random(na, na, 2.4 / na, 1)
-        _, _, stats = mpx_partition(g, 0.125, seed=0)
+        stats = mpx_partition(g, 0.125, seed=0)[-1]
         assert stats.rounds > 1 and stats.fragmentation_rounds == 0
 
 
 def test_mpx_path8_lambda1_snapshot():
     # Frozen regression output for a fixed seed.
     g = gen_path(8)
-    assignment, parent, _ = mpx_partition(g, 1.0, seed=11)
+    assignment, parent, _, _ = mpx_partition(g, 1.0, seed=11)
     assert assignment == {0: 0, 1: 2, 2: 2, 3: 2, 4: 6, 5: 6, 6: 6, 7: 7}
     assert parent == {0: None, 1: 2, 2: None, 3: 2, 4: 5, 5: 6, 6: None, 7: None}
 
@@ -169,7 +171,7 @@ def test_shrink_disjoint_components_untouched():
 def test_shrink_separation_random():
     for seed in range(6):
         g = gen_random(14, 14, 0.15, seed)
-        cs = shrink_partition(g, *mpx_partition(g, 0.5, seed=seed)[:2])
+        cs = shrink_partition(g, *mpx_partition(g, 0.5, seed=seed)[:3])
         assert separation_ok(g, cs)
 
 
@@ -198,7 +200,7 @@ def test_tree_build_heights():
 def test_tree_spans_members_after_shrink():
     for seed in range(5):
         g = gen_random(15, 15, 0.12, seed)
-        cs = shrink_partition(g, *mpx_partition(g, 0.4, seed=seed)[:2])
+        cs = shrink_partition(g, *mpx_partition(g, 0.4, seed=seed)[:3])
         build_cluster_trees(g, cs)
         root, depth = roots_and_depths(cs.forest)
         # Each tree spans its origin region, rooted at the origin.
@@ -228,15 +230,17 @@ TREE_INSTANCES = [
 
 @pytest.mark.parametrize("g, assignment", TREE_INSTANCES)
 def test_tree_build_takes_2_rounds(g, assignment):
-    """With the parents known, the build is one exchange: 2 rounds whatever
-    the deepest region depth is, 1 when no node has a peer, and one 2-bit
-    message each way over every peer edge."""
+    """With the parents known, the build takes 3 rounds whatever the
+    deepest region depth is, 1 on an edgeless graph: the origins each node
+    owes its neighbours, then the member flags, then the attachment. With
+    no relaxation before it, every neighbour but the parent is owed the
+    origin. Every message fits one frame."""
     cs = shrink_by_hand(g, assignment)
     stats = build_cluster_trees(g, cs)
-    peer_edges = sum(len(p) for p in cs.peers.values())
-    assert stats.rounds == (2 if peer_edges else 1)
-    assert stats.total_bits == 2 * peer_edges
-    assert stats.max_message_bits == (2 if peer_edges else 0) and stats.fragmentation_rounds == 0
+    assert stats.rounds == (3 if g.edges else 1)
+    assert stats.total_bits == tree_build_bits(g, cs)
+    assert stats.max_message_bits == (id_bits(g.n) + 1 if g.edges else 0)
+    assert stats.fragmentation_rounds == 0
 
 
 def test_combine_single_cluster_reduces_to_inner():
@@ -258,7 +262,7 @@ def test_combine_solves_over_the_cluster_trees(monkeypatch):
     cluster whose region is a lone node, with no edge, runs no solve."""
     g = gen_random(30, 30, 0.06, 3)
     m, _ = maximal_matching(g, seed=3)
-    cs = shrink_partition(g, *mpx_partition(g, 0.25, seed=4)[:2])
+    cs = shrink_partition(g, *mpx_partition(g, 0.25, seed=4)[:3])
     build_cluster_trees(g, cs)
     root, depth = roots_and_depths(cs.forest)
     origins = sorted(set(root.values()))
@@ -326,14 +330,14 @@ def test_pipeline_edgeless():
 
 def test_pipeline_phases_end_with_a_2_round_tree_exchange():
     """The shrink sends nothing and has no phase; the cluster trees take
-    one 2-round exchange, right after MPX."""
+    one 3-round exchange, right after MPX."""
     g = gen_random(30, 30, 0.06, 3)
     _, stats, cs = randomized_pipeline(g, 0.5, seed=2)
     labels = [label for label, _ in stats.per_phase]
     assert any(cs.peers.values())
     assert "shrink" not in labels
     assert labels[labels.index("mpx") + 1] == "cluster-trees"
-    assert dict(stats.per_phase)["cluster-trees"] == 2
+    assert dict(stats.per_phase)["cluster-trees"] == 3
 
 
 def test_pipeline_disjoint_edges():
@@ -409,7 +413,7 @@ def test_cluster_optima_are_disjoint_lower_bounds():
     for seed in range(4):
         g = gen_random(12, 12, 0.15, seed)
         view = SubgraphView.whole(g)
-        cs = shrink_partition(g, *mpx_partition(g, 0.5, seed=seed)[:2])
+        cs = shrink_partition(g, *mpx_partition(g, 0.5, seed=seed)[:3])
         members = cs.members
         sum_opt = 0
         for c, vs in cs.clusters().items():
@@ -440,7 +444,7 @@ def test_pipeline_density_statistics():
     for seed in range(30):
         m, _ = maximal_matching(g, seed=seed)
         lam = 0.25
-        cs = shrink_partition(g, *mpx_partition(g, lam, seed=seed + 1000)[:2])
+        cs = shrink_partition(g, *mpx_partition(g, lam, seed=seed + 1000)[:3])
         fractions.append(1.0 - inside_fraction(cs, m))
     mean_outside = statistics.mean(fractions)
     stderr = statistics.pstdev(fractions) / max(1, len(fractions)) ** 0.5

@@ -110,6 +110,28 @@ def test_elect_depths_are_bfs_distances():
             assert forest[v][1] == tuple(u for u in sorted(comp) if forest[u][0] == v)
 
 
+@pytest.mark.parametrize("n", [400, 800, 1600])
+def test_election_on_a_sorted_path_costs_linear_bits(n):
+    """On gen_path(n), whose ids run in path order, only node 0 announces
+    itself. Its flood costs a short status (id_bits + 2 bits) to node 1,
+    and from every inner node a full one (id_bits + 3) up and a short one
+    down; the end node's full status is complete, the certificates climb
+    back in one full status per inner node, and DONE goes down in 1 bit
+    per edge: (n - 2)(3·id_bits + 8) + 2·id_bits + n + 4 bits in all. The
+    same path with permuted ids costs more, and the forest is the path's
+    BFS tree from node 0, in the same rounds as before: 3(n - 1) + 1."""
+    g = gen_path(n)
+    forest, stats = elect_leader_and_bfs(g)
+    idw = id_bits(n)
+    assert stats.total_bits == (n - 2) * (3 * idw + 8) + 2 * idw + n + 4
+    assert stats.rounds == 3 * (n - 1) + 1
+    assert roots_and_depths(forest)[1] == {v: v for v in g.node_ids}
+    ids = list(range(n))
+    random.Random(n).shuffle(ids)
+    permuted = build_graph([(ids[u], ids[v]) for u, v in g.edges], extra_nodes=range(n))
+    assert stats.total_bits <= elect_leader_and_bfs(permuted)[1].total_bits
+
+
 def pack(totals, vw):
     """The totals as one integer, vw bits each, the first lowest."""
     return sum(t << (vw * j) for j, t in enumerate(totals))

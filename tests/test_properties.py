@@ -5,25 +5,35 @@ floor bandwidth, on the whole graph or an induced sub-view; and the levels
 and predecessors of the alternating BFS, against the oracle's levels; the
 counts of shortest augmenting paths, against the tests' reference; the
 layered cover read off a caller's layering, against a fresh BFS and the
-class rule; and the election's forest and the cluster trees with their
-one-hop extension, against networkx's BFS. A last test checks that a
-failing property test leaves the rest of the session running."""
+class rule; the election's forest and the cluster trees with their
+one-hop extension, against networkx's BFS; the MPX partition, against a
+sequential one on the shifts it drew; the traffic of the election's first
+round and of MPX, and the neighbours MPX leaves an old origin with. A last
+test checks that a failing property test leaves the rest of the session
+running."""
 
 import math
 import shutil
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bvc import oracle
-from bvc.clustering import build_cluster_trees, mpx_partition, randomized_pipeline, shrink_partition
+from bvc.clustering import (
+    MpxPartitionProgram,
+    build_cluster_trees,
+    mpx_partition,
+    randomized_pipeline,
+    shrink_partition,
+)
 from bvc.graph import Matching, SubgraphView, ceil_log2
 from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
-from bvc.primitives import alternating_bfs, elect_leader_and_bfs
+from bvc.primitives import LeaderBfsProgram, alternating_bfs, elect_leader_and_bfs
 from bvc.repair import count_paths, det_cover_low_diameter, repair_matching
 from bvc.runtime import frame_count, id_bits
 from support import (
@@ -35,8 +45,10 @@ from support import (
     induced,
     matching_size,
     max_view_degree,
+    mpx_reference,
     per_node_counts,
     region_bfs,
+    tree_build_bits,
 )
 
 SETTINGS = settings(max_examples=75, derandomize=True, deadline=None, database=None)
@@ -105,6 +117,26 @@ def test_election_builds_the_min_id_bfs_forest_in_one_frame(g):
         assert stats.fragmentation_rounds == 0
         assert stats.max_message_bits <= id_bits(g.n) + 3
     assert runs[0][1].rounds == runs[1][1].rounds
+
+
+@SETTINGS
+@given(unions())
+def test_election_starts_from_the_nodes_without_a_smaller_neighbour(g):
+    """In round 1 exactly the nodes with a neighbour and none of a smaller
+    id send. Any other node can never lead, so it stays silent until it
+    adopts a leader."""
+    senders = set()
+    real = LeaderBfsProgram.step
+
+    def step(self, ctx, st, inbox, rnd, rng):
+        result = real(self, ctx, st, inbox, rnd, rng)
+        if rnd == 1 and result[1]:
+            senders.add(ctx.node)
+        return result
+
+    with mock.patch.object(LeaderBfsProgram, "step", step):
+        elect_leader_and_bfs(g)
+    assert senders == {v for v in g.node_ids if g.adjacency[v] and min(g.adjacency[v]) > v}
 
 
 @SETTINGS
@@ -223,27 +255,108 @@ def test_rand_pipeline_is_valid_and_reproducible(g, eps, seed):
     assert again.nodes == cover.nodes and stats_again == stats
 
 
+MPX_LAMBDAS = st.sampled_from((0.125, 0.25, 1.0))
+
+
+@SETTINGS
+@given(networks(), MPX_LAMBDAS, st.integers(0, 10_000))
+def test_mpx_is_the_sequential_shifted_distance_partition(g, lam, seed):
+    """Each node's origin and parent are `mpx_reference`'s on the shifts
+    the program drew: no send rule moves a partition."""
+    shifts, scales, current = {}, set(), []
+    real_step, real_draw = MpxPartitionProgram.step, MpxPartitionProgram.draw_shift
+
+    def step(self, ctx, st, inbox, rnd, rng):
+        current[:] = [ctx.node]
+        return real_step(self, ctx, st, inbox, rnd, rng)
+
+    def draw_shift(self, rng):
+        shifts[current[0]] = shift = real_draw(self, rng)
+        scales.add(self.scale)
+        return shift
+
+    with mock.patch.object(MpxPartitionProgram, "step", step):
+        with mock.patch.object(MpxPartitionProgram, "draw_shift", draw_shift):
+            result = mpx_partition(g, lam, seed=seed)
+    (scale,) = scales
+    assert shifts.keys() == set(g.node_ids)
+    assert (result[0], result[1]) == mpx_reference(g, shifts, scale)
+
+
+def _mpx_mail(g, lam, seed, check):
+    """Run MPX; return its result and, per directed edge (v, u), the last
+    candidate v received from u as (key, origin). `check(program, v, u,
+    candidate, last, rnd)` sees every candidate v sends u, as (key,
+    origin), beside the last one v received from u (None before any)."""
+    last = {}
+    real = MpxPartitionProgram.step
+
+    def step(self, ctx, st, inbox, rnd, rng):
+        for u, msg in inbox.items():
+            last[ctx.node, u] = (msg.values[0] - self.offset, msg.values[1])
+        result = real(self, ctx, st, inbox, rnd, rng)
+        for u, msg in result[1].items():
+            candidate = (msg.values[0] - self.offset, msg.values[1])
+            check(self, ctx.node, u, candidate, last.get((ctx.node, u)), rnd)
+        return result
+
+    with mock.patch.object(MpxPartitionProgram, "step", step):
+        result = mpx_partition(g, lam, seed=seed)
+    return result, last
+
+
+@SETTINGS
+@given(networks(), MPX_LAMBDAS, st.integers(0, 10_000))
+def test_mpx_sends_only_candidates_that_can_improve_or_tie_the_receiver(g, lam, seed):
+    """Every node hears from each neighbour in round 1. After that, a
+    message from v to u carries a candidate that, one hop on, is at most
+    the last candidate u sent v, which u's best never exceeds: it could
+    improve u or tie it."""
+
+    def check(program, v, u, candidate, last, rnd):
+        assert (last is None) == (rnd == 1)
+        if last is not None:
+            one_hop_on = (candidate[0] + program.scale, candidate[1])
+            assert one_hop_on <= last, f"{v} -> {u} in round {rnd}: {candidate} after {last}"
+
+    _mpx_mail(g, lam, seed, check)
+
+
+@SETTINGS
+@given(networks(), MPX_LAMBDAS, st.integers(0, 10_000))
+def test_mpx_lists_exactly_the_neighbours_that_hold_an_old_origin(g, lam, seed):
+    """After the relaxation, the last candidate v heard from a neighbour u
+    names u's origin unless v is u's parent, whose "child" tag names it, or
+    v is in u's stale list, which the tree build's first round sends
+    u's origin to; and a stale list holds no other node. So after that
+    round every node holds every neighbour's origin."""
+    (assignment, parent, stale, _), last = _mpx_mail(g, lam, seed, lambda *_: None)
+    for u in g.node_ids:
+        old = {v for v in g.adjacency[u] if last[v, u][1] != assignment[u] and v != parent[u]}
+        assert set(stale[u]) == old
+
+
 @SETTINGS
 @given(networks(), st.sampled_from((0.1, 0.25, 0.5, 1.0)), st.integers(0, 10_000), st.data())
 def test_cluster_trees_are_bfs_trees_of_the_origin_regions(g, lam, seed, data):
     """On an MPX assignment, with some members hand-dropped afterwards:
     each node's MPX parent is its networkx BFS parent in its origin region,
     min (depth, id); each peer list holds the neighbours of the same
-    origin; the tree build takes 2 rounds (1 without peer edges), in which
-    each node sends each peer one 2-bit message; each live cluster's tree
+    origin; the tree build takes 3 rounds (1 on an edgeless graph), with a
+    "child" tag to each parent, the origin to each stale neighbour and a
+    member flag from each member to its neighbours; each live cluster's tree
     is the BFS tree of its origin region rooted at the origin, with
     children = the nodes that name it parent; and the attached nodes are
     the non-members next to a member."""
-    assignment, mpx_parent, _ = mpx_partition(g, lam, seed=seed)
+    assignment, mpx_parent, stale, _ = mpx_partition(g, lam, seed=seed)
     parent, depth = region_bfs(g, assignment)
     assert mpx_parent == parent
-    cs = shrink_partition(g, assignment, mpx_parent)
+    cs = shrink_partition(g, assignment, mpx_parent, stale)
     for v in data.draw(st.sets(st.sampled_from(g.node_ids), max_size=g.n // 3)):
         cs.members[v] = None
     stats = build_cluster_trees(g, cs)
-    peer_edges = sum(len(p) for p in cs.peers.values())
-    assert stats.rounds == (2 if peer_edges else 1)
-    assert stats.total_bits == 2 * peer_edges
+    assert stats.rounds == (3 if g.edges else 1)
+    assert stats.total_bits == tree_build_bits(g, cs)
     for v in g.node_ids:
         same_origin = (u for u in sorted(g.adjacency[v]) if assignment[u] == assignment[v])
         assert cs.peers[v] == tuple(same_origin)
