@@ -114,6 +114,10 @@ class PathSelectProgram(NodeProgram):
             "accepted_iter": None,
         }
 
+    def starts(self, ctx, st):
+        # Before any mail, only a live initiator acts: it launches.
+        return st["initiator"] and st["alive"]
+
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
         self.pw = 0 if self.det else 2 * self.idw

@@ -91,6 +91,10 @@ class LeaderBfsProgram(NodeProgram):
             "children": (),
         }
 
+    def starts(self, ctx, st):
+        # A silent node's round-1 step finds its status already sent.
+        return st["sent"] is None
+
     @staticmethod
     def _blocks(st, u):
         """Whether neighbor u has not yet reported this node's leader at a
@@ -240,6 +244,10 @@ class AggregateProgram(NodeProgram):
             "sent": 0,  # values sent up
         }
 
+    def starts(self, ctx, st):
+        # A node with children has nothing to send before their mail.
+        return not st["children"]
+
     def step(self, ctx, st, inbox, rnd, rng):
         parent, partial, heard = st["parent"], st["partial"], st["heard"]
         msg = inbox.get(parent)  # a parent sends only the answer
@@ -358,7 +366,7 @@ class AltBfsProgram(NodeProgram):
     level-(j - 1) node offered in round (j - 1)·f + 1, so the offers of a
     level-j node land together in round j·f + 1 and the senders are
     exactly its predecessors. The last offers land in round limit·f + 1,
-    when every node halts.
+    when the run ends.
     """
 
     width = 1
@@ -378,6 +386,10 @@ class AltBfsProgram(NodeProgram):
         level = 0 if ctx.in_view and ctx.side == SIDE_A and partner is None else None
         return {"partner": partner, "level": level, "x": int(level == 0), "preds": ()}
 
+    def starts(self, ctx, st):
+        # Only level 0 offers in round 1; every other node waits for offers.
+        return st["level"] == 0
+
     def step(self, ctx, st, inbox, rnd, rng):
         out = {}
         if st["level"] is None:
@@ -388,7 +400,7 @@ class AltBfsProgram(NodeProgram):
                 self._offer(ctx, st, out)
         elif rnd == 1:
             self._offer(ctx, st, out)
-        return st, out, rnd >= self.end, self.end
+        return st, out, False, None
 
     def _offer(self, ctx, st, out):
         if st["level"] < self.limit:

@@ -71,8 +71,8 @@ class CountSweepProgram(AltBfsProgram):
     s to its predecessors in round (2d - j)*f + 1, and a node's s is the
     sum of what it receives, all by its own send round. Every suffix
     message arrives after round d*f + 1, so the round tells a levelled
-    node which sweep a message belongs to. Every node halts in round
-    2*d*f + 1 and outputs (level or None, predecessors, x*s).
+    node which sweep a message belongs to. The run ends in round
+    2*d*f + 1, and every node outputs (level or None, predecessors, x*s).
 
     A message is the count alone, sent at the reserved width w whatever
     its value, as real hardware would have to reserve it."""
@@ -81,9 +81,16 @@ class CountSweepProgram(AltBfsProgram):
         super().__init__(d)
         self.width = max(1, (delta**d).bit_length())
 
+    def setup(self, n, bandwidth):
+        super().setup(n, bandwidth)
+        self.end = 2 * self.limit * self.f + 1
+
+    def init(self, ctx):
+        # A node that never steps in the prefix keeps s = 0.
+        return dict(super().init(ctx), s=0)
+
     def step(self, ctx, st, inbox, rnd, rng):
         d, f = self.limit, self.f
-        end = 2 * d * f + 1
         if rnd <= d * f + 1:
             out = super().step(ctx, st, inbox, rnd, rng)[1]
             # Level d is odd: a level-d node is a B-node.
@@ -91,13 +98,15 @@ class CountSweepProgram(AltBfsProgram):
         else:
             out = {}
             st["s"] += sum(msg.values[0] for msg in inbox.values())
-        lvl = st["level"]
-        suffix_at = end if lvl is None else (2 * d - lvl) * f + 1
-        if rnd == suffix_at and st["preds"]:
+        # Only a node with predecessors sends s, at its level's round.
+        if not st["preds"]:
+            return st, out, False, None
+        suffix_at = (2 * d - st["level"]) * f + 1
+        if rnd == suffix_at:
             msg = Msg((st["s"], self.width))
             for u in st["preds"]:
                 out[u] = msg
-        return st, out, rnd >= end, suffix_at if suffix_at > rnd else end
+        return st, out, False, suffix_at if suffix_at > rnd else None
 
     def output(self, ctx, st):
         return st["level"], st["preds"], st["x"] * st["s"]
@@ -157,8 +166,13 @@ def count_paths(
 class AnnounceRemovalProgram(NodeProgram):
     """One round: nodes flagged for removal tell every neighbor."""
 
+    end = 1
+
     def init(self, ctx):
         return bool(ctx.input)
+
+    def starts(self, ctx, st):
+        return st
 
     def step(self, ctx, st, inbox, rnd, rng):
         out = {}

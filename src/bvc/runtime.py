@@ -14,14 +14,17 @@ draw-free by check, not by convention.
 
 Nodes may sleep: a step may return a fourth element `wake_at` (a future
 round, or None for "wake only on message"). A sleeping node is woken early
-whenever a message arrives. This only skips steps the program declares to
-be no-ops, so simulated round counts are unaffected.
+whenever a message arrives. A program may also step only some nodes in
+round 1 (`starts`) and fix the run's last round (`end`), so that no node
+wakes only to halt. All this skips only steps the program declares to be
+no-ops, which draw nothing, so outputs and simulated costs are unaffected.
 
 Host cost: a view computes its per-node topology (in-view flag and in-view
 neighbors) once, and every run over it builds its contexts from that; a
-run given no view reads the adjacency directly, so it builds no view. A program fixes its widths
-once per run in `setup`. A round steps only the nodes with mail or a due
-wake, and the engine books traffic once per message, not once per frame.
+run given no view reads the adjacency directly. A program fixes its widths
+once per run in `setup`. A round steps only the starting nodes (round 1) or
+those with mail or a due wake, the engine books traffic once per message,
+not once per frame, and it sorts only the inboxes a multi-frame message joined.
 """
 
 from __future__ import annotations
@@ -171,18 +174,30 @@ class NodeProgram:
     setup(n, bandwidth) -> None, once per run before any init: fix here
         what depends only on n, the bandwidth and the program's arguments.
     init(ctx) -> state
+    starts(ctx, state) -> bool: whether the node steps in round 1. One that
+        does not sleeps until mail arrives, so return False only where the
+        round-1 step would return (state, {}, False, None).
     step(ctx, state, inbox, rnd, rng) -> (state, outbox, halted[, wake_at])
-        inbox: {sender: Msg}, read-only; outbox: {neighbor: Msg}. wake_at
-        None means sleep until a message arrives; omitted means step every
-        round. rng is valid only during the step.
+        inbox: {sender: Msg} in sender order, read-only; outbox:
+        {neighbor: Msg}. wake_at None means sleep until a message arrives;
+        omitted means step every round. rng is valid only during the step.
     output(ctx, state) -> per-node result
+
+    end: None, or the run's last round, set in `setup` by a program whose
+    schedule fixes it. The run stops after it, or jumps to it once quiet; a
+    wake after it, the next round's in round `end` included, is a fault.
     """
+
+    end: int | None = None
 
     def setup(self, n: int, bandwidth: int) -> None:
         pass
 
     def init(self, ctx: NodeContext):
         raise NotImplementedError
+
+    def starts(self, ctx: NodeContext, state) -> bool:
+        return True
 
     def step(self, ctx, state, inbox, rnd, rng):
         raise NotImplementedError
@@ -212,20 +227,21 @@ def run(
     phase: str = "main",
     allow_quiescence: bool = False,
 ):
-    """Execute `program` on every node until all halt, with every edge
-    carrying at most `graph.bandwidth` bits per round.
+    """Execute `program` on every node until all halt or round `end`
+    passed, with every edge carrying at most `graph.bandwidth` bits per round.
 
     Returns (outputs, RoundStats) where outputs maps node -> program output.
 
     Raises:
         InvalidParam: the view is over another graph.
-        RoundCapExceeded: a round beyond ROUND_CAP was due, or no node can
-            ever act again while some are unhalted (unless allow_quiescence,
-            which then force-halts everyone; used by algorithms that
-            converge without an explicit termination signal).
-        ProgramFault: a node's init/step/output raised, or a step sent to a
-            non-neighbor, sent a non-Msg, asked to wake in the past, or drew
-            randomness in a run without a seed.
+        RoundCapExceeded: a round beyond ROUND_CAP was due, or, without
+            `end`, no node can ever act again while some are unhalted
+            (unless allow_quiescence, which then force-halts everyone; used
+            by algorithms that converge without an explicit termination signal).
+        ProgramFault: setup, or a node's init, starts, step or output raised,
+            or a step sent to a non-neighbor, sent a non-Msg, asked to wake
+            in the past or after `end`, or drew randomness in a run without
+            a seed.
     """
     if view is not None and view.base is not graph:
         raise InvalidParam("view is over another graph")
@@ -250,10 +266,16 @@ def run(
         program.setup(n, bw)
     except Exception as exc:  # noqa: BLE001 - converted to ProgramFault
         raise ProgramFault(f"setup failed: {exc!r}") from exc
+    end = program.end
     states = {}
+    # Nodes due next round, in step order (contexts are in id order); later
+    # wakes sit in `wake_heap`, live while `wake_round` still holds them.
+    awake = []
     for v, ctx in ctxs.items():
         try:
-            states[v] = program.init(ctx)
+            states[v] = state = program.init(ctx)
+            if program.starts(ctx, state):
+                awake.append(v)
         except Exception as exc:  # noqa: BLE001 - converted to ProgramFault
             raise ProgramFault(f"init failed at node {v}: {exc!r}") from exc
 
@@ -266,16 +288,13 @@ def run(
     # edge, from the round after the edge frees up. It arrives at the start
     # of the round after its last frame, unless its target has halted by
     # then; its bits count either way. Bits are booked when a message is
-    # sent and frames still unsent when every node has halted are taken
-    # back, so only frames actually transmitted count.
+    # sent and frames still unsent when every node has halted, or after
+    # round `end`, are taken back, so only frames actually transmitted count.
     inbox_next: dict[int, dict[int, Msg]] = {}
     edge_busy: dict[tuple[int, int], int] = {}  # last round an edge is held
     arrivals: dict[int, list] = {}  # last-frame round -> [(src, tgt, msg, first round)]
     frag: set[int] = set()  # rounds in which some edge carries a continuation frame
     tx_until = 0  # last round in which some edge carries a frame
-    # Nodes due next round, in step order; later wakes sit in `wake_heap`,
-    # where an entry is live while `wake_round` still holds it.
-    awake = list(graph.node_ids)
     wake_heap: list[tuple[int, int]] = []
     wake_round: dict[int, int] = {}
     total_bits = max_bits = 0
@@ -288,11 +307,14 @@ def run(
             while wake_heap and wake_round.get(wake_heap[0][1]) != wake_heap[0][0]:
                 heapq.heappop(wake_heap)
             if not wake_heap:
-                if len(halted) == n or allow_quiescence:
-                    break
-                raise RoundCapExceeded(
-                    f"quiescent at round {rnd} with {n - len(halted)} nodes unhalted"
-                )
+                if len(halted) < n:
+                    if end is not None:
+                        rnd = end  # quiet before the last round: jump to it
+                    elif not allow_quiescence:
+                        raise RoundCapExceeded(
+                            f"quiescent at round {rnd} with {n - len(halted)} nodes unhalted"
+                        )
+                break
             nxt = wake_heap[0][0]
         if nxt > ROUND_CAP:
             raise RoundCapExceeded(f"round cap {ROUND_CAP} exceeded")
@@ -313,8 +335,6 @@ def run(
             if wake_round:
                 wake_round.pop(v, None)
             inbox = inbox_now.get(v, _NO_MAIL)
-            if len(inbox) > 1:
-                inbox = {u: inbox[u] for u in sorted(inbox)}
             rng._node = v
             rng._rnd = rnd
             rng._rng = None
@@ -363,6 +383,8 @@ def run(
                 if wake == rnd + 1:
                     awake.append(v)
                 else:
+                    if end is not None and wake > end:
+                        raise ProgramFault(f"node {v} requested wake_at {wake} > end {end}")
                     wake_round[v] = wake
                     heapq.heappush(wake_heap, (wake, v))
 
@@ -371,11 +393,18 @@ def run(
         for v in newly_halted:
             inbox_next.pop(v, None)
 
-        for src, tgt, msg, _ in arrivals.pop(rnd, ()):
+        # Nodes step in id order, so single-frame mail joins an inbox in
+        # sender order; a multi-frame arrival may not.
+        landed = arrivals.pop(rnd, ())
+        for src, tgt, msg, _ in landed:
             if tgt not in halted:
                 inbox_next.setdefault(tgt, {})[src] = msg
+        for tgt in {tgt for _, tgt, _, _ in landed if tgt not in halted}:
+            inbox_next[tgt] = dict(sorted(inbox_next[tgt].items()))
 
-        if len(halted) == n:
+        if len(halted) == n or rnd == end:
+            if awake:
+                raise ProgramFault(f"node {awake[0]} requested wake_at {rnd + 1} > end {end}")
             for last, pending in arrivals.items():
                 for _, _, msg, first in pending:
                     unsent = last - max(first, rnd + 1) + 1

@@ -20,6 +20,7 @@ from bvc.graph import (
 )
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import (
+    AltBfsProgram,
     alternating_bfs,
     elect_leader_and_bfs,
     pipelined_aggregate,
@@ -382,6 +383,28 @@ def test_alt_bfs_costs_one_offer_per_edge_in_depth_plus_1_rounds():
         assert stats.total_bits == depth
         assert stats.max_message_bits == (1 if depth else 0)
         assert layering.preds == {v: (v - 1,) if v else () for v in range(depth + 1)}
+
+
+def test_alt_bfs_steps_only_the_levelled_nodes(monkeypatch):
+    """A BFS to depth 5 from the one free A-node of a 41-node path matched
+    as (1,2), ..., (39,40) steps each node it levels once, when its offer
+    arrives (node 0 in round 1), and no other node: the run ends in round
+    6 without waking anyone to halt."""
+    g = gen_path(41)
+    view = whole(g)
+    m = Matching([(v, v + 1) for v in range(1, 41, 2)], view)
+    steps = []
+    step = AltBfsProgram.step
+
+    def counted(self, ctx, st, inbox, rnd, rng):
+        steps.append((ctx.node, rnd))
+        return step(self, ctx, st, inbox, rnd, rng)
+
+    monkeypatch.setattr(AltBfsProgram, "step", counted)
+    layering, stats = alternating_bfs(g, view, m, 5)
+    assert layering.level == {v: v for v in range(6)}
+    assert stats.rounds == 6
+    assert steps == [(v, v + 1) for v in range(6)]
 
 
 def test_witness_check_is_bounded_by_depth():

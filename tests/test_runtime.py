@@ -7,6 +7,7 @@ import pytest
 import bvc.runtime
 from bvc.errors import InvalidParam, ProgramFault, RoundCapExceeded
 from bvc.graph import (
+    Matching,
     SubgraphView,
     build_graph,
     ceil_log2,
@@ -24,7 +25,17 @@ from bvc.runtime import (
     id_bits,
     run,
 )
-from support import induced
+from bvc.matching import PathSelectProgram, maximal_matching, select_disjoint_paths
+from bvc.primitives import (
+    AggregateProgram,
+    AltBfsProgram,
+    LeaderBfsProgram,
+    alternating_bfs,
+    elect_leader_and_bfs,
+    pipelined_aggregate,
+)
+from bvc.repair import AnnounceRemovalProgram, CountSweepProgram, _announce_removals, count_paths
+from support import induced, max_view_degree
 
 
 class EchoOnce(NodeProgram):
@@ -318,6 +329,41 @@ def test_wake_at_not_in_future_raises_program_fault():
         run(WakesNow(), gen_path(2), seed=0)
 
 
+class EndsInRound3(NodeProgram):
+    """A run that ends in round 3. Node 0 asks in round 1 to step in round
+    `at`; with `every_round`, every node steps every round (a
+    three-element result) and halts in round `halt_at`."""
+
+    end = 3
+
+    def __init__(self, at, every_round=False, halt_at=None):
+        self.at = at
+        self.every_round = every_round
+        self.halt_at = halt_at
+
+    def init(self, ctx):
+        return 0
+
+    def step(self, ctx, state, inbox, rnd, rng):
+        if self.every_round:
+            return state + 1, {}, rnd == self.halt_at
+        return state + 1, {}, False, self.at if ctx.node == 0 and rnd == 1 else None
+
+
+def test_wake_after_end_raises_program_fault():
+    g = gen_path(2)
+    outputs, stats = run(EndsInRound3(3), g)
+    assert outputs == {0: 2, 1: 1}
+    assert stats.rounds == 3
+    with pytest.raises(ProgramFault, match="wake_at 4 > end 3"):
+        run(EndsInRound3(4), g)
+    # Stepping every round asks for round 4 in round 3, unless halting.
+    outputs, stats = run(EndsInRound3(None, every_round=True, halt_at=3), g)
+    assert (outputs, stats.rounds) == ({0: 3, 1: 3}, 3)
+    with pytest.raises(ProgramFault, match="wake_at 4 > end 3"):
+        run(EndsInRound3(None, every_round=True), g)
+
+
 @pytest.mark.parametrize("where", ["init", "output"])
 def test_init_and_output_errors_raise_program_fault(where):
     with pytest.raises(ProgramFault, match=f"{where} failed"):
@@ -431,10 +477,13 @@ def test_node_context_is_immutable_and_keyword_built():
 # ---------------------------------------------------------------------------
 
 
-def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round_cap):
-    """The engine's semantics spelled out: each round steps the due nodes
-    in id order, then moves one frame along every busy edge; a message
-    whose last frame moved arrives next round unless its target halted."""
+def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round_cap, seen):
+    """The engine's semantics spelled out: round 1 is due for the nodes
+    that start; each round steps the due nodes in id order, then moves one
+    frame along every busy edge; a message whose last frame moved arrives
+    next round unless its target halted. A program with `end` stops after
+    round `end`, or jumps to it when nothing is left to do. Adds to `seen`
+    the end cases the run met."""
     n = graph.n
     bw = graph.bandwidth
     ctxs = {
@@ -449,21 +498,26 @@ def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round
         for v in graph.node_ids
     }
     program.setup(n, bw)
+    end = program.end
     states = {v: program.init(ctxs[v]) for v in graph.node_ids}
     halted = set()
     queues = {}  # edge -> [[frames_left, last_frame_bits, started, msg], ...]
     mail = {}  # round -> target -> {sender: msg}
-    wake = {v: 1 for v in graph.node_ids}
-    heap = [(1, v) for v in graph.node_ids]
+    wake = {v: 1 for v in graph.node_ids if program.starts(ctxs[v], states[v])}
+    heap = [(1, v) for v in wake]
     stats = dict(rounds=0, max_message_bits=0, total_bits=0, fragmentation_rounds=0)
     rnd = 0
-    while len(halted) < n:
+    while len(halted) < n and rnd != end:
         while heap and (heap[0][1] in halted or wake.get(heap[0][1]) != heap[0][0]):
             heapq.heappop(heap)
         candidates = [rnd + 1] if queues else []
         candidates += [min(mail)] if mail else []
         candidates += [heap[0][0]] if heap else []
         if not candidates:
+            if end is not None:
+                seen.add("quiet before end")
+                stats["rounds"] = end
+                break
             if allow_quiescence:
                 break
             raise RoundCapExceeded("quiescent")
@@ -472,6 +526,8 @@ def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round
             raise RoundCapExceeded("cap")
         stats["rounds"] = rnd
         inboxes = mail.pop(rnd, {})
+        if inboxes and rnd == end:
+            seen.add("mail in round end")
         due = set(inboxes)
         while heap and heap[0][0] == rnd:
             _, v = heapq.heappop(heap)
@@ -492,6 +548,8 @@ def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round
             if halt:
                 halted.add(v)
             elif at is not None:
+                if end is not None and at > end:
+                    raise ProgramFault("wake after end")
                 wake[v] = at
                 heapq.heappush(heap, (at, v))
         fragmented = False
@@ -510,21 +568,30 @@ def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round
                 if not q:
                     del queues[(src, tgt)]
         stats["fragmentation_rounds"] += fragmented
+    if rnd == end and queues:
+        seen.add("frames in flight at end")
     outputs = {v: program.output(ctxs[v], states[v]) for v in graph.node_ids}
     return outputs, stats
 
 
 class RandomTraffic(NodeProgram):
     """Random sends of random widths (up to several frames), halts and
-    wakes, all drawn from the node's own stream; outputs what it saw."""
+    wakes, all drawn from the node's own stream; outputs what it saw. Only
+    the `starters` step in round 1, and with an `end` no wake falls after
+    it."""
 
-    def __init__(self, p_halt, max_bits, waits):
+    def __init__(self, p_halt, max_bits, waits, starters, end):
         self.p_halt = p_halt
         self.max_bits = max_bits
         self.waits = waits
+        self.starters = starters
+        self.end = end
 
     def init(self, ctx):
         return [ctx.in_view, ctx.view_neighbors, ctx.input]
+
+    def starts(self, ctx, state):
+        return ctx.node in self.starters
 
     def step(self, ctx, state, inbox, rnd, rng):
         state.append((rnd, [(u, m.values) for u, m in inbox.items()]))
@@ -536,15 +603,22 @@ class RandomTraffic(NodeProgram):
         if rng.random() < self.p_halt or rnd > 8:
             return state, out, True
         r = rng.random()
-        if not self.waits or r < 0.3:
+        wake = rnd + 1 if not self.waits or r < 0.3 else None if r < 0.6 else rnd + rng.randrange(1, 6)
+        if self.end is not None and wake is not None and wake > self.end:
+            wake = None
+        if wake == rnd + 1:
             return state, out, False
-        return state, out, False, None if r < 0.6 else rnd + rng.randrange(1, 6)
+        return state, out, False, wake
 
 
 def test_engine_matches_per_frame_reference(monkeypatch):
-    for case in range(150):
+    seen = set()
+    for case in range(200):
         rng = random.Random(case)
-        g = gen_random(rng.randrange(1, 7), rng.randrange(1, 7), rng.choice([0.2, 0.5, 0.9]), case)
+        if case % 24 == 0:
+            g = build_graph([])
+        else:
+            g = gen_random(rng.randrange(1, 7), rng.randrange(1, 7), rng.choice([0.2, 0.5, 0.9]), case)
         kept = [v for v in g.node_ids if rng.random() < 0.8]
         bw = default_bandwidth(g.n) + rng.choice([0, 3])
         g = g.with_bandwidth(bw)
@@ -556,9 +630,16 @@ def test_engine_matches_per_frame_reference(monkeypatch):
         )
         round_cap = rng.choice([10, 1000])
         monkeypatch.setattr(bvc.runtime, "ROUND_CAP", round_cap)
+        p_start = rng.choice([0.3, 1.0])
+        starters = {v for v in g.node_ids if rng.random() < p_start}
+        end = rng.randrange(1, 12) if case % 5 < 2 else None
+        if g.n == 0 and end is not None:
+            seen.add("no nodes, with end")
 
         def program():
-            return RandomTraffic(rng.choice([0.05, 0.4]), rng.choice([bw, 4 * bw]), case % 4 > 0)
+            return RandomTraffic(
+                rng.choice([0.05, 0.4]), rng.choice([bw, 4 * bw]), case % 4 > 0, starters, end
+            )
 
         state = rng.getstate()
         try:
@@ -568,7 +649,89 @@ def test_engine_matches_per_frame_reference(monkeypatch):
             got = RoundCapExceeded
         rng.setstate(state)
         try:
-            want = reference_run(program(), g, view, round_cap=round_cap, **kwargs)
+            want = reference_run(program(), g, view, round_cap=round_cap, seen=seen, **kwargs)
         except RoundCapExceeded:
             want = RoundCapExceeded
         assert got == want, case
+    assert seen == {
+        "quiet before end", "mail in round end", "frames in flight at end", "no nodes, with end"
+    }
+
+
+# ---------------------------------------------------------------------------
+# Start rules skip only steps that do nothing
+# ---------------------------------------------------------------------------
+
+
+def every_start_rule(g, view, seed):
+    """Runs each program with a start rule on (g, view): the election, two
+    aggregations, alternating BFS, and, for the empty and a maximal
+    matching, the count, a selection in each mode and two removal rounds at
+    the shortest augmenting length. Returns everything they returned."""
+    forest, elect_stats = elect_leader_and_bfs(g)
+    got = [forest, elect_stats]
+    got.append(
+        pipelined_aggregate(
+            g, forest, {v: (1,) for v in g.node_ids}, combine="sum",
+            value_width=id_bits(g.n) + 1, phase="count",
+        )
+    )
+    got.append(
+        pipelined_aggregate(
+            g, forest, {v: (v, g.n - 1 - v) for v in g.node_ids}, combine="max",
+            value_width=id_bits(g.n), answer=max, phase="max",
+        )
+    )
+    for m in (Matching([], view), maximal_matching(g, view, seed=seed)[0]):
+        layering, bfs_stats = alternating_bfs(g, view, m, g.n)
+        got += [sorted(m.edges), layering, bfs_stats]
+        lengths = [lv for _, lv in layering.witnesses(view, m)]
+        if not lengths:
+            continue
+        d = min(lengths)
+        counts, count_stats = count_paths(g, view, m, d, delta=max_view_degree(view))
+        got += [counts, count_stats]
+        for sel_seed in (seed, None):
+            flipped, paths, sel_stats = select_disjoint_paths(g, view, m, d, layering, seed=sel_seed)
+            got += [sorted(flipped.edges), paths, sel_stats]
+        top = max(counts.count.values())
+        heavy = {v for v, c in counts.count.items() if c == top}
+        got += [_announce_removals(g, view, heavy), _announce_removals(g, view, set())]
+    return got
+
+
+@pytest.mark.parametrize(
+    "program",
+    [
+        LeaderBfsProgram,
+        AggregateProgram,
+        AltBfsProgram,
+        CountSweepProgram,
+        PathSelectProgram,
+        AnnounceRemovalProgram,
+    ],
+)
+def test_start_rule_skips_only_no_op_steps(monkeypatch, program):
+    """Each program's start rule gives the outputs and stats of a run in
+    which every node steps in round 1, on seeded random graphs, whole and
+    induced sub-views, at the default and the floor bandwidth."""
+    rule = program.starts
+    declined = 0
+
+    def counted(self, ctx, st):
+        nonlocal declined
+        starts = rule(self, ctx, st)
+        declined += not starts
+        return starts
+
+    for seed in range(6):
+        base = gen_random(9 + seed % 3, 10, 0.22, seed)
+        kept = [v for v in base.node_ids if (v * 7 + seed) % 5]
+        for bw in (base.bandwidth, ceil_log2(base.n) + 4):
+            g = base.with_bandwidth(bw)
+            for view in (SubgraphView.whole(g), induced(g, kept)):
+                monkeypatch.setattr(program, "starts", counted)
+                with_rule = every_start_rule(g, view, seed)
+                monkeypatch.setattr(program, "starts", lambda self, ctx, st: True)
+                assert with_rule == every_start_rule(g, view, seed), (seed, bw)
+    assert declined > 0
