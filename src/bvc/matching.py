@@ -89,8 +89,13 @@ class PathSelectProgram(NodeProgram):
       "gone" reaches level d by offset d·f + d = P. An initiator whose
       last predecessor died hears it no later than in its launch round,
       and `step` handles the death before the launch.
-    * Iteration ids cannot mix. A token of iteration i is last seen at
-      offset d·f < P, so `accepted_iter` tells the iterations apart.
+    * Arrivals need no guard. A node at level l sees an iteration's
+      tokens in exactly one round, at offset (d - l)·f. Nodes are
+      consumed from offset d·f on, the round of the last token hop, and
+      the deaths that follow have settled by offset P. So a token
+      reaches only a live, unconsumed node that still has a live
+      predecessor, and a lock only an unconsumed node of the chain its
+      token just walked.
     """
 
     def __init__(self, d: int, deterministic: bool):
@@ -111,7 +116,6 @@ class PathSelectProgram(NodeProgram):
             "consumed": False,
             "chain_up": None,
             "chain_down": None,
-            "accepted_iter": None,
         }
 
     def starts(self, ctx, st):
@@ -126,9 +130,7 @@ class PathSelectProgram(NodeProgram):
 
     def _next_hop(self, st, rng):
         """A live predecessor for a token, the smallest in deterministic
-        mode, recorded as the chain's next node; None when none is left."""
-        if not st["in_alive"]:
-            return None
+        mode, recorded as the chain's next node."""
         if self.det:
             nxt = min(st["in_alive"])
         else:
@@ -172,24 +174,18 @@ class PathSelectProgram(NodeProgram):
         if st["alive"] and st["level"] > 0 and not st["in_alive"]:
             self._leave(st, out)
 
-        if locked and not st["consumed"]:
+        if locked:
             self._lock(st, out)
             return st, out, False, None
 
-        iter_no = (rnd - 1) // self.period
-        if tokens and not st["consumed"] and st["accepted_iter"] != iter_no:
+        if tokens:
             prio, init, sender = min(tokens)
-            st["accepted_iter"] = iter_no
             st["chain_up"] = sender
             if st["level"] == 0:
                 # Path complete: lock bottom-up.
                 self._lock(st, out)
             else:
-                nxt = self._next_hop(st, rng)
-                if nxt is not None:
-                    out[nxt] = Msg((_T_TOKEN, 2), (prio, self.pw), (init, idw))
-                # No live predecessor: the token dies silently; the
-                # initiator retries on the next launch slot.
+                out[self._next_hop(st, rng)] = Msg((_T_TOKEN, 2), (prio, self.pw), (init, idw))
 
         # A live initiator launches at the start of every iteration; a dead
         # one stops scheduling wakes, since aliveness never returns.

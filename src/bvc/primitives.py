@@ -2,17 +2,18 @@
 tree aggregation, and parallel alternating-path BFS.
 
 All of these are node programs for the round-synchronous engine. The leader
-election floods the minimum id, each node reading a neighbor's hop distance
-off the round that neighbor's new leader arrived in, and detects
-termination with an echo whose certificates are keyed to the exact
-(leader, distance, parent) a node currently holds: a certificate for a
-non-minimal leader can never complete because the true minimum node never
-adopts a larger id, so the first DONE broadcast is always genuine. Only the
-local minima, the nodes without a smaller-id neighbor, start a flood: every
-node knows its neighbors' ids before round 1 (the KT1 model), and any other
-node can never lead. On a path whose ids run in path order that leaves one
-flood and O(n log n) bits instead of Theta(n^2); local minima whose ids fall
-along a long path still cost Theta(n) leader changes per node.
+election floods the minimum id and detects termination with an echo whose
+certificates are keyed to the (leader, parent) a node currently holds: a
+certificate for a non-minimal leader can never complete because the true
+minimum node never adopts a larger id, so the first DONE broadcast is
+always genuine. Nodes hold no distance: a node announces a leader in the
+round it adopts it, so it adopts each leader from the neighbors one hop
+closer to it. Only the local minima, the nodes without a smaller-id
+neighbor, start a flood: every node knows its neighbors' ids before round 1
+(the KT1 model), and any other node can never lead. On a path whose ids run
+in path order that leaves one flood and O(n log n) bits instead of
+Theta(n^2); local minima whose ids fall along a long path still cost
+Theta(n) leader changes per node.
 
 A forest maps each node to its parent (None at a root) and its children,
 which the nodes themselves learned. That is all aggregation reads, so it
@@ -56,20 +57,20 @@ class LeaderBfsProgram(NodeProgram):
 
     A status is (tag, leader, child flag), plus the certificate bit to the
     parent only: id_bits + 2 or + 3 bits, one frame at every B >= the
-    floor ceil(log2 n) + 4, since id_bits(n) <= ceil(log2 n) + 1. It
-    carries no distance, because the round tells it. Every message is one
-    frame and an edge carries at most one per round, so a message sent in
-    round r arrives in round r + 1; and a node sends its status in the
-    round it adopts a leader. Hence a node that adopts leader L in round r
-    holds distance r - 1 to it: L itself sends in round 1 at distance 0,
-    and a node that first hears of L in round r hears it from neighbors
-    that adopted L in round r - 1, at distance r - 2 (had one adopted it
-    earlier, the node would have heard earlier, and leaders only fall).
-    So a status from u that names a leader other than the last one heard
-    from u, arriving in round r, puts u at distance r - 2. Later statuses
-    naming the same leader come from nodes that adopted it no earlier, so
-    no node ever improves its distance under an unchanged leader, and
-    those statuses change only the child flag or the certificate bit."""
+    floor ceil(log2 n) + 4, since id_bits(n) <= ceil(log2 n) + 1.
+
+    Nodes hold no distance, because the timing implies it. Every message
+    is one frame and an edge carries at most one per round, so a message
+    sent in round r arrives in round r + 1; a node sends its status in the
+    round it adopts a leader; and leaders only fall. So a neighbor that
+    reports this node's leader adopted it at most one round later, and a
+    child exactly one round later. And every sender that makes a node
+    adopt a leader names that leader for the first time and adopted it one
+    round earlier: had it adopted it earlier, the node would have heard it
+    earlier. So a node at distance h from L adopts it in round h + 1, from
+    the senders one hop closer to L, and takes the smallest-id one as its
+    parent. Later statuses naming the same leader change only the child
+    flag or the certificate bit."""
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
@@ -82,7 +83,6 @@ class LeaderBfsProgram(NodeProgram):
         silent = min(ctx.neighbors, default=ctx.node) < ctx.node
         return {
             "lead": ctx.node,
-            "dist": 0,
             "parent": ctx.node,  # own id encodes "no parent"
             "nbr": {},
             # The neighbors that keep this node's certificate incomplete.
@@ -97,29 +97,26 @@ class LeaderBfsProgram(NodeProgram):
 
     @staticmethod
     def _blocks(st, u):
-        """Whether neighbor u has not yet reported this node's leader at a
-        distance <= dist + 1, or is a child whose certificate is
-        incomplete."""
+        """Whether neighbor u has not yet reported this node's leader, or
+        is a child whose certificate is incomplete."""
         entry = st["nbr"].get(u)
         if entry is None:
             return True
-        lu, du, child, cu = entry
-        dist = st["dist"]
-        return lu != st["lead"] or du > dist + 1 or (child and du == dist + 1 and not cu)
+        lu, child, cu = entry
+        return lu != st["lead"] or (child and not cu)
 
     def _update(self, ctx, st, senders):
         """Fold in the statuses the senders just sent. After every step no
-        neighbor offers a better (lead, dist) than this node holds, so a
-        better one comes from a sender; and only the senders' standing
-        changes unless this node's (lead, dist) does."""
+        neighbor names a smaller leader than this node holds, so a smaller
+        one comes from a sender; and only the senders' standing changes
+        unless this node's leader does."""
         nbr = st["nbr"]
         if senders:
-            # The parent is the smallest id among the best candidates, and
-            # changes only on a strict improvement.
-            best, parent = min(((nbr[u][0], nbr[u][1] + 1), u) for u in senders)
-            if best < (st["lead"], st["dist"]):
-                st["lead"], st["dist"] = best
-                st["parent"] = parent
+            # Every sender naming the smallest leader is one hop closer to
+            # it; the parent is the smallest id among them.
+            lead, parent = min((nbr[u][0], u) for u in senders)
+            if lead < st["lead"]:
+                st["lead"], st["parent"] = lead, parent
                 senders = ctx.neighbors
         blocking = st["blocking"]
         for u in senders:
@@ -136,10 +133,7 @@ class LeaderBfsProgram(NodeProgram):
         for u, msg in inbox.items():
             vals = msg.values
             if vals[0] == _STATUS:
-                lu = vals[1]
-                old = nbr.get(u)
-                du = old[1] if old is not None and old[0] == lu else rnd - 2
-                nbr[u] = (lu, du, vals[2], vals[3] if len(vals) == 4 else 0)
+                nbr[u] = (vals[1], vals[2], vals[3] if len(vals) == 4 else 0)
                 senders.append(u)
             else:
                 done_received = True
@@ -149,18 +143,15 @@ class LeaderBfsProgram(NodeProgram):
         out = {}
 
         if done_received or (st["lead"] == ctx.node and complete):
-            lead, dist = st["lead"], st["dist"]
-            children = [
-                u for u, (lu, du, child, _cu) in nbr.items() if child and lu == lead and du == dist + 1
-            ]
+            lead = st["lead"]
+            children = [u for u, (lu, child, _cu) in nbr.items() if child and lu == lead]
             st["children"] = tuple(sorted(children))
             done = Msg((_DONE, 1))
             for c in children:
                 out[c] = done
             return st, out, True
 
-        # The parent changes only with the leader, and the distance never
-        # changes without it.
+        # The parent changes only with the leader.
         status = (st["lead"], st["parent"], int(complete))
         if status != st["sent"]:
             sent, st["sent"] = st["sent"], status
@@ -387,13 +378,15 @@ class AltBfsProgram(NodeProgram):
         return {"partner": partner, "level": level, "x": int(level == 0), "preds": ()}
 
     def starts(self, ctx, st):
-        # Only level 0 offers in round 1; every other node waits for offers.
-        return st["level"] == 0
+        # Only level 0 offers in round 1, and only below the depth limit to
+        # an in-view neighbor; every other node waits for offers.
+        return st["level"] == 0 and self.limit > 0 and bool(ctx.view_neighbors)
 
     def step(self, ctx, st, inbox, rnd, rng):
         out = {}
         if st["level"] is None:
-            if inbox and ctx.in_view:
+            # Offers reach only in-view nodes.
+            if inbox:
                 st["level"] = (rnd - 1) // self.f
                 st["x"] = sum(msg.values[0] for msg in inbox.values())
                 st["preds"] = tuple(inbox)

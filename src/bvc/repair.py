@@ -179,7 +179,7 @@ class AnnounceRemovalProgram(NodeProgram):
         if st:
             for u in ctx.neighbors:
                 out[u] = Msg((1, 1))
-        return st, out, True
+        return st, out, False, None
 
 
 def _announce_removals(graph, view, removed) -> RoundStats:

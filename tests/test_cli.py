@@ -209,50 +209,96 @@ def test_diameter_once_per_graph_and_only_with_oracle(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "text", [None, "3 1\n0 1\n1 2\n", "3 1\n0 x\n"], ids=["missing", "trailing", "token"]
+    "text, message",
+    [
+        (None, "cannot read graph file"),
+        ("3 1\n0 1\n1 2\n", "non-blank lines after the 1 declared edges"),
+        ("3 1\n0 x\n", "non-integer token"),
+        ("3\n0 1\n", "graph file must start with a line 'n m'"),
+        ("3 1\n0\n", "expected an edge line 'u v'"),
+        ("2 1\n0 5\n", "file declares n=2 but edges reference 3 nodes"),
+    ],
+    ids=["missing", "trailing", "token", "header", "edge-line", "n-below-edges"],
 )
-def test_run_with_bad_graph_file_exits_2(tmp_path, capsys, text):
+def test_run_with_bad_graph_file_exits_2(tmp_path, capsys, text, message):
     path = tmp_path / "g.txt"
     if text is not None:
         path.write_text(text)
     rc = main(["run", "--pipeline", "exact", "--graph", str(path)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 _GOOD_RECORD = '{"pipeline": "exact", "graph": "gen:path:n=4", "seed": 0}\n'
 
 
 @pytest.mark.parametrize(
-    "command, content",
+    "command, content, message",
     [
-        (["run", "--config", "{file}"], None),
-        (["run", "--config", "{file}"], b"pipeline=exact\ngraph=\xff\n"),
-        (["verify", "--record", "{file}"], None),
-        (["verify", "--record", "{file}"], _GOOD_RECORD.encode() + b"{not json\n"),
-        (["verify", "--record", "{file}"], b'{"pipeline": "exact", "seed": 0}\n'),
-        (["verify", "--record", "{file}"], _GOOD_RECORD.replace("0}", '"x"}').encode()),
-        (["run", "--pipeline", "exact", "--graph", "gen:path:n=4", "--out", "{file}/o.jsonl"], None),
+        (["run", "--config", "{file}"], None, "cannot read config file"),
+        (["run", "--config", "{file}"], b"pipeline=exact\ngraph=\xff\n", "cannot read config file"),
+        (
+            ["run", "--config", "{file}", "--graph", "gen:path:n=4"],
+            b"pipeline=exact\nseed 3\n",
+            ":2: expected key=value, got 'seed 3'",
+        ),
+        (["verify", "--record", "{file}"], None, "cannot read record file"),
+        (
+            ["verify", "--record", "{file}"],
+            _GOOD_RECORD.encode() + b"{not json\n",
+            ":2: not a JSON record",
+        ),
+        (
+            ["verify", "--record", "{file}"],
+            b'{"pipeline": "exact", "seed": 0}\n',
+            "a record needs a pipeline, a graph spec and an integer seed",
+        ),
+        (
+            ["verify", "--record", "{file}"],
+            _GOOD_RECORD.replace("0}", '"x"}').encode(),
+            "a record needs a pipeline, a graph spec and an integer seed",
+        ),
+        (
+            ["verify", "--record", "{file}"],
+            _GOOD_RECORD.replace("exact", "nope").encode(),
+            "unknown pipeline 'nope'",
+        ),
+        (
+            ["verify", "--record", "{file}"],
+            _GOOD_RECORD.replace("0}", '0, "params": {"eps": "0.5"}}').encode(),
+            "record eps must be float, got '0.5'",
+        ),
+        (
+            ["run", "--pipeline", "exact", "--graph", "gen:path:n=4", "--out", "{file}/o.jsonl"],
+            None,
+            "cannot write the output",
+        ),
     ],
     ids=[
         "config-missing",
         "config-not-utf8",
+        "config-line-without-equals",
         "record-missing",
         "record-not-json",
         "record-without-graph",
         "record-text-seed",
+        "record-unknown-pipeline",
+        "record-text-eps",
         "out-dir-missing",
     ],
 )
-def test_bad_cli_files_exit_2(tmp_path, capsys, command, content):
-    """A file the CLI cannot read, parse or write ends in an `error:` line
-    and exit status 2, never a traceback."""
+def test_bad_cli_files_exit_2(tmp_path, capsys, command, content, message):
+    """A file the CLI cannot read, parse or write, or a record it cannot
+    replay, ends in an `error:` line that says why and exit status 2,
+    never a traceback."""
     path = tmp_path / "file"
     if content is not None:
         path.write_bytes(content)
     rc = main([arg.format(file=path) for arg in command])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_program_fault_exits_3(monkeypatch, capsys):

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from bvc.errors import DuplicateEdge, InvalidParam, OddCycle
@@ -45,6 +47,35 @@ def test_duplicate_edge_rejected():
 def test_self_loop_rejected():
     with pytest.raises(InvalidParam):
         build_graph([(3, 3)])
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: build_graph([(-1, 0)]), "non-negative"),
+        (
+            lambda: SubgraphView(gen_path(2), {0: True, 1: False}, {(0, 1): True}),
+            "edge (0,1) in view but an endpoint is not",
+        ),
+        (lambda: gen_path(0), "path needs n > 0"),
+        (lambda: gen_complete(0, 2), "complete family needs na, nb > 0"),
+        (lambda: gen_complete(2, 0), "complete family needs na, nb > 0"),
+        (lambda: gen_disjoint_edges(0), "disjoint_edges needs m > 0"),
+        (lambda: graph_from_spec("path:n"), "bad generator parameter 'n'"),
+    ],
+    ids=[
+        "negative-id",
+        "view-edge-outside-view",
+        "path-n0",
+        "complete-na0",
+        "complete-nb0",
+        "disjoint-edges-m0",
+        "spec-item-without-equals",
+    ],
+)
+def test_bad_graph_input_raises_invalid_param(make, message):
+    with pytest.raises(InvalidParam, match=re.escape(message)):
+        make()
 
 
 def test_complete_2_3():

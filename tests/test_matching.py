@@ -19,6 +19,9 @@ from bvc.graph import (
     gen_random,
 )
 from bvc.matching import (
+    _T_GONE,
+    _T_LOCK,
+    _T_TOKEN,
     PathSelectProgram,
     ProviderSpec,
     approx_matching,
@@ -287,10 +290,34 @@ def test_tokens_go_to_predecessors_and_every_other_message_along_offers(instance
     and a "gone" or a lock only to one of the sender's
     `alternating_offers`, which never name a predecessor. So no token
     queues behind another message on its edge, as the period assumes, in
-    both modes, at the default and at the floor bandwidth."""
-    real = PathSelectProgram.step
+    both modes, at the default and at the floor bandwidth.
+
+    The arrivals the program has no guard for never happen: tokens reach
+    a node at level l only in rounds r with (r - 1) mod P = (d - l)·f,
+    P = d·(f + 1) and f the frames of a token, and only while it is alive,
+    unconsumed and, above level 0, left with a live predecessor once the
+    same step's "gone" messages count; a lock reaches only an unconsumed
+    node."""
+    real_setup, real = PathSelectProgram.setup, PathSelectProgram.step
+    frames = None  # f of the run under way
+
+    def setup(self, n, bandwidth):
+        nonlocal frames
+        real_setup(self, n, bandwidth)
+        idw = id_bits(n)
+        frames = frame_count(2 + (0 if self.det else 2 * idw) + idw, bandwidth)
 
     def step(self, ctx, st, inbox, rnd, rng):
+        tags = {u: msg.values[0] for u, msg in inbox.items()}
+        where = f"at {ctx.node}, level {st['level']}, round {rnd}"
+        if _T_LOCK in tags.values():
+            assert not st["consumed"], f"lock {where}"
+        if _T_TOKEN in tags.values():
+            gone = {u for u, tag in tags.items() if tag == _T_GONE}
+            live = st["level"] == 0 or bool(st["in_alive"] - gone)
+            assert st["alive"] and not st["consumed"] and live, f"token {where}"
+            offset = (rnd - 1) % (self.d * (frames + 1))
+            assert offset == (self.d - st["level"]) * frames, f"token {where}"
         result = real(self, ctx, st, inbox, rnd, rng)
         partner, _, preds = ctx.input[:3]
         offers = alternating_offers(ctx, partner)
@@ -301,7 +328,10 @@ def test_tokens_go_to_predecessors_and_every_other_message_along_offers(instance
             assert u in targets, f"{msg.values} from {ctx.node} to {u} in round {rnd}"
         return result
 
-    with mock.patch.object(PathSelectProgram, "step", step):
+    with (
+        mock.patch.object(PathSelectProgram, "setup", setup),
+        mock.patch.object(PathSelectProgram, "step", step),
+    ):
         for g, view, m, d, layering in _selections(instance):
             if d == INF:
                 continue

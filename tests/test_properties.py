@@ -19,7 +19,7 @@ import sys
 from pathlib import Path
 from unittest import mock
 
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from bvc import oracle
@@ -30,7 +30,7 @@ from bvc.clustering import (
     randomized_pipeline,
     shrink_partition,
 )
-from bvc.graph import Matching, SubgraphView, ceil_log2
+from bvc.graph import Matching, SubgraphView, build_graph, ceil_log2
 from bvc.konig import koenig_approx_cover, koenig_exact_cover
 from bvc.matching import eliminate_short_aug_paths
 from bvc.primitives import LeaderBfsProgram, alternating_bfs, elect_leader_and_bfs
@@ -97,7 +97,17 @@ def matched_views(draw):
     return g, view, Matching(matched, view), draw(st.integers(0, g.n))
 
 
+def falling_minima_path(n):
+    """A path of even n nodes whose every other node is a local minimum,
+    with ids falling towards one end: id n/2 - 1 - p/2 at each even
+    position p, n/2 + (p - 1)/2 at each odd one. Every node changes its
+    leader Theta(n) times."""
+    ids = [n // 2 - 1 - p // 2 if p % 2 == 0 else n // 2 + (p - 1) // 2 for p in range(n)]
+    return build_graph(list(zip(ids, ids[1:])))
+
+
 @SETTINGS
+@example(falling_minima_path(400))
 @given(unions())
 def test_election_builds_the_min_id_bfs_forest_in_one_frame(g):
     """At the default and the floor bandwidth, the forest is the BFS forest
@@ -105,13 +115,35 @@ def test_election_builds_the_min_id_bfs_forest_in_one_frame(g):
     neighbour one level closer and the children exactly the nodes naming
     that parent. Every message fits one frame, so the floor costs no
     round: at most id_bits + 3 bits, no fragmentation round, and the same
-    rounds at both bandwidths."""
+    rounds at both bandwidths.
+
+    The timing that lets nodes hold no distance: every leader a node
+    adopts is smaller than the one before, and a node at distance h from
+    its root adopts the root in round h + 1 (a root leads itself from
+    round 1)."""
     root = {v: min(comp) for comp in components(g) for v in comp}
-    parent, _ = region_bfs(g, root)
+    parent, depth = region_bfs(g, root)
     expected = {
         v: (parent[v], tuple(u for u in g.node_ids if parent[u] == v)) for v in g.node_ids
     }
-    runs = [elect_leader_and_bfs(h) for h in (g, g.with_bandwidth(ceil_log2(g.n) + 4))]
+    real = LeaderBfsProgram.step
+    adopted = {}  # node -> (round, leader) of its last change of leader or parent
+
+    def step(self, ctx, st, inbox, rnd, rng):
+        old = st["lead"], st["parent"]
+        result = real(self, ctx, st, inbox, rnd, rng)
+        if (st["lead"], st["parent"]) != old:
+            assert st["lead"] < old[0], f"node {ctx.node} went from {old[0]} to {st['lead']}"
+            adopted[ctx.node] = rnd, st["lead"]
+        return result
+
+    runs = []
+    for h in (g, g.with_bandwidth(ceil_log2(g.n) + 4)):
+        adopted.clear()
+        with mock.patch.object(LeaderBfsProgram, "step", step):
+            runs.append(elect_leader_and_bfs(h))
+        for v in g.node_ids:
+            assert adopted.get(v, (1, v)) == (depth[v] + 1, root[v]), v
     for forest, stats in runs:
         assert forest == expected
         assert stats.fragmentation_rounds == 0

@@ -278,10 +278,14 @@ class WakesNow(NodeProgram):
 
 
 class FailsIn(NodeProgram):
-    """Raises in `init` or in `output`; steps halt at once."""
+    """Raises in `setup`, `init` or `output`; steps halt at once."""
 
     def __init__(self, where):
         self.where = where
+
+    def setup(self, n, bandwidth):
+        if self.where == "setup":
+            raise RuntimeError("setup boom")
 
     def init(self, ctx):
         if self.where == "init":
@@ -364,7 +368,7 @@ def test_wake_after_end_raises_program_fault():
         run(EndsInRound3(None, every_round=True), g)
 
 
-@pytest.mark.parametrize("where", ["init", "output"])
+@pytest.mark.parametrize("where", ["init", "output", "setup"])
 def test_init_and_output_errors_raise_program_fault(where):
     with pytest.raises(ProgramFault, match=f"{where} failed"):
         run(FailsIn(where), gen_path(3), seed=0)
