@@ -219,8 +219,9 @@ _ORIGIN = 1
 
 class TreeBuildProgram(NodeProgram):
     """The exchange that completes each node's view of its neighbors'
-    origins, then builds the trees and the one-hop extension. Input per
-    node: (member flag, parent, peers, origin, stale).
+    origins, then builds the trees and the one-hop extension. Each node
+    reads its membership, parent, peers, origin and stale neighbors in
+    `cluster_set`.
     - Round 1: a node sends its parent a 1-bit "child" tag, which also
       names its origin (a child shares its parent's), and each stale
       neighbor a tag and its origin, id_bits + 1 bits. Every other neighbor
@@ -237,21 +238,24 @@ class TreeBuildProgram(NodeProgram):
     outside its origin region, which could put two clusters next to one
     node."""
 
+    def __init__(self, cluster_set: ClusterSet):
+        self.clusters = cluster_set
+
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
 
     def init(self, ctx):
-        member, _, peers, _, _ = ctx.input
-        if member and len(peers) != len(ctx.neighbors):
-            raise ValueError(
-                f"member {ctx.node} has a neighbor of another origin; separation violated"
-            )
+        cs, v = self.clusters, ctx.node
+        if cs.members[v] is not None and len(cs.peers[v]) != len(ctx.neighbors):
+            raise ValueError(f"member {v} has a neighbor of another origin; separation violated")
         return (), False
 
     def step(self, ctx, st, inbox, rnd, rng):
-        member, parent, _, origin, stale = ctx.input
+        cs, v = self.clusters, ctx.node
+        member = cs.members[v] is not None
         if rnd == 1:
-            out = dict.fromkeys(stale, Msg((_ORIGIN, 1), (origin, self.idw)))
+            out = dict.fromkeys(cs.stale[v], Msg((_ORIGIN, 1), (cs.origin[v], self.idw)))
+            parent = cs.parent[v]
             if parent is not None:
                 out[parent] = Msg((_CHILD, 1))
             return st, out, not ctx.neighbors
@@ -269,13 +273,8 @@ def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> Round
 
     Raises ProgramFault ("separation violated") if a member has a neighbor
     outside its origin region."""
-    members, parent, peers = cluster_set.members, cluster_set.parent, cluster_set.peers
-    origin, stale = cluster_set.origin, cluster_set.stale
-    inputs = {
-        v: (members[v] is not None, parent[v], peers[v], origin[v], stale[v])
-        for v in graph.node_ids
-    }
-    outputs, stats = run(TreeBuildProgram(), graph, inputs=inputs, phase="cluster-trees")
+    members, parent, origin = cluster_set.members, cluster_set.parent, cluster_set.origin
+    outputs, stats = run(TreeBuildProgram(cluster_set), graph, phase="cluster-trees")
     # Only clusters with surviving members keep their trees.
     live = set(members.values())
     forest = cluster_set.forest

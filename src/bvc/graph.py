@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from collections import deque
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 from .errors import DuplicateEdge, InvalidParam, OddCycle
 
@@ -35,6 +35,39 @@ def default_bandwidth(n: int) -> int:
     return max(4 * ceil_log2(n), ceil_log2(n) + 4)
 
 
+class NodeContext(NamedTuple):
+    """What a node knows a priori besides n and B, which a program receives
+    in `setup`. Immutable. A node knows its neighbors' ids before round 1,
+    the KT1 model of CONGEST, which the leader election's silent start
+    reads."""
+
+    node: int
+    side: str
+    in_view: bool
+    neighbors: tuple[int, ...]
+    view_neighbors: tuple[int, ...]
+
+
+class NodeContexts(dict):
+    """node -> NodeContext, each built on first use and kept. A `node_in`
+    or `edge_in` of None puts every node or edge in view. It holds no graph
+    or view, so the one that keeps it forms no reference cycle."""
+
+    __slots__ = ("_side", "_adjacency", "_node_in", "_edge_in")
+
+    def __init__(self, side, adjacency, node_in=None, edge_in=None):
+        super().__init__()
+        self._side, self._adjacency, self._node_in, self._edge_in = side, adjacency, node_in, edge_in
+
+    def __missing__(self, v: int) -> NodeContext:
+        adj = self._adjacency[v]
+        node_in, edge_in = self._node_in, self._edge_in
+        nbrs = adj if edge_in is None else tuple(u for u in adj if edge_in.get(edge_key(u, v)))
+        in_view = node_in is None or bool(node_in.get(v))
+        ctx = self[v] = NodeContext(v, self._side[v], in_view, adj, nbrs)
+        return ctx
+
+
 class BipartiteGraph:
     """Immutable bipartite graph: a network together with its bandwidth.
 
@@ -47,11 +80,13 @@ class BipartiteGraph:
         bandwidth: B, the bits one edge carries per round; every run on
             this graph uses it. default_bandwidth(n) unless set with
             with_bandwidth().
+        contexts: node -> NodeContext in the whole graph, which every run
+            without a view reads.
     """
 
     __slots__ = (
         "node_ids", "side", "adjacency", "n", "max_degree", "bandwidth", "_edges",
-        "_neighbor_sets",
+        "_neighbor_sets", "contexts",
     )
 
     def __init__(self, node_ids, side, adjacency, edges):
@@ -63,6 +98,7 @@ class BipartiteGraph:
         self.bandwidth: int = default_bandwidth(self.n)
         self._edges: tuple[Edge, ...] = edges
         self._neighbor_sets: dict[int, frozenset[int]] | None = None
+        self.contexts = NodeContexts(side, adjacency)
 
     def with_bandwidth(self, bandwidth: int) -> "BipartiteGraph":
         """The same network with B = `bandwidth`: a new graph that shares
@@ -152,10 +188,12 @@ class SubgraphView:
 
     Every in-view edge must have both endpoints in view; this is checked at
     construction. Views are immutable; derive new ones with without_nodes().
-    Each view computes its per-node topology once, on first use.
+    `contexts` maps each base node to its NodeContext in the view, which
+    every run over the view reads; a view of the whole graph shares the
+    graph's.
     """
 
-    __slots__ = ("base", "node_in", "edge_in", "_in_nodes", "_in_edges", "_topology")
+    __slots__ = ("base", "node_in", "edge_in", "_in_nodes", "_in_edges", "contexts")
 
     def __init__(self, base: BipartiteGraph, node_in: dict[int, bool], edge_in: dict[Edge, bool]):
         self.base = base
@@ -166,7 +204,11 @@ class SubgraphView:
                 raise InvalidParam(f"edge ({u},{v}) in view but an endpoint is not")
         self._in_nodes: tuple[int, ...] = tuple(v for v in base.node_ids if node_in.get(v))
         self._in_edges: tuple[Edge, ...] = tuple(e for e in base.edges if edge_in.get(e))
-        self._topology: dict[int, tuple[bool, tuple[int, ...]]] | None = None
+        if len(self._in_nodes) == base.n and len(self._in_edges) == base.m:
+            self.contexts = base.contexts
+        else:
+            edges = edge_in if len(self._in_edges) < base.m else None
+            self.contexts = NodeContexts(base.side, base.adjacency, node_in, edges)
 
     @classmethod
     def whole(cls, base: BipartiteGraph) -> "SubgraphView":
@@ -195,23 +237,6 @@ class SubgraphView:
     @property
     def in_edges(self) -> tuple[Edge, ...]:
         return self._in_edges
-
-    def topology(self) -> dict[int, tuple[bool, tuple[int, ...]]]:
-        """node -> (in_view, sorted in-view neighbors), for every base node;
-        computed on first use and shared by every later caller."""
-        if self._topology is None:
-            base = self.base
-            node_in = self.node_in
-            if len(self._in_edges) == base.m:
-                nbrs = base.adjacency
-            else:
-                edge_in = self.edge_in
-                nbrs = {
-                    v: tuple(u for u in adj if edge_in.get(edge_key(u, v)))
-                    for v, adj in base.adjacency.items()
-                }
-            self._topology = {v: (bool(node_in.get(v)), nbrs[v]) for v in base.node_ids}
-        return self._topology
 
     def view_neighbors(self, v: int) -> Iterator[int]:
         for u in self.base.adjacency[v]:

@@ -61,9 +61,11 @@ class PathSelectProgram(NodeProgram):
     repeat on a fixed schedule until no live initiator remains, at which
     point the run goes quiescent.
 
-    Input per node: (partner, level, preds, initiator flag). Output: the
-    node's partner after the flip, `chain_up` for a locked node at an even
-    level, `chain_down` at an odd one, the input partner otherwise.
+    Each node reads its partner in `partner`, its level and predecessors
+    in `layering`, and whether it is one of the `initiators`, which start.
+    Output: the node's partner after the flip, `chain_up` for a locked
+    node at an even level, `chain_down` at an odd one, the old partner
+    otherwise; a node that never acts keeps its old partner.
     Messages carry a 2-bit tag (gone, token or lock). Deterministic mode
     uses the initiator id as the priority and the minimum-id predecessor;
     its tokens carry no priority field.
@@ -98,29 +100,28 @@ class PathSelectProgram(NodeProgram):
       token just walked.
     """
 
-    def __init__(self, d: int, deterministic: bool):
+    def __init__(self, d: int, deterministic: bool, partner, layering, initiators):
         if d <= 0 or d % 2 == 0:
             raise InvalidParam("path length d must be a positive odd integer")
         self.d = d
         self.det = deterministic
+        self.partner, self.layering = partner, layering
+        self.initiators = self.start = initiators
 
     def init(self, ctx):
-        partner, level, preds, initiator = ctx.input
+        v = ctx.node
+        level, preds = self.layering.level.get(v), self.layering.preds.get(v, ())
         below_d = level is not None and level < self.d
         return {
             "level": level,
-            "initiator": initiator,
+            "initiator": v in self.initiators,
             "in_alive": set(preds),
-            "offers": alternating_offers(ctx, partner) if below_d else (),
+            "offers": alternating_offers(ctx, self.partner.get(v)) if below_d else (),
             "alive": level == 0 and ctx.in_view or bool(preds),
             "consumed": False,
             "chain_up": None,
             "chain_down": None,
         }
-
-    def starts(self, ctx, st):
-        # Before any mail, only a live initiator acts: it launches.
-        return st["initiator"] and st["alive"]
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
@@ -202,7 +203,7 @@ class PathSelectProgram(NodeProgram):
 
     def output(self, ctx, st):
         if not st["consumed"]:
-            return ctx.input[0]
+            return self.partner.get(ctx.node)
         return st["chain_up"] if st["level"] % 2 == 0 else st["chain_down"]
 
 
@@ -224,36 +225,29 @@ def select_disjoint_paths(
     its level from a node one level down, a predecessor the BFS learned,
     so every layered node starts able to reach level 0 and tokens launch
     in round 1. Withdrawals follow the BFS's offer rule, so the phase
-    needs no successor lists. The paths are read off the flip: from each
-    A-node it matched, alternately new and old partners. Without a seed
-    the phase follows the deterministic rule."""
+    needs no successor lists. The initiators, each of which has a
+    predecessor, start. The paths are read off the flip: from each A-node
+    it matched, alternately new and old partners. Without a seed the phase
+    follows the deterministic rule."""
     initiators = {v for v, lv in layering.witnesses(view, matching) if lv == d}
     if not initiators:
         return matching, [], RoundStats(per_phase=[(phase, 0)])
-    level, preds = layering.level, layering.preds
-    outputs, stats = run(
-        PathSelectProgram(d, seed is None),
-        graph,
-        view,
-        seed=seed,
-        inputs={
-            v: (matching.partner_of(v), level.get(v), preds.get(v, ()), v in initiators)
-            for v in graph.node_ids
-        },
-        allow_quiescence=True,
-        phase=phase,
-    )
+    program = PathSelectProgram(d, seed is None, matching.partner, layering, initiators)
+    outputs, stats = run(program, graph, view, seed=seed, allow_quiescence=True, phase=phase)
+    # A node without an output kept its old partner.
+    partner = {**matching.partner, **outputs}
     edges = []
-    for v, p in outputs.items():
+    for v, p in partner.items():
         if p is None:
             continue
-        if outputs[p] != v:
+        if partner.get(p) != v:
             raise ProgramFault(f"inconsistent partner outputs at ({v},{p})")
         if v < p:
             edges.append(edge_key(v, p))
     flipped = Matching(edges, view)
     paths = []
-    for v in graph.node_ids:
+    # A newly matched node was locked, so it acted.
+    for v in outputs:
         if graph.side[v] == SIDE_A and flipped.is_matched(v) and not matching.is_matched(v):
             path = [v]
             while len(path) <= d:

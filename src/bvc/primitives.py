@@ -72,6 +72,9 @@ class LeaderBfsProgram(NodeProgram):
     parent. Later statuses naming the same leader change only the child
     flag or the certificate bit."""
 
+    def __init__(self, start):
+        self.start = start
+
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
 
@@ -90,10 +93,6 @@ class LeaderBfsProgram(NodeProgram):
             "sent": (ctx.node, ctx.node, 0) if silent else None,
             "children": (),
         }
-
-    def starts(self, ctx, st):
-        # A silent node's round-1 step finds its status already sent.
-        return st["sent"] is None
 
     @staticmethod
     def _blocks(st, u):
@@ -179,7 +178,8 @@ def elect_leader_and_bfs(graph: BipartiteGraph) -> tuple[Forest, RoundStats]:
     The program reads only node ids and graph neighbors and draws no
     randomness, so the forest depends on the graph alone: a pipeline elects
     once and passes the forest to every phase, whatever view it works on."""
-    return run(LeaderBfsProgram(), graph, phase="elect-bfs")
+    minima = [v for v, adj in graph.adjacency.items() if min(adj, default=v) >= v]
+    return run(LeaderBfsProgram(minima), graph, phase="elect-bfs")
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +197,8 @@ class AggregateProgram(NodeProgram):
     """Convergecast of k values with pipelining, then a broadcast of one
     answer computed from the k totals.
 
-    Input per node: (parent, children, values). A node sends value j to its
+    Each node holds its `forest` entry (parent, children) and its k
+    `values`; the childless nodes start. A node sends value j to its
     parent, combined with its subtree's, once every child has sent its
     value j, at most one value per step. An edge delivers messages in the
     order they were sent, so a message holds only the value: its index is
@@ -212,11 +213,14 @@ class AggregateProgram(NodeProgram):
     edges carries k·value_width + answer_width bits.
     """
 
-    def __init__(self, k: int, combine: str, value_width: int, answer=None, answer_width=None):
+    def __init__(self, forest, values, combine, value_width, answer=None, answer_width=None):
+        k = len(next(iter(values.values()), ()))
         if combine not in _COMBINERS:
             raise ValueError(f"unknown combine {combine!r}")
         if answer is None and k > 1:
             raise InvalidParam("an aggregate of k > 1 values needs an answer")
+        self.forest, self.values = forest, values
+        self.start = [v for v, (_, children) in forest.items() if not children]
         self.k = k
         self.fn = _COMBINERS[combine]
         self.vw = value_width
@@ -224,7 +228,8 @@ class AggregateProgram(NodeProgram):
         self.aw = value_width if answer_width is None else answer_width
 
     def init(self, ctx):
-        parent, children, values = ctx.input
+        parent, children = self.forest[ctx.node]
+        values = self.values[ctx.node]
         if len(values) != self.k:
             raise ValueError("every node must hold exactly k values")
         return {
@@ -234,10 +239,6 @@ class AggregateProgram(NodeProgram):
             "heard": dict.fromkeys(children, 0),  # values received per child
             "sent": 0,  # values sent up
         }
-
-    def starts(self, ctx, st):
-        # A node with children has nothing to send before their mail.
-        return not st["children"]
 
     def step(self, ctx, st, inbox, rnd, rng):
         parent, partial, heard = st["parent"], st["partial"], st["heard"]
@@ -280,10 +281,8 @@ def pipelined_aggregate(
     learns `answer` of its tree's totals, at `answer_width` bits (at k = 1 by
     default the total, at `value_width`). Every caller in `bvc` needs at most
     ceil(log2 n) + 3 bits for either, so P = Q = 1 at every B >= the floor."""
-    k = len(next(iter(values.values()), ()))
-    inputs = {v: forest[v] + (values[v],) for v in graph.node_ids}
-    program = AggregateProgram(k, combine, value_width, answer, answer_width)
-    return run(program, graph, inputs=inputs, phase=phase)
+    program = AggregateProgram(forest, values, combine, value_width, answer, answer_width)
+    return run(program, graph, phase=phase)
 
 
 # ---------------------------------------------------------------------------
@@ -301,13 +300,6 @@ class AlternatingLayering:
 
     level: dict[int, int]
     preds: dict[int, tuple[int, ...]]
-
-    @classmethod
-    def from_outputs(cls, outputs: dict[int, tuple]) -> "AlternatingLayering":
-        """The layering held by program outputs that start with (level or
-        None, predecessors)."""
-        level = {v: o[0] for v, o in outputs.items() if o[0] is not None}
-        return cls(level, {v: outputs[v][1] for v in level})
 
     def witnesses(self, view: SubgraphView, matching: Matching) -> Iterator[tuple[int, int]]:
         """(node, level) for each free in-view B-node at an odd level: each
@@ -348,12 +340,13 @@ class AltBfsProgram(NodeProgram):
     level 0, capped at 2^w - 1. The BFS's w = 1 makes an offer one bit that
     means only "reached", and f = 1.
 
-    Input per node: its matching partner (or None), where the matching lies
-    in the view. Level 0 is exactly the set of free in-view A-nodes, with
-    x = 1; they offer in round 1. An in-view node without a level that
-    receives offers in round r takes level (r - 1) // f, sums them into its
-    x, keeps the senders as its predecessors and, below the depth limit,
-    offers onward to its `alternating_offers` in that round. Every
+    Level 0, `roots`, is exactly the set of free in-view A-nodes of
+    `matching`, with x = 1; they offer in round 1, so below a positive
+    depth limit those with an in-view neighbor start. An in-view node
+    without a level that receives offers in round r takes level
+    (r - 1) // f, sums them into its x, keeps the senders as its
+    predecessors and, below the depth limit, offers onward to its
+    `alternating_offers` in that round. Every
     level-(j - 1) node offered in round (j - 1)·f + 1, so the offers of a
     level-j node land together in round j·f + 1 and the senders are
     exactly its predecessors. The last offers land in round limit·f + 1,
@@ -362,8 +355,12 @@ class AltBfsProgram(NodeProgram):
 
     width = 1
 
-    def __init__(self, depth_limit: int):
+    def __init__(self, depth_limit: int, matching: Matching, view: SubgraphView):
         self.limit = depth_limit
+        self.partner = partner = matching.partner
+        side, ctxs = view.base.side, view.contexts
+        self.roots = [v for v in view.in_nodes if side[v] == SIDE_A and v not in partner]
+        self.start = [v for v in self.roots if depth_limit > 0 and ctxs[v].view_neighbors]
 
     def setup(self, n, bandwidth):
         self.f = frame_count(self.width, bandwidth)
@@ -373,14 +370,9 @@ class AltBfsProgram(NodeProgram):
         self.capped = Msg((self.cap, self.width))
 
     def init(self, ctx):
-        partner = ctx.input
+        partner = self.partner.get(ctx.node)
         level = 0 if ctx.in_view and ctx.side == SIDE_A and partner is None else None
         return {"partner": partner, "level": level, "x": int(level == 0), "preds": ()}
-
-    def starts(self, ctx, st):
-        # Only level 0 offers in round 1, and only below the depth limit to
-        # an in-view neighbor; every other node waits for offers.
-        return st["level"] == 0 and self.limit > 0 and bool(ctx.view_neighbors)
 
     def step(self, ctx, st, inbox, rnd, rng):
         out = {}
@@ -405,6 +397,16 @@ class AltBfsProgram(NodeProgram):
     def output(self, ctx, st):
         return st["level"], st["preds"]
 
+    def layering(self, outputs: dict[int, tuple]) -> AlternatingLayering:
+        """The run's layering, read off its outputs: every root is at level
+        0, also one that never stepped and so has no output."""
+        level = dict.fromkeys(self.roots, 0)
+        preds = dict.fromkeys(self.roots, ())
+        for v, (lv, pr, *_) in outputs.items():
+            if lv is not None:
+                level[v], preds[v] = lv, pr
+        return AlternatingLayering(level, preds)
+
 
 def alternating_bfs(
     graph: BipartiteGraph,
@@ -416,9 +418,9 @@ def alternating_bfs(
 ) -> tuple[AlternatingLayering, RoundStats]:
     """Distributed alternating BFS in depth_limit + 1 rounds; levels match
     the sequential oracle."""
-    inputs = {v: matching.partner_of(v) for v in graph.node_ids}
-    outputs, stats = run(AltBfsProgram(depth_limit), graph, view, inputs=inputs, phase=phase)
-    return AlternatingLayering.from_outputs(outputs), stats
+    program = AltBfsProgram(depth_limit, matching, view)
+    outputs, stats = run(program, graph, view, phase=phase)
+    return program.layering(outputs), stats
 
 
 def witness_check(

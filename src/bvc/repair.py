@@ -77,8 +77,8 @@ class CountSweepProgram(AltBfsProgram):
     A message is the count alone, sent at the reserved width w whatever
     its value, as real hardware would have to reserve it."""
 
-    def __init__(self, d: int, delta: int):
-        super().__init__(d)
+    def __init__(self, d: int, delta: int, matching: Matching, view: SubgraphView):
+        super().__init__(d, matching, view)
         self.width = max(1, (delta**d).bit_length())
 
     def setup(self, n, bandwidth):
@@ -86,7 +86,6 @@ class CountSweepProgram(AltBfsProgram):
         self.end = 2 * self.limit * self.f + 1
 
     def init(self, ctx):
-        # A node that never steps in the prefix keeps s = 0.
         return dict(super().init(ctx), s=0)
 
     def step(self, ctx, st, inbox, rnd, rng):
@@ -154,37 +153,30 @@ def count_paths(
     B = Theta(log n), so counting takes O(d^2) rounds."""
     if d <= 0 or d % 2 == 0:
         raise InvalidParam("d must be a positive odd integer")
-    inputs = {v: matching.partner_of(v) for v in graph.node_ids}
-    outputs, stats = run(
-        CountSweepProgram(d, delta), graph, view, inputs=inputs, phase="count-sweeps"
-    )
-    layering = AlternatingLayering.from_outputs(outputs)
+    program = CountSweepProgram(d, delta, matching, view)
+    outputs, stats = run(program, graph, view, phase="count-sweeps")
+    layering = program.layering(outputs)
     layering.require_no_witness_below(view, matching, d)
-    return PathCounts(layering.level, {v: outputs[v][2] for v in layering.level}), stats
+    # A level-0 node that never stepped has no in-view neighbor: no path.
+    count = {v: outputs[v][2] if v in outputs else 0 for v in layering.level}
+    return PathCounts(layering.level, count), stats
 
 
 class AnnounceRemovalProgram(NodeProgram):
-    """One round: nodes flagged for removal tell every neighbor."""
+    """One round: the `removed` nodes, which start, tell every neighbor."""
 
     end = 1
 
-    def init(self, ctx):
-        return bool(ctx.input)
-
-    def starts(self, ctx, st):
-        return st
+    def __init__(self, removed):
+        self.removed = self.start = removed
 
     def step(self, ctx, st, inbox, rnd, rng):
-        out = {}
-        if st:
-            for u in ctx.neighbors:
-                out[u] = Msg((1, 1))
+        out = dict.fromkeys(ctx.neighbors, Msg((1, 1))) if ctx.node in self.removed else {}
         return st, out, False, None
 
 
 def _announce_removals(graph, view, removed) -> RoundStats:
-    inputs = {v: v in removed for v in graph.node_ids}
-    _, stats = run(AnnounceRemovalProgram(), graph, view, inputs=inputs, phase="remove")
+    _, stats = run(AnnounceRemovalProgram(removed), graph, view, phase="remove")
     return stats
 
 

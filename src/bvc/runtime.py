@@ -15,16 +15,17 @@ draw-free by check, not by convention.
 Nodes may sleep: a step may return a fourth element `wake_at` (a future
 round, or None for "wake only on message"). A sleeping node is woken early
 whenever a message arrives. A program may also step only some nodes in
-round 1 (`starts`) and fix the run's last round (`end`), so that no node
+round 1 (`start`) and fix the run's last round (`end`), so that no node
 wakes only to halt. All this skips only steps the program declares to be
 no-ops, which draw nothing, so outputs and simulated costs are unaffected.
 
-Host cost: a view computes its per-node topology (in-view flag and in-view
-neighbors) once, and every run over it builds its contexts from that; a
-run given no view reads the adjacency directly. A program fixes its widths
-once per run in `setup`. A round steps only the starting nodes (round 1) or
-those with mail or a due wake, the engine books traffic once per message,
-not once per frame, and it sorts only the inboxes a multi-frame message joined.
+Host cost grows with the nodes that step, not with n: a graph and each view
+keep their nodes' contexts, per-node data comes from the program, and a
+node gets its state when it starts or first receives mail. A program fixes
+its widths once per run in `setup`. A round steps only the starting nodes
+(round 1) or those with mail or a due wake, the engine books traffic once
+per message, not once per frame, and it sorts only the inboxes a
+multi-frame message joined.
 """
 
 from __future__ import annotations
@@ -33,10 +34,9 @@ import heapq
 import random
 import types
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 from .errors import InvalidParam, ProgramFault, RoundCapExceeded
-from .graph import BipartiteGraph, SubgraphView, ceil_log2
+from .graph import BipartiteGraph, NodeContext, SubgraphView, ceil_log2
 
 _M64 = (1 << 64) - 1
 
@@ -45,6 +45,9 @@ ROUND_CAP = 1_000_000
 
 # The inbox of every step without mail: one shared, read-only mapping.
 _NO_MAIL = types.MappingProxyType({})
+
+# The state of a node that has not acted yet.
+_NO_STATE = object()
 
 
 def _splitmix(x: int) -> int:
@@ -122,20 +125,6 @@ class Msg:
         return f"Msg({self.values}, nbits={self.nbits})"
 
 
-class NodeContext(NamedTuple):
-    """What a node knows a priori besides n and B, which the program
-    receives in `setup`. Immutable. A node knows its neighbors' ids before
-    round 1, the KT1 model of CONGEST, which the leader election's silent
-    start reads."""
-
-    node: int
-    side: str
-    in_view: bool
-    neighbors: tuple[int, ...]
-    view_neighbors: tuple[int, ...]
-    input: object = None
-
-
 @dataclass
 class RoundStats:
     rounds: int = 0
@@ -169,35 +158,39 @@ class RoundStats:
 
 
 class NodeProgram:
-    """Interface executed by the runtime.
+    """Interface executed by the runtime. Per-node data, such as a
+    matching or a layering, comes from the program's constructor and is
+    read by `ctx.node`.
 
     setup(n, bandwidth) -> None, once per run before any init: fix here
         what depends only on n, the bandwidth and the program's arguments.
-    init(ctx) -> state
-    starts(ctx, state) -> bool: whether the node steps in round 1. One that
-        does not sleeps until mail arrives, so return False only where the
-        round-1 step would return (state, {}, False, None).
+    init(ctx) -> state (default None), when the node first acts: in round
+        1 if it starts, else when its first mail arrives. A node that never
+        acts has no state and no output; a driver that reads one states
+        its default.
     step(ctx, state, inbox, rnd, rng) -> (state, outbox, halted[, wake_at])
         inbox: {sender: Msg} in sender order, read-only; outbox:
         {neighbor: Msg}. wake_at None means sleep until a message arrives;
         omitted means step every round. rng is valid only during the step.
     output(ctx, state) -> per-node result
 
+    start: None, every node steps in round 1, or the set of nodes that do;
+    any other sleeps until mail arrives, so leave a node out only where its
+    round-1 step would return (state, {}, False, None).
+
     end: None, or the run's last round, set in `setup` by a program whose
     schedule fixes it. The run stops after it, or jumps to it once quiet; a
     wake after it, the next round's in round `end` included, is a fault.
     """
 
+    start = None
     end: int | None = None
 
     def setup(self, n: int, bandwidth: int) -> None:
         pass
 
     def init(self, ctx: NodeContext):
-        raise NotImplementedError
-
-    def starts(self, ctx: NodeContext, state) -> bool:
-        return True
+        return None
 
     def step(self, ctx, state, inbox, rnd, rng):
         raise NotImplementedError
@@ -223,14 +216,14 @@ def run(
     view: SubgraphView | None = None,
     *,
     seed: int | None = None,
-    inputs: dict | None = None,
     phase: str = "main",
     allow_quiescence: bool = False,
 ):
     """Execute `program` on every node until all halt or round `end`
     passed, with every edge carrying at most `graph.bandwidth` bits per round.
 
-    Returns (outputs, RoundStats) where outputs maps node -> program output.
+    Returns (outputs, RoundStats) where outputs maps each node that holds a
+    state, in id order, to its program output.
 
     Raises:
         InvalidParam: the view is over another graph.
@@ -238,7 +231,7 @@ def run(
             `end`, no node can ever act again while some are unhalted
             (unless allow_quiescence, which then force-halts everyone; used
             by algorithms that converge without an explicit termination signal).
-        ProgramFault: setup, or a node's init, starts, step or output raised,
+        ProgramFault: setup, or a node's init, step or output raised,
             or a step sent to a non-neighbor, sent a non-Msg, asked to wake
             in the past or after `end`, or drew randomness in a run without
             a seed.
@@ -248,36 +241,17 @@ def run(
     n = graph.n
     bw = graph.bandwidth
 
-    side = graph.side
-    adjacency = graph.adjacency
-    inputs = {} if inputs is None else inputs
-    if view is None:
-        ctxs = {
-            v: NodeContext._make((v, side[v], True, adjacency[v], adjacency[v], inputs.get(v)))
-            for v in graph.node_ids
-        }
-    else:
-        ctxs = {
-            v: NodeContext._make((v, side[v], in_view, adjacency[v], view_nbrs, inputs.get(v)))
-            for v, (in_view, view_nbrs) in view.topology().items()
-        }
-
+    ctxs = (graph if view is None else view).contexts
     try:
         program.setup(n, bw)
     except Exception as exc:  # noqa: BLE001 - converted to ProgramFault
         raise ProgramFault(f"setup failed: {exc!r}") from exc
     end = program.end
+    init = program.init
     states = {}
-    # Nodes due next round, in step order (contexts are in id order); later
-    # wakes sit in `wake_heap`, live while `wake_round` still holds them.
-    awake = []
-    for v, ctx in ctxs.items():
-        try:
-            states[v] = state = program.init(ctx)
-            if program.starts(ctx, state):
-                awake.append(v)
-        except Exception as exc:  # noqa: BLE001 - converted to ProgramFault
-            raise ProgramFault(f"init failed at node {v}: {exc!r}") from exc
+    # Nodes due next round, in step order; later wakes sit in `wake_heap`,
+    # live while `wake_round` still holds them.
+    awake = list(graph.node_ids) if program.start is None else sorted(program.start)
 
     neighbor_sets = graph.neighbor_sets()
     step = program.step
@@ -338,8 +312,15 @@ def run(
             rng._node = v
             rng._rnd = rnd
             rng._rng = None
+            ctx = ctxs[v]
+            state = states.get(v, _NO_STATE)
+            if state is _NO_STATE:
+                try:
+                    state = init(ctx)
+                except Exception as exc:  # noqa: BLE001
+                    raise ProgramFault(f"init failed at node {v}: {exc!r}") from exc
             try:
-                result = step(ctxs[v], states[v], inbox, rnd, rng)
+                result = step(ctx, state, inbox, rnd, rng)
             except Exception as exc:  # noqa: BLE001
                 raise ProgramFault(f"step failed at node {v}, round {rnd}: {exc!r}") from exc
             if len(result) == 3:
@@ -412,9 +393,9 @@ def run(
             break
 
     outputs = {}
-    for v, ctx in ctxs.items():
+    for v in sorted(states):
         try:
-            outputs[v] = program.output(ctx, states[v])
+            outputs[v] = program.output(ctxs[v], states[v])
         except Exception as exc:  # noqa: BLE001
             raise ProgramFault(f"output failed at node {v}: {exc!r}") from exc
     stats = RoundStats(

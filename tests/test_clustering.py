@@ -328,7 +328,7 @@ def test_pipeline_edgeless():
     assert cover.size == 0
 
 
-def test_pipeline_phases_end_with_a_2_round_tree_exchange():
+def test_pipeline_phases_end_with_a_3_round_tree_exchange():
     """The shrink sends nothing and has no phase; the cluster trees take
     one 3-round exchange, right after MPX."""
     g = gen_random(30, 30, 0.06, 3)

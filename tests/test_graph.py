@@ -176,14 +176,22 @@ def test_view_restriction():
 
 
 def test_whole_view_is_shared_and_topology_matches_view():
+    """A graph and each view keep their contexts, built node by node on
+    first use; a view of the whole graph shares the graph's. Each context
+    holds the node's in-view flag and in-view neighbors."""
     g = gen_random(6, 6, 0.4, 2)
     for view in (SubgraphView.whole(g), induced(g, range(10)).without_nodes([3])):
-        topo = view.topology()
-        assert topo is view.topology()
-        assert list(topo) == list(g.node_ids)
-        for v, (in_view, nbrs) in topo.items():
-            assert in_view == view.contains_node(v)
-            assert nbrs == tuple(view.view_neighbors(v))
+        ctxs = view.contexts
+        assert ctxs is view.contexts
+        assert (ctxs is g.contexts) == (view.in_nodes == g.node_ids)
+        assert not ctxs or ctxs is g.contexts
+        for v in g.node_ids:
+            ctx = ctxs[v]
+            assert ctx is ctxs[v]
+            assert (ctx.node, ctx.side, ctx.neighbors) == (v, g.side[v], g.adjacency[v])
+            assert ctx.in_view == view.contains_node(v)
+            assert ctx.view_neighbors == tuple(view.view_neighbors(v))
+        assert list(ctxs) == list(g.node_ids)
 
 
 def test_matching_restricted_to_view():

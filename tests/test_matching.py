@@ -31,6 +31,7 @@ from bvc.matching import (
     select_disjoint_paths,
 )
 from bvc.primitives import (
+    AlternatingLayering,
     alternating_bfs,
     alternating_offers,
     elect_leader_and_bfs,
@@ -319,8 +320,8 @@ def test_tokens_go_to_predecessors_and_every_other_message_along_offers(instance
             offset = (rnd - 1) % (self.d * (frames + 1))
             assert offset == (self.d - st["level"]) * frames, f"token {where}"
         result = real(self, ctx, st, inbox, rnd, rng)
-        partner, _, preds = ctx.input[:3]
-        offers = alternating_offers(ctx, partner)
+        preds = self.layering.preds.get(ctx.node, ())
+        offers = alternating_offers(ctx, self.partner.get(ctx.node))
         for u, msg in result[1].items():
             # A token has three fields (tag, priority, initiator); a "gone"
             # or a lock has the tag alone.
@@ -402,7 +403,7 @@ def test_select_period_is_d_times_token_frames_plus_one(n, d):
         token_bits = 2 + id_bits(n) if det else 2 + 3 * id_bits(n)
         f = frame_count(token_bits, bandwidth)
         assert (f == frames) if frames else (f >= 2)
-        program = PathSelectProgram(d, det)
+        program = PathSelectProgram(d, det, {}, AlternatingLayering({}, {}), ())
         program.setup(n, bandwidth)
         assert program.period == d * (f + 1)
 

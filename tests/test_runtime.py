@@ -278,22 +278,26 @@ class WakesNow(NodeProgram):
 
 
 class FailsIn(NodeProgram):
-    """Raises in `setup`, `init` or `output`; steps halt at once."""
+    """Raises in `setup`, `init` or `output`; each step sends to the
+    higher neighbors and halts. At "mailed init" only node 0 starts, so
+    node 2 is first reached by mail in round 3, and its `init` raises."""
 
     def __init__(self, where):
         self.where = where
+        if where == "mailed init":
+            self.start = {0}
 
     def setup(self, n, bandwidth):
         if self.where == "setup":
             raise RuntimeError("setup boom")
 
     def init(self, ctx):
-        if self.where == "init":
+        if self.where == "init" or self.where == "mailed init" and ctx.node == 2:
             raise RuntimeError("init boom")
         return None
 
     def step(self, ctx, state, inbox, rnd, rng):
-        return state, {}, True
+        return state, {u: Msg() for u in ctx.neighbors if u > ctx.node}, True
 
     def output(self, ctx, state):
         if self.where == "output":
@@ -368,9 +372,10 @@ def test_wake_after_end_raises_program_fault():
         run(EndsInRound3(None, every_round=True), g)
 
 
-@pytest.mark.parametrize("where", ["init", "output", "setup"])
+@pytest.mark.parametrize("where", ["init", "output", "setup", "mailed init"])
 def test_init_and_output_errors_raise_program_fault(where):
-    with pytest.raises(ProgramFault, match=f"{where} failed"):
+    match = "init failed at node 2" if where == "mailed init" else f"{where} failed"
+    with pytest.raises(ProgramFault, match=match):
         run(FailsIn(where), gen_path(3), seed=0)
 
 
@@ -419,8 +424,11 @@ def test_run_rejects_view_of_another_graph():
 
 class ReportsContext(NodeProgram):
     """Outputs every NodeContext field and the received senders; each
-    node sends its input (small ints) to every in-view neighbor, then
-    halts after round 2."""
+    node sends its entry in `data` (small ints, 0 by default) to every
+    in-view neighbor, then halts after round 2."""
+
+    def __init__(self, data=None):
+        self.data = data or {}
 
     def init(self, ctx):
         return []
@@ -428,7 +436,7 @@ class ReportsContext(NodeProgram):
     def step(self, ctx, state, inbox, rnd, rng):
         state.append(sorted((u, m.values) for u, m in inbox.items()))
         if rnd == 1:
-            out = {u: Msg((ctx.input or 0, 8)) for u in ctx.view_neighbors}
+            out = {u: Msg((self.data.get(ctx.node, 0), 8)) for u in ctx.view_neighbors}
             return state, out, False
         return state, {}, True
 
@@ -440,14 +448,12 @@ def test_view_reused_across_runs_matches_fresh_view():
     g = gen_random(7, 7, 0.4, 3)
     keep = [v for v in g.node_ids if v % 3]
     view = induced(g, keep)
-    first = run(ReportsContext(), g, view, seed=5, inputs={v: v for v in g.node_ids})
+    first = run(ReportsContext({v: v for v in g.node_ids}), g, view, seed=5)
     run(EchoOnce(), g, view, seed=1)
-    second = run(ReportsContext(), g, view, seed=5, inputs={v: 2 * v for v in g.node_ids})
-    for inputs, (out, stats) in (({v: v for v in g.node_ids}, first),
-                                 ({v: 2 * v for v in g.node_ids}, second)):
-        fresh_out, fresh_stats = run(
-            ReportsContext(), g, induced(g, keep), seed=5, inputs=inputs
-        )
+    second = run(ReportsContext({v: 2 * v for v in g.node_ids}), g, view, seed=5)
+    for data, (out, stats) in (({v: v for v in g.node_ids}, first),
+                               ({v: 2 * v for v in g.node_ids}, second)):
+        fresh_out, fresh_stats = run(ReportsContext(data), g, induced(g, keep), seed=5)
         assert out == fresh_out
         assert stats == fresh_stats
     assert first[0] != second[0]
@@ -461,7 +467,7 @@ def test_contexts_under_a_proper_sub_view():
     assert ctx[3]["in_view"] is False and ctx[3]["view_neighbors"] == ()
     assert ctx[3]["neighbors"] == (2, 4)
     assert ctx[2] == dict(
-        node=2, side="A", in_view=True, neighbors=(1, 3), view_neighbors=(1,), input=None
+        node=2, side="A", in_view=True, neighbors=(1, 3), view_neighbors=(1,)
     )
     assert ctx[4]["in_view"] is True and ctx[4]["view_neighbors"] == ()
     for v in g.node_ids:
@@ -471,7 +477,8 @@ def test_contexts_under_a_proper_sub_view():
 
 def test_node_context_is_immutable_and_keyword_built():
     ctx = NodeContext(node=0, side="A", in_view=True, neighbors=(), view_neighbors=())
-    assert ctx.input is None
+    # Per-node data comes from the program, not the context.
+    assert ctx._fields == ("node", "side", "in_view", "neighbors", "view_neighbors")
     with pytest.raises(AttributeError):
         ctx.node = 1
 
@@ -481,13 +488,15 @@ def test_node_context_is_immutable_and_keyword_built():
 # ---------------------------------------------------------------------------
 
 
-def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round_cap, seen):
+def reference_run(program, graph, view, *, seed, allow_quiescence, round_cap, seen):
     """The engine's semantics spelled out: round 1 is due for the nodes
-    that start; each round steps the due nodes in id order, then moves one
-    frame along every busy edge; a message whose last frame moved arrives
-    next round unless its target halted. A program with `end` stops after
-    round `end`, or jumps to it when nothing is left to do. Adds to `seen`
-    the end cases the run met."""
+    that start (all of them when `start` is None); each round steps the
+    due nodes in id order, a node getting its state when first due, then
+    moves one frame along every busy edge; a message whose last frame
+    moved arrives next round unless its target halted. A program with
+    `end` stops after round `end`, or jumps to it when nothing is left to
+    do. Only nodes with a state have an output. Adds to `seen` the end
+    cases the run met."""
     n = graph.n
     bw = graph.bandwidth
     ctxs = {
@@ -497,17 +506,16 @@ def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round
             in_view=view.contains_node(v),
             neighbors=graph.adjacency[v],
             view_neighbors=tuple(u for u in graph.adjacency[v] if view.contains_edge(u, v)),
-            input=None if inputs is None else inputs.get(v),
         )
         for v in graph.node_ids
     }
     program.setup(n, bw)
     end = program.end
-    states = {v: program.init(ctxs[v]) for v in graph.node_ids}
+    states = {}
     halted = set()
     queues = {}  # edge -> [[frames_left, last_frame_bits, started, msg], ...]
     mail = {}  # round -> target -> {sender: msg}
-    wake = {v: 1 for v in graph.node_ids if program.starts(ctxs[v], states[v])}
+    wake = {v: 1 for v in (graph.node_ids if program.start is None else program.start)}
     heap = [(1, v) for v in wake]
     stats = dict(rounds=0, max_message_bits=0, total_bits=0, fragmentation_rounds=0)
     rnd = 0
@@ -539,6 +547,8 @@ def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round
                 due.add(v)
         for v in sorted(due - halted):
             wake[v] = None
+            if v not in states:
+                states[v] = program.init(ctxs[v])
             inbox = {u: inboxes.get(v, {})[u] for u in sorted(inboxes.get(v, {}))}
             result = program.step(ctxs[v], states[v], inbox, rnd, random.Random(derive_seed(seed, v, rnd)))
             states[v], outbox, halt = result[:3]
@@ -574,28 +584,26 @@ def reference_run(program, graph, view, *, seed, inputs, allow_quiescence, round
         stats["fragmentation_rounds"] += fragmented
     if rnd == end and queues:
         seen.add("frames in flight at end")
-    outputs = {v: program.output(ctxs[v], states[v]) for v in graph.node_ids}
+    outputs = {v: program.output(ctxs[v], states[v]) for v in sorted(states)}
     return outputs, stats
 
 
 class RandomTraffic(NodeProgram):
     """Random sends of random widths (up to several frames), halts and
-    wakes, all drawn from the node's own stream; outputs what it saw. Only
-    the `starters` step in round 1, and with an `end` no wake falls after
-    it."""
+    wakes, all drawn from the node's own stream; outputs what it saw and
+    its entry in `data`. Only the nodes in `start` step in round 1 (all
+    at None), and with an `end` no wake falls after it."""
 
-    def __init__(self, p_halt, max_bits, waits, starters, end):
+    def __init__(self, p_halt, max_bits, waits, start, end, data):
         self.p_halt = p_halt
         self.max_bits = max_bits
         self.waits = waits
-        self.starters = starters
+        self.start = start
         self.end = end
+        self.data = data
 
     def init(self, ctx):
-        return [ctx.in_view, ctx.view_neighbors, ctx.input]
-
-    def starts(self, ctx, state):
-        return ctx.node in self.starters
+        return [ctx.in_view, ctx.view_neighbors, self.data.get(ctx.node)]
 
     def step(self, ctx, state, inbox, rnd, rng):
         state.append((rnd, [(u, m.values) for u, m in inbox.items()]))
@@ -627,22 +635,19 @@ def test_engine_matches_per_frame_reference(monkeypatch):
         bw = default_bandwidth(g.n) + rng.choice([0, 3])
         g = g.with_bandwidth(bw)
         view = induced(g, kept)
-        kwargs = dict(
-            seed=case,
-            inputs={v: 3 * v for v in g.node_ids} if case % 2 else None,
-            allow_quiescence=case % 3 == 0,
-        )
+        kwargs = dict(seed=case, allow_quiescence=case % 3 == 0)
+        data = {v: 3 * v for v in g.node_ids} if case % 2 else {}
         round_cap = rng.choice([10, 1000])
         monkeypatch.setattr(bvc.runtime, "ROUND_CAP", round_cap)
         p_start = rng.choice([0.3, 1.0])
-        starters = {v for v in g.node_ids if rng.random() < p_start}
+        start = None if p_start == 1.0 else {v for v in g.node_ids if rng.random() < p_start}
         end = rng.randrange(1, 12) if case % 5 < 2 else None
         if g.n == 0 and end is not None:
             seen.add("no nodes, with end")
 
         def program():
             return RandomTraffic(
-                rng.choice([0.05, 0.4]), rng.choice([bw, 4 * bw]), case % 4 > 0, starters, end
+                rng.choice([0.05, 0.4]), rng.choice([bw, 4 * bw]), case % 4 > 0, start, end, data
             )
 
         state = rng.getstate()
@@ -716,26 +721,54 @@ def every_start_rule(g, view, seed):
     ],
 )
 def test_start_rule_skips_only_no_op_steps(monkeypatch, program):
-    """Each program's start rule gives the outputs and stats of a run in
-    which every node steps in round 1, on seeded random graphs, whole and
-    induced sub-views, at the default and the floor bandwidth."""
-    rule = program.starts
-    declined = 0
+    """Each program's start set gives the outputs and stats of a run in
+    which every node steps in round 1 (start None), on seeded random
+    graphs, whole and induced sub-views, at the default and the floor
+    bandwidth. The drivers state the default of every node that never
+    acts, so they return the same either way."""
+    sizes = []  # of the start sets given, per `every_start_rule` call
 
-    def counted(self, ctx, st):
-        nonlocal declined
-        starts = rule(self, ctx, st)
-        declined += not starts
-        return starts
+    def keep(self, start):
+        sizes.append(len(start))
+        vars(self)["given"] = start
 
+    given = property(lambda self: vars(self)["given"], keep)
+    every_node = property(lambda self: None, lambda self, start: None)
+    sparse = 0
     for seed in range(6):
         base = gen_random(9 + seed % 3, 10, 0.22, seed)
         kept = [v for v in base.node_ids if (v * 7 + seed) % 5]
         for bw in (base.bandwidth, ceil_log2(base.n) + 4):
             g = base.with_bandwidth(bw)
             for view in (SubgraphView.whole(g), induced(g, kept)):
-                monkeypatch.setattr(program, "starts", counted)
+                monkeypatch.setattr(program, "start", given)
                 with_rule = every_start_rule(g, view, seed)
-                monkeypatch.setattr(program, "starts", lambda self, ctx, st: True)
+                sparse += any(size < g.n for size in sizes)
+                sizes.clear()
+                monkeypatch.setattr(program, "start", every_node)
                 assert with_rule == every_start_rule(g, view, seed), (seed, bw)
-    assert declined > 0
+    assert sparse > 0
+
+
+def test_a_run_inits_only_the_nodes_that_step(monkeypatch):
+    """On a path of 10^4 nodes matched but at its ends, one free A-node
+    starts an alternating BFS to depth 3 and its offers reach three more
+    nodes: the run inits and steps those four, and builds their contexts
+    alone, not n. An isolated free A-node is at level 0 without acting."""
+    g = build_graph([(v, v + 1) for v in range(9_999)], extra_nodes=[10_000])
+    view = SubgraphView.whole(g)
+    m = Matching([(v, v + 1) for v in range(1, 9_999, 2)], view)
+    calls = {"init": 0, "step": 0}
+    for name in calls:
+        real = getattr(AltBfsProgram, name)
+
+        def counted(self, ctx, *args, _real=real, _name=name):
+            calls[_name] += 1
+            return _real(self, ctx, *args)
+
+        monkeypatch.setattr(AltBfsProgram, name, counted)
+    layering, stats = alternating_bfs(g, view, m, 3)
+    assert layering.level == {0: 0, 1: 1, 2: 2, 3: 3, 10_000: 0}
+    assert stats.rounds == 4
+    assert calls == {"init": 4, "step": 4}
+    assert sorted(g.contexts) == [0, 1, 2, 3, 10_000]
