@@ -310,10 +310,8 @@ def _induced_subproblem(graph, tree, edges, matched, member_nodes, solve_nodes):
     edges = [(to_sub[u], to_sub[v]) for u, v in edges]
     sub_graph = build_graph(edges, extra_nodes=range(len(ordered))).with_bandwidth(graph.bandwidth)
     members = {to_sub[v] for v in member_nodes}
-    solve = {to_sub[v] for v in solve_nodes}
-    node_in = {i: i in solve for i in sub_graph.node_ids}
-    edge_in = {e: e[0] in members or e[1] in members for e in sub_graph.edges}
-    sub_view = SubgraphView(sub_graph, node_in, edge_in)
+    sub_edges = [e for e in sub_graph.edges if e[0] in members or e[1] in members]
+    sub_view = SubgraphView(sub_graph, [to_sub[v] for v in solve_nodes], sub_edges)
     m0 = Matching([(to_sub[u], to_sub[v]) for u, v in matched]).restricted_to(sub_view)
     forest = {
         to_sub[v]: (None if p is None else to_sub[p], tuple(to_sub[c] for c in cs))

@@ -49,21 +49,21 @@ class NodeContext(NamedTuple):
 
 
 class NodeContexts(dict):
-    """node -> NodeContext, each built on first use and kept. A `node_in`
-    or `edge_in` of None puts every node or edge in view. It holds no graph
-    or view, so the one that keeps it forms no reference cycle."""
+    """node -> NodeContext, each built on first use and kept. A `nodes` or
+    `edges` of None puts every node or edge in view. It holds no graph or
+    view, so the one that keeps it forms no reference cycle."""
 
-    __slots__ = ("_side", "_adjacency", "_node_in", "_edge_in")
+    __slots__ = ("_side", "_adjacency", "_nodes", "_edges")
 
-    def __init__(self, side, adjacency, node_in=None, edge_in=None):
+    def __init__(self, side, adjacency, nodes=None, edges=None):
         super().__init__()
-        self._side, self._adjacency, self._node_in, self._edge_in = side, adjacency, node_in, edge_in
+        self._side, self._adjacency, self._nodes, self._edges = side, adjacency, nodes, edges
 
     def __missing__(self, v: int) -> NodeContext:
         adj = self._adjacency[v]
-        node_in, edge_in = self._node_in, self._edge_in
-        nbrs = adj if edge_in is None else tuple(u for u in adj if edge_in.get(edge_key(u, v)))
-        in_view = node_in is None or bool(node_in.get(v))
+        nodes, edges = self._nodes, self._edges
+        nbrs = adj if edges is None else tuple(u for u in adj if edge_key(u, v) in edges)
+        in_view = nodes is None or v in nodes
         ctx = self[v] = NodeContext(v, self._side[v], in_view, adj, nbrs)
         return ctx
 
@@ -184,63 +184,67 @@ def build_graph(edge_list: Iterable[tuple[int, int]], extra_nodes: Iterable[int]
 
 
 class SubgraphView:
-    """Membership flags over a base graph: a node subset and an edge subset.
+    """A node set and an edge set of a base graph, kept sorted as `in_nodes`
+    and `in_edges` and as the sets `nodes` and `edges`.
 
-    Every in-view edge must have both endpoints in view; this is checked at
-    construction. Views are immutable; derive new ones with without_nodes().
-    `contexts` maps each base node to its NodeContext in the view, which
-    every run over the view reads; a view of the whole graph shares the
-    graph's.
+    Building a view costs O(k log k) in the k nodes and edges it names,
+    O(k) when they come in base order, plus one pass over the base
+    neighbors of each edge's low end, and nothing for the rest of the base.
+    An edge is a (low, high) pair as in `base.edges`. A node or edge named
+    twice or missing from the base, and an edge with an endpoint outside
+    the view, raise InvalidParam. Views are immutable; derive new ones
+    with without_nodes(). `contexts` maps each base node to its
+    NodeContext in the view, which every run over the view reads; a view
+    of the whole graph shares the graph's.
     """
 
-    __slots__ = ("base", "node_in", "edge_in", "_in_nodes", "_in_edges", "contexts")
+    __slots__ = ("base", "in_nodes", "in_edges", "nodes", "edges", "contexts")
 
-    def __init__(self, base: BipartiteGraph, node_in: dict[int, bool], edge_in: dict[Edge, bool]):
+    def __init__(self, base: BipartiteGraph, nodes: Iterable[int], edges: Iterable[Edge]):
         self.base = base
-        self.node_in = node_in
-        self.edge_in = edge_in
-        for (u, v), flag in edge_in.items():
-            if flag and not (node_in.get(u) and node_in.get(v)):
+        # Sorting the caller's sequence, not a set, takes linear time on one
+        # already in order.
+        self.in_nodes, self.in_edges = tuple(sorted(nodes)), tuple(sorted(edges))
+        self.nodes = nodes = frozenset(self.in_nodes)
+        self.edges = frozenset(self.in_edges)
+        if len(nodes) < len(self.in_nodes) or len(self.edges) < len(self.in_edges):
+            raise InvalidParam("a view names a node or an edge twice")
+        adjacency = base.adjacency
+        if not adjacency.keys() >= nodes:
+            raise InvalidParam(f"node {min(nodes - adjacency.keys())} is not in the base graph")
+        low = nbrs = None
+        for u, v in self.in_edges:
+            if u not in nodes or v not in nodes:
                 raise InvalidParam(f"edge ({u},{v}) in view but an endpoint is not")
-        self._in_nodes: tuple[int, ...] = tuple(v for v in base.node_ids if node_in.get(v))
-        self._in_edges: tuple[Edge, ...] = tuple(e for e in base.edges if edge_in.get(e))
-        if len(self._in_nodes) == base.n and len(self._in_edges) == base.m:
+            if u != low:  # one pass over a low end's sorted neighbors finds all its edges
+                low, nbrs = u, iter(adjacency[u])
+            if not u < v or v not in nbrs:
+                raise InvalidParam(f"({u},{v}) is not an edge of the base graph")
+        if len(self.in_nodes) == base.n and len(self.in_edges) == base.m:
             self.contexts = base.contexts
         else:
-            edges = edge_in if len(self._in_edges) < base.m else None
-            self.contexts = NodeContexts(base.side, base.adjacency, node_in, edges)
+            edges = self.edges if len(self.in_edges) < base.m else None
+            self.contexts = NodeContexts(base.side, adjacency, nodes, edges)
 
     @classmethod
     def whole(cls, base: BipartiteGraph) -> "SubgraphView":
         """The view of everything."""
-        return cls(base, {v: True for v in base.node_ids}, {e: True for e in base.edges})
+        return cls(base, base.node_ids, base.edges)
 
     def without_nodes(self, removed: Iterable[int]) -> "SubgraphView":
         gone = set(removed)
-        node_in = {v: self.node_in.get(v, False) and v not in gone for v in self.base.node_ids}
-        edge_in = {
-            e: self.edge_in.get(e, False) and e[0] not in gone and e[1] not in gone
-            for e in self.base.edges
-        }
-        return SubgraphView(self.base, node_in, edge_in)
+        edges = [e for e in self.in_edges if e[0] not in gone and e[1] not in gone]
+        return SubgraphView(self.base, [v for v in self.in_nodes if v not in gone], edges)
 
     def contains_node(self, v: int) -> bool:
-        return bool(self.node_in.get(v))
+        return v in self.nodes
 
     def contains_edge(self, u: int, v: int) -> bool:
-        return bool(self.edge_in.get(edge_key(u, v)))
-
-    @property
-    def in_nodes(self) -> tuple[int, ...]:
-        return self._in_nodes
-
-    @property
-    def in_edges(self) -> tuple[Edge, ...]:
-        return self._in_edges
+        return edge_key(u, v) in self.edges
 
     def view_neighbors(self, v: int) -> Iterator[int]:
         for u in self.base.adjacency[v]:
-            if self.edge_in.get(edge_key(u, v)):
+            if edge_key(u, v) in self.edges:
                 yield u
 
     def view_degree(self, v: int) -> int:
@@ -277,8 +281,7 @@ class Matching:
 
     def restricted_to(self, view: SubgraphView) -> "Matching":
         """Edges whose endpoints and edge are all still in the view."""
-        kept = [e for e in self.edges if view.contains_edge(*e)]
-        return Matching(kept, view)
+        return Matching(self.edges & view.edges, view)
 
 
 class VertexCover:
@@ -301,9 +304,8 @@ class VertexCover:
 def is_vertex_cover(view: SubgraphView, nodes: Iterable[int]) -> bool:
     """True iff every in-view edge has an endpoint in `nodes`."""
     cover = set(nodes)
-    for v in cover:
-        if not view.contains_node(v):
-            raise InvalidParam(f"cover node {v} is not in the view")
+    if not cover <= view.nodes:
+        raise InvalidParam(f"cover node {min(cover - view.nodes)} is not in the view")
     return all(u in cover or v in cover for u, v in view.in_edges)
 
 

@@ -24,6 +24,7 @@ trees of the randomized pipeline.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from typing import Callable, Iterator
 
 from .errors import InvalidParam, ShorterPathExists
@@ -72,18 +73,22 @@ class LeaderBfsProgram(NodeProgram):
     parent. Later statuses naming the same leader change only the child
     flag or the certificate bit."""
 
-    def __init__(self, start):
-        self.start = start
+    def __init__(self, minima):
+        self.minima = self.start = minima  # they alone announce themselves
 
     def setup(self, n, bandwidth):
-        self.idw = id_bits(n)
+        idw = id_bits(n)
+        # The status of (leader, child flag[, certificate bit]) and the DONE,
+        # each built once per run, not once per send.
+        self.status_msg = cache(lambda *values: Msg((_STATUS, 1), *zip(values, (idw, 1, 1))))
+        self.done = Msg((_DONE, 1))
 
     def init(self, ctx):
         # A node with a smaller-id neighbor can never lead, so it never
         # announces itself: it holds that status as already sent. Its
         # certificate stays incomplete while it leads itself, since that
         # neighbor never reports it.
-        silent = min(ctx.neighbors, default=ctx.node) < ctx.node
+        silent = ctx.node not in self.minima
         return {
             "lead": ctx.node,
             "parent": ctx.node,  # own id encodes "no parent"
@@ -125,7 +130,6 @@ class LeaderBfsProgram(NodeProgram):
                 blocking.discard(u)
 
     def step(self, ctx, st, inbox, rnd, rng):
-        idw = self.idw
         nbr = st["nbr"]
         done_received = False
         senders = []
@@ -139,30 +143,26 @@ class LeaderBfsProgram(NodeProgram):
 
         self._update(ctx, st, senders)
         complete = not st["blocking"]
-        out = {}
-
         if done_received or (st["lead"] == ctx.node and complete):
             lead = st["lead"]
             children = [u for u, (lu, child, _cu) in nbr.items() if child and lu == lead]
             st["children"] = tuple(sorted(children))
-            done = Msg((_DONE, 1))
-            for c in children:
-                out[c] = done
-            return st, out, True
+            return st, dict.fromkeys(children, self.done), True
 
         # The parent changes only with the leader.
+        out = {}
         status = (st["lead"], st["parent"], int(complete))
         if status != st["sent"]:
             sent, st["sent"] = st["sent"], status
             # Only the parent needs the certificate bit; the other statuses
             # leave it out, one bit fewer each.
-            full = Msg((_STATUS, 1), (status[0], idw), (1, 1), (status[2], 1))
+            full = self.status_msg(status[0], 1, status[2])
             if sent is not None and sent[:2] == status[:2]:
                 # Only the certificate bit changed: the other neighbors
                 # already hold this exact short status.
                 out[st["parent"]] = full
                 return st, out, False, None
-            short = Msg((_STATUS, 1), (status[0], idw), (0, 1))
+            short = self.status_msg(status[0], 0)
             for u in ctx.neighbors:
                 out[u] = full if u == st["parent"] else short
         return st, out, False, None
@@ -178,7 +178,7 @@ def elect_leader_and_bfs(graph: BipartiteGraph) -> tuple[Forest, RoundStats]:
     The program reads only node ids and graph neighbors and draws no
     randomness, so the forest depends on the graph alone: a pipeline elects
     once and passes the forest to every phase, whatever view it works on."""
-    minima = [v for v, adj in graph.adjacency.items() if min(adj, default=v) >= v]
+    minima = {v for v, adj in graph.adjacency.items() if min(adj, default=v) >= v}
     return run(LeaderBfsProgram(minima), graph, phase="elect-bfs")
 
 
@@ -359,7 +359,8 @@ class AltBfsProgram(NodeProgram):
         self.limit = depth_limit
         self.partner = partner = matching.partner
         side, ctxs = view.base.side, view.contexts
-        self.roots = [v for v in view.in_nodes if side[v] == SIDE_A and v not in partner]
+        roots = (v for v in view.in_nodes if side[v] == SIDE_A and v not in partner)
+        self.roots = dict.fromkeys(roots)  # level 0, in view order and as a set for `init`
         self.start = [v for v in self.roots if depth_limit > 0 and ctxs[v].view_neighbors]
 
     def setup(self, n, bandwidth):
@@ -371,7 +372,7 @@ class AltBfsProgram(NodeProgram):
 
     def init(self, ctx):
         partner = self.partner.get(ctx.node)
-        level = 0 if ctx.in_view and ctx.side == SIDE_A and partner is None else None
+        level = 0 if ctx.node in self.roots else None
         return {"partner": partner, "level": level, "x": int(level == 0), "preds": ()}
 
     def step(self, ctx, st, inbox, rnd, rng):

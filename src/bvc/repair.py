@@ -118,10 +118,7 @@ def view_max_degree_aggregate(
 ) -> tuple[int, RoundStats]:
     """All nodes learn the maximum in-view degree via a pipelined max. A
     degree is at most n - 1, so it fits in id_bits(n) bits."""
-    values = {
-        v: (view.view_degree(v) if view.contains_node(v) else 0,)
-        for v in graph.node_ids
-    }
+    values = {v: (view.view_degree(v),) for v in graph.node_ids}
     maxes, stats = pipelined_aggregate(
         graph,
         forest,

@@ -47,9 +47,7 @@ def induced(base, nodes) -> SubgraphView:
     """The view of `base` induced by `nodes`: those nodes and every edge
     between two of them."""
     keep = set(nodes)
-    node_in = {v: v in keep for v in base.node_ids}
-    edge_in = {e: e[0] in keep and e[1] in keep for e in base.edges}
-    return SubgraphView(base, node_in, edge_in)
+    return SubgraphView(base, keep, [e for e in base.edges if e[0] in keep and e[1] in keep])
 
 
 def max_view_degree(view: SubgraphView) -> int:

@@ -229,7 +229,7 @@ TREE_INSTANCES = [
 
 
 @pytest.mark.parametrize("g, assignment", TREE_INSTANCES)
-def test_tree_build_takes_2_rounds(g, assignment):
+def test_tree_build_takes_3_rounds(g, assignment):
     """With the parents known, the build takes 3 rounds whatever the
     deepest region depth is, 1 on an edgeless graph: the origins each node
     owes its neighbours, then the member flags, then the attachment. With
@@ -428,12 +428,7 @@ def test_cluster_optima_are_disjoint_lower_bounds():
                 elif v in nodes and members.get(u) is None:
                     edges.add(edge_key(u, v))
                     nodes.add(u)
-            sub_view = SubgraphView(
-                g,
-                {v: v in nodes for v in g.node_ids},
-                {e: e in edges for e in g.edges},
-            )
-            sum_opt += oracle.min_vc_oracle(sub_view).size
+            sum_opt += oracle.min_vc_oracle(SubgraphView(g, nodes, edges)).size
         opt = oracle.min_vc_oracle(SubgraphView.whole(g)).size
         assert sum_opt <= opt
 

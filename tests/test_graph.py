@@ -1,6 +1,8 @@
 import re
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bvc.errors import DuplicateEdge, InvalidParam, OddCycle
 from bvc.graph import (
@@ -18,7 +20,7 @@ from bvc.graph import (
     read_graph,
     write_graph,
 )
-from support import components, induced, max_view_degree
+from support import components, graphs, induced, max_view_degree
 
 
 def test_single_edge_sides():
@@ -54,7 +56,7 @@ def test_self_loop_rejected():
     [
         (lambda: build_graph([(-1, 0)]), "non-negative"),
         (
-            lambda: SubgraphView(gen_path(2), {0: True, 1: False}, {(0, 1): True}),
+            lambda: SubgraphView(gen_path(2), [0], [(0, 1)]),
             "edge (0,1) in view but an endpoint is not",
         ),
         (lambda: gen_path(0), "path needs n > 0"),
@@ -173,6 +175,68 @@ def test_view_restriction():
     assert sub.contains_edge(3, 4)
     assert sub.view_degree(1) == 1
     assert max_view_degree(sub) == 1
+
+
+@st.composite
+def named_sets(draw):
+    """A graph, a node set of it, an edge set between those nodes (all of
+    them, which makes the induced view, or a drawn part) and batches of
+    nodes to remove one after another."""
+    g = draw(graphs())
+    nodes = draw(st.sets(st.sampled_from(g.node_ids)))
+    between = [e for e in g.edges if e[0] in nodes and e[1] in nodes]
+    kept = draw(st.lists(st.booleans(), min_size=len(between), max_size=len(between)))
+    induced_view = draw(st.booleans())
+    edges = {e for e, keep in zip(between, kept) if keep or induced_view}
+    batches = draw(st.lists(st.sets(st.sampled_from(g.node_ids)), max_size=3))
+    return g, nodes, edges, batches
+
+
+@given(named_sets())
+@settings(max_examples=75, derandomize=True, deadline=None, database=None)
+def test_view_is_the_node_and_edge_sets_it_names(case):
+    """Every query of a view, and of its contexts, answers from the node
+    and edge sets it was given, in whatever order they came; a chain of
+    without_nodes leaves the sets minus the removed nodes; and a stray or
+    repeated node or edge is refused."""
+    g, nodes, edges, batches = case
+    view = SubgraphView(g, sorted(nodes, reverse=True), list(edges))
+    assert view.in_nodes == tuple(sorted(nodes)) and view.in_edges == tuple(sorted(edges))
+    assert (view.contexts is g.contexts) == (len(nodes) == g.n and len(edges) == g.m)
+    for v in g.node_ids:
+        nbrs = tuple(u for u in g.adjacency[v] if (min(u, v), max(u, v)) in edges)
+        assert view.contains_node(v) == (v in nodes)
+        assert tuple(view.view_neighbors(v)) == nbrs and view.view_degree(v) == len(nbrs)
+        assert view.contexts[v].in_view == (v in nodes) and view.contexts[v].view_neighbors == nbrs
+    for u, v in g.edges:
+        assert view.contains_edge(u, v) == view.contains_edge(v, u) == ((u, v) in edges)
+    whole = SubgraphView.whole(g)
+    assert (whole.in_nodes, whole.in_edges) == (g.node_ids, g.edges)
+    assert whole.contexts is g.contexts
+
+    left, left_edges = set(nodes), set(edges)
+    for batch in batches:
+        view, whole = view.without_nodes(batch), whole.without_nodes(batch)
+        left -= batch
+        left_edges = {e for e in left_edges if e[0] in left and e[1] in left}
+    assert view.in_nodes == tuple(sorted(left)) and view.in_edges == tuple(sorted(left_edges))
+    rest = set(g.node_ids).difference(*batches)
+    expected = [e for e in g.edges if e[0] in rest and e[1] in rest]
+    assert (whole.in_nodes, whole.in_edges) == (tuple(sorted(rest)), tuple(expected))
+    sub = induced(g, rest)
+    assert (whole.in_nodes, whole.in_edges) == (sub.in_nodes, sub.in_edges)
+
+    outside = [e for e in g.edges if e[0] not in nodes or e[1] not in nodes]
+    non_edges = [(u, v) for u in nodes for v in nodes if u < v and v not in g.adjacency[u]]
+    flipped = [(v, u) for u, v in edges]
+    strays = [(nodes | {g.n}, edges)]
+    for wrong in (outside, non_edges, flipped):
+        strays += [(nodes, edges | {e}) for e in wrong[:1]]
+    strays += [(list(nodes) * 2, edges)] if nodes else []
+    strays += [(nodes, list(edges) * 2)] if edges else []
+    for stray_nodes, stray_edges in strays:
+        with pytest.raises(InvalidParam):
+            SubgraphView(g, stray_nodes, stray_edges)
 
 
 def test_whole_view_is_shared_and_topology_matches_view():
