@@ -193,48 +193,61 @@ class SubgraphView:
     An edge is a (low, high) pair as in `base.edges`. A node or edge named
     twice or missing from the base, and an edge with an endpoint outside
     the view, raise InvalidParam. Views are immutable; derive new ones
-    with without_nodes(). `contexts` maps each base node to its
-    NodeContext in the view, which every run over the view reads; a view
-    of the whole graph shares the graph's.
+    with without_nodes(). It and whole() keep tuples already known to pass
+    those checks, so they skip them and cost O(the nodes and edges kept).
+    `contexts` maps each base node to its NodeContext in the view, which
+    every run over the view reads; a view of the whole graph shares the
+    graph's.
     """
 
     __slots__ = ("base", "in_nodes", "in_edges", "nodes", "edges", "contexts")
 
     def __init__(self, base: BipartiteGraph, nodes: Iterable[int], edges: Iterable[Edge]):
-        self.base = base
         # Sorting the caller's sequence, not a set, takes linear time on one
         # already in order.
-        self.in_nodes, self.in_edges = tuple(sorted(nodes)), tuple(sorted(edges))
-        self.nodes = nodes = frozenset(self.in_nodes)
-        self.edges = frozenset(self.in_edges)
-        if len(nodes) < len(self.in_nodes) or len(self.edges) < len(self.in_edges):
+        in_nodes, in_edges = tuple(sorted(nodes)), tuple(sorted(edges))
+        nodes, edges = frozenset(in_nodes), frozenset(in_edges)
+        if len(nodes) < len(in_nodes) or len(edges) < len(in_edges):
             raise InvalidParam("a view names a node or an edge twice")
         adjacency = base.adjacency
         if not adjacency.keys() >= nodes:
             raise InvalidParam(f"node {min(nodes - adjacency.keys())} is not in the base graph")
         low = nbrs = None
-        for u, v in self.in_edges:
+        for u, v in in_edges:
             if u not in nodes or v not in nodes:
                 raise InvalidParam(f"edge ({u},{v}) in view but an endpoint is not")
             if u != low:  # one pass over a low end's sorted neighbors finds all its edges
                 low, nbrs = u, iter(adjacency[u])
             if not u < v or v not in nbrs:
                 raise InvalidParam(f"({u},{v}) is not an edge of the base graph")
-        if len(self.in_nodes) == base.n and len(self.in_edges) == base.m:
+        self._fill(base, in_nodes, in_edges, nodes, edges)
+
+    def _fill(self, base, in_nodes, in_edges, nodes, edges) -> None:
+        self.base, self.in_nodes, self.in_edges = base, in_nodes, in_edges
+        self.nodes, self.edges = nodes, edges
+        if len(in_nodes) == base.n and len(in_edges) == base.m:
             self.contexts = base.contexts
         else:
-            edges = self.edges if len(self.in_edges) < base.m else None
-            self.contexts = NodeContexts(base.side, adjacency, nodes, edges)
+            partial = edges if len(in_edges) < base.m else None
+            self.contexts = NodeContexts(base.side, base.adjacency, nodes, partial)
+
+    @classmethod
+    def _unchecked(cls, base: BipartiteGraph, in_nodes: tuple, in_edges: tuple) -> "SubgraphView":
+        """A view of sorted tuples already known to pass the constructor's checks."""
+        view = cls.__new__(cls)
+        view._fill(base, in_nodes, in_edges, frozenset(in_nodes), frozenset(in_edges))
+        return view
 
     @classmethod
     def whole(cls, base: BipartiteGraph) -> "SubgraphView":
         """The view of everything."""
-        return cls(base, base.node_ids, base.edges)
+        return cls._unchecked(base, base.node_ids, base.edges)
 
     def without_nodes(self, removed: Iterable[int]) -> "SubgraphView":
         gone = set(removed)
-        edges = [e for e in self.in_edges if e[0] not in gone and e[1] not in gone]
-        return SubgraphView(self.base, [v for v in self.in_nodes if v not in gone], edges)
+        nodes = tuple(v for v in self.in_nodes if v not in gone)
+        edges = tuple(e for e in self.in_edges if e[0] not in gone and e[1] not in gone)
+        return self._unchecked(self.base, nodes, edges)
 
     def contains_node(self, v: int) -> bool:
         return v in self.nodes

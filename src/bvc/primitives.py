@@ -23,6 +23,7 @@ trees of the randomized pipeline.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Callable, Iterator
@@ -37,6 +38,18 @@ _DONE = 1
 
 # node -> (parent or None, children)
 Forest = dict[int, tuple[int | None, tuple[int, ...]]]
+
+
+class _Election:
+    """A node's election state; `parent` is its own id for none and `nbr`
+    each neighbor's last (leader, child flag, certificate bit)."""
+
+    __slots__ = ("lead", "parent", "nbr", "blocking", "sent")
+
+    def __init__(self, node, neighbors, silent):
+        self.lead = self.parent = node
+        self.nbr, self.blocking = {}, set(neighbors)
+        self.sent = (node, node, 0) if silent else None
 
 
 class LeaderBfsProgram(NodeProgram):
@@ -84,91 +97,64 @@ class LeaderBfsProgram(NodeProgram):
         self.done = Msg((_DONE, 1))
 
     def init(self, ctx):
-        # A node with a smaller-id neighbor can never lead, so it never
-        # announces itself: it holds that status as already sent. Its
-        # certificate stays incomplete while it leads itself, since that
-        # neighbor never reports it.
-        silent = ctx.node not in self.minima
-        return {
-            "lead": ctx.node,
-            "parent": ctx.node,  # own id encodes "no parent"
-            "nbr": {},
-            # The neighbors that keep this node's certificate incomplete.
-            "blocking": set(ctx.neighbors),
-            "sent": (ctx.node, ctx.node, 0) if silent else None,
-            "children": (),
-        }
+        # A node with a smaller-id neighbor holds its own status as already
+        # sent; its certificate stays incomplete while it leads itself.
+        return _Election(ctx.node, ctx.neighbors, ctx.node not in self.minima)
 
-    @staticmethod
-    def _blocks(st, u):
-        """Whether neighbor u has not yet reported this node's leader, or
-        is a child whose certificate is incomplete."""
-        entry = st["nbr"].get(u)
-        if entry is None:
-            return True
-        lu, child, cu = entry
-        return lu != st["lead"] or (child and not cu)
-
-    def _update(self, ctx, st, senders):
-        """Fold in the statuses the senders just sent. After every step no
-        neighbor names a smaller leader than this node holds, so a smaller
-        one comes from a sender; and only the senders' standing changes
-        unless this node's leader does."""
-        nbr = st["nbr"]
-        if senders:
-            # Every sender naming the smallest leader is one hop closer to
-            # it; the parent is the smallest id among them.
-            lead, parent = min((nbr[u][0], u) for u in senders)
-            if lead < st["lead"]:
-                st["lead"], st["parent"] = lead, parent
-                senders = ctx.neighbors
-        blocking = st["blocking"]
-        for u in senders:
-            if self._blocks(st, u):
+    def step(self, ctx, st, inbox, rnd, rng):
+        # A smaller leader comes only from a sender, and only the senders'
+        # standing changes unless the leader does. A neighbor blocks the
+        # certificate until it reports this node's leader, and a child also
+        # until its own certificate is complete.
+        nbr, blocking, lead = st.nbr, st.blocking, st.lead
+        new_lead = lead
+        done_received = False
+        for u, msg in inbox.items():  # in sender order
+            vals = msg.values
+            if vals[0] == _DONE:
+                done_received = True
+                continue
+            lu, child = vals[1], vals[2]
+            cert = vals[3] if len(vals) == 4 else 0
+            nbr[u] = lu, child, cert
+            if lu < new_lead:
+                # Every sender naming the smallest leader is one hop closer
+                # to it; the parent is the smallest id among them.
+                new_lead, st.parent = lu, u
+            elif lu != lead or (child and not cert):
                 blocking.add(u)
             else:
                 blocking.discard(u)
+        if new_lead < lead:
+            st.lead = lead = new_lead
+            st.blocking = blocking = set(ctx.neighbors)
+            for u, (lu, child, cert) in nbr.items():
+                if lu == lead and (cert or not child):
+                    blocking.discard(u)
 
-    def step(self, ctx, st, inbox, rnd, rng):
-        nbr = st["nbr"]
-        done_received = False
-        senders = []
-        for u, msg in inbox.items():
-            vals = msg.values
-            if vals[0] == _STATUS:
-                nbr[u] = (vals[1], vals[2], vals[3] if len(vals) == 4 else 0)
-                senders.append(u)
-            else:
-                done_received = True
-
-        self._update(ctx, st, senders)
-        complete = not st["blocking"]
-        if done_received or (st["lead"] == ctx.node and complete):
-            lead = st["lead"]
+        complete = not blocking
+        if done_received or (lead == ctx.node and complete):
             children = [u for u, (lu, child, _cu) in nbr.items() if child and lu == lead]
-            st["children"] = tuple(sorted(children))
-            return st, dict.fromkeys(children, self.done), True
+            # The final state is the node's forest entry, its output.
+            entry = None if st.parent == ctx.node else st.parent, tuple(sorted(children))
+            return entry, dict.fromkeys(children, self.done), True
 
         # The parent changes only with the leader.
-        out = {}
-        status = (st["lead"], st["parent"], int(complete))
-        if status != st["sent"]:
-            sent, st["sent"] = st["sent"], status
-            # Only the parent needs the certificate bit; the other statuses
-            # leave it out, one bit fewer each.
-            full = self.status_msg(status[0], 1, status[2])
-            if sent is not None and sent[:2] == status[:2]:
-                # Only the certificate bit changed: the other neighbors
-                # already hold this exact short status.
-                out[st["parent"]] = full
-                return st, out, False, None
-            short = self.status_msg(status[0], 0)
-            for u in ctx.neighbors:
-                out[u] = full if u == st["parent"] else short
+        status = (lead, st.parent, int(complete))
+        if status == st.sent:
+            return st, {}, False, None
+        sent, st.sent = st.sent, status
+        # Only the parent needs the certificate bit; the other statuses
+        # leave it out, one bit fewer each.
+        full = self.status_msg(lead, 1, status[2])
+        if sent is not None and sent[:2] == status[:2]:
+            # Only the certificate bit changed: the other neighbors already
+            # hold this exact short status.
+            return st, {st.parent: full}, False, None
+        out = dict.fromkeys(ctx.neighbors, self.status_msg(lead, 0))
+        if st.parent != ctx.node:
+            out[st.parent] = full
         return st, out, False, None
-
-    def output(self, ctx, st):
-        return None if st["parent"] == ctx.node else st["parent"], st["children"]
 
 
 def elect_leader_and_bfs(graph: BipartiteGraph) -> tuple[Forest, RoundStats]:
@@ -186,11 +172,7 @@ def elect_leader_and_bfs(graph: BipartiteGraph) -> tuple[Forest, RoundStats]:
 # Pipelined aggregation over a tree
 # ---------------------------------------------------------------------------
 
-_COMBINERS = {
-    "sum": lambda a, b: a + b,
-    "min": min,
-    "max": max,
-}
+_COMBINERS = {"sum": operator.add, "min": min, "max": max}
 
 
 class AggregateProgram(NodeProgram):
@@ -216,9 +198,11 @@ class AggregateProgram(NodeProgram):
     def __init__(self, forest, values, combine, value_width, answer=None, answer_width=None):
         k = len(next(iter(values.values()), ()))
         if combine not in _COMBINERS:
-            raise ValueError(f"unknown combine {combine!r}")
+            raise InvalidParam(f"unknown combine {combine!r}")
         if answer is None and k > 1:
             raise InvalidParam("an aggregate of k > 1 values needs an answer")
+        if any(len(held) != k for held in values.values()):
+            raise InvalidParam(f"every node must hold exactly k = {k} values")
         self.forest, self.values = forest, values
         self.start = [v for v, (_, children) in forest.items() if not children]
         self.k = k
@@ -228,42 +212,39 @@ class AggregateProgram(NodeProgram):
         self.aw = value_width if answer_width is None else answer_width
 
     def init(self, ctx):
-        parent, children = self.forest[ctx.node]
-        values = self.values[ctx.node]
-        if len(values) != self.k:
-            raise ValueError("every node must hold exactly k values")
+        children = self.forest[ctx.node][1]
         return {
-            "parent": parent,
-            "children": children,
-            "partial": list(values),
+            "partial": list(self.values[ctx.node]),
             "heard": dict.fromkeys(children, 0),  # values received per child
+            "missing": [len(children)] * self.k,  # per value, the children yet to send it
             "sent": 0,  # values sent up
         }
 
     def step(self, ctx, st, inbox, rnd, rng):
-        parent, partial, heard = st["parent"], st["partial"], st["heard"]
+        parent, children = self.forest[ctx.node]
+        partial, missing, k = st["partial"], st["missing"], self.k
         msg = inbox.get(parent)  # a parent sends only the answer
         if msg is None:
+            heard = st["heard"]
             for u, value in inbox.items():
                 j = heard[u]
                 heard[u] = j + 1
                 partial[j] = self.fn(partial[j], value.values[0])
-            ready = min(heard.values(), default=self.k)
+                missing[j] -= 1
+            # Each child sends its values in order, so once no child owes
+            # value j, none owes an earlier one either; the last is complete last.
             if parent is not None:
                 j, out = st["sent"], {}
-                if j < ready:
+                if j < k and not missing[j]:
                     out[parent] = Msg((partial[j], self.vw))
                     st["sent"] = j = j + 1
                 # A value already complete goes out next step; otherwise wait for mail.
-                return st, out, False, rnd + 1 if j < ready else None
-            if ready < self.k:
+                return st, out, False, rnd + 1 if j < k and not missing[j] else None
+            if k and missing[-1]:
                 return st, {}, False, None
             msg = Msg((self.answer(partial), self.aw))
-        st["answer"] = msg.values[0]
-        return st, dict.fromkeys(st["children"], msg), True
-
-    def output(self, ctx, st):
-        return st["answer"]
+        # The final state is the answer, the node's output.
+        return msg.values[0], dict.fromkeys(children, msg), True
 
 
 def pipelined_aggregate(

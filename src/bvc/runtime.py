@@ -7,10 +7,12 @@ transmitted. B is the graph's own `bandwidth`, set once per network (see
 BipartiteGraph.with_bandwidth), never per run. Identical (program, graph,
 view, seed) inputs give bit-identical outputs and statistics.
 
-Randomness is per node and per round, derived from the run's seed. Only
-programs that draw need a seed: a run is unseeded by default, and a draw
-in an unseeded run raises ProgramFault, so a deterministic phase is
-draw-free by check, not by convention.
+Randomness is per node and per round: a step draws from
+random.Random(derive_seed(seed, node, round)), built at the step's first
+draw, so a step that draws nothing builds no generator. Only programs that
+draw need a seed: a run is unseeded by default, and a draw in an unseeded
+run raises ProgramFault, so a deterministic phase is draw-free by check,
+not by convention.
 
 Nodes may sleep: a step may return a fourth element `wake_at` (a future
 round, or None for "wake only on message"). A sleeping node is woken early
@@ -67,16 +69,17 @@ def derive_seed(seed: int, *parts: int) -> int:
 
 
 class _LazyRng:
-    """The random stream of the node being stepped, keyed by (seed, node,
-    round). The engine re-arms one instance before every step by storing
-    the node and round and clearing the stream; the stream itself is
-    derived only when the step first draws, since most draw nothing. Valid
-    only during that step. Without a seed, a draw raises ProgramFault."""
+    """The random stream of the node being stepped (see the module
+    docstring). The engine re-arms this one instance before every step by
+    storing the node and round and clearing `_rng`; most steps draw nothing.
+    The run's splitmix(seed) is computed once, so a step's first draw costs
+    four splitmix calls and one new generator. Valid only during that step.
+    Without a seed, a draw raises ProgramFault."""
 
     __slots__ = ("_seed", "_node", "_rnd", "_rng")
 
     def __init__(self, seed: int | None):
-        self._seed = seed
+        self._seed = None if seed is None else _splitmix(seed)
         self._node = self._rnd = 0
         self._rng = None
 
@@ -86,7 +89,9 @@ class _LazyRng:
                 f"node {self._node} drew randomness in round {self._rnd} of an unseeded run"
             )
         if self._rng is None:
-            self._rng = random.Random(derive_seed(self._seed, self._node, self._rnd))
+            # derive_seed(seed, node, round), from the run's splitmix(seed)
+            node_key = _splitmix(self._seed ^ _splitmix(self._node))
+            self._rng = random.Random(_splitmix(node_key ^ _splitmix(self._rnd)))
         return getattr(self._rng, name)
 
 

@@ -176,6 +176,28 @@ def test_aggregate_star_three_values():
         pipelined_aggregate(g, forest, values, combine="sum", value_width=4, phase="aggregate")
 
 
+def test_aggregate_rejects_an_unknown_combine():
+    """A bad argument is the caller's error, a BvcError, not a fault of
+    the program."""
+    g = gen_path(3)
+    forest, _ = elect_leader_and_bfs(g)
+    values = {v: (1,) for v in g.node_ids}
+    with pytest.raises(InvalidParam, match="unknown combine 'avg'"):
+        pipelined_aggregate(g, forest, values, combine="avg", value_width=4, phase="aggregate")
+
+
+@pytest.mark.parametrize("held", [(), (1, 2)])
+def test_aggregate_rejects_a_node_without_k_values(held):
+    """Every node must hold as many values as the first; a node with fewer
+    or more is caught before any node steps, not as a fault at its init."""
+    g = gen_path(4)
+    forest, _ = elect_leader_and_bfs(g)
+    values = {v: (1,) for v in g.node_ids}
+    values[2] = held
+    with pytest.raises(InvalidParam, match=r"exactly k = 1 values"):
+        pipelined_aggregate(g, forest, values, combine="sum", value_width=4, phase="aggregate")
+
+
 def test_aggregate_min_idempotent():
     g = gen_path(6)
     forest, _ = elect_leader_and_bfs(g)

@@ -130,11 +130,11 @@ def test_election_builds_the_min_id_bfs_forest_in_one_frame(g):
     adopted = {}  # node -> (round, leader) of its last change of leader or parent
 
     def step(self, ctx, st, inbox, rnd, rng):
-        old = st["lead"], st["parent"]
+        old = st.lead, st.parent
         result = real(self, ctx, st, inbox, rnd, rng)
-        if (st["lead"], st["parent"]) != old:
-            assert st["lead"] < old[0], f"node {ctx.node} went from {old[0]} to {st['lead']}"
-            adopted[ctx.node] = rnd, st["lead"]
+        if (st.lead, st.parent) != old:
+            assert st.lead < old[0], f"node {ctx.node} went from {old[0]} to {st.lead}"
+            adopted[ctx.node] = rnd, st.lead
         return result
 
     runs = []

@@ -188,6 +188,51 @@ def test_unseeded_draw_faults():
     assert all(len(draws) == 3 for draws in outputs.values())
 
 
+class DrawsAt(NodeProgram):
+    """Every node steps in rounds 1-4; in round r node v draws
+    plan[(v, r)] numbers, in no other step, and keeps them by round."""
+
+    def __init__(self, plan):
+        self.plan = plan
+
+    def init(self, ctx):
+        return {}
+
+    def step(self, ctx, state, inbox, rnd, rng):
+        draws = self.plan.get((ctx.node, rnd), 0)
+        if draws:
+            state[rnd] = [rng.random() for _ in range(draws)]
+        return state, {}, rnd >= 4
+
+
+def test_only_steps_that_draw_seed_a_generator(monkeypatch):
+    """Of 24 steps, 5 draw, two of them twice: the run seeds a generator
+    exactly 5 times, and each step's draws are the first ones of
+    random.Random(derive_seed(seed, v, r)). A run with another seed on
+    the same graph draws that seed's streams."""
+    g = gen_path(6)
+    plan = {(0, 1): 1, (2, 1): 2, (2, 3): 1, (5, 2): 2, (3, 4): 1}
+    real_seed = random.Random.seed
+    seedings = []
+
+    def counting_seed(self, *args, **kwargs):
+        seedings.append(args)
+        return real_seed(self, *args, **kwargs)
+
+    for seed in (7, 8):
+        expected = {v: {} for v in g.node_ids}
+        for (v, r), draws in plan.items():
+            stream = random.Random(derive_seed(seed, v, r))
+            expected[v][r] = [stream.random() for _ in range(draws)]
+        seedings.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(random.Random, "seed", counting_seed)
+            outputs, stats = run(DrawsAt(plan), g, seed=seed)
+        assert stats.rounds == 4
+        assert len(seedings) == len(plan)
+        assert outputs == expected
+
+
 def test_round_cap(monkeypatch):
     monkeypatch.setattr(bvc.runtime, "ROUND_CAP", 10)
     g = build_graph([(0, 1)])
