@@ -87,8 +87,9 @@ class MpxPartitionProgram(NodeProgram):
     has since improved on is larger than u's best, which only makes the
     node send more.
 
-    Each node keeps the last candidate it heard from every neighbor and
-    outputs (origin, parent, stale): the parent is the smallest-id neighbor
+    Each node keeps the last candidate it heard from every neighbor, and
+    `mpx_partition` reads (origin, parent, stale) off its final state: the
+    origin is its best's, the parent is the smallest-id neighbor
     whose last candidate equals the node's final best, None at an origin
     (whose neighbors all offer more than its own key). This is the BFS
     parent in the origin region:
@@ -160,12 +161,6 @@ class MpxPartitionProgram(NodeProgram):
                     told[u] = best[1]
         return st, out, False, None
 
-    def output(self, ctx, st):
-        best = st["best"]
-        parent = min((u for u, c in st["heard"].items() if c == best), default=None)
-        stale = tuple(u for u, o in st["told"].items() if o != best[1] and u != parent)
-        return best[1], parent, stale
-
 
 def mpx_partition(
     graph: BipartiteGraph,
@@ -184,10 +179,13 @@ def mpx_partition(
         raise InvalidParam("lam must be in (0, 1]")
     n = max(graph.n, 2)
     program = MpxPartitionProgram(lam / 4.0, n, n)
-    outputs, stats = run(program, graph, seed=seed, allow_quiescence=True, phase="mpx")
-    assignment = {v: origin for v, (origin, _, _) in outputs.items()}
-    parent = {v: p for v, (_, p, _) in outputs.items()}
-    stale = {v: s for v, (_, _, s) in outputs.items()}
+    states, stats = run(program, graph, seed=seed, allow_quiescence=True, phase="mpx")
+    assignment, parent, stale = {}, {}, {}
+    for v, st in states.items():
+        best = st["best"]
+        assignment[v] = best[1]
+        parent[v] = p = min((u for u, c in st["heard"].items() if c == best), default=None)
+        stale[v] = tuple(u for u, o in st["told"].items() if o != best[1] and u != p)
     return assignment, parent, stale, stats
 
 
@@ -258,12 +256,12 @@ class TreeBuildProgram(NodeProgram):
             parent = cs.parent[v]
             if parent is not None:
                 out[parent] = Msg((_CHILD, 1))
-            return st, out, not ctx.neighbors
+            return st, out, not ctx.neighbors, 2
         if rnd == 2:
             children = tuple(u for u, msg in inbox.items() if msg.values[0] == _CHILD)
             out = dict.fromkeys(ctx.neighbors, Msg((1, 1))) if member else {}
-            return (children, False), out, False
-        return (st[0], not member and bool(inbox)), {}, True
+            return (children, False), out, False, 3
+        return (st[0], not member and bool(inbox)), {}, True, None
 
 
 def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> RoundStats:
@@ -274,11 +272,11 @@ def build_cluster_trees(graph: BipartiteGraph, cluster_set: ClusterSet) -> Round
     Raises ProgramFault ("separation violated") if a member has a neighbor
     outside its origin region."""
     members, parent, origin = cluster_set.members, cluster_set.parent, cluster_set.origin
-    outputs, stats = run(TreeBuildProgram(cluster_set), graph, phase="cluster-trees")
+    states, stats = run(TreeBuildProgram(cluster_set), graph, phase="cluster-trees")
     # Only clusters with surviving members keep their trees.
     live = set(members.values())
     forest = cluster_set.forest
-    for v, (children, attached) in outputs.items():
+    for v, (children, attached) in states.items():
         if origin[v] in live:
             forest[v] = parent[v], children
         if attached:

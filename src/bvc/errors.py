@@ -22,7 +22,7 @@ class RoundCapExceeded(BvcError):
 
 
 class ProgramFault(BvcError):
-    """A node program raised during init/step/output."""
+    """A node program failed in setup/init/step, or its results broke an invariant."""
 
 
 class ShorterPathExists(BvcError):

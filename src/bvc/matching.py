@@ -63,9 +63,9 @@ class PathSelectProgram(NodeProgram):
 
     Each node reads its partner in `partner`, its level and predecessors
     in `layering`, and whether it is one of the `initiators`, which start.
-    Output: the node's partner after the flip, `chain_up` for a locked
-    node at an even level, `chain_down` at an odd one, the old partner
-    otherwise; a node that never acts keeps its old partner.
+    A node's partner after the flip is read off its final state:
+    `chain_up` for a consumed node at an even level, `chain_down` at an
+    odd one; every other node, also one that never acts, keeps its old one.
     Messages carry a 2-bit tag (gone, token or lock). Deterministic mode
     uses the initiator id as the priority and the minimum-id predecessor;
     its tokens carry no priority field.
@@ -201,11 +201,6 @@ class PathSelectProgram(NodeProgram):
 
         return st, out, False, next_launch
 
-    def output(self, ctx, st):
-        if not st["consumed"]:
-            return self.partner.get(ctx.node)
-        return st["chain_up"] if st["level"] % 2 == 0 else st["chain_down"]
-
 
 def select_disjoint_paths(
     graph: BipartiteGraph,
@@ -233,13 +228,13 @@ def select_disjoint_paths(
     if not initiators:
         return matching, [], RoundStats(per_phase=[(phase, 0)])
     program = PathSelectProgram(d, seed is None, matching.partner, layering, initiators)
-    outputs, stats = run(program, graph, view, seed=seed, allow_quiescence=True, phase=phase)
-    # A node without an output kept its old partner.
-    partner = {**matching.partner, **outputs}
+    states, stats = run(program, graph, view, seed=seed, allow_quiescence=True, phase=phase)
+    partner = dict(matching.partner)
+    for v, st in states.items():
+        if st["consumed"]:
+            partner[v] = st["chain_up"] if st["level"] % 2 == 0 else st["chain_down"]
     edges = []
     for v, p in partner.items():
-        if p is None:
-            continue
         if partner.get(p) != v:
             raise ProgramFault(f"inconsistent partner outputs at ({v},{p})")
         if v < p:
@@ -247,7 +242,7 @@ def select_disjoint_paths(
     flipped = Matching(edges, view)
     paths = []
     # A newly matched node was locked, so it acted.
-    for v in outputs:
+    for v in states:
         if graph.side[v] == SIDE_A and flipped.is_matched(v) and not matching.is_matched(v):
             path = [v]
             while len(path) <= d:

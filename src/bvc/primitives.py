@@ -55,8 +55,8 @@ class _Election:
 class LeaderBfsProgram(NodeProgram):
     """Min-id leader election with BFS tree, echo termination, and a final
     DONE broadcast down the tree. Each node learns its children from the
-    child flag in its neighbors' statuses, and outputs its forest entry
-    (parent or None, children).
+    child flag in its neighbors' statuses, and ends holding its forest
+    entry (parent or None, children).
 
     A node with a smaller-id neighbor never announces itself: it cannot be
     its component's minimum, so it cannot lead, and it sleeps until it
@@ -135,9 +135,9 @@ class LeaderBfsProgram(NodeProgram):
         complete = not blocking
         if done_received or (lead == ctx.node and complete):
             children = [u for u, (lu, child, _cu) in nbr.items() if child and lu == lead]
-            # The final state is the node's forest entry, its output.
+            # The final state is the node's forest entry, its result.
             entry = None if st.parent == ctx.node else st.parent, tuple(sorted(children))
-            return entry, dict.fromkeys(children, self.done), True
+            return entry, dict.fromkeys(children, self.done), True, None
 
         # The parent changes only with the leader.
         status = (lead, st.parent, int(complete))
@@ -211,6 +211,11 @@ class AggregateProgram(NodeProgram):
         self.answer = answer or (lambda totals: totals[0])
         self.aw = value_width if answer_width is None else answer_width
 
+    def setup(self, n, bandwidth):
+        # Each distinct value's message, built once per run, not once per send.
+        vw = self.vw
+        self.value_msg = cache(lambda value: Msg((value, vw)))
+
     def init(self, ctx):
         children = self.forest[ctx.node][1]
         return {
@@ -236,15 +241,15 @@ class AggregateProgram(NodeProgram):
             if parent is not None:
                 j, out = st["sent"], {}
                 if j < k and not missing[j]:
-                    out[parent] = Msg((partial[j], self.vw))
+                    out[parent] = self.value_msg(partial[j])
                     st["sent"] = j = j + 1
                 # A value already complete goes out next step; otherwise wait for mail.
                 return st, out, False, rnd + 1 if j < k and not missing[j] else None
             if k and missing[-1]:
                 return st, {}, False, None
             msg = Msg((self.answer(partial), self.aw))
-        # The final state is the answer, the node's output.
-        return msg.values[0], dict.fromkeys(children, msg), True
+        # The final state is the answer, the node's result.
+        return msg.values[0], dict.fromkeys(children, msg), True, None
 
 
 def pipelined_aggregate(
@@ -376,17 +381,14 @@ class AltBfsProgram(NodeProgram):
             for w in alternating_offers(ctx, st["partner"]):
                 out[w] = msg
 
-    def output(self, ctx, st):
-        return st["level"], st["preds"]
-
-    def layering(self, outputs: dict[int, tuple]) -> AlternatingLayering:
-        """The run's layering, read off its outputs: every root is at level
-        0, also one that never stepped and so has no output."""
+    def layering(self, states: dict[int, dict]) -> AlternatingLayering:
+        """The run's layering, read off its final states: every root is at
+        level 0, also one that never stepped and so has no state."""
         level = dict.fromkeys(self.roots, 0)
         preds = dict.fromkeys(self.roots, ())
-        for v, (lv, pr, *_) in outputs.items():
-            if lv is not None:
-                level[v], preds[v] = lv, pr
+        for v, st in states.items():
+            if st["level"] is not None:
+                level[v], preds[v] = st["level"], st["preds"]
         return AlternatingLayering(level, preds)
 
 
@@ -401,8 +403,8 @@ def alternating_bfs(
     """Distributed alternating BFS in depth_limit + 1 rounds; levels match
     the sequential oracle."""
     program = AltBfsProgram(depth_limit, matching, view)
-    outputs, stats = run(program, graph, view, phase=phase)
-    return program.layering(outputs), stats
+    states, stats = run(program, graph, view, phase=phase)
+    return program.layering(states), stats
 
 
 def witness_check(

@@ -72,7 +72,7 @@ class CountSweepProgram(AltBfsProgram):
     sum of what it receives, all by its own send round. Every suffix
     message arrives after round d*f + 1, so the round tells a levelled
     node which sweep a message belongs to. The run ends in round
-    2*d*f + 1, and every node outputs (level or None, predecessors, x*s).
+    2*d*f + 1; a node's count of paths through it is x*s.
 
     A message is the count alone, sent at the reserved width w whatever
     its value, as real hardware would have to reserve it."""
@@ -106,9 +106,6 @@ class CountSweepProgram(AltBfsProgram):
             for u in st["preds"]:
                 out[u] = msg
         return st, out, False, suffix_at if suffix_at > rnd else None
-
-    def output(self, ctx, st):
-        return st["level"], st["preds"], st["x"] * st["s"]
 
 
 def view_max_degree_aggregate(
@@ -151,11 +148,11 @@ def count_paths(
     if d <= 0 or d % 2 == 0:
         raise InvalidParam("d must be a positive odd integer")
     program = CountSweepProgram(d, delta, matching, view)
-    outputs, stats = run(program, graph, view, phase="count-sweeps")
-    layering = program.layering(outputs)
+    states, stats = run(program, graph, view, phase="count-sweeps")
+    layering = program.layering(states)
     layering.require_no_witness_below(view, matching, d)
     # A level-0 node that never stepped has no in-view neighbor: no path.
-    count = {v: outputs[v][2] if v in outputs else 0 for v in layering.level}
+    count = {v: states[v]["x"] * states[v]["s"] if v in states else 0 for v in layering.level}
     return PathCounts(layering.level, count), stats
 
 

@@ -5,7 +5,7 @@ directed edge carries at most one frame of at most B bits; larger messages
 are fragmented transparently and arrive once their last frame has been
 transmitted. B is the graph's own `bandwidth`, set once per network (see
 BipartiteGraph.with_bandwidth), never per run. Identical (program, graph,
-view, seed) inputs give bit-identical outputs and statistics.
+view, seed) inputs give bit-identical results and statistics.
 
 Randomness is per node and per round: a step draws from
 random.Random(derive_seed(seed, node, round)), built at the step's first
@@ -14,12 +14,13 @@ draw need a seed: a run is unseeded by default, and a draw in an unseeded
 run raises ProgramFault, so a deterministic phase is draw-free by check,
 not by convention.
 
-Nodes may sleep: a step may return a fourth element `wake_at` (a future
-round, or None for "wake only on message"). A sleeping node is woken early
-whenever a message arrives. A program may also step only some nodes in
-round 1 (`start`) and fix the run's last round (`end`), so that no node
-wakes only to halt. All this skips only steps the program declares to be
-no-ops, which draw nothing, so outputs and simulated costs are unaffected.
+A node's result is the state it holds when the run ends. Nodes may sleep:
+a step names the round it next wants, `wake_at` (rnd + 1 to step every
+round, None to sleep until mail arrives), and mail wakes a sleeper early. A
+program may also step only some nodes in round 1 (`start`) and fix the
+run's last round (`end`), so that no node wakes only to halt. All this
+skips only steps the program declares to be no-ops, which draw nothing, so
+results and simulated costs are unaffected.
 
 Host cost grows with the nodes that step, not with n: a graph and each view
 keep their nodes' contexts, per-node data comes from the program, and a
@@ -171,13 +172,13 @@ class NodeProgram:
         what depends only on n, the bandwidth and the program's arguments.
     init(ctx) -> state (default None), when the node first acts: in round
         1 if it starts, else when its first mail arrives. A node that never
-        acts has no state and no output; a driver that reads one states
+        acts has no state, hence no result; a driver that reads one states
         its default.
-    step(ctx, state, inbox, rnd, rng) -> (state, outbox, halted[, wake_at])
+    step(ctx, state, inbox, rnd, rng) -> (state, outbox, halted, wake_at)
         inbox: {sender: Msg} in sender order, read-only; outbox:
-        {neighbor: Msg}. wake_at None means sleep until a message arrives;
-        omitted means step every round. rng is valid only during the step.
-    output(ctx, state) -> per-node result
+        {neighbor: Msg}. wake_at: the next round to step, None to sleep
+        until a message arrives. rng is valid only during the step. The
+        state a node holds when the run ends is its result.
 
     start: None, every node steps in round 1, or the set of nodes that do;
     any other sleeps until mail arrives, so leave a node out only where its
@@ -199,9 +200,6 @@ class NodeProgram:
 
     def step(self, ctx, state, inbox, rnd, rng):
         raise NotImplementedError
-
-    def output(self, ctx, state):
-        return state
 
 
 def _send_fault(v: int, outbox: dict, neighbors: frozenset[int]) -> ProgramFault:
@@ -227,8 +225,8 @@ def run(
     """Execute `program` on every node until all halt or round `end`
     passed, with every edge carrying at most `graph.bandwidth` bits per round.
 
-    Returns (outputs, RoundStats) where outputs maps each node that holds a
-    state, in id order, to its program output.
+    Returns (states, RoundStats) where states maps each node that holds a
+    state, in id order, to its last state, its result.
 
     Raises:
         InvalidParam: the view is over another graph.
@@ -236,10 +234,10 @@ def run(
             `end`, no node can ever act again while some are unhalted
             (unless allow_quiescence, which then force-halts everyone; used
             by algorithms that converge without an explicit termination signal).
-        ProgramFault: setup, or a node's init, step or output raised,
-            or a step sent to a non-neighbor, sent a non-Msg, asked to wake
-            in the past or after `end`, or drew randomness in a run without
-            a seed.
+        ProgramFault: setup, or a node's init or step raised, a step
+            returned no (state, outbox, halted, wake_at), sent to a
+            non-neighbor, sent a non-Msg, asked to wake in the past or after
+            `end`, or drew randomness in a run without a seed.
     """
     if view is not None and view.base is not graph:
         raise InvalidParam("view is over another graph")
@@ -325,15 +323,9 @@ def run(
                 except Exception as exc:  # noqa: BLE001
                     raise ProgramFault(f"init failed at node {v}: {exc!r}") from exc
             try:
-                result = step(ctx, state, inbox, rnd, rng)
+                states[v], outbox, halt, wake = step(ctx, state, inbox, rnd, rng)
             except Exception as exc:  # noqa: BLE001
                 raise ProgramFault(f"step failed at node {v}, round {rnd}: {exc!r}") from exc
-            if len(result) == 3:
-                state, outbox, halt = result
-                wake = rnd + 1
-            else:
-                state, outbox, halt, wake = result
-            states[v] = state
             if outbox:
                 if not outbox.keys() <= neighbor_sets[v]:
                     raise _send_fault(v, outbox, neighbor_sets[v])
@@ -397,12 +389,6 @@ def run(
                     total_bits -= msg.nbits - bw * (frame_count(msg.nbits, bw) - unsent)
             break
 
-    outputs = {}
-    for v in sorted(states):
-        try:
-            outputs[v] = program.output(ctxs[v], states[v])
-        except Exception as exc:  # noqa: BLE001
-            raise ProgramFault(f"output failed at node {v}: {exc!r}") from exc
     stats = RoundStats(
         rounds=rnd,
         max_message_bits=max_bits,
@@ -410,4 +396,4 @@ def run(
         fragmentation_rounds=sum(1 for r in frag if r <= rnd),
     )
     stats.per_phase.append((phase, stats.rounds))
-    return outputs, stats
+    return dict(sorted(states.items())), stats

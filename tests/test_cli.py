@@ -303,17 +303,18 @@ def test_bad_cli_files_exit_2(tmp_path, capsys, command, content, message):
 
 def test_program_fault_exits_3(monkeypatch, capsys):
     """Node programs that disagree about a partner are a fault in bvc, not
-    in the user's input: `bvc run` exits 3, not 2."""
+    in the user's input: `bvc run` exits 3, not 2. A consumed node that
+    ends unconsumed keeps its old partner while its new one claims it."""
     import bvc.matching
 
     real = bvc.matching.run
 
     def forged(program, *args, **kwargs):
-        outputs, stats = real(program, *args, **kwargs)
+        states, stats = real(program, *args, **kwargs)
         if isinstance(program, bvc.matching.PathSelectProgram):
-            v = next(v for v, p in outputs.items() if p is not None)
-            outputs[v] = None
-        return outputs, stats
+            st = next(st for st in states.values() if st["consumed"])
+            st["consumed"] = False
+        return states, stats
 
     monkeypatch.setattr(bvc.matching, "run", forged)
     rc = main(["run", "--pipeline", "matching-only", "--graph", "gen:path:n=4"])

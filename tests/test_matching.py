@@ -118,13 +118,17 @@ def test_maximal_matching_is_the_d1_elimination_phase(m):
 @pytest.mark.parametrize("partners", [(1, None), (None, 0)])
 def test_inconsistent_partner_outputs_are_a_program_fault(monkeypatch, partners):
     """Node programs that disagree about a partner are a protocol fault,
-    not a parameter out of range, whichever end of the edge claims it."""
+    not a parameter out of range, whichever end of the edge claims it. A
+    node claims one by ending consumed; node v sits at level v."""
     import bvc.matching
 
     g = build_graph([(0, 1)])
     view = whole(g)
     layering, _ = alternating_bfs(g, view, Matching([], view), 1)
-    forged = dict(enumerate(partners))
+    forged = {
+        v: {"consumed": p is not None, "level": v, "chain_up": p, "chain_down": p}
+        for v, p in enumerate(partners)
+    }
     monkeypatch.setattr(bvc.matching, "run", lambda *args, **kwargs: (forged, RoundStats()))
     with pytest.raises(ProgramFault, match="inconsistent partner outputs"):
         select_disjoint_paths(g, view, Matching([], view), 1, layering, seed=1)

@@ -4,6 +4,7 @@ from dataclasses import asdict
 
 import pytest
 
+import bvc.primitives
 import bvc.runtime
 from bvc.errors import InvalidParam, ProgramFault, RoundCapExceeded
 from bvc.graph import (
@@ -46,7 +47,7 @@ class EchoOnce(NodeProgram):
 
     def step(self, ctx, state, inbox, rnd, rng):
         out = {u: Msg() for u in ctx.neighbors}
-        return state, out, True
+        return state, out, True, None
 
 
 class BigPayload(NodeProgram):
@@ -60,13 +61,10 @@ class BigPayload(NodeProgram):
 
     def step(self, ctx, state, inbox, rnd, rng):
         if ctx.node == 0:
-            return state, {1: Msg((0, self.bits))}, True
+            return state, {1: Msg((0, self.bits))}, True, None
         if inbox:
-            return inbox[0].nbits, {}, True
+            return inbox[0].nbits, {}, True, None
         return state, {}, False, None
-
-    def output(self, ctx, state):
-        return state
 
 
 class RandomReporter(NodeProgram):
@@ -75,7 +73,7 @@ class RandomReporter(NodeProgram):
 
     def step(self, ctx, state, inbox, rnd, rng):
         state.append(rng.randrange(1 << 30))
-        return state, {}, rnd >= 3
+        return state, {}, rnd >= 3, rnd + 1
 
 
 class NeverHalts(NodeProgram):
@@ -83,7 +81,7 @@ class NeverHalts(NodeProgram):
         return None
 
     def step(self, ctx, state, inbox, rnd, rng):
-        return state, {}, False
+        return state, {}, False, rnd + 1
 
 
 class Sleeper(NodeProgram):
@@ -95,10 +93,7 @@ class Sleeper(NodeProgram):
     def step(self, ctx, state, inbox, rnd, rng):
         if rnd == 1:
             return None, {}, False, 50
-        return rnd, {}, True
-
-    def output(self, ctx, state):
-        return state
+        return rnd, {}, True, None
 
 
 class Faulty(NodeProgram):
@@ -114,7 +109,7 @@ class SendsToStranger(NodeProgram):
         return None
 
     def step(self, ctx, state, inbox, rnd, rng):
-        return state, {ctx.node + 2: Msg()}, True
+        return state, {ctx.node + 2: Msg()}, True, None
 
 
 def test_bit_helpers():
@@ -136,7 +131,7 @@ def test_msg_width_validation():
 
 def test_echo_once_single_edge():
     g = build_graph([(0, 1)])
-    outputs, stats = run(EchoOnce(), g, seed=1)
+    states, stats = run(EchoOnce(), g, seed=1)
     assert stats.rounds == 1
     assert stats.max_message_bits <= default_bandwidth(2)
     assert stats.fragmentation_rounds == 0
@@ -145,9 +140,9 @@ def test_echo_once_single_edge():
 def test_payload_fragmentation():
     bw = default_bandwidth(2)
     g = build_graph([(0, 1)]).with_bandwidth(bw)
-    outputs, stats = run(BigPayload(3 * bw), g, seed=1)
+    states, stats = run(BigPayload(3 * bw), g, seed=1)
     # Three frames occupy the edge for rounds 1..3; delivery read at round 4.
-    assert outputs[1] == 3 * bw
+    assert states[1] == 3 * bw
     assert stats.fragmentation_rounds == 2
     assert stats.max_message_bits == bw
     assert stats.total_bits == 3 * bw
@@ -164,8 +159,8 @@ def test_single_frame_payload_takes_one_round():
 
 def test_zero_bit_payload_costs_a_round():
     g = build_graph([(0, 1)])
-    outputs, stats = run(BigPayload(0), g, seed=1)
-    assert outputs[1] == 0
+    states, stats = run(BigPayload(0), g, seed=1)
+    assert states[1] == 0
     assert stats.total_bits == 0
     assert stats.rounds == 2
 
@@ -184,8 +179,8 @@ def test_unseeded_draw_faults():
     g = gen_path(6)
     with pytest.raises(ProgramFault, match="unseeded"):
         run(RandomReporter(), g)
-    outputs, _ = run(RandomReporter(), g, seed=0)
-    assert all(len(draws) == 3 for draws in outputs.values())
+    states, _ = run(RandomReporter(), g, seed=0)
+    assert all(len(draws) == 3 for draws in states.values())
 
 
 class DrawsAt(NodeProgram):
@@ -202,7 +197,7 @@ class DrawsAt(NodeProgram):
         draws = self.plan.get((ctx.node, rnd), 0)
         if draws:
             state[rnd] = [rng.random() for _ in range(draws)]
-        return state, {}, rnd >= 4
+        return state, {}, rnd >= 4, rnd + 1
 
 
 def test_only_steps_that_draw_seed_a_generator(monkeypatch):
@@ -227,10 +222,10 @@ def test_only_steps_that_draw_seed_a_generator(monkeypatch):
         seedings.clear()
         with monkeypatch.context() as patch:
             patch.setattr(random.Random, "seed", counting_seed)
-            outputs, stats = run(DrawsAt(plan), g, seed=seed)
+            states, stats = run(DrawsAt(plan), g, seed=seed)
         assert stats.rounds == 4
         assert len(seedings) == len(plan)
-        assert outputs == expected
+        assert states == expected
 
 
 def test_round_cap(monkeypatch):
@@ -252,14 +247,14 @@ def test_quiescence_detection():
 
     with pytest.raises(RoundCapExceeded):
         run(Stuck(), g, seed=0)
-    outputs, stats = run(Stuck(), g, seed=0, allow_quiescence=True)
+    states, stats = run(Stuck(), g, seed=0, allow_quiescence=True)
     assert stats.rounds == 1
 
 
 def test_wake_at_fast_forward():
     g = build_graph([(0, 1)])
-    outputs, stats = run(Sleeper(), g, seed=0)
-    assert outputs == {0: 50, 1: 50}
+    states, stats = run(Sleeper(), g, seed=0)
+    assert states == {0: 50, 1: 50}
     assert stats.rounds == 50
 
 
@@ -311,7 +306,7 @@ class SendsNonMsg(NodeProgram):
         return None
 
     def step(self, ctx, state, inbox, rnd, rng):
-        return state, {u: (1, 1) for u in ctx.neighbors}, True
+        return state, {u: (1, 1) for u in ctx.neighbors}, True, None
 
 
 class WakesNow(NodeProgram):
@@ -323,9 +318,10 @@ class WakesNow(NodeProgram):
 
 
 class FailsIn(NodeProgram):
-    """Raises in `setup`, `init` or `output`; each step sends to the
-    higher neighbors and halts. At "mailed init" only node 0 starts, so
-    node 2 is first reached by mail in round 3, and its `init` raises."""
+    """Raises in `setup` or `init`, or returns a 3-tuple from `step`;
+    each step sends to the higher neighbors and halts. At "mailed init"
+    only node 0 starts, so node 2 is first reached by mail in round 3, and
+    its `init` raises."""
 
     def __init__(self, where):
         self.where = where
@@ -342,12 +338,8 @@ class FailsIn(NodeProgram):
         return None
 
     def step(self, ctx, state, inbox, rnd, rng):
-        return state, {u: Msg() for u in ctx.neighbors if u > ctx.node}, True
-
-    def output(self, ctx, state):
-        if self.where == "output":
-            raise RuntimeError("output boom")
-        return state
+        out = {u: Msg() for u in ctx.neighbors if u > ctx.node}
+        return (state, out, True) if self.where == "3-tuple step" else (state, out, True, None)
 
 
 class SendsToHalted(NodeProgram):
@@ -363,9 +355,9 @@ class SendsToHalted(NodeProgram):
 
     def step(self, ctx, state, inbox, rnd, rng):
         if ctx.node == 1:
-            return state + len(inbox), {}, True
+            return state + len(inbox), {}, True, None
         if rnd < self.at:
-            return state, {}, False
+            return state, {}, False, rnd + 1
         return state, {1: Msg((0, self.bits))} if rnd == self.at else {}, False, None
 
 
@@ -384,8 +376,8 @@ def test_wake_at_not_in_future_raises_program_fault():
 
 class EndsInRound3(NodeProgram):
     """A run that ends in round 3. Node 0 asks in round 1 to step in round
-    `at`; with `every_round`, every node steps every round (a
-    three-element result) and halts in round `halt_at`."""
+    `at`; with `every_round`, every node steps every round (wake_at
+    rnd + 1) and halts in round `halt_at`."""
 
     end = 3
 
@@ -399,27 +391,30 @@ class EndsInRound3(NodeProgram):
 
     def step(self, ctx, state, inbox, rnd, rng):
         if self.every_round:
-            return state + 1, {}, rnd == self.halt_at
+            return state + 1, {}, rnd == self.halt_at, rnd + 1
         return state + 1, {}, False, self.at if ctx.node == 0 and rnd == 1 else None
 
 
 def test_wake_after_end_raises_program_fault():
     g = gen_path(2)
-    outputs, stats = run(EndsInRound3(3), g)
-    assert outputs == {0: 2, 1: 1}
+    states, stats = run(EndsInRound3(3), g)
+    assert states == {0: 2, 1: 1}
     assert stats.rounds == 3
     with pytest.raises(ProgramFault, match="wake_at 4 > end 3"):
         run(EndsInRound3(4), g)
     # Stepping every round asks for round 4 in round 3, unless halting.
-    outputs, stats = run(EndsInRound3(None, every_round=True, halt_at=3), g)
-    assert (outputs, stats.rounds) == ({0: 3, 1: 3}, 3)
+    states, stats = run(EndsInRound3(None, every_round=True, halt_at=3), g)
+    assert (states, stats.rounds) == ({0: 3, 1: 3}, 3)
     with pytest.raises(ProgramFault, match="wake_at 4 > end 3"):
         run(EndsInRound3(None, every_round=True), g)
 
 
-@pytest.mark.parametrize("where", ["init", "output", "setup", "mailed init"])
-def test_init_and_output_errors_raise_program_fault(where):
-    match = "init failed at node 2" if where == "mailed init" else f"{where} failed"
+@pytest.mark.parametrize("where", ["init", "3-tuple step", "setup", "mailed init"])
+def test_program_errors_raise_program_fault(where):
+    match = {
+        "3-tuple step": "step failed at node 0, round 1",
+        "mailed init": "init failed at node 2",
+    }.get(where, f"{where} failed")
     with pytest.raises(ProgramFault, match=match):
         run(FailsIn(where), gen_path(3), seed=0)
 
@@ -427,13 +422,13 @@ def test_init_and_output_errors_raise_program_fault(where):
 def test_message_to_halted_node_dropped_but_counted():
     bw = default_bandwidth(2)
     g = build_graph([(0, 1)]).with_bandwidth(bw)
-    outputs, stats = run(SendsToHalted(5, 2), g, seed=0, allow_quiescence=True)
+    states, stats = run(SendsToHalted(5, 2), g, seed=0, allow_quiescence=True)
     # Delivery would need a round 3; the dropped message only costs bits.
-    assert outputs[1] == 0
+    assert states[1] == 0
     assert (stats.rounds, stats.total_bits) == (2, 5)
-    outputs, stats = run(SendsToHalted(3 * bw, 2), g, seed=0, allow_quiescence=True)
+    states, stats = run(SendsToHalted(3 * bw, 2), g, seed=0, allow_quiescence=True)
     # All three frames are sent (rounds 2..4), then the run goes quiet.
-    assert outputs[1] == 0
+    assert states[1] == 0
     assert (stats.rounds, stats.total_bits, stats.fragmentation_rounds) == (4, 3 * bw, 2)
 
 
@@ -447,7 +442,7 @@ class SendsAndHalts(NodeProgram):
         return None
 
     def step(self, ctx, state, inbox, rnd, rng):
-        return state, {u: Msg((0, self.bits)) for u in ctx.neighbors}, True
+        return state, {u: Msg((0, self.bits)) for u in ctx.neighbors}, True, None
 
 
 def test_frames_after_the_last_halt_are_not_sent():
@@ -468,25 +463,22 @@ def test_run_rejects_view_of_another_graph():
 
 
 class ReportsContext(NodeProgram):
-    """Outputs every NodeContext field and the received senders; each
-    node sends its entry in `data` (small ints, 0 by default) to every
-    in-view neighbor, then halts after round 2."""
+    """Keeps every NodeContext field and the received senders; each node
+    sends its entry in `data` (small ints, 0 by default) to every in-view
+    neighbor, then halts after round 2."""
 
     def __init__(self, data=None):
         self.data = data or {}
 
     def init(self, ctx):
-        return []
+        return ctx._asdict(), []
 
     def step(self, ctx, state, inbox, rnd, rng):
-        state.append(sorted((u, m.values) for u, m in inbox.items()))
+        state[1].append(sorted((u, m.values) for u, m in inbox.items()))
         if rnd == 1:
             out = {u: Msg((self.data.get(ctx.node, 0), 8)) for u in ctx.view_neighbors}
-            return state, out, False
-        return state, {}, True
-
-    def output(self, ctx, state):
-        return ctx._asdict(), state
+            return state, out, False, rnd + 1
+        return state, {}, True, None
 
 
 def test_view_reused_across_runs_matches_fresh_view():
@@ -507,8 +499,8 @@ def test_view_reused_across_runs_matches_fresh_view():
 def test_contexts_under_a_proper_sub_view():
     g = gen_path(5)
     view = induced(g, [0, 1, 2, 4])
-    outputs, _ = run(ReportsContext(), g, view, seed=0)
-    ctx = {v: out[0] for v, out in outputs.items()}
+    states, _ = run(ReportsContext(), g, view, seed=0)
+    ctx = {v: out[0] for v, out in states.items()}
     assert ctx[3]["in_view"] is False and ctx[3]["view_neighbors"] == ()
     assert ctx[3]["neighbors"] == (2, 4)
     assert ctx[2] == dict(
@@ -540,8 +532,8 @@ def reference_run(program, graph, view, *, seed, allow_quiescence, round_cap, se
     moves one frame along every busy edge; a message whose last frame
     moved arrives next round unless its target halted. A program with
     `end` stops after round `end`, or jumps to it when nothing is left to
-    do. Only nodes with a state have an output. Adds to `seen` the end
-    cases the run met."""
+    do. Returns the last state of each node that has one, as (node,
+    state) pairs in id order. Adds to `seen` the end cases the run met."""
     n = graph.n
     bw = graph.bandwidth
     ctxs = {
@@ -595,9 +587,8 @@ def reference_run(program, graph, view, *, seed, allow_quiescence, round_cap, se
             if v not in states:
                 states[v] = program.init(ctxs[v])
             inbox = {u: inboxes.get(v, {})[u] for u in sorted(inboxes.get(v, {}))}
-            result = program.step(ctxs[v], states[v], inbox, rnd, random.Random(derive_seed(seed, v, rnd)))
-            states[v], outbox, halt = result[:3]
-            at = result[3] if len(result) == 4 else rnd + 1
+            stream = random.Random(derive_seed(seed, v, rnd))
+            states[v], outbox, halt, at = program.step(ctxs[v], states[v], inbox, rnd, stream)
             for tgt in sorted(outbox):
                 msg = outbox[tgt]
                 if tgt not in graph.adjacency[v] or not isinstance(msg, Msg):
@@ -629,13 +620,12 @@ def reference_run(program, graph, view, *, seed, allow_quiescence, round_cap, se
         stats["fragmentation_rounds"] += fragmented
     if rnd == end and queues:
         seen.add("frames in flight at end")
-    outputs = {v: program.output(ctxs[v], states[v]) for v in sorted(states)}
-    return outputs, stats
+    return [(v, states[v]) for v in sorted(states)], stats
 
 
 class RandomTraffic(NodeProgram):
     """Random sends of random widths (up to several frames), halts and
-    wakes, all drawn from the node's own stream; outputs what it saw and
+    wakes, all drawn from the node's own stream; keeps what it saw and
     its entry in `data`. Only the nodes in `start` step in round 1 (all
     at None), and with an `end` no wake falls after it."""
 
@@ -658,13 +648,11 @@ class RandomTraffic(NodeProgram):
                 w = rng.randrange(self.max_bits + 1)
                 out[u] = Msg((rng.getrandbits(w) if w else 0, w))
         if rng.random() < self.p_halt or rnd > 8:
-            return state, out, True
+            return state, out, True, None
         r = rng.random()
         wake = rnd + 1 if not self.waits or r < 0.3 else None if r < 0.6 else rnd + rng.randrange(1, 6)
         if self.end is not None and wake is not None and wake > self.end:
             wake = None
-        if wake == rnd + 1:
-            return state, out, False
         return state, out, False, wake
 
 
@@ -697,8 +685,10 @@ def test_engine_matches_per_frame_reference(monkeypatch):
 
         state = rng.getstate()
         try:
-            outputs, stats = run(program(), g, view, **kwargs)
-            got = (outputs, {k: v for k, v in asdict(stats).items() if k != "per_phase"})
+            states, stats = run(program(), g, view, **kwargs)
+            # The items pin the id order of the returned states.
+            costs = {k: v for k, v in asdict(stats).items() if k != "per_phase"}
+            got = (list(states.items()), costs)
         except RoundCapExceeded:
             got = RoundCapExceeded
         rng.setstate(state)
@@ -766,7 +756,7 @@ def every_start_rule(g, view, seed):
     ],
 )
 def test_start_rule_skips_only_no_op_steps(monkeypatch, program):
-    """Each program's start set gives the outputs and stats of a run in
+    """Each program's start set gives the results and stats of a run in
     which every node steps in round 1 (start None), on seeded random
     graphs, whole and induced sub-views, at the default and the floor
     bandwidth. The drivers state the default of every node that never
@@ -799,21 +789,37 @@ def test_a_run_inits_only_the_nodes_that_step(monkeypatch):
     """On a path of 10^4 nodes matched but at its ends, one free A-node
     starts an alternating BFS to depth 3 and its offers reach three more
     nodes: the run inits and steps those four, and builds their contexts
-    alone, not n. An isolated free A-node is at level 0 without acting."""
+    alone, not n. It returns those four nodes alone, in id order, each
+    with the state its last step returned. An isolated free A-node is at
+    level 0 without acting."""
     g = build_graph([(v, v + 1) for v in range(9_999)], extra_nodes=[10_000])
     view = SubgraphView.whole(g)
     m = Matching([(v, v + 1) for v in range(1, 9_999, 2)], view)
     calls = {"init": 0, "step": 0}
+    last = {}  # node -> the state its last step returned
     for name in calls:
         real = getattr(AltBfsProgram, name)
 
         def counted(self, ctx, *args, _real=real, _name=name):
             calls[_name] += 1
-            return _real(self, ctx, *args)
+            result = _real(self, ctx, *args)
+            if _name == "step":
+                last[ctx.node] = result[0]
+            return result
 
         monkeypatch.setattr(AltBfsProgram, name, counted)
+    returned = []
+
+    def recorded_run(*args, _real=bvc.primitives.run, **kwargs):
+        returned.append(_real(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(bvc.primitives, "run", recorded_run)
     layering, stats = alternating_bfs(g, view, m, 3)
     assert layering.level == {0: 0, 1: 1, 2: 2, 3: 3, 10_000: 0}
     assert stats.rounds == 4
     assert calls == {"init": 4, "step": 4}
     assert sorted(g.contexts) == [0, 1, 2, 3, 10_000]
+    [(states, _)] = returned
+    assert list(states) == [0, 1, 2, 3]
+    assert all(states[v] is last[v] for v in states)
