@@ -241,6 +241,7 @@ class TreeBuildProgram(NodeProgram):
 
     def setup(self, n, bandwidth):
         self.idw = id_bits(n)
+        self.child, self.member = Msg((_CHILD, 1)), Msg((1, 1))
 
     def init(self, ctx):
         cs, v = self.clusters, ctx.node
@@ -255,11 +256,11 @@ class TreeBuildProgram(NodeProgram):
             out = dict.fromkeys(cs.stale[v], Msg((_ORIGIN, 1), (cs.origin[v], self.idw)))
             parent = cs.parent[v]
             if parent is not None:
-                out[parent] = Msg((_CHILD, 1))
+                out[parent] = self.child
             return st, out, not ctx.neighbors, 2
         if rnd == 2:
             children = tuple(u for u, msg in inbox.items() if msg.values[0] == _CHILD)
-            out = dict.fromkeys(ctx.neighbors, Msg((1, 1))) if member else {}
+            out = dict.fromkeys(ctx.neighbors, self.member) if member else {}
             return (children, False), out, False, 3
         return (st[0], not member and bool(inbox)), {}, True, None
 

@@ -55,11 +55,12 @@ class PathSelectProgram(NodeProgram):
     as a predecessor. A receiver drops the sender from its live
     predecessors. From round 1, the initiators (the free B-nodes at level
     d) repeatedly launch tokens that walk down the levels, one hop per
-    slot, choosing a random live predecessor. Same-slot collisions keep
-    the smallest (priority, initiator) token; the winner locks its chain
-    bottom-up, and each locked node leaves the structure. Iterations
-    repeat on a fixed schedule until no live initiator remains, at which
-    point the run goes quiescent.
+    slot, choosing a random live predecessor; a forwarder takes its only
+    one without a draw, which moves no other (see `_next_hop`). Same-slot
+    collisions keep the smallest (priority, initiator) token; the winner
+    locks its chain bottom-up, and each locked node leaves the structure.
+    Iterations repeat on a fixed schedule until no live initiator remains,
+    at which point the run goes quiescent.
 
     Each node reads its partner in `partner`, its level and predecessors
     in `layering`, and whether it is one of the `initiators`, which start.
@@ -131,8 +132,10 @@ class PathSelectProgram(NodeProgram):
 
     def _next_hop(self, st, rng):
         """A live predecessor for a token, the smallest in deterministic
-        mode, recorded as the chain's next node."""
-        if self.det:
+        mode, recorded as the chain's next node. A non-initiator takes its
+        only one undrawn: randrange(1) is 0 on any stream, and the step
+        draws no more; a launch draws, as its priority follows from it."""
+        if self.det or len(st["in_alive"]) == 1 and not st["initiator"]:
             nxt = min(st["in_alive"])
         else:
             choices = sorted(st["in_alive"])

@@ -7,12 +7,12 @@ transmitted. B is the graph's own `bandwidth`, set once per network (see
 BipartiteGraph.with_bandwidth), never per run. Identical (program, graph,
 view, seed) inputs give bit-identical results and statistics.
 
-Randomness is per node and per round: a step draws from
-random.Random(derive_seed(seed, node, round)), built at the step's first
-draw, so a step that draws nothing builds no generator. Only programs that
-draw need a seed: a run is unseeded by default, and a draw in an unseeded
-run raises ProgramFault, so a deterministic phase is draw-free by check,
-not by convention.
+Randomness is per node and per round: a step draws the stream of
+random.Random(derive_seed(seed, node, round)) from the run's one generator,
+re-seeded at the step's first draw; a step that draws nothing seeds none.
+Only programs that draw need a seed: a run is unseeded by default, and a
+draw in an unseeded run raises ProgramFault, so a deterministic phase is
+draw-free by check, not by convention.
 
 A node's result is the state it holds when the run ends. Nodes may sleep:
 a step names the round it next wants, `wake_at` (rnd + 1 to step every
@@ -33,10 +33,12 @@ multi-frame message joined.
 
 from __future__ import annotations
 
+import _random
 import heapq
 import random
 import types
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .errors import InvalidParam, ProgramFault, RoundCapExceeded
 from .graph import BipartiteGraph, NodeContext, SubgraphView, ceil_log2
@@ -69,20 +71,26 @@ def derive_seed(seed: int, *parts: int) -> int:
     return s
 
 
+# Node ids and rounds recur across steps and runs: their splitmix, memoized.
+_mix = lru_cache(maxsize=4096)(_splitmix)
+# Random.seed without its argument checks; the caller resets gauss_next.
+_reseed = _random.Random.seed
+
+
 class _LazyRng:
     """The random stream of the node being stepped (see the module
     docstring). The engine re-arms this one instance before every step by
     storing the node and round and clearing `_rng`; most steps draw nothing.
-    The run's splitmix(seed) is computed once, so a step's first draw costs
-    four splitmix calls and one new generator. Valid only during that step.
-    Without a seed, a draw raises ProgramFault."""
+    A step's first draw costs two splitmix calls and one seeding of `_gen`,
+    the generator made at the run's first draw. Valid only during that
+    step. Without a seed, a draw raises ProgramFault."""
 
-    __slots__ = ("_seed", "_node", "_rnd", "_rng")
+    __slots__ = ("_seed", "_node", "_rnd", "_rng", "_gen")
 
     def __init__(self, seed: int | None):
         self._seed = None if seed is None else _splitmix(seed)
         self._node = self._rnd = 0
-        self._rng = None
+        self._rng = self._gen = None
 
     def __getattr__(self, name):
         if self._seed is None:
@@ -91,8 +99,13 @@ class _LazyRng:
             )
         if self._rng is None:
             # derive_seed(seed, node, round), from the run's splitmix(seed)
-            node_key = _splitmix(self._seed ^ _splitmix(self._node))
-            self._rng = random.Random(_splitmix(node_key ^ _splitmix(self._rnd)))
+            key = _splitmix(_splitmix(self._seed ^ _mix(self._node)) ^ _mix(self._rnd))
+            if self._gen is None:
+                self._gen = random.Random(key)
+            else:
+                _reseed(self._gen, key)
+                self._gen.gauss_next = None
+            self._rng = self._gen
         return getattr(self._rng, name)
 
 
@@ -312,9 +325,7 @@ def run(
             if wake_round:
                 wake_round.pop(v, None)
             inbox = inbox_now.get(v, _NO_MAIL)
-            rng._node = v
-            rng._rnd = rnd
-            rng._rng = None
+            rng._node, rng._rnd, rng._rng = v, rnd, None
             ctx = ctxs[v]
             state = states.get(v, _NO_STATE)
             if state is _NO_STATE:

@@ -5,19 +5,22 @@ tested against) and the halving cover read off them (the reference of the
 threshold sweep), the layer classes of an alternating layering and the
 class rule of the layered cover (the reference the cover's König rule is
 tested against), the small graph families the property tests draw from,
-and a time limit for runs that must end.
+a time limit for runs that must end, and a count of the generator
+seedings a run makes.
 
 networkx serves only the tests. A valid cover whose size equals
 networkx's Hopcroft-Karp matching size is minimum by weak duality.
 """
 
 import contextlib
+import random
 import signal
 from dataclasses import dataclass, field
 
 import networkx as nx
 from hypothesis import strategies as st
 
+import bvc.runtime
 from bvc.errors import ShorterPathExists
 from bvc.graph import (
     SIDE_A,
@@ -341,3 +344,21 @@ def time_limit(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def count_seedings(patch) -> list:
+    """Record every generator seeding, whether the engine builds the run's
+    generator or re-seeds it, through `patch` (a monkeypatch); returns the
+    list the seedings' arguments are appended to."""
+    seedings = []
+
+    def counting(real):
+        def seed(self, *args, **kwargs):
+            seedings.append(args)
+            return real(self, *args, **kwargs)
+
+        return seed
+
+    patch.setattr(random.Random, "seed", counting(random.Random.seed))
+    patch.setattr(bvc.runtime, "_reseed", counting(bvc.runtime._reseed))
+    return seedings

@@ -38,7 +38,7 @@ from bvc.primitives import (
     witness_check,
 )
 from bvc.runtime import RoundStats, derive_seed, frame_count, id_bits
-from support import disjoint_union, graphs, induced
+from support import count_seedings, disjoint_union, graphs, induced
 
 INF = math.inf
 
@@ -541,3 +541,54 @@ def test_provider_runs():
     assert oracle.shortest_aug_path_len(view, m) >= 5
     m, _ = parse_provider("det-approx:delta=0.5").run(g, view, seed=5)
     assert 2 * m.size >= oracle.max_matching_oracle(view).size
+
+
+def _drawing_next_hop(self, st, rng):
+    """PathSelectProgram._next_hop without the forced-forward skip: every
+    seeded hop draws, also from a single live predecessor."""
+    if self.det:
+        nxt = min(st["in_alive"])
+    else:
+        choices = sorted(st["in_alive"])
+        nxt = choices[rng.randrange(len(choices))]
+    st["chain_down"] = nxt
+    return nxt
+
+
+def test_forced_forwards_draw_nothing_and_change_no_selection(monkeypatch):
+    """A forwarder with one live predecessor takes it without drawing. On
+    seeded random graphs at d = 1, 3 and 5, at the default and at the floor
+    bandwidth, each selection equals the one in which every hop draws:
+    partners, paths, rounds and bits alike, with no more generator
+    seedings, and fewer over all selections."""
+    seedings = {"skip": 0, "draw": 0}
+    lengths = set()
+    for gseed in range(8):
+        g0 = gen_random(40, 40, 0.06, gseed)
+        for g in (g0, g0.with_bandwidth(ceil_log2(g0.n) + 4)):
+            view = whole(g)
+            for k in (0, 1, 2):
+                m = Matching([], view)
+                if k:
+                    m, _, _ = eliminate_short_aug_paths(g, view, m, k, seed=gseed)
+                d = oracle.shortest_aug_path_len(view, m)
+                if d != 2 * k + 1:
+                    continue
+                lengths.add(d)
+                layering, _ = alternating_bfs(g, view, m, d)
+                result, counted = {}, {}
+                for side in seedings:
+                    with monkeypatch.context() as patch:
+                        if side == "draw":
+                            patch.setattr(PathSelectProgram, "_next_hop", _drawing_next_hop)
+                        seeds = count_seedings(patch)
+                        flipped, paths, stats = select_disjoint_paths(
+                            g, view, m, d, layering, seed=derive_seed(gseed, d)
+                        )
+                    result[side] = (flipped.partner, paths, stats.rounds, stats.total_bits)
+                    counted[side] = len(seeds)
+                    seedings[side] += len(seeds)
+                assert result["skip"] == result["draw"]
+                assert counted["skip"] <= counted["draw"]
+    assert lengths == {1, 3, 5}
+    assert seedings["skip"] < seedings["draw"]

@@ -36,7 +36,7 @@ from bvc.primitives import (
     pipelined_aggregate,
 )
 from bvc.repair import AnnounceRemovalProgram, CountSweepProgram, _announce_removals, count_paths
-from support import induced, max_view_degree
+from support import count_seedings, induced, max_view_degree
 
 
 class EchoOnce(NodeProgram):
@@ -183,9 +183,19 @@ def test_unseeded_draw_faults():
     assert all(len(draws) == 3 for draws in states.values())
 
 
+# One draw of each kind a node program may make, by name.
+DRAWS = {
+    "random": lambda g: g.random(),
+    "getrandbits": lambda g: g.getrandbits(45),
+    "randrange": lambda g: g.randrange(1000),
+    "expovariate": lambda g: g.expovariate(0.7),
+    "gauss": lambda g: g.gauss(0.0, 1.0),
+}
+
+
 class DrawsAt(NodeProgram):
-    """Every node steps in rounds 1-4; in round r node v draws
-    plan[(v, r)] numbers, in no other step, and keeps them by round."""
+    """Every node steps in rounds 1-4; in round r node v makes the draws
+    named in plan[(v, r)], in no other step, and keeps them by round."""
 
     def __init__(self, plan):
         self.plan = plan
@@ -194,10 +204,20 @@ class DrawsAt(NodeProgram):
         return {}
 
     def step(self, ctx, state, inbox, rnd, rng):
-        draws = self.plan.get((ctx.node, rnd), 0)
+        draws = self.plan.get((ctx.node, rnd))
         if draws:
-            state[rnd] = [rng.random() for _ in range(draws)]
+            state[rnd] = [DRAWS[kind](rng) for kind in draws]
         return state, {}, rnd >= 4, rnd + 1
+
+
+def fresh_streams(plan, seed, nodes):
+    """What DrawsAt(plan) should keep: each step's draws from a fresh
+    random.Random(derive_seed(seed, v, r))."""
+    expected = {v: {} for v in nodes}
+    for (v, r), draws in plan.items():
+        stream = random.Random(derive_seed(seed, v, r))
+        expected[v][r] = [DRAWS[kind](stream) for kind in draws]
+    return expected
 
 
 def test_only_steps_that_draw_seed_a_generator(monkeypatch):
@@ -206,26 +226,38 @@ def test_only_steps_that_draw_seed_a_generator(monkeypatch):
     random.Random(derive_seed(seed, v, r)). A run with another seed on
     the same graph draws that seed's streams."""
     g = gen_path(6)
-    plan = {(0, 1): 1, (2, 1): 2, (2, 3): 1, (5, 2): 2, (3, 4): 1}
-    real_seed = random.Random.seed
-    seedings = []
-
-    def counting_seed(self, *args, **kwargs):
-        seedings.append(args)
-        return real_seed(self, *args, **kwargs)
-
+    plan = {
+        (0, 1): ("random",),
+        (2, 1): ("random", "random"),
+        (2, 3): ("random",),
+        (5, 2): ("random", "random"),
+        (3, 4): ("random",),
+    }
     for seed in (7, 8):
-        expected = {v: {} for v in g.node_ids}
-        for (v, r), draws in plan.items():
-            stream = random.Random(derive_seed(seed, v, r))
-            expected[v][r] = [stream.random() for _ in range(draws)]
-        seedings.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(random.Random, "seed", counting_seed)
+            seedings = count_seedings(patch)
             states, stats = run(DrawsAt(plan), g, seed=seed)
         assert stats.rounds == 4
         assert len(seedings) == len(plan)
-        assert states == expected
+        assert states == fresh_streams(plan, seed, g.node_ids)
+
+
+def test_reseeded_generator_draws_the_fresh_streams():
+    """Two runs in a row, the second with the node and round mixes already
+    memoized: every step's random, getrandbits, randrange, expovariate and
+    gauss draws equal a fresh random.Random(derive_seed(seed, v, r))'s,
+    although one generator serves all steps of a run. A gauss draw leaves
+    a second normal behind, so a re-seed that kept it would hand it to
+    the next step that calls gauss."""
+    g = gen_path(6)
+    kinds = tuple(DRAWS)
+    plan = {
+        (v, r): kinds[(v + r) % 5 :] + kinds[: (v + r) % 5] for v in range(6) for r in (1, 2, 4)
+    }
+    plan.update({(1, 3): ("gauss",), (4, 3): ("gauss", "random"), (5, 3): ("gauss",)})
+    for seed in (3, 4):
+        states, _ = run(DrawsAt(plan), g, seed=seed)
+        assert states == fresh_streams(plan, seed, g.node_ids)
 
 
 def test_round_cap(monkeypatch):
